@@ -14,8 +14,7 @@ convolution oracle for verification.
 from .adjust import (METHODS, AdjustedStatistic, MethodSpec, adjust,
                      adjust_generic, continuous_moments, method_spec)
 from .combine import (CombinedResult, SurrogateDist, combine,
-                      combine_observations, surrogate, surrogate_quantile,
-                      surrogate_tail_p)
+                      combine_observations, surrogate)
 from .distributions import (FAMILIES, SIDES, DiscretePValueDist, StatisticModel,
                             custom_pvalue_distribution, make_statistic_model,
                             observed_pvalue, pvalue_distribution)
@@ -40,8 +39,7 @@ __all__ = [
     "make_statistic_model", "pvalue_distribution", "observed_pvalue",
     "custom_pvalue_distribution",
     "adjust", "adjust_generic", "continuous_moments", "method_spec",
-    "surrogate", "surrogate_tail_p", "surrogate_quantile", "combine",
-    "combine_observations",
+    "surrogate", "combine", "combine_observations",
     "w2_discrete_continuous", "w2_to_continuous_transform", "scaled_w2",
     "variance_ratio", "w2_lower_bound", "rank_methods", "exact_law",
     "surrogate_law",

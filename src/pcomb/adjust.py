@@ -21,6 +21,7 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
+from ._laws import GammaLaw, LogisticLaw, NormalLaw, UniformLaw
 from .distributions import DiscretePValueDist
 
 #: Fixed method order; also the deterministic tie-break order in reports.
@@ -34,25 +35,34 @@ MEAN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """Orientation, per-term continuous moments, and rejection tail."""
+    """Orientation, exact continuous law of the per-term transform
+    Y = G^-1(U), and rejection tail."""
 
     name: str
     orientation: str
-    mean: float        # E[Y] for Y = G^-1(U)
-    variance: float    # Var[Y]
+    law: object        # one of the ``_laws`` laws
     tail: str          # which tail of the combined statistic rejects
+
+    @property
+    def mean(self) -> float:
+        return self.law.mean
+
+    @property
+    def variance(self) -> float:
+        return self.law.variance
 
     @property
     def sd(self) -> float:
         return math.sqrt(self.variance)
 
 
+#: the Fisher and Pearson transforms are chi-square with 2 degrees of freedom
 METHOD_SPECS = {
-    "fisher": MethodSpec("fisher", ORIENT_ONE_MINUS_P, 2.0, 4.0, "upper"),
-    "pearson": MethodSpec("pearson", ORIENT_P, 2.0, 4.0, "lower"),
-    "george": MethodSpec("george", ORIENT_P, 0.0, math.pi ** 2 / 3.0, "lower"),
-    "stouffer": MethodSpec("stouffer", ORIENT_P, 0.0, 1.0, "lower"),
-    "edgington": MethodSpec("edgington", ORIENT_P, 0.5, 1.0 / 12.0, "lower"),
+    "fisher": MethodSpec("fisher", ORIENT_ONE_MINUS_P, GammaLaw(1.0, 2.0), "upper"),
+    "pearson": MethodSpec("pearson", ORIENT_P, GammaLaw(1.0, 2.0), "lower"),
+    "george": MethodSpec("george", ORIENT_P, LogisticLaw(), "lower"),
+    "stouffer": MethodSpec("stouffer", ORIENT_P, NormalLaw(0.0, 1.0), "lower"),
+    "edgington": MethodSpec("edgington", ORIENT_P, UniformLaw(), "lower"),
 }
 
 

@@ -11,11 +11,10 @@ replaced by the sum of the per-test variances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from . import _laws
 from .adjust import AdjustedStatistic, adjust, method_spec
@@ -27,57 +26,36 @@ ATOM_MATCH_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SurrogateDist:
-    """Parametric null for the sum of n adjusted terms.
+    """Parametric null for the sum of n adjusted terms: a Gamma or Normal
+    law, and the rejection ``tail`` of the method that produced it."""
 
-    gamma: shape/scale set; normal: mean/sd set.  ``tail`` is the
-    rejection tail of the method that produced it.
-    """
-
-    family: str
+    law: _laws.GammaLaw | _laws.NormalLaw
     n: int
     tail: str
-    shape: float | None = None
-    scale: float | None = None
-    mean: float | None = None
-    sd: float | None = None
-
-    @property
-    def law(self):
-        if self.family == "gamma":
-            return _laws.GammaLaw(self.shape, self.scale)
-        return _laws.NormalLaw(self.mean, self.sd)
 
     @property
     def moments(self) -> tuple[float, float]:
         """(mean, variance), exact from the parameters."""
-        if self.family == "gamma":
-            return self.shape * self.scale, self.shape * self.scale ** 2
-        return self.mean, self.sd ** 2
+        return self.law.mean, self.law.variance
 
     def cdf(self, s: float) -> float:
-        if self.family == "gamma":
-            return float(special.gammainc(self.shape, s / self.scale)) if s > 0.0 else 0.0
-        return float(special.ndtr((s - self.mean) / self.sd))
+        return float(self.law.cdf(s))
 
     def sf(self, s: float) -> float:
-        if self.family == "gamma":
-            return float(special.gammaincc(self.shape, s / self.scale)) if s > 0.0 else 1.0
-        return float(special.ndtr((self.mean - s) / self.sd))
+        return float(self.law.sf(s))
+
+    def p_value(self, s: float) -> float:
+        """Global p-value of an observed sum under the rejection tail."""
+        return self.sf(s) if self.tail == "upper" else self.cdf(s)
 
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {p!r}")
-        if self.family == "gamma":
-            return float(self.scale * special.gammaincinv(self.shape, p))
-        return float(self.mean + self.sd * special.ndtri(p))
+        return float(self.law.quantile(p))
 
     def to_json(self) -> dict:
-        out = {"family": self.family, "n": self.n, "tail": self.tail}
-        if self.family == "gamma":
-            out.update(shape=self.shape, scale=self.scale)
-        else:
-            out.update(mean=self.mean, sd=self.sd)
-        return out
+        return {"family": self.law.family, "n": self.n, "tail": self.tail,
+                **asdict(self.law)}
 
 
 def surrogate(method: str, variances: Sequence[float]) -> SurrogateDist:
@@ -85,6 +63,7 @@ def surrogate(method: str, variances: Sequence[float]) -> SurrogateDist:
 
     The i.i.d. case is the constant-sequence special case; in general the
     surrogate mean is n E[Y] and the variance is the sum of the inputs.
+    Gamma-distributed transforms get a Gamma surrogate, the others a Normal.
     """
     spec = method_spec(method)
     nus = np.asarray(variances, dtype=float)
@@ -95,22 +74,12 @@ def surrogate(method: str, variances: Sequence[float]) -> SurrogateDist:
                          "(degenerate single-atom p-value distribution)")
     n = int(nus.size)
     nu_bar = float(nus.mean())
-    if method in ("fisher", "pearson"):
-        return SurrogateDist(family="gamma", n=n, tail=spec.tail,
-                             shape=4.0 * n / nu_bar, scale=nu_bar / 2.0)
-    mean = n / 2.0 if method == "edgington" else 0.0
-    return SurrogateDist(family="normal", n=n, tail=spec.tail,
-                         mean=mean, sd=math.sqrt(n * nu_bar))
-
-
-def surrogate_tail_p(surr: SurrogateDist, s: float) -> float:
-    """Global p-value of an observed sum under the surrogate's tail."""
-    return surr.sf(s) if surr.tail == "upper" else surr.cdf(s)
-
-
-def surrogate_quantile(surr: SurrogateDist, p: float) -> float:
-    """Inverse of the surrogate cdf."""
-    return surr.quantile(p)
+    mu = spec.mean
+    if isinstance(spec.law, _laws.GammaLaw):
+        law = _laws.GammaLaw(shape=mu * mu * n / nu_bar, scale=nu_bar / mu)
+    else:
+        law = _laws.NormalLaw(mean=n * mu, sd=math.sqrt(n * nu_bar))
+    return SurrogateDist(law=law, n=n, tail=spec.tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +113,7 @@ def _combine_indices(method: str, indices: Sequence[int],
     statistic = float(sum(adj.z[i] for i, adj in zip(indices, adjusted)))
     surr = surrogate(method, [adj.variance for adj in adjusted])
     return CombinedResult(method=method, n=len(adjusted), statistic=statistic,
-                          surrogate=surr, global_p=surrogate_tail_p(surr, statistic),
+                          surrogate=surr, global_p=surr.p_value(statistic),
                           atom_indices=tuple(int(i) for i in indices))
 
 

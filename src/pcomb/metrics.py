@@ -24,20 +24,10 @@ from .adjust import METHODS, AdjustedStatistic, adjust, method_spec
 from .combine import surrogate
 from .distributions import DiscretePValueDist
 
-#: exact continuous law of the per-term transform, per method
-_EXACT_LAW = {
-    "fisher": _laws.GammaLaw(1.0, 2.0),    # chi-square with 2 df
-    "pearson": _laws.GammaLaw(1.0, 2.0),
-    "george": _laws.LogisticLaw(),
-    "stouffer": _laws.NormalLaw(0.0, 1.0),
-    "edgington": _laws.UniformLaw(),
-}
-
 
 def exact_law(method: str):
     """Law of the per-term transform under continuous p-values."""
-    method_spec(method)
-    return _EXACT_LAW[method]
+    return method_spec(method).law
 
 
 def surrogate_law(method: str, variance: float):
@@ -61,8 +51,12 @@ def _sorted_cells(adjusted: AdjustedStatistic) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _coupling_cells(adjusted: AdjustedStatistic, law) -> np.ndarray:
-    z, lo, hi = _sorted_cells(adjusted)
-    return np.array([law.cell_sq_moment(z[i], lo[i], hi[i]) for i in range(z.size)])
+    return law.cell_sq_moment(*_sorted_cells(adjusted))
+
+
+def _root(x: float) -> float:
+    # cell integrals are nonnegative up to roundoff
+    return math.sqrt(max(float(x), 0.0))
 
 
 def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> float:
@@ -76,9 +70,7 @@ def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> 
     law = continuous_quantile
     if not hasattr(law, "cell_sq_moment"):
         law = _laws.QuantileLaw(continuous_quantile)
-    total = float(np.sum(_coupling_cells(adjusted, law)))
-    # the summands are nonnegative up to roundoff
-    return math.sqrt(max(total, 0.0))
+    return _root(np.sum(_coupling_cells(adjusted, law)))
 
 
 def w2_to_continuous_transform(method: str, dist: DiscretePValueDist) -> float:
@@ -92,12 +84,20 @@ def _require_nondegenerate(adjusted: AdjustedStatistic) -> None:
                          "a single-atom distribution is degenerate")
 
 
+def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
+    """Coupling cells of an adjusted statistic against its per-term surrogate."""
+    _require_nondegenerate(adjusted)
+    return _coupling_cells(adjusted, surrogate_law(method, adjusted.variance))
+
+
+def _scaled(method: str, x: float) -> float:
+    """sqrt(x) / SD(Y): a squared distance on the scale of the transform."""
+    return _root(x) / method_spec(method).sd
+
+
 def scaled_w2(method: str, dist: DiscretePValueDist) -> float:
     """W2(Z, per-term surrogate) / SD(Y)."""
-    adjusted = adjust(method, dist)
-    _require_nondegenerate(adjusted)
-    law = surrogate_law(method, adjusted.variance)
-    return w2_discrete_continuous(adjusted, law) / method_spec(method).sd
+    return _scaled(method, np.sum(_surrogate_cells(method, adjust(method, dist))))
 
 
 def variance_ratio(method: str, dist) -> float:
@@ -116,11 +116,7 @@ def w2_lower_bound(method: str, dist: DiscretePValueDist) -> float:
 
     A lower bound for ``scaled_w2`` since the squared distance is the sum
     of the nonnegative cell integrals."""
-    adjusted = adjust(method, dist)
-    _require_nondegenerate(adjusted)
-    law = surrogate_law(method, adjusted.variance)
-    worst = float(np.max(_coupling_cells(adjusted, law)))
-    return math.sqrt(max(worst, 0.0)) / method_spec(method).sd
+    return _scaled(method, np.max(_surrogate_cells(method, adjust(method, dist))))
 
 
 @dataclass(frozen=True)
@@ -181,13 +177,11 @@ def rank_methods(dists) -> MetricsReport:
         variances, sw2, w2y, lb = [], [], [], []
         for d in dists:
             adjusted = adjust(method, d)
-            _require_nondegenerate(adjusted)
+            cells = _surrogate_cells(method, adjusted)
             variances.append(adjusted.variance)
-            law = surrogate_law(method, adjusted.variance)
-            cells = _coupling_cells(adjusted, law)
-            sw2.append(math.sqrt(max(float(np.sum(cells)), 0.0)) / spec.sd)
-            lb.append(math.sqrt(max(float(np.max(cells)), 0.0)) / spec.sd)
-            w2y.append(w2_discrete_continuous(adjusted, exact_law(method)))
+            sw2.append(_scaled(method, np.sum(cells)))
+            lb.append(_scaled(method, np.max(cells)))
+            w2y.append(w2_discrete_continuous(adjusted, spec.law))
         rows.append(MethodMetrics(
             method=method,
             variance=float(np.mean(variances)),

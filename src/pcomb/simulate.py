@@ -10,6 +10,7 @@ change a single byte of the output.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +22,7 @@ from scipy import stats
 
 from . import _genedata
 from .adjust import METHODS, AdjustedStatistic, adjust
-from .combine import CombinedResult, combine_observations, surrogate, surrogate_quantile
+from .combine import CombinedResult, combine_observations, surrogate
 from .distributions import (DiscretePValueDist, custom_pvalue_distribution,
                             make_statistic_model, pvalue_distribution)
 
@@ -72,13 +73,17 @@ class Scenario:
             return 0.0
         return None
 
+    @functools.cached_property
+    def _groups(self) -> tuple[_Group, ...]:
+        return _build_groups(self)
+
     def null_dists(self) -> tuple[DiscretePValueDist, ...]:
         """The distinct per-test null distributions (one per group)."""
-        return tuple(g.dist for g in _groups(self))
+        return tuple(g.dist for g in self._groups)
 
     def group_assignment(self, n: int) -> np.ndarray:
         """Group index of each of the n tests (cyclic for non-i.i.d.)."""
-        return np.arange(n) % len(_groups(self))
+        return np.arange(n) % len(self._groups)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -145,9 +150,15 @@ class _Group:
 
     dist: DiscretePValueDist
     outcome_values: np.ndarray      # raw statistic per outcome index
-    outcome_map: np.ndarray         # outcome index -> atom index
     null_cdf: np.ndarray
     alt_cdf_fn: object              # callable alt_param -> outcome cdf, or None
+
+    @property
+    def outcome_atoms(self) -> np.ndarray:
+        """Atom index of each outcome; model-less outcomes are the atoms."""
+        if self.dist.outcome_map is None:
+            return np.arange(len(self.dist))
+        return self.dist.outcome_map
 
     def cdf_for(self, alt_param) -> np.ndarray:
         if alt_param is None or self.alt_cdf_fn is None:
@@ -155,48 +166,31 @@ class _Group:
         return self.alt_cdf_fn(alt_param)
 
 
-_GROUP_CACHE: dict[tuple, tuple] = {}
-
-
-def _model_group(model, side) -> _Group:
-    dist = pvalue_distribution(model, side)
-    cdf = model.cdf()
-    return dist, cdf
-
-
-def _groups(sc: Scenario) -> tuple[_Group, ...]:
-    key = (sc.kind, sc.side, tuple(sorted(sc.params.items())))
-    if key in _GROUP_CACHE:
-        return _GROUP_CACHE[key]
-
+def _build_groups(sc: Scenario) -> tuple[_Group, ...]:
     groups: list[_Group] = []
     if sc.kind == "synthetic":
         atoms = SYNTHETIC_ATOMS[sc.params["name"]]
         dist = custom_pvalue_distribution(atoms, "left")
-        m = atoms.size
-        groups.append(_Group(dist=dist, outcome_values=np.arange(m),
-                             outcome_map=np.arange(m), null_cdf=np.asarray(atoms),
-                             alt_cdf_fn=None))
+        groups.append(_Group(dist=dist, outcome_values=np.arange(atoms.size),
+                             null_cdf=np.asarray(atoms), alt_cdf_fn=None))
     elif sc.kind == "binomial":
         trials = sc.params["trials"]
         model = make_statistic_model("binomial", {"trials": trials,
                                                   "prob": sc.params["theta0"]})
-        dist, cdf = _model_group(model, sc.side)
 
         def alt_cdf(theta, _support=model.support, _trials=trials):
             F = stats.binom(_trials, float(theta)).cdf(_support)
             F[-1] = 1.0
             return F
 
-        groups.append(_Group(dist=dist, outcome_values=model.support.astype(float),
-                             outcome_map=dist.outcome_map, null_cdf=cdf,
-                             alt_cdf_fn=alt_cdf))
+        groups.append(_Group(dist=pvalue_distribution(model, sc.side),
+                             outcome_values=model.support.astype(float),
+                             null_cdf=model.cdf(), alt_cdf_fn=alt_cdf))
     elif sc.kind in ("geometric", "geometric-noniid"):
         p0s = ([sc.params["p0"]] if sc.kind == "geometric"
                else list(sc.params["p0_set"]))
         for p0 in p0s:
             model = make_statistic_model("geometric", {"prob": p0})
-            dist, cdf = _model_group(model, sc.side)
 
             def alt_cdf(param, _support=model.support, _p0=p0, _noniid=sc.kind.endswith("noniid")):
                 # i.i.d. scenarios sweep p1 directly; non-i.i.d. ones sweep a
@@ -211,9 +205,9 @@ def _groups(sc: Scenario) -> tuple[_Group, ...]:
                 F[-1] = 1.0
                 return F
 
-            groups.append(_Group(dist=dist, outcome_values=model.support.astype(float),
-                                 outcome_map=dist.outcome_map, null_cdf=cdf,
-                                 alt_cdf_fn=alt_cdf))
+            groups.append(_Group(dist=pvalue_distribution(model, sc.side),
+                                 outcome_values=model.support.astype(float),
+                                 null_cdf=model.cdf(), alt_cdf_fn=alt_cdf))
     elif sc.kind == "circular":
         N = sc.params["points"]
         half = (N + 1) // 2
@@ -232,13 +226,10 @@ def _groups(sc: Scenario) -> tuple[_Group, ...]:
             return F
 
         groups.append(_Group(dist=dist, outcome_values=tvals.astype(float),
-                             outcome_map=np.arange(half), null_cdf=np.asarray(atoms),
-                             alt_cdf_fn=alt_cdf))
+                             null_cdf=np.asarray(atoms), alt_cdf_fn=alt_cdf))
     else:
         raise ValueError(f"unknown scenario kind {sc.kind!r}")
-
-    _GROUP_CACHE[key] = tuple(groups)
-    return _GROUP_CACHE[key]
+    return tuple(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +239,25 @@ def _groups(sc: Scenario) -> tuple[_Group, ...]:
 def _stream(seed: int, config_index: int, replicate: int) -> np.random.Generator:
     """Counter-based substream: one Philox block range per replicate, so
     results do not depend on how replicates are chunked over workers."""
-    key = int(seed) & ((1 << 128) - 1)
     counter = (int(config_index) << 192) | (int(replicate) << 64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
+
+
+class _Sampler:
+    """Outcome cdf and test positions of each group, for n tests at one
+    alternative parameter (None for the null)."""
+
+    def __init__(self, scenario: Scenario, n: int, alt_param: float | None):
+        self.n = n
+        self.assign = scenario.group_assignment(n)
+        self.group_pos = [np.flatnonzero(self.assign == gi)
+                          for gi in range(len(scenario._groups))]
+        self.group_cdf = [g.cdf_for(alt_param) for g in scenario._groups]
+
+    def outcomes(self, u: np.ndarray) -> list[np.ndarray]:
+        """Outcome index of each group's tests, from one draw of n uniforms."""
+        return [np.searchsorted(cdf, u[pos], side="left")
+                for cdf, pos in zip(self.group_cdf, self.group_pos)]
 
 
 def sample_pvalues(scenario: Scenario, rng: np.random.Generator, n: int,
@@ -260,18 +267,13 @@ def sample_pvalues(scenario: Scenario, rng: np.random.Generator, n: int,
     Under the null each p-value lands on atom i with mass p_i; under an
     alternative the statistic is drawn from the alternative model and
     mapped through the null model's sided p-value."""
-    groups = _groups(scenario)
-    assign = scenario.group_assignment(n)
     if alt_param is not None and scenario.null_param is None:
         raise ValueError(f"scenario {scenario.name!r} has no alternative family")
-    out = []
-    u = rng.random(n)
-    for j in range(n):
-        g = groups[assign[j]]
-        cdf = g.cdf_for(alt_param)
-        k = int(np.searchsorted(cdf, u[j], side="left"))
-        atom = g.dist.atoms[g.outcome_map[k]]
-        out.append((float(atom), g.dist))
+    sampler = _Sampler(scenario, n, alt_param)
+    out = [None] * n
+    for g, pos, idx in zip(scenario._groups, sampler.group_pos, sampler.outcomes(rng.random(n))):
+        for j, atom in zip(pos, g.dist.atoms[g.outcome_atoms[idx]]):
+            out[j] = (float(atom), g.dist)
     return out
 
 
@@ -320,16 +322,13 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-class _ConfigPrep:
+class _ConfigPrep(_Sampler):
     """Per-configuration sampling tables and rejection thresholds."""
 
     def __init__(self, scenario: Scenario, methods: Sequence[str], n: int,
                  alt_param: float | None, alpha: float):
-        groups = _groups(scenario)
-        assign = scenario.group_assignment(n)
-        self.n = n
-        self.group_pos = [np.flatnonzero(assign == gi) for gi in range(len(groups))]
-        self.group_cdf = [g.cdf_for(alt_param) for g in groups]
+        super().__init__(scenario, n, alt_param)
+        groups = scenario._groups
         self.method_names = list(methods)
 
         score_rows, self.thresholds, self.upper = [], [], []
@@ -345,11 +344,9 @@ class _ConfigPrep:
                 continue
             adjusted = [adjust(name, g.dist) for g in groups]
             # z looked up directly by outcome index
-            score_rows.append([adj.z[g.outcome_map] for adj, g in zip(adjusted, groups)])
-            nus = [adjusted[assign[j]].variance for j in range(n)]
-            surr = surrogate(name, nus)
-            q = surrogate_quantile(surr, 1.0 - alpha if surr.tail == "upper" else alpha)
-            self.thresholds.append(q)
+            score_rows.append([adj.z[g.outcome_atoms] for adj, g in zip(adjusted, groups)])
+            surr = surrogate(name, [adjusted[gi].variance for gi in self.assign])
+            self.thresholds.append(surr.quantile(1.0 - alpha if surr.tail == "upper" else alpha))
             self.upper.append(surr.tail == "upper")
 
         # stack per-group score matrices: one fancy index serves all methods
@@ -386,14 +383,10 @@ def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
     def chunk(lo: int, hi: int) -> np.ndarray:
         counts = np.zeros(nm, dtype=np.int64)
         for rep in range(lo, hi):
-            gen = _stream(seed, config_index, rep)
-            u = gen.random(prep.n)
+            u = _stream(seed, config_index, rep).random(prep.n)
             scores = np.zeros(nm)
-            for gi, pos in enumerate(prep.group_pos):
-                if pos.size == 0:
-                    continue
-                idx = np.searchsorted(prep.group_cdf[gi], u[pos], side="left")
-                scores += prep.group_scores[gi][:, idx].sum(axis=1)
+            for group_scores, idx in zip(prep.group_scores, prep.outcomes(u)):
+                scores += group_scores[:, idx].sum(axis=1)
             counts += np.where(prep.upper, scores >= prep.thresholds,
                                scores <= prep.thresholds)
         return counts

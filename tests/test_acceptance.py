@@ -23,7 +23,7 @@ from pcomb import (LRT_GEOMETRIC, METHODS, adjust, adjust_generic,
                    continuous_moments, custom_pvalue_distribution, exact_convolution,
                    gene_example, geometric_scenario, make_statistic_model,
                    power_experiment, pvalue_distribution, rank_methods, scaled_w2,
-                   surrogate, surrogate_quantile, synthetic_scenario,
+                   surrogate, synthetic_scenario,
                    type1_experiment, w2_lower_bound, w2_to_continuous_transform,
                    circular_scenario)
 from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P
@@ -201,26 +201,26 @@ def test_criterion_3_geometric_tables_and_surrogates():
     # published n=1000 surrogate parameters (right-sided p-values, p0=0.5)
     n = 1000
     s_f = surrogate("fisher", [nus[("right", "fisher", 0.5)]] * n)
-    _chk(failures, abs(s_f.shape - 1040.7) <= 0.1, f"gamma shape {s_f.shape:.4f} vs 1040.7")
+    _chk(failures, abs(s_f.law.shape - 1040.7) <= 0.1, f"gamma shape {s_f.law.shape:.4f} vs 1040.7")
     # scale printed at one decimal (1.9); exact 1.921812 — one printed ULP
-    _chk(failures, abs(s_f.scale - 1.9) <= 0.1, f"gamma scale {s_f.scale:.4f} vs 1.9")
+    _chk(failures, abs(s_f.law.scale - 1.9) <= 0.1, f"gamma scale {s_f.law.scale:.4f} vs 1.9")
     s_p = surrogate("pearson", [nus[("right", "pearson", 0.5)]] * n)
     # shape printed as the integer 2015; exact 2014.798 — one printed ULP
-    _chk(failures, abs(s_p.shape - 2015) <= 1.0, f"gamma shape {s_p.shape:.4f} vs 2015")
-    _chk(failures, abs(s_p.scale - 0.99) <= 0.01, f"gamma scale {s_p.scale:.4f} vs 0.99")
+    _chk(failures, abs(s_p.law.shape - 2015) <= 1.0, f"gamma shape {s_p.law.shape:.4f} vs 2015")
+    _chk(failures, abs(s_p.law.scale - 0.99) <= 0.01, f"gamma scale {s_p.law.scale:.4f} vs 0.99")
     s_s = surrogate("stouffer", [nus[("right", "stouffer", 0.5)]] * n)
-    _chk(failures, s_s.mean == 0.0 and abs(s_s.sd - 28.38) <= 0.01,
-         f"normal sd {s_s.sd:.4f} vs 28.38")
+    _chk(failures, s_s.law.mean == 0.0 and abs(s_s.law.sd - 28.38) <= 0.01,
+         f"normal sd {s_s.law.sd:.4f} vs 28.38")
     s_e = surrogate("edgington", [nus[("right", "edgington", 0.5)]] * n)
-    _chk(failures, s_e.mean == 500.0 and abs(s_e.sd - 8.45) <= 0.01,
-         f"normal mean/sd {s_e.mean}, {s_e.sd:.4f} vs 500, 8.45")
+    _chk(failures, s_e.law.mean == 500.0 and abs(s_e.law.sd - 8.45) <= 0.01,
+         f"normal mean/sd {s_e.law.mean}, {s_e.law.sd:.4f} vs 500, 8.45")
     # the published george sd 50.48 contradicts the table variance 2.5684
     # (sqrt(1000 * 2.5684) = 50.68); report the discrepancy, do not match it
     s_g = surrogate("george", [nus[("right", "george", 0.5)]] * n)
-    _chk(failures, abs(s_g.sd - math.sqrt(n * nus[("right", "george", 0.5)])) <= 1e-9,
+    _chk(failures, abs(s_g.law.sd - math.sqrt(n * nus[("right", "george", 0.5)])) <= 1e-9,
          "george sd is not sqrt(n nu)")
-    _chk(failures, abs(s_g.sd - 50.68) <= 0.01, f"george sd {s_g.sd:.4f} vs implied 50.68")
-    _chk(failures, abs(s_g.sd - 50.48) > 0.1,
+    _chk(failures, abs(s_g.law.sd - 50.68) <= 0.01, f"george sd {s_g.law.sd:.4f} vs implied 50.68")
+    _chk(failures, abs(s_g.law.sd - 50.48) > 0.1,
          "george sd unexpectedly matches the published 50.48")
     _finish(3, "geometric variance tables ±0.001 and surrogate parameters", failures)
 
@@ -376,10 +376,10 @@ def test_criterion_8_convolution_calibration():
                 values, masses = exact_convolution(adj, n)
                 surr = surrogate(method, [adj.variance] * n)
                 if surr.tail == "upper":
-                    q = surrogate_quantile(surr, 1.0 - alpha)
+                    q = surr.quantile(1.0 - alpha)
                     exact = masses[values >= q].sum()
                 else:
-                    q = surrogate_quantile(surr, alpha)
+                    q = surr.quantile(alpha)
                     exact = masses[values <= q].sum()
                 gaps.append(abs(exact - alpha))
             _chk(failures, gaps[-1] < gaps[0],

@@ -6,8 +6,8 @@ from scipy import stats
 
 from pcomb import (SurrogateDist, adjust, combine, combine_observations,
                    custom_pvalue_distribution, make_statistic_model,
-                   pvalue_distribution, surrogate, surrogate_quantile,
-                   surrogate_tail_p)
+                   pvalue_distribution, surrogate)
+from pcomb._laws import GammaLaw
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
 
@@ -20,31 +20,31 @@ NU_S, NU_G, NU_E = 0.80546377, 2.5683806, 1.0 / 14.0
 class TestSurrogate:
     def test_gamma_parameters_iid(self):
         s = surrogate("fisher", [NU_F] * 1000)
-        assert s.family == "gamma" and s.tail == "upper"
-        assert s.shape == pytest.approx(1040.6845, abs=1e-3)
-        assert s.scale == pytest.approx(1.9218121, abs=1e-6)
+        assert s.law.family == "gamma" and s.tail == "upper"
+        assert s.law.shape == pytest.approx(1040.6845, abs=1e-3)
+        assert s.law.scale == pytest.approx(1.9218121, abs=1e-6)
 
         s = surrogate("pearson", [NU_P] * 1000)
         assert s.tail == "lower"
-        assert s.shape == pytest.approx(2014.7977, abs=1e-3)
-        assert s.scale == pytest.approx(0.9926555, abs=1e-6)
+        assert s.law.shape == pytest.approx(2014.7977, abs=1e-3)
+        assert s.law.scale == pytest.approx(0.9926555, abs=1e-6)
 
     def test_normal_parameters_iid(self):
         s = surrogate("stouffer", [NU_S] * 1000)
-        assert s.family == "normal" and (s.mean, s.tail) == (0.0, "lower")
-        assert s.sd == pytest.approx(28.3807, abs=1e-4)
+        assert s.law.family == "normal" and (s.law.mean, s.tail) == (0.0, "lower")
+        assert s.law.sd == pytest.approx(28.3807, abs=1e-4)
 
         s = surrogate("edgington", [NU_E] * 1000)
-        assert s.mean == 500.0
-        assert s.sd == pytest.approx(8.451543, abs=1e-5)
+        assert s.law.mean == 500.0
+        assert s.law.sd == pytest.approx(8.451543, abs=1e-5)
 
         s = surrogate("george", [NU_G] * 1000)
-        assert s.sd == pytest.approx(50.67919, abs=1e-4)
+        assert s.law.sd == pytest.approx(50.67919, abs=1e-4)
 
     def test_edgington_single_term(self):
         s = surrogate("edgington", [1.0 / 12.0])
-        assert (s.mean, s.n) == (0.5, 1)
-        assert s.sd == pytest.approx(0.2886751, abs=1e-6)
+        assert (s.law.mean, s.n) == (0.5, 1)
+        assert s.law.sd == pytest.approx(0.2886751, abs=1e-6)
 
     def test_moment_matching_non_iid(self):
         rng = np.random.default_rng(3)
@@ -65,47 +65,47 @@ class TestSurrogate:
 class TestTailAndQuantile:
     def test_normal_lower_at_mean(self):
         s = surrogate("stouffer", [1.0])
-        assert surrogate_tail_p(s, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert s.p_value(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_exponential_upper_tail(self):
-        s = SurrogateDist(family="gamma", n=1, tail="upper", shape=1.0, scale=2.0)
-        assert surrogate_tail_p(s, -2.0 * math.log(0.05)) == pytest.approx(0.05, abs=1e-12)
+        s = SurrogateDist(GammaLaw(1.0, 2.0), n=1, tail="upper")
+        assert s.p_value(-2.0 * math.log(0.05)) == pytest.approx(0.05, abs=1e-12)
 
     def test_published_rejection_thresholds(self):
         edg = surrogate("edgington", [NU_E] * 1000)
-        assert surrogate_tail_p(edg, 486.1) == pytest.approx(0.05, abs=5e-4)
-        assert surrogate_quantile(edg, 0.01) == pytest.approx(480.33, abs=0.01)
+        assert edg.p_value(486.1) == pytest.approx(0.05, abs=5e-4)
+        assert edg.quantile(0.01) == pytest.approx(480.33, abs=0.01)
 
         # the 0.99 quantile printed as 2105.11 belongs to the full-precision
         # Gamma(4n/nu_P, nu_P/2) surrogate (displayed rounded as (2015, 0.99))
         pea = surrogate("pearson", [NU_P] * 1000)
-        assert surrogate_quantile(pea, 0.99) == pytest.approx(2105.11, abs=0.01)
+        assert pea.quantile(0.99) == pytest.approx(2105.11, abs=0.01)
 
         fis = surrogate("fisher", [NU_F] * 1000)
-        assert surrogate_quantile(fis, 0.95) == pytest.approx(2103.05, abs=0.01)
-        assert surrogate_quantile(fis, 0.99) == pytest.approx(2147.05, abs=0.01)
+        assert fis.quantile(0.95) == pytest.approx(2103.05, abs=0.01)
+        assert fis.quantile(0.99) == pytest.approx(2147.05, abs=0.01)
 
         sto = surrogate("stouffer", [NU_S] * 1000)
-        assert surrogate_quantile(sto, 0.05) == pytest.approx(-46.68, abs=0.01)
-        assert surrogate_quantile(sto, 0.01) == pytest.approx(-66.02, abs=0.01)
+        assert sto.quantile(0.05) == pytest.approx(-46.68, abs=0.01)
+        assert sto.quantile(0.01) == pytest.approx(-66.02, abs=0.01)
 
     def test_quantile_cdf_round_trip(self):
         grid = [1e-6, 1e-3, 0.05, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-6]
         for s in (surrogate("fisher", [2.3, 1.1, 3.0]),
                   surrogate("edgington", [0.06, 0.08])):
             for p in grid:
-                assert s.cdf(surrogate_quantile(s, p)) == pytest.approx(p, abs=1e-9)
+                assert s.cdf(s.quantile(p)) == pytest.approx(p, abs=1e-9)
 
     def test_gamma_tails_below_support(self):
         s = surrogate("fisher", [2.0, 2.0])
-        assert surrogate_tail_p(s, 0.0) == 1.0   # upper tail of nonpositive sum
+        assert s.p_value(0.0) == 1.0   # upper tail of nonpositive sum
         assert s.cdf(-1.0) == 0.0
 
     def test_quantile_domain(self):
         s = surrogate("stouffer", [1.0])
         for p in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
-                surrogate_quantile(s, p)
+                s.quantile(p)
 
 
 class TestCombine:

@@ -6,8 +6,8 @@ from pcomb import (LRT_GEOMETRIC, METHODS, adjust, binomial_scenario,
                    circular_scenario, custom_pvalue_distribution,
                    exact_convolution, gene_example, geometric_noniid_scenario,
                    geometric_scenario, power_experiment, sample_pvalues,
-                   scenario_from_json, surrogate, surrogate_quantile,
-                   synthetic_scenario, type1_experiment)
+                   scenario_from_json, surrogate, synthetic_scenario,
+                   type1_experiment)
 from pcomb.simulate import SYNTHETIC_ATOMS, _geometric_lrt_threshold
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
@@ -198,7 +198,7 @@ class TestExactConvolution:
         n, alpha, reps = 8, 0.1, 4000
         values, masses = exact_convolution(adj, n)
         surr = surrogate("edgington", [adj.variance] * n)
-        q = surrogate_quantile(surr, alpha)
+        q = surr.quantile(alpha)
         exact = masses[values <= q].sum()
         rng = np.random.default_rng(123)
         draws = rng.random((reps, n)) >= 0.5  # True picks atom 2
