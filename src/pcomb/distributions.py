@@ -246,13 +246,16 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
         _require(support.shape == pmf.shape and support.ndim == 1,
                  "support and pmf must be 1-D arrays of equal length")
         _require(bool(np.all(pmf >= 0.0)), "custom pmf masses must be nonnegative")
-        total = pmf.sum()
-        _require(abs(total - 1.0) <= CUSTOM_PMF_TOL,
-                 f"custom pmf must sum to 1 within {CUSTOM_PMF_TOL}, got {total!r}")
-        pmf = pmf / total  # renormalize so the atom invariants hold exactly
         params = {}
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+    # scipy pmfs drift from one by a few 1e-12 on large supports; a pmf
+    # further off than CUSTOM_PMF_TOL is broken, not rounded
+    total = pmf.sum()
+    _require(abs(total - 1.0) <= CUSTOM_PMF_TOL,
+             f"{family} pmf must sum to 1 within {CUSTOM_PMF_TOL}, got {total!r}")
+    pmf = pmf / total  # renormalize so the atom invariants hold exactly
 
     # drop outcomes whose probability underflowed to exactly zero
     keep = pmf > 0.0

@@ -130,16 +130,19 @@ def circular_scenario(points: int) -> Scenario:
 
 def scenario_from_json(obj: Mapping) -> Scenario:
     kind = obj.get("kind")
-    if kind == "synthetic":
-        return synthetic_scenario(obj["name"])
-    if kind == "binomial":
-        return binomial_scenario(obj["theta0"], obj.get("trials", 5), obj.get("side", "left"))
-    if kind == "geometric":
-        return geometric_scenario(obj["p0"], obj["side"])
-    if kind == "geometric-noniid":
-        return geometric_noniid_scenario(obj.get("p0_set", (0.2, 0.5, 0.8)), obj["side"])
-    if kind == "circular":
-        return circular_scenario(obj["points"])
+    try:
+        if kind == "synthetic":
+            return synthetic_scenario(obj["name"])
+        if kind == "binomial":
+            return binomial_scenario(obj["theta0"], obj.get("trials", 5), obj.get("side", "left"))
+        if kind == "geometric":
+            return geometric_scenario(obj["p0"], obj["side"])
+        if kind == "geometric-noniid":
+            return geometric_noniid_scenario(obj.get("p0_set", (0.2, 0.5, 0.8)), obj["side"])
+        if kind == "circular":
+            return circular_scenario(obj["points"])
+    except KeyError as exc:
+        raise ValueError(f"{kind} scenario needs the key {exc.args[0]!r}") from None
     raise ValueError(f"unknown scenario kind {kind!r}")
 
 
@@ -400,9 +403,27 @@ def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
     return np.sum(parts, axis=0, dtype=np.int64)
 
 
+def _check_run(alpha: float, reps: int, seed: int, grid_name: str, grid: Sequence,
+               ns: Sequence[int]) -> None:
+    """Reject experiment settings that would otherwise fail deep inside a
+    run, or be silently changed (seeds key Philox, which takes 128 bits)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps!r}")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed!r}")
+    if len(grid) == 0:
+        raise ValueError(f"{grid_name} must be nonempty")
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"the number of tests n must be >= 1, got {n!r}")
+
+
 def type1_experiment(scenario: Scenario, methods: Sequence[str], n_grid: Sequence[int],
                      alpha: float, reps: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Null rejection proportions for each grid size and method."""
+    _check_run(alpha, reps, seed, "n_grid", n_grid, n_grid)
     rows = []
     for ci, n in enumerate(n_grid):
         prep = _ConfigPrep(scenario, methods, int(n), scenario.null_param, alpha)
@@ -424,6 +445,7 @@ def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Seque
     equal to the null parameter, power is the Type I error."""
     if scenario.null_param is None:
         raise ValueError(f"scenario {scenario.name!r} has no alternative family")
+    _check_run(alpha, reps, seed, "alt_grid", alt_grid, [n])
     rows = []
     for ci, alt in enumerate(alt_grid):
         prep = _ConfigPrep(scenario, methods, int(n), float(alt), alpha)

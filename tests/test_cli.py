@@ -169,3 +169,38 @@ class TestSimulateAndExample:
         code, out, _ = invoke(capsys, "example", "gene", "--out", str(dest))
         assert code == 0 and out == ""
         assert dest.read_text().startswith("gene,side,method")
+
+
+class TestSimulateValidation:
+    """Bad experiment settings end with exit code 1 and a message in the
+    option's own terms, never a traceback or an unrelated error."""
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--reps", "0"], "reps must be >= 1, got 0"),
+        (["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
+        (["--n-grid", "0"], "the number of tests n must be >= 1, got 0"),
+        (["--seed", "-3"], "seed must be in [0, 2**128), got -3"),
+        (["--seed", str(2 ** 128 + 3)], f"seed must be in [0, 2**128), got {2 ** 128 + 3}"),
+    ])
+    def test_bad_settings(self, capsys, tmp_path, extra, message):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"kind": "synthetic", "name": "PC"}))
+        code, out, err = invoke(capsys, "simulate", "--scenario", str(sc),
+                                "--n-grid", "4", "--reps", "10", *extra)
+        assert code == 1 and out == ""
+        assert err == f"pcomb: error: {message}\n"
+
+    def test_power_mode_bad_n(self, capsys, tmp_path):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"kind": "circular", "points": 11}))
+        code, _, err = invoke(capsys, "simulate", "--scenario", str(sc), "--mode", "power",
+                              "--alt-grid", "0.1", "--n", "0", "--reps", "10")
+        assert code == 1
+        assert err == "pcomb: error: the number of tests n must be >= 1, got 0\n"
+
+    def test_scenario_missing_side(self, capsys, tmp_path):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"kind": "geometric", "p0": 0.5}))
+        code, _, err = invoke(capsys, "simulate", "--scenario", str(sc), "--reps", "10")
+        assert code == 1
+        assert err == "pcomb: error: geometric scenario needs the key 'side'\n"

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 
 from pcomb import (DiscretePValueDist, StatisticModel, custom_pvalue_distribution,
                    make_statistic_model, observed_pvalue, pvalue_distribution)
+from pcomb import distributions
 
 
 class TestMakeStatisticModel:
@@ -49,6 +51,31 @@ class TestMakeStatisticModel:
             {"population": 50, "successes": 20, "draws": 10, "odds": 2.0})
         ref = stats.nchypergeom_fisher(50, 20, 10, 2.0).pmf(m.support)
         np.testing.assert_allclose(m.pmf, ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("successes,odds", [(1000, 1.0), (500, 0.5), (500, 2.0)])
+    def test_noncentral_hypergeometric_large_population(self, successes, odds):
+        # scipy's pmf sums to 1 only within ~2e-12 here; the model renormalizes
+        for draws in range(4, 40):
+            params = {"population": 2000, "successes": successes, "draws": draws,
+                      "odds": odds}
+            m = make_statistic_model("noncentral-hypergeometric", params)
+            assert m.pmf.sum() == pytest.approx(1.0, abs=1e-15)
+            ref = stats.nchypergeom_fisher(2000, successes, draws, odds).pmf(m.support)
+            np.testing.assert_allclose(m.pmf, ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("rate", [4000, 5000, 10000, 20000, 1e5])
+    def test_poisson_large_rate(self, rate):
+        m = make_statistic_model("poisson", {"rate": rate})
+        assert m.pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        ref = stats.poisson(rate).pmf(m.support[:-1])
+        np.testing.assert_allclose(m.pmf[:-1], ref, rtol=1e-10)
+
+    def test_named_pmf_far_from_one_rejected(self, monkeypatch):
+        # renormalization absorbs rounding only; a pmf off by 1e-6 is broken
+        off = SimpleNamespace(pmf=lambda k: (1.0 + 1e-6) * stats.binom(5, 0.5).pmf(k))
+        monkeypatch.setattr(distributions, "stats", SimpleNamespace(binom=lambda n, p: off))
+        with pytest.raises(ValueError, match="binomial pmf must sum to 1"):
+            make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
 
     def test_custom_normalized(self):
         m = make_statistic_model("custom", {"support": [1, 5, 9],

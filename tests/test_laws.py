@@ -1,0 +1,221 @@
+"""The vectorised cell kernels of the continuous laws against the scalar
+formulas they replaced, and the surrogate's serialised form against
+output recorded before the surrogate became a law plus a tail."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from scipy import special
+
+from pcomb import surrogate
+from pcomb._laws import GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw
+from pcomb.cli import run
+
+RTOL, ATOL = 1e-12, 1e-14
+
+# ---------------------------------------------------------------------------
+# scalar reference formulas: one cell at a time, with the boundary limits
+# written out as branches
+# ---------------------------------------------------------------------------
+
+
+def _norm_pdf(t):
+    return 0.0 if not math.isfinite(t) else math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
+def _t_phi(t):
+    return 0.0 if not math.isfinite(t) else t * _norm_pdf(t)
+
+
+def ref_normal(law, z, c0, c1):
+    if c1 <= c0:
+        return 0.0
+    t0 = special.ndtri(c0) if c0 > 0.0 else -math.inf
+    t1 = special.ndtri(c1) if c1 < 1.0 else math.inf
+    a = z - law.mean
+    dphi = _norm_pdf(t0) - _norm_pdf(t1)
+    mass = c1 - c0
+    second = mass + _t_phi(t0) - _t_phi(t1)
+    return a * a * mass - 2.0 * a * law.sd * dphi + law.sd ** 2 * second
+
+
+def ref_gamma(law, z, c0, c1):
+    if c1 <= c0:
+        return 0.0
+    k, s = law.shape, law.scale
+
+    def reg(m, y):
+        if y <= 0.0:
+            return 0.0
+        if math.isinf(y):
+            return 1.0
+        return float(special.gammainc(k + m, y / s))
+
+    y0 = float(s * special.gammaincinv(k, c0)) if c0 > 0.0 else 0.0
+    y1 = float(s * special.gammaincinv(k, c1)) if c1 < 1.0 else math.inf
+    d1 = reg(1, y1) - reg(1, y0)
+    d2 = reg(2, y1) - reg(2, y0)
+    return z * z * (c1 - c0) - 2.0 * z * k * s * d1 + k * (k + 1.0) * s * s * d2
+
+
+def ref_uniform(law, z, c0, c1):
+    if c1 <= c0:
+        return 0.0
+    return ((z - c0) ** 3 - (z - c1) ** 3) / 3.0
+
+
+def _entropy_antideriv(w):
+    if w <= 0.0 or w >= 1.0:
+        return 0.0
+    return w * math.log(w) + (1.0 - w) * math.log1p(-w)
+
+
+def _logistic_sq_antideriv(w):
+    if w <= 0.0:
+        return -math.pi ** 2 / 3.0
+    if w >= 1.0:
+        return 0.0
+    lw, l1w = math.log(w), math.log1p(-w)
+    return (w * lw * lw - 2.0 * w * lw * l1w + (w - 1.0) * l1w * l1w
+            - 2.0 * float(special.spence(w)))
+
+
+def ref_logistic(law, z, c0, c1):
+    if c1 <= c0:
+        return 0.0
+    da = _entropy_antideriv(c1) - _entropy_antideriv(c0)
+    db = _logistic_sq_antideriv(c1) - _logistic_sq_antideriv(c0)
+    return z * z * (c1 - c0) - 2.0 * z * da + db
+
+
+LAWS = [
+    (NormalLaw(0.0, 1.0), ref_normal),
+    (NormalLaw(3.0, 2.0), ref_normal),
+    (GammaLaw(1.0, 2.0), ref_gamma),
+    (GammaLaw(40.6845, 1.9218121), ref_gamma),
+    (UniformLaw(), ref_uniform),
+    (LogisticLaw(), ref_logistic),
+]
+LAW_IDS = ["normal", "normal-3-2", "gamma-1-2", "gamma-surrogate", "uniform", "logistic"]
+
+
+def _cells(seed):
+    """Random cells, zero-width cells (interior, at 0 and at 1), cells
+    touching 0 or 1, the whole interval and narrow cells at both ends."""
+    rng = np.random.default_rng(seed)
+    w = np.sort(rng.uniform(0.0, 1.0, (300, 2)), axis=1)
+    same = rng.uniform(0.0, 1.0, 20)
+    edge = rng.uniform(0.0, 1.0, 20)
+    c0 = np.concatenate([w[:, 0], same, [0.0, 1.0], np.zeros(20), edge,
+                         [0.0, 0.0, 1e-12, 1.0 - 1e-12, 0.5]])
+    c1 = np.concatenate([w[:, 1], same, [0.0, 1.0], edge, np.ones(20),
+                         [1.0, 1e-12, 2e-12, 1.0, 0.5 + 1e-9]])
+    return c0, c1
+
+
+@pytest.mark.parametrize("law,ref", LAWS, ids=LAW_IDS)
+def test_cell_kernel_matches_scalar_formulas(law, ref):
+    c0, c1 = _cells(2024)
+    rng = np.random.default_rng(7)
+    z = np.asarray(law.quantile(rng.uniform(0.001, 0.999, c0.size)), dtype=float)
+    got = law.cell_sq_moment(z, c0, c1)
+    want = np.array([ref(law, float(a), float(b), float(c)) for a, b, c in zip(z, c0, c1)])
+    assert got.shape == z.shape
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+    # zero-width cells are exactly zero, and no cell is negative beyond roundoff
+    assert np.all(got[c1 <= c0] == 0.0)
+    assert np.all(got >= -ATOL)
+
+
+@pytest.mark.parametrize("law,ref", LAWS, ids=LAW_IDS)
+def test_cell_kernel_broadcasts_a_scalar_z(law, ref):
+    c0, c1 = _cells(99)
+    z = float(law.quantile(0.3))
+    want = np.array([ref(law, z, float(b), float(c)) for b, c in zip(c0, c1)])
+    np.testing.assert_allclose(law.cell_sq_moment(z, c0, c1), want, rtol=RTOL, atol=ATOL)
+
+
+def test_quantile_law_cells_match_the_closed_form():
+    c0, c1 = _cells(5)
+    keep = slice(0, 40)
+    law = NormalLaw(0.0, 1.0)
+    z = np.linspace(-2.0, 2.0, 40)
+    got = QuantileLaw(special.ndtri).cell_sq_moment(z, c0[keep], c1[keep])
+    np.testing.assert_allclose(got, law.cell_sq_moment(z, c0[keep], c1[keep]),
+                               rtol=1e-9, atol=1e-11)
+
+
+def test_gamma_and_normal_tails_below_and_at_support():
+    g = GammaLaw(2.5, 1.5)
+    np.testing.assert_array_equal(g.cdf([-1.0, 0.0]), [0.0, 0.0])
+    np.testing.assert_array_equal(g.sf([-1.0, 0.0]), [1.0, 1.0])
+    n = NormalLaw(1.0, 2.0)
+    assert n.cdf(1.0) == 0.5 and n.sf(1.0) == 0.5
+    assert float(g.cdf(3.0) + g.sf(3.0)) == pytest.approx(1.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# serialised surrogate and combine output, recorded before the change
+# ---------------------------------------------------------------------------
+
+RECORDED_SURROGATES = {
+    ("fisher", (3.8436241, 1.2, 2.9)):
+        '{"family": "gamma", "n": 3, "tail": "upper", "shape": 4.5319364998653455, '
+        '"scale": 1.3239373499999998}',
+    ("pearson", (1.9853109,)):
+        '{"family": "gamma", "n": 1, "tail": "lower", "shape": 2.0147977830575554, '
+        '"scale": 0.99265545}',
+    ("george", (2.5683806, 2.0)):
+        '{"family": "normal", "n": 2, "tail": "lower", "mean": 0.0, '
+        '"sd": 2.1373770373988767}',
+    ("stouffer", (0.80546377,) * 5):
+        '{"family": "normal", "n": 5, "tail": "lower", "mean": 0.0, '
+        '"sd": 2.006818090909089}',
+    ("edgington", (1.0 / 14.0, 0.05, 0.08)):
+        '{"family": "normal", "n": 3, "tail": "lower", "mean": 1.5, '
+        '"sd": 0.4488079449258574}',
+}
+
+
+@pytest.mark.parametrize("method,variances", list(RECORDED_SURROGATES))
+def test_surrogate_json_is_unchanged(method, variances):
+    got = json.dumps(surrogate(method, variances).to_json())
+    assert got == RECORDED_SURROGATES[(method, variances)]
+
+
+# combine --input with {"pvalues", "dists"}: the atoms are given, so the
+# output depends on the adjustment and the surrogate only
+COMBINE_INPUT = {"pvalues": [0.4, 0.42, 1.0],
+                 "dists": [{"side": "left", "F": [0.4, 0.41, 0.42, 1.0]}] * 3}
+RECORDED_COMBINE = {
+    "fisher": '{\n  "method": "fisher",\n  "n": 3,\n  "S": 6.335203237136916,\n'
+              '  "p": 0.39318895259784326,\n  "surrogate": {\n    "family": "gamma",\n'
+              '    "n": 3,\n    "tail": "upper",\n    "shape": 5.310164522596104,\n'
+              '    "scale": 1.1299084942601063\n  }\n}\n',
+    "pearson": '{\n  "method": "pearson",\n  "n": 3,\n  "S": 4.629288694071292,\n'
+               '  "p": 0.29286512847959717,\n  "surrogate": {\n    "family": "gamma",\n'
+               '    "n": 3,\n    "tail": "lower",\n    "shape": 7.291929389957626,\n'
+               '    "scale": 0.8228274958700426\n  }\n}\n',
+    "george": '{\n  "method": "george",\n  "n": 3,\n  "S": -0.8529572715328122,\n'
+              '  "p": 0.36159201001970664,\n  "surrogate": {\n    "family": "normal",\n'
+              '    "n": 3,\n    "tail": "lower",\n    "mean": 0.0,\n'
+              '    "sd": 2.4080780831669224\n  }\n}\n',
+    "stouffer": '{\n  "method": "stouffer",\n  "n": 3,\n  "S": -0.506608727715923,\n'
+                '  "p": 0.3570741038232071,\n  "surrogate": {\n    "family": "normal",\n'
+                '    "n": 3,\n    "tail": "lower",\n    "mean": 0.0,\n'
+                '    "sd": 1.383078523073026\n  }\n}\n',
+    "edgington": '{\n  "method": "edgington",\n  "n": 3,\n  "S": 1.325,\n'
+                 '  "p": 0.34214230996912764,\n  "surrogate": {\n    "family": "normal",\n'
+                 '    "n": 3,\n    "tail": "lower",\n    "mean": 1.5,\n'
+                 '    "sd": 0.4303736748454766\n  }\n}\n',
+}
+
+
+@pytest.mark.parametrize("method", list(RECORDED_COMBINE))
+def test_combine_cli_output_is_unchanged(capsys, tmp_path, method):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(COMBINE_INPUT))
+    assert run(["combine", "--method", method, "--input", str(f)]) == 0
+    assert capsys.readouterr().out == RECORDED_COMBINE[method]
