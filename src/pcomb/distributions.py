@@ -30,6 +30,9 @@ TAIL_EPS = 1e-14
 TIE_RTOL = 1e-12
 ATOM_TOL = 1e-12
 CUSTOM_PMF_TOL = 1e-9
+# A named family whose support would hold more points than this is refused
+# before it is built (Poisson at rate 1e9 would need 7.45 GiB).
+SUPPORT_CAP = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,16 +172,31 @@ def _as_prob(params: Mapping, key: str) -> float:
     return v
 
 
+def _check_support(lo: int, hi: int) -> None:
+    size = hi - lo + 1
+    _require(size <= SUPPORT_CAP,
+             f"the support would have {size} points, more than the cap of {SUPPORT_CAP}")
+
+
+def _support(lo: int, hi: int) -> np.ndarray:
+    """The integers lo..hi, refused before any allocation above SUPPORT_CAP."""
+    _check_support(lo, hi)
+    return np.arange(lo, hi + 1)
+
+
 def _truncated_counts(frozen, lo: int) -> tuple[np.ndarray, np.ndarray]:
     """Support and pmf of an unbounded count model, cut where the residual
     upper tail drops below TAIL_EPS; the residual is folded into the last
     atom so the masses sum to one exactly."""
     hi = int(frozen.isf(TAIL_EPS))
+    # the walk below steps one point at a time: on a geometric at prob
+    # 1e-12, isf lands about 10**9 points from the cut
+    _check_support(lo, hi)
     while frozen.sf(hi) >= TAIL_EPS:
         hi += 1
     while hi > lo and frozen.sf(hi - 1) < TAIL_EPS:
         hi -= 1
-    ks = np.arange(lo, hi + 1)
+    ks = _support(lo, hi)
     pmf = frozen.pmf(ks)
     pmf[-1] = frozen.sf(hi - 1)  # P(X >= hi): tail folded in
     return ks, pmf
@@ -197,7 +215,7 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
     if family == "binomial":
         n = _as_positive_int(params, "trials")
         theta = _as_prob(params, "prob")
-        support = np.arange(0, n + 1)
+        support = _support(0, n)
         pmf = stats.binom(n, theta).pmf(support)
         params = {"trials": n, "prob": theta}
     elif family == "poisson":
@@ -223,7 +241,7 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
         _require(K <= N, f"successes must be <= population, got {K} > {N}")
         _require(m <= N, f"draws must be <= population, got {m} > {N}")
         lo, hi = max(0, m + K - N), min(m, K)
-        support = np.arange(lo, hi + 1)
+        support = _support(lo, hi)
         pmf = stats.hypergeom(N, K, m).pmf(support)
         params = {"population": N, "successes": K, "draws": m}
     elif family == "noncentral-hypergeometric":
@@ -235,7 +253,7 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
         _require(K <= N and m <= N, "successes and draws must be <= population")
         _require(odds > 0.0, f"odds must be positive, got {odds}")
         lo, hi = max(0, m + K - N), min(m, K)
-        support = np.arange(lo, hi + 1)
+        support = _support(lo, hi)
         pmf = stats.nchypergeom_fisher(N, K, m, odds).pmf(support)
         params = {"population": N, "successes": K, "draws": m, "odds": odds}
     elif family == "custom":

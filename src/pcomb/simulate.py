@@ -3,9 +3,14 @@ the geometric likelihood-ratio comparator, an exact small-n convolution
 oracle, and the embedded gene-level example.
 
 Replication is deterministic and independent of the worker count: each
-replicate draws from its own counter-based Philox substream, and reports
-aggregate integer rejection counts, so chunking over threads cannot
-change a single byte of the output.
+replicate draws from its own counter-based Philox substream, which
+``_philox`` evaluates in numpy for a whole block of replicates at once.
+Each replicate's scores are summed in a fixed order and the kernel reports
+aggregate integer rejection counts, so neither the block size nor the
+chunking of blocks over ``workers`` threads can change a single byte of
+the output.  Threads overlap only inside numpy calls, which are short at
+the default block size, so on two cores ``workers=2`` runs at about the
+speed of one worker.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from . import _genedata
+from . import _genedata, _philox
 from .adjust import METHODS, AdjustedStatistic, adjust
 from .combine import CombinedResult, combine_observations, surrogate
 from .distributions import (DiscretePValueDist, custom_pvalue_distribution,
@@ -34,6 +39,10 @@ GENERATOR_NAME = "philox"
 CONVOLUTION_CAP = 10_000_000
 #: relative tolerance for merging equal convolution support values
 CONVOLUTION_MERGE_RTOL = 1e-12
+#: replicates x tests drawn at once by the replicate kernel; keeps its
+#: temporaries (Philox lanes, uniforms, outcome indices, gathered scores)
+#: near 1 MiB per thread
+BLOCK_ELEMENTS = 1 << 15
 
 SYNTHETIC_ATOMS = {
     # large mass 0.4 at the left, right, and center, and 0.3 at both ends
@@ -239,13 +248,6 @@ def _build_groups(sc: Scenario) -> tuple[_Group, ...]:
 # deterministic replication
 # ---------------------------------------------------------------------------
 
-def _stream(seed: int, config_index: int, replicate: int) -> np.random.Generator:
-    """Counter-based substream: one Philox block range per replicate, so
-    results do not depend on how replicates are chunked over workers."""
-    counter = (int(config_index) << 192) | (int(replicate) << 64)
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
-
-
 class _Sampler:
     """Outcome cdf and test positions of each group, for n tests at one
     alternative parameter (None for the null)."""
@@ -253,13 +255,16 @@ class _Sampler:
     def __init__(self, scenario: Scenario, n: int, alt_param: float | None):
         self.n = n
         self.assign = scenario.group_assignment(n)
-        self.group_pos = [np.flatnonzero(self.assign == gi)
-                          for gi in range(len(scenario._groups))]
+        # the assignment is cyclic, so slices (views, not copies) pick out
+        # each group's tests
+        ng = len(scenario._groups)
+        self.group_pos = [slice(gi, None, ng) for gi in range(ng)]
         self.group_cdf = [g.cdf_for(alt_param) for g in scenario._groups]
 
     def outcomes(self, u: np.ndarray) -> list[np.ndarray]:
-        """Outcome index of each group's tests, from one draw of n uniforms."""
-        return [np.searchsorted(cdf, u[pos], side="left")
+        """Outcome index of each group's tests, from uniforms whose last axis
+        holds the n tests (one draw, or a block of replicates' draws)."""
+        return [np.searchsorted(cdf, u[..., pos], side="left")
                 for cdf, pos in zip(self.group_cdf, self.group_pos)]
 
 
@@ -275,7 +280,7 @@ def sample_pvalues(scenario: Scenario, rng: np.random.Generator, n: int,
     sampler = _Sampler(scenario, n, alt_param)
     out = [None] * n
     for g, pos, idx in zip(scenario._groups, sampler.group_pos, sampler.outcomes(rng.random(n))):
-        for j, atom in zip(pos, g.dist.atoms[g.outcome_atoms[idx]]):
+        for j, atom in zip(range(n)[pos], g.dist.atoms[g.outcome_atoms[idx]]):
             out[j] = (float(atom), g.dist)
     return out
 
@@ -379,32 +384,61 @@ def _geometric_lrt_threshold(scenario: Scenario, n: int, alpha: float) -> tuple[
     return float(t), False
 
 
+def _block_scores(prep: _ConfigPrep, outcomes: list[np.ndarray]) -> np.ndarray:
+    """Each method's combined statistic for a block of replicates, a
+    (methods, replicates) array from each group's (replicates, tests)
+    outcome indices.
+
+    Every replicate's sum keeps the order of the one-replicate-at-a-time
+    kernel, so no ulp can flip a rejection: groups in turn, and within a
+    group the order in which numpy reduced that kernel's (methods, tests)
+    gather, pairwise for one method and left to right for several.
+    ``cumsum`` is left to right whatever the block's shape."""
+    scores = np.zeros((prep.thresholds.size, len(outcomes[0])))
+    for group_scores, idx in zip(prep.group_scores, outcomes):
+        if not idx.size:  # a group can have no tests when n is small
+            continue
+        if len(group_scores) == 1:
+            scores[0] += group_scores[0][idx].sum(axis=-1)
+            continue
+        for row, total in zip(group_scores, scores):
+            total += np.cumsum(row[idx], axis=-1)[:, -1]
+    return scores
+
+
 def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
                 workers: int) -> np.ndarray:
     nm = prep.thresholds.size
+    block = max(1, BLOCK_ELEMENTS // prep.n)
+    thresholds, upper = prep.thresholds[:, None], prep.upper[:, None]
 
     def chunk(lo: int, hi: int) -> np.ndarray:
         counts = np.zeros(nm, dtype=np.int64)
-        for rep in range(lo, hi):
-            u = _stream(seed, config_index, rep).random(prep.n)
-            scores = np.zeros(nm)
-            for group_scores, idx in zip(prep.group_scores, prep.outcomes(u)):
-                scores += group_scores[:, idx].sum(axis=1)
-            counts += np.where(prep.upper, scores >= prep.thresholds,
-                               scores <= prep.thresholds)
+        for b0 in range(lo, hi, block):
+            b1 = min(b0 + block, hi)
+            # the uniforms are freed once the outcomes are drawn
+            scores = _block_scores(prep, prep.outcomes(
+                _philox.uniforms(seed, config_index, b0, b1, prep.n)))
+            counts += np.where(upper, scores >= thresholds, scores <= thresholds).sum(axis=1)
         return counts
 
-    if workers <= 1:
-        return chunk(0, reps)
-    step = max(1, -(-reps // workers))
+    # chunks start on block boundaries, so a run never has more threads
+    # than blocks; the calling thread runs the first chunk itself
+    blocks = -(-reps // block)
+    step = -(-blocks // workers) * block
     bounds = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda b: chunk(*b), bounds))
-    return np.sum(parts, axis=0, dtype=np.int64)
+    if len(bounds) == 1:
+        return chunk(0, reps)
+    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+        rest = pool.map(lambda b: chunk(*b), bounds[1:])
+        counts = chunk(*bounds[0])
+        for part in rest:
+            counts += part
+    return counts
 
 
-def _check_run(alpha: float, reps: int, seed: int, grid_name: str, grid: Sequence,
-               ns: Sequence[int]) -> None:
+def _check_run(alpha: float, reps: int, seed: int, workers: int, grid_name: str,
+               grid: Sequence, ns: Sequence[int]) -> None:
     """Reject experiment settings that would otherwise fail deep inside a
     run, or be silently changed (seeds key Philox, which takes 128 bits)."""
     if not 0.0 < alpha < 1.0:
@@ -413,6 +447,8 @@ def _check_run(alpha: float, reps: int, seed: int, grid_name: str, grid: Sequenc
         raise ValueError(f"reps must be >= 1, got {reps!r}")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     if len(grid) == 0:
         raise ValueError(f"{grid_name} must be nonempty")
     for n in ns:
@@ -423,7 +459,7 @@ def _check_run(alpha: float, reps: int, seed: int, grid_name: str, grid: Sequenc
 def type1_experiment(scenario: Scenario, methods: Sequence[str], n_grid: Sequence[int],
                      alpha: float, reps: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Null rejection proportions for each grid size and method."""
-    _check_run(alpha, reps, seed, "n_grid", n_grid, n_grid)
+    _check_run(alpha, reps, seed, workers, "n_grid", n_grid, n_grid)
     rows = []
     for ci, n in enumerate(n_grid):
         prep = _ConfigPrep(scenario, methods, int(n), scenario.null_param, alpha)
@@ -445,7 +481,7 @@ def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Seque
     equal to the null parameter, power is the Type I error."""
     if scenario.null_param is None:
         raise ValueError(f"scenario {scenario.name!r} has no alternative family")
-    _check_run(alpha, reps, seed, "alt_grid", alt_grid, [n])
+    _check_run(alpha, reps, seed, workers, "alt_grid", alt_grid, [n])
     rows = []
     for ci, alt in enumerate(alt_grid):
         prep = _ConfigPrep(scenario, methods, int(n), float(alt), alpha)

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,19 @@ class TestPdist:
     def test_missing_family_is_computation_error(self, capsys):
         code, _, err = invoke(capsys, "pdist", "--side", "left")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--family", "poisson", "--rate", "1e9"],
+        ["--family", "binomial", "--trials", "100000000", "--prob", "0.5"],
+        ["--family", "geometric", "--prob", "1e-12"],
+    ])
+    def test_support_over_cap_is_computation_error(self, capsys, args):
+        # refused before the support is allocated (7.45 GiB for the Poisson)
+        # and, for the geometric, before a walk of millions of steps
+        code, out, err = invoke(capsys, "pdist", *args, "--side", "left")
+        assert code == 1 and out == ""
+        assert re.fullmatch(r"pcomb: error: the support would have \d+ points, "
+                            r"more than the cap of 10000000\n", err)
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -181,6 +195,8 @@ class TestSimulateValidation:
         (["--n-grid", "0"], "the number of tests n must be >= 1, got 0"),
         (["--seed", "-3"], "seed must be in [0, 2**128), got -3"),
         (["--seed", str(2 ** 128 + 3)], f"seed must be in [0, 2**128), got {2 ** 128 + 3}"),
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--workers", "-3"], "workers must be >= 1, got -3"),
     ])
     def test_bad_settings(self, capsys, tmp_path, extra, message):
         sc = tmp_path / "sc.json"

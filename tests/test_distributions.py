@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,6 +77,40 @@ class TestMakeStatisticModel:
         monkeypatch.setattr(distributions, "stats", SimpleNamespace(binom=lambda n, p: off))
         with pytest.raises(ValueError, match="binomial pmf must sum to 1"):
             make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
+
+    @pytest.mark.parametrize("family,params", [
+        ("poisson", {"rate": 1e9}),
+        ("binomial", {"trials": 10 ** 8, "prob": 0.5}),
+        ("geometric", {"prob": 1e-12}),
+        ("negative-binomial", {"successes": 3, "prob": 1e-9}),
+        ("hypergeometric", {"population": 10 ** 9, "successes": 5 * 10 ** 8,
+                            "draws": 10 ** 8}),
+        ("noncentral-hypergeometric", {"population": 10 ** 9, "successes": 5 * 10 ** 8,
+                                       "draws": 10 ** 8, "odds": 2.0}),
+    ])
+    def test_support_over_cap_refused_before_allocation(self, family, params):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more than the cap of 10000000"):
+                make_statistic_model(family, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_support_cap_boundary(self, monkeypatch):
+        below = make_statistic_model("binomial", {"trials": 10, "prob": 0.3})
+        poisson = make_statistic_model("poisson", {"rate": 3.0})
+        monkeypatch.setattr(distributions, "SUPPORT_CAP", 11)
+        at_cap = make_statistic_model("binomial", {"trials": 10, "prob": 0.3})
+        np.testing.assert_array_equal(at_cap.pmf, below.pmf)
+        with pytest.raises(ValueError, match="would have 12 points, more than the cap of 11"):
+            make_statistic_model("binomial", {"trials": 11, "prob": 0.3})
+        with pytest.raises(ValueError, match="more than the cap of 11"):
+            make_statistic_model("poisson", {"rate": 3.0})
+        monkeypatch.setattr(distributions, "SUPPORT_CAP", poisson.support.size)
+        again = make_statistic_model("poisson", {"rate": 3.0})
+        np.testing.assert_array_equal(again.pmf, poisson.pmf)
 
     def test_custom_normalized(self):
         m = make_statistic_model("custom", {"support": [1, 5, 9],

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,7 +10,8 @@ from pcomb import (LRT_GEOMETRIC, METHODS, adjust, binomial_scenario,
                    geometric_scenario, power_experiment, sample_pvalues,
                    scenario_from_json, surrogate, synthetic_scenario,
                    type1_experiment)
-from pcomb.simulate import SYNTHETIC_ATOMS, _geometric_lrt_threshold
+from pcomb import _philox, simulate
+from pcomb.simulate import BLOCK_ELEMENTS, SYNTHETIC_ATOMS, _geometric_lrt_threshold
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
 
@@ -245,3 +248,245 @@ class TestGeneExample:
         lines = rep.to_csv().strip().split("\n")
         assert lines[0] == "gene,side,method,statistic,p"
         assert len(lines) == 31
+
+
+# ---------------------------------------------------------------------------
+# the block replicate kernel against the per-replicate Philox streams
+# ---------------------------------------------------------------------------
+
+def _stream_uniforms(seed, config_index, replicate, n):
+    """The draws of one replicate from numpy's own Philox generator."""
+    counter = (config_index << 192) | (replicate << 64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter)).random(n)
+
+
+class TestPhilox:
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 + 5, 2 ** 128 - 1])
+    @pytest.mark.parametrize("config_index", [0, 3, 2 ** 40])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 100])
+    def test_matches_numpy_philox(self, seed, config_index, n):
+        # the range crosses a block boundary of the replicate kernel
+        block = BLOCK_ELEMENTS // n
+        lo, hi = block - 2, block + 2
+        u = _philox.uniforms(seed, config_index, lo, hi, n)
+        assert u.shape == (hi - lo, n)
+        for row, rep in zip(u, range(lo, hi)):
+            np.testing.assert_array_equal(row, _stream_uniforms(seed, config_index, rep, n))
+
+    def test_first_replicates_and_large_replicate_index(self):
+        for lo, hi in ((0, 3), (2 ** 40, 2 ** 40 + 2)):
+            u = _philox.uniforms(7, 1, lo, hi, 9)
+            for row, rep in zip(u, range(lo, hi)):
+                np.testing.assert_array_equal(row, _stream_uniforms(7, 1, rep, 9))
+
+
+#: SHA-256 of ``to_csv()`` (and of the ``sample_pvalues`` draws), recorded
+#: from the one-replicate-at-a-time kernel, which drew each replicate from a
+#: fresh ``np.random.Generator(np.random.Philox(...))``.  No block size
+#: ``BLOCK_ELEMENTS // n`` of these runs divides 700, so each ends in a
+#: partial block.
+PINNED_REPS = 700
+PINNED_SEEDS = (42, 2 ** 64 + 5)
+PINNED_RUNS = {
+    "synthetic-PC type1": lambda s, w: type1_experiment(
+        synthetic_scenario("PC"), METHODS, [7, 300], 0.05, PINNED_REPS, s, w),
+    "binomial type1": lambda s, w: type1_experiment(
+        binomial_scenario(0.1), METHODS, [40], 0.05, PINNED_REPS, s, w),
+    "binomial power": lambda s, w: power_experiment(
+        binomial_scenario(0.3, 5, "right"), METHODS, [0.3, 0.4], 40, 0.05, PINNED_REPS, s, w),
+    "geometric type1": lambda s, w: type1_experiment(
+        geometric_scenario(0.5, "right"), METHODS, [50], 0.05, PINNED_REPS, s, w),
+    "geometric power": lambda s, w: power_experiment(
+        geometric_scenario(0.5, "right"), [*METHODS, LRT_GEOMETRIC], [0.5, 0.4], 50,
+        0.05, PINNED_REPS, s, w),
+    "geometric-left power": lambda s, w: power_experiment(
+        geometric_scenario(0.5, "left"), ["fisher", LRT_GEOMETRIC], [0.6], 30,
+        0.01, PINNED_REPS, s, w),
+    "noniid type1": lambda s, w: type1_experiment(
+        geometric_noniid_scenario(side="right"), METHODS, [10, 301], 0.05, PINNED_REPS, s, w),
+    "noniid power": lambda s, w: power_experiment(
+        geometric_noniid_scenario(side="left"), METHODS, [0.0, 0.05], 100, 0.05,
+        PINNED_REPS, s, w),
+    "circular type1": lambda s, w: type1_experiment(
+        circular_scenario(199), METHODS, [100], 0.05, PINNED_REPS, s, w),
+    "circular power": lambda s, w: power_experiment(
+        circular_scenario(199), METHODS, [0.0, 0.01], 100, 0.05, PINNED_REPS, s, w),
+}
+PINNED_DRAWS = {
+    "synthetic-PS": (synthetic_scenario("PS"), None),
+    "binomial": (binomial_scenario(0.3, 5, "right"), 0.4),
+    "geometric": (geometric_scenario(0.5, "left"), 0.6),
+    "noniid": (geometric_noniid_scenario(side="two"), 0.05),
+    "circular": (circular_scenario(199), 0.01),
+}
+PINNED_SHA256 = {
+    "synthetic-PC type1 seed 42":
+        "42cee96f06e2004b500f604ef2b5348423ad174dcfe7cf3d60fec2138ec0edaa",
+    "synthetic-PC type1 seed 18446744073709551621":
+        "d573d26b55062a2456f46f67763c3e1fb88fae07252a19e71eaf9afe4143b550",
+    "binomial type1 seed 42":
+        "0875fa3a625081e6e82baa07c33089245ae9359d0d15746dfe4f93597ad3b285",
+    "binomial type1 seed 18446744073709551621":
+        "ce1d1b981ce03986c51d4a9afcc90f0b29797433c23ad52dd64fdf837c5989fa",
+    "binomial power seed 42":
+        "f3dab4ccd1afd2862f57f123a8728d7745c9d8fad34f028096f00787ee6dbd5f",
+    "binomial power seed 18446744073709551621":
+        "c88d60d9f26b0ade6c5c402d5f66e53ce1e15307ce7a899c640a7030524252be",
+    "geometric type1 seed 42":
+        "0355aab6c0f775f7328096c786d40d980a7e84f472de4a749cb5c6b783e8544e",
+    "geometric type1 seed 18446744073709551621":
+        "825f711986cf3b8e2a025d748497ea1b1e017546cbe57a85205e1d176284cebf",
+    "geometric power seed 42":
+        "33e4b54d27af9ce9311955669a360ccc5ee8d66ef1ded7696fc67b187c758d3a",
+    "geometric power seed 18446744073709551621":
+        "839b9ebebc81f7275a3da64d64011d6b85485cdfd6ab18d0ffe7f8d0b9529fc7",
+    "geometric-left power seed 42":
+        "9c23ba7a124d15eed5c6d3f5c7017df87cf7da023cb6f5d72eb21a7a8e07a9fd",
+    "geometric-left power seed 18446744073709551621":
+        "08f48e9b3cd3aa626e3a51a70179a27578ea184eca0719b65f09f61f0fe9792b",
+    "noniid type1 seed 42":
+        "64266edebd47f4e40676a7bd9614eb4772c081933c9c28bc97cd2c2f29d55360",
+    "noniid type1 seed 18446744073709551621":
+        "12712a41c0dccec076c0d164904846a62fe10ad7a984ca9970e154ea713460f7",
+    "noniid power seed 42":
+        "da2a046ba8a8d86fd7f19d4b1be5c8af7252483efde0f67ad1dc7e78e28dec67",
+    "noniid power seed 18446744073709551621":
+        "75b69caad5ca3b00d95b6549d0d457d69c56489133f60d264bed930cff45428e",
+    "circular type1 seed 42":
+        "4b7ee47df44849a78da75c409b8a31ef3cf9792b95589133e2f29edb13f82480",
+    "circular type1 seed 18446744073709551621":
+        "9663e75e268b4d7dd8530cd7bd38d50fa7be522237cd368ee6c22f65023399ae",
+    "circular power seed 42":
+        "a880627e6a8de464330c747bcbade5b70a82713a3393669ba9cc767a495f1d17",
+    "circular power seed 18446744073709551621":
+        "2a36d4233173252c8201389cb38fc12836433882a35377db3eed41eba5a08a2a",
+    "draws synthetic-PS seed 3":
+        "de0c73053954caa23a642ced349ff9a056b4fe7e03dc07de0846ee9ceeac2e58",
+    "draws synthetic-PS seed 17":
+        "f25bdeef9356da85dec89fca0d7c89e2aff27bd6313cfca1a5e1a7a88bc20625",
+    "draws binomial seed 3":
+        "2c21f1d20843a549b791b2b9136abcc8854d4933c95134e4455b401b99403072",
+    "draws binomial seed 17":
+        "9ccd3e8acc64e31ed69b44b6aa117e74882613103608b2768f7a6c53d0269424",
+    "draws geometric seed 3":
+        "3b4fd71eec4163acde31b336a28678d8fa9216b78de39045d0746a43b89b0ba3",
+    "draws geometric seed 17":
+        "e08aa9cf776d40a139b3db85012effd22969fd6bf6c88228764d68a8bf469cd8",
+    "draws noniid seed 3":
+        "4d7edb237711efd9ebac569772385ee9ed14d87b7da5a9f2aabf40ca056284b6",
+    "draws noniid seed 17":
+        "cbe8445cafb9b86fc012d01d50aef9308ecbf49d7b6511e72caceee1f9355349",
+    "draws circular seed 3":
+        "29bda67d3070c2fcb7174bac2b1a3d7c38e8080f0307570962ce38f53b846171",
+    "draws circular seed 17":
+        "43b0bf085672a09001f8d928767095a3b078588007e7d533c114b1030c96cbac",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", list(PINNED_RUNS))
+    def test_csv_bytes_at_every_worker_count(self, name):
+        for seed in PINNED_SEEDS:
+            expected = PINNED_SHA256[f"{name} seed {seed}"]
+            for workers in (1, 2, 3):
+                csv = PINNED_RUNS[name](seed, workers).to_csv()
+                assert _sha256(csv) == expected, (seed, workers)
+
+    @pytest.mark.parametrize("name", list(PINNED_DRAWS))
+    def test_sample_pvalues_draws(self, name):
+        scenario, alt = PINNED_DRAWS[name]
+        for seed in (3, 17):
+            draws = sample_pvalues(scenario, np.random.default_rng(seed), 13, alt)
+            assert _sha256(repr([p for p, _ in draws])) == \
+                PINNED_SHA256[f"draws {name} seed {seed}"]
+
+    @pytest.mark.parametrize("block_elements", [1, 64, 1000])
+    def test_block_size_changes_no_byte(self, monkeypatch, block_elements):
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", block_elements)
+        for name in ("noniid type1", "geometric power"):
+            csv = PINNED_RUNS[name](PINNED_SEEDS[1], 2).to_csv()
+            assert _sha256(csv) == PINNED_SHA256[f"{name} seed {PINNED_SEEDS[1]}"]
+
+
+class TestKernelScores:
+    @pytest.mark.parametrize("scenario,alt,methods", [
+        (synthetic_scenario("PS"), None, METHODS),
+        (binomial_scenario(0.3, 5, "two"), 0.35, METHODS),
+        (geometric_scenario(0.3, "right"), 0.25, [*METHODS, LRT_GEOMETRIC]),
+        (geometric_noniid_scenario(side="two"), 0.03, METHODS),
+        (circular_scenario(51), 0.02, METHODS),
+    ])
+    def test_bit_identical_to_one_replicate_sums(self, scenario, alt, methods):
+        # one method sums a group's tests pairwise, several left to right
+        for subset in (methods, methods[:1], methods[-2:]):
+            for n in (1, 2, 9, 100, 129):
+                prep = simulate._ConfigPrep(scenario, subset, n, alt, 0.05)
+                u = _philox.uniforms(11, 0, 0, 20, n)
+                block = simulate._block_scores(prep, prep.outcomes(u))
+                for r in range(len(u)):
+                    one = np.zeros(len(subset))
+                    for group_scores, idx in zip(prep.group_scores, prep.outcomes(u[r])):
+                        one += group_scores[:, idx].sum(axis=1)
+                    np.testing.assert_array_equal(block[:, r], one)
+
+
+class _RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs the
+    tasks in the calling thread, so no thread is started."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class TestWorkers:
+    def test_threads_bounded_by_blocks(self, monkeypatch):
+        monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", _RecordingExecutor)
+        sc = circular_scenario(199)
+        one = power_experiment(sc, ["fisher"], [0.01], 100, 0.05, 2000, seed=5, workers=1)
+        many = power_experiment(sc, ["fisher"], [0.01], 100, 0.05, 2000, seed=5,
+                                workers=10 ** 4)
+        assert many.to_csv() == one.to_csv()
+        blocks = -(-2000 // (BLOCK_ELEMENTS // 100))
+        # the calling thread runs one chunk; the pool at most one per other block
+        assert _RecordingExecutor.max_workers == [blocks - 1]
+
+    def test_chunks_start_on_block_boundaries(self, monkeypatch):
+        starts = []
+        uniforms = _philox.uniforms
+
+        def recording(seed, config_index, lo, hi, n):
+            starts.append((lo, hi))
+            return uniforms(seed, config_index, lo, hi, n)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(simulate._philox, "uniforms", recording)
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 30)
+        monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
+        type1_experiment(synthetic_scenario("PC"), ["fisher"], [10], 0.05, 10, seed=1,
+                         workers=3)
+        # four blocks of at most 3 replicates, in chunks of two blocks: the
+        # pool runs replicates 6-9, then the calling thread runs 0-5
+        assert starts == [(6, 9), (9, 10), (0, 3), (3, 6)]
+        assert _RecordingExecutor.max_workers == [1]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            type1_experiment(synthetic_scenario("PC"), ["fisher"], [5], 0.05, 10, seed=1,
+                             workers=workers)
