@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -193,6 +192,8 @@ class QuantileLaw:
         return self._q(w)
 
     def cell_sq_moment(self, z, c0, c1) -> np.ndarray:
+        from scipy.integrate import quad  # here, so importing pcomb does not load it
+
         z, c0, c1 = _cell_arrays(z, c0, c1)
         out = np.zeros(z.shape)
         for i in np.ndindex(z.shape):

@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from ._laws import GammaLaw, LogisticLaw, NormalLaw, UniformLaw
 from .distributions import DiscretePValueDist
@@ -165,6 +164,8 @@ def adjust(method: str, dist: DiscretePValueDist) -> AdjustedStatistic:
 
 def _cell_average(quantile_fn: Callable[[float], float], lo: float, hi: float,
                   tol: float) -> float:
+    from scipy.integrate import quad  # here, so importing pcomb does not load it
+
     val, err, info, *msg = quad(quantile_fn, lo, hi, epsabs=tol, epsrel=tol,
                                 limit=500, full_output=True)
     if msg:

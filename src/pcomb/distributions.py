@@ -7,15 +7,43 @@ alternative: left-sided p-values are the cdf values P(X <= x), right-sided
 ones are the upper-tail probabilities P(X >= x) sorted ascending, and
 two-sided ones group outcomes from least likely upward, summing the masses
 of probability ties into a single atom.
+
+The named families are evaluated here on numpy and ``scipy.special``
+alone; importing pcomb loads neither ``scipy.stats`` nor
+``scipy.integrate``:
+
+- hypergeometric and Fisher's noncentral hypergeometric: the ratios
+  f(k+1)/f(k) multiplied outward from the mode and normalised (Liao &
+  Rosen, The American Statistician 55, 2001); a mass k steps from the
+  mode carries about k roundings, under 1e-14 relative on supports of a
+  few hundred points;
+- negative binomial: the same recurrence, with the tail
+  P(X > k) = ``special.betaincc(r, k + 1, p)``, which is closer to the
+  exact tail than ``special.nbdtrc`` (about 3e-12 relative off);
+- Poisson: exp(xlogy(k, rate) - gammaln(k + 1) - rate), tail
+  ``special.pdtrc``;
+- geometric: (1 - p)^(k - 1) p, cdf -expm1(k log1p(-p)), sf
+  exp(k log1p(-p));
+- binomial: the boost pmf and cdf kernels that ``scipy.stats.binom``
+  itself calls.  They are private scipy names, but a binomial recurrence
+  moves the atoms in their last bits, and the Monte-Carlo output hashes
+  those atoms at full precision.
+
+Poisson, geometric and binomial masses are bit-identical to
+``scipy.stats``.  The unbounded laws are cut where the upper tail drops
+below TAIL_EPS, found by bisection from the law's mean, and a support
+over SUPPORT_CAP points is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf  # private; checked on scipy 1.17.1
 
 FAMILIES = ("binomial", "poisson", "negative-binomial", "geometric",
             "hypergeometric", "noncentral-hypergeometric", "custom")
@@ -68,7 +96,7 @@ class StatisticModel:
         if np.any(pmf <= 0.0):
             raise ValueError("pmf masses must be positive (zero-mass outcomes are dropped at build time)")
         if abs(pmf.sum() - 1.0) > ATOM_TOL:
-            raise ValueError(f"pmf must sum to 1 within {ATOM_TOL}, got {pmf.sum()!r}")
+            raise ValueError(f"pmf must sum to 1 within {ATOM_TOL}, got {float(pmf.sum())!r}")
 
     def cdf(self) -> np.ndarray:
         """Cumulative masses, with the final value forced to exactly 1."""
@@ -122,7 +150,7 @@ class DiscretePValueDist:
         if atoms[0] <= 0.0:
             raise ValueError("the first atom must be positive")
         if abs(atoms[-1] - 1.0) > ATOM_TOL:
-            raise ValueError(f"the last atom must equal 1 within {ATOM_TOL}, got {atoms[-1]!r}")
+            raise ValueError(f"the last atom must equal 1 within {ATOM_TOL}, got {float(atoms[-1])!r}")
         atoms[-1] = 1.0  # pin before the monotonicity check so a pinned
         # duplicate at the top is rejected as a zero-mass atom
         if np.any(np.diff(atoms) <= 0.0):
@@ -159,7 +187,7 @@ def _require(cond: bool, msg: str) -> None:
 def _as_positive_int(params: Mapping, key: str, minimum: int = 1) -> int:
     _require(key in params, f"missing parameter {key!r}")
     v = params[key]
-    _require(float(v) == int(v), f"{key} must be an integer, got {v!r}")
+    _require(math.isfinite(float(v)) and float(v) == int(v), f"{key} must be an integer, got {v!r}")
     v = int(v)
     _require(v >= minimum, f"{key} must be >= {minimum}, got {v}")
     return v
@@ -172,33 +200,106 @@ def _as_prob(params: Mapping, key: str) -> float:
     return v
 
 
-def _check_support(lo: int, hi: int) -> None:
-    size = hi - lo + 1
-    _require(size <= SUPPORT_CAP,
-             f"the support would have {size} points, more than the cap of {SUPPORT_CAP}")
+def _as_positive_real(params: Mapping, key: str) -> float:
+    _require(key in params, f"missing parameter {key!r}")
+    v = float(params[key])
+    _require(0.0 < v < math.inf, f"{key} must be a positive finite number, got {v}")
+    return v
+
+
+def _refuse_support(points: str) -> NoReturn:
+    raise ValueError(f"the support would have {points} points, more than the cap of {SUPPORT_CAP}")
 
 
 def _support(lo: int, hi: int) -> np.ndarray:
     """The integers lo..hi, refused before any allocation above SUPPORT_CAP."""
-    _check_support(lo, hi)
+    if hi - lo + 1 > SUPPORT_CAP:
+        _refuse_support(str(hi - lo + 1))
     return np.arange(lo, hi + 1)
 
 
-def _truncated_counts(frozen, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """Support and pmf of an unbounded count model, cut where the residual
-    upper tail drops below TAIL_EPS; the residual is folded into the last
-    atom so the masses sum to one exactly."""
-    hi = int(frozen.isf(TAIL_EPS))
-    # the walk below steps one point at a time: on a geometric at prob
-    # 1e-12, isf lands about 10**9 points from the cut
-    _check_support(lo, hi)
-    while frozen.sf(hi) >= TAIL_EPS:
-        hi += 1
-    while hi > lo and frozen.sf(hi - 1) < TAIL_EPS:
-        hi -= 1
+# ---------------------------------------------------------------------------
+# pmf and tail kernels of the named families (also used by simulate)
+# ---------------------------------------------------------------------------
+
+def _poisson_pmf(k, rate: float):
+    return np.exp(special.xlogy(k, rate) - special.gammaln(k + 1) - rate)
+
+
+def _geom_pmf(k, p: float):
+    return np.power(1.0 - p, k - 1) * p
+
+
+def _geom_cdf(k, p: float):
+    return -np.expm1(np.log1p(-p) * k)
+
+
+def _geom_sf(k, p: float):
+    return np.exp(k * np.log1p(-p))
+
+
+def _nbinom_cdf(k, r: int, p: float):
+    """P(X <= k) for X the failures before the r-th success."""
+    return special.betainc(r, k + 1, p)
+
+
+def _nbinom_sf(k, r: int, p: float):
+    """P(X > k) for X the failures before the r-th success."""
+    return special.betaincc(r, k + 1, p)
+
+
+def _mode_anchored(ratios: np.ndarray) -> np.ndarray:
+    """Masses f(0..n) from the decreasing ratios f(k+1)/f(k), summing to 1.
+
+    The products run outward from the mode, so no partial product exceeds
+    one and far tails underflow gradually to zero instead of overflowing."""
+    mode = int(np.count_nonzero(ratios > 1.0))
+    w = np.empty(ratios.size + 1)
+    w[mode] = 1.0
+    w[mode + 1:] = np.cumprod(ratios[mode:])
+    w[:mode] = np.cumprod(1.0 / ratios[:mode][::-1])[::-1]
+    return w / w.sum()
+
+
+def _hypergeom_masses(N: int, K: int, m: int, odds: float,
+                      lo: int, hi: int) -> np.ndarray:
+    """Fisher's noncentral hypergeometric masses on lo..hi; odds 1 is the
+    central law."""
+    k = np.arange(lo, hi, dtype=float)
+    return _mode_anchored((K - k) * (m - k) / ((k + 1.0) * (N - K - m + 1.0 + k)) * odds)
+
+
+def _first(pred: Callable[[int], bool], lo: int, start: int) -> int:
+    """The smallest k >= lo at which a monotone predicate turns true.
+
+    The bracket doubles its distance from lo, beginning at ``start``, and is
+    then bisected, so the predicate runs O(log k) times."""
+    a, b = lo - 1, max(lo, start)
+    while not pred(b):
+        a, b = b, lo + 2 * (b - lo) + 1
+    while b - a > 1:
+        mid = (a + b) // 2
+        a, b = (a, mid) if pred(mid) else (mid, b)
+    return b
+
+
+def _truncated_counts(sf: Callable, masses: Callable, lo: int,
+                      mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """Support and pmf of an unbounded count law, cut at the first point hi
+    whose residual upper tail sf(hi) drops below TAIL_EPS; the last point
+    takes the mass P(X >= hi) so the masses sum to one.
+
+    The cut is searched from the law's mean with O(log hi) tail calls and
+    nothing allocated, so a support over SUPPORT_CAP is refused with its
+    exact size.  A mean past 2**52 points, where doubles no longer step by
+    one, is refused unsearched."""
+    if not mean - lo < 2.0 ** 52:  # also refuses a NaN mean
+        _refuse_support(f"over {mean - lo:.3g}")
+    hi = _first(lambda k: sf(k) < TAIL_EPS, lo, math.ceil(mean))
     ks = _support(lo, hi)
-    pmf = frozen.pmf(ks)
-    pmf[-1] = frozen.sf(hi - 1)  # P(X >= hi): tail folded in
+    pmf = np.empty(ks.size)
+    pmf[:-1] = masses(ks[:-1])
+    pmf[-1] = sf(hi - 1) if hi > lo else 1.0
     return ks, pmf
 
 
@@ -216,46 +317,42 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
         n = _as_positive_int(params, "trials")
         theta = _as_prob(params, "prob")
         support = _support(0, n)
-        pmf = stats.binom(n, theta).pmf(support)
+        pmf = _binom_pmf(support, n, theta)
         params = {"trials": n, "prob": theta}
     elif family == "poisson":
-        _require("rate" in params, "missing parameter 'rate'")
-        rate = float(params["rate"])
-        _require(rate > 0.0, f"rate must be positive, got {rate}")
-        support, pmf = _truncated_counts(stats.poisson(rate), 0)
+        rate = _as_positive_real(params, "rate")
+        support, pmf = _truncated_counts(lambda k: special.pdtrc(k, rate),
+                                         lambda ks: _poisson_pmf(ks, rate), 0, rate)
         params = {"rate": rate}
     elif family == "geometric":
         p = _as_prob(params, "prob")
-        support, pmf = _truncated_counts(stats.geom(p), 1)
+        support, pmf = _truncated_counts(lambda k: _geom_sf(k, p),
+                                         lambda ks: _geom_pmf(ks, p), 1, 1.0 / p)
         params = {"prob": p}
     elif family == "negative-binomial":
         r = _as_positive_int(params, "successes")
         p = _as_prob(params, "prob")
-        fail, pmf = _truncated_counts(stats.nbinom(r, p), 0)
+        fail, pmf = _truncated_counts(
+            lambda k: _nbinom_sf(k, r, p),
+            lambda ks: _mode_anchored((ks[:-1] + r) / (ks[:-1] + 1.0) * (1.0 - p)),
+            0, r * (1.0 - p) / p)
         support = fail + r  # number of trials until the r-th success
         params = {"successes": r, "prob": p}
-    elif family == "hypergeometric":
+    elif family in ("hypergeometric", "noncentral-hypergeometric"):
         N = _as_positive_int(params, "population")
         K = _as_positive_int(params, "successes", minimum=0)
         m = _as_positive_int(params, "draws")
         _require(K <= N, f"successes must be <= population, got {K} > {N}")
         _require(m <= N, f"draws must be <= population, got {m} > {N}")
+        odds = 1.0
+        if family == "noncentral-hypergeometric":
+            odds = _as_positive_real(params, "odds")
         lo, hi = max(0, m + K - N), min(m, K)
         support = _support(lo, hi)
-        pmf = stats.hypergeom(N, K, m).pmf(support)
+        pmf = _hypergeom_masses(N, K, m, odds, lo, hi)
         params = {"population": N, "successes": K, "draws": m}
-    elif family == "noncentral-hypergeometric":
-        N = _as_positive_int(params, "population")
-        K = _as_positive_int(params, "successes", minimum=0)
-        m = _as_positive_int(params, "draws")
-        _require("odds" in params, "missing parameter 'odds'")
-        odds = float(params["odds"])
-        _require(K <= N and m <= N, "successes and draws must be <= population")
-        _require(odds > 0.0, f"odds must be positive, got {odds}")
-        lo, hi = max(0, m + K - N), min(m, K)
-        support = _support(lo, hi)
-        pmf = stats.nchypergeom_fisher(N, K, m, odds).pmf(support)
-        params = {"population": N, "successes": K, "draws": m, "odds": odds}
+        if family == "noncentral-hypergeometric":
+            params["odds"] = odds
     elif family == "custom":
         _require("support" in params and "pmf" in params,
                  "custom models need 'support' and 'pmf'")
@@ -268,9 +365,9 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
-    # scipy pmfs drift from one by a few 1e-12 on large supports; a pmf
-    # further off than CUSTOM_PMF_TOL is broken, not rounded
-    total = pmf.sum()
+    # named pmfs drift from one by rounding, and the folded tail adds up to
+    # TAIL_EPS; a pmf further off than CUSTOM_PMF_TOL is broken, not rounded
+    total = float(pmf.sum())
     _require(abs(total - 1.0) <= CUSTOM_PMF_TOL,
              f"{family} pmf must sum to 1 within {CUSTOM_PMF_TOL}, got {total!r}")
     pmf = pmf / total  # renormalize so the atom invariants hold exactly

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import _genedata, _philox
 from .adjust import METHODS, AdjustedStatistic, adjust
 from .combine import CombinedResult, combine_observations, surrogate
-from .distributions import (DiscretePValueDist, custom_pvalue_distribution,
+from .distributions import (DiscretePValueDist, _binom_cdf, _first, _geom_cdf,
+                            _nbinom_cdf, _nbinom_sf, custom_pvalue_distribution,
                             make_statistic_model, pvalue_distribution)
 
 LRT_GEOMETRIC = "lrt-geometric"
@@ -191,7 +191,7 @@ def _build_groups(sc: Scenario) -> tuple[_Group, ...]:
                                                   "prob": sc.params["theta0"]})
 
         def alt_cdf(theta, _support=model.support, _trials=trials):
-            F = stats.binom(_trials, float(theta)).cdf(_support)
+            F = _binom_cdf(_support, _trials, float(theta))
             F[-1] = 1.0
             return F
 
@@ -213,7 +213,7 @@ def _build_groups(sc: Scenario) -> tuple[_Group, ...]:
                 # alternatives heavier than the null truncation are censored
                 # into the last support point (residual < the null tail cap
                 # for the swept ranges)
-                F = stats.geom(p1).cdf(_support)
+                F = _geom_cdf(_support, p1)
                 F[-1] = 1.0
                 return F
 
@@ -371,17 +371,15 @@ def _geometric_lrt_threshold(scenario: Scenario, n: int, alpha: float) -> tuple[
     sums; left-sided ones reject small sums.  The threshold is the closest
     integer whose exact tail stays at or below alpha."""
     p0 = scenario.params["p0"]
+    # the sum is n plus the failures X before the n-th success
+    mean = math.ceil(n * (1.0 - p0) / p0)
     if scenario.side == "right":
-        t = n + int(stats.nbinom.isf(alpha, n, p0))
-        while stats.nbinom.sf(t - n - 1, n, p0) > alpha:
-            t += 1
-        while t > n and stats.nbinom.sf(t - n - 2, n, p0) <= alpha:
-            t -= 1
-        return float(t), True
-    t = n + int(stats.nbinom.ppf(alpha, n, p0))
-    while t >= n and stats.nbinom.cdf(t - n, n, p0) > alpha:
-        t -= 1
-    return float(t), False
+        # reject X > k for the least k with P(X > k) <= alpha
+        k = _first(lambda j: _nbinom_sf(j, n, p0) <= alpha, 0, mean)
+        return float(n + k + 1), True
+    # reject X < k for the least k with P(X <= k) > alpha
+    k = _first(lambda j: _nbinom_cdf(j, n, p0) > alpha, 0, mean)
+    return float(n + k - 1), False
 
 
 def _block_scores(prep: _ConfigPrep, outcomes: list[np.ndarray]) -> np.ndarray:

@@ -1,6 +1,11 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +57,30 @@ class TestPdist:
         assert code == 1 and out == ""
         assert re.fullmatch(r"pcomb: error: the support would have \d+ points, "
                             r"more than the cap of 10000000\n", err)
+
+    @pytest.mark.parametrize("args,message", [
+        (["--family", "poisson", "--rate", "1e300"],
+         "the support would have over 1e+300 points, more than the cap of 10000000"),
+        (["--family", "negative-binomial", "--successes", "3", "--prob", "1e-300"],
+         "the support would have over 3e+300 points, more than the cap of 10000000"),
+        (["--family", "poisson", "--rate", "inf"],
+         "rate must be a positive finite number, got inf"),
+        (["--family", "noncentral-hypergeometric", "--population", "50", "--successes",
+          "20", "--draws", "10", "--odds", "inf"],
+         "odds must be a positive finite number, got inf"),
+    ])
+    def test_non_finite_or_huge_law_is_computation_error(self, capsys, args, message):
+        # no tail is searched at these scales, so nothing warns or allocates
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = invoke(capsys, "pdist", *args, "--side", "left")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (1, "", f"pcomb: error: {message}\n")
+        assert peak < 1 << 20
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -220,3 +249,66 @@ class TestSimulateValidation:
         code, _, err = invoke(capsys, "simulate", "--scenario", str(sc), "--reps", "10")
         assert code == 1
         assert err == "pcomb: error: geometric scenario needs the key 'side'\n"
+
+
+# No CLI request needs scipy.stats or scipy.integrate, and every call of the
+# console script is a fresh interpreter that pays for each module it imports.
+_IMPORT_GUARD = r"""
+import json, os, sys
+from pcomb import cli
+
+tmp = sys.argv[1]
+out = os.path.join(tmp, "out")
+requests = [["pdist", "--family", family, *flags, "--side", side]
+            for family, flags in json.load(open(os.path.join(tmp, "families.json")))
+            for side in ("left", "right", "two")]
+requests += [
+    ["combine", "--method", "fisher", "--input", os.path.join(tmp, "tests.json")],
+    ["metrics", "--pdist", os.path.join(tmp, "d.json")],
+    ["simulate", "--scenario", os.path.join(tmp, "geometric.json"), "--mode", "power",
+     "--alt-grid", "0.5,0.4", "--n", "20", "--reps", "50", "--seed", "1",
+     "--methods", "fisher,lrt-geometric"],
+    ["simulate", "--scenario", os.path.join(tmp, "binomial.json"), "--mode", "power",
+     "--alt-grid", "0.3,0.4", "--n", "5", "--reps", "50", "--seed", "1"],
+    ["example", "gene"],
+]
+codes = [cli.run([*argv, "--out", out]) for argv in requests]
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate")))
+
+from pcomb import adjust_generic, custom_pvalue_distribution
+adjust_generic(lambda w: w, "p", custom_pvalue_distribution([0.5, 1.0], "left"))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "integrate_after_generic": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_requests_load_neither_scipy_stats_nor_integrate(tmp_path):
+    families = [
+        ("binomial", ["--trials", "20", "--prob", "0.3"]),
+        ("poisson", ["--rate", "4.5"]),
+        ("negative-binomial", ["--successes", "3", "--prob", "0.4"]),
+        ("geometric", ["--prob", "0.3"]),
+        ("hypergeometric", ["--population", "2000", "--successes", "1000", "--draws", "19"]),
+        ("noncentral-hypergeometric", ["--population", "2000", "--successes", "1000",
+                                       "--draws", "19", "--odds", "2.0"]),
+    ]
+    (tmp_path / "families.json").write_text(json.dumps(families))
+    model = {"family": "hypergeometric",
+             "params": {"population": 2000, "successes": 1000, "draws": 19}}
+    (tmp_path / "tests.json").write_text(json.dumps(
+        {"tests": [{"model": model, "side": "two", "x": x} for x in (7, 9, 13)]}))
+    (tmp_path / "d.json").write_text(json.dumps({"side": "left", "F": [0.2, 0.5, 1.0]}))
+    (tmp_path / "geometric.json").write_text(
+        json.dumps({"kind": "geometric", "p0": 0.5, "side": "right"}))
+    (tmp_path / "binomial.json").write_text(
+        json.dumps({"kind": "binomial", "theta0": 0.3, "trials": 5, "side": "two"}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["codes"] == [0] * len(got["codes"])
+    assert got["loaded"] == []
+    assert got["integrate_after_generic"]

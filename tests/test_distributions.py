@@ -1,6 +1,8 @@
 import json
+import math
 import tracemalloc
-from types import SimpleNamespace
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy import stats
 from pcomb import (DiscretePValueDist, StatisticModel, custom_pvalue_distribution,
                    make_statistic_model, observed_pvalue, pvalue_distribution)
 from pcomb import distributions
+from pcomb.distributions import SIDES
 
 
 class TestMakeStatisticModel:
@@ -73,8 +76,9 @@ class TestMakeStatisticModel:
 
     def test_named_pmf_far_from_one_rejected(self, monkeypatch):
         # renormalization absorbs rounding only; a pmf off by 1e-6 is broken
-        off = SimpleNamespace(pmf=lambda k: (1.0 + 1e-6) * stats.binom(5, 0.5).pmf(k))
-        monkeypatch.setattr(distributions, "stats", SimpleNamespace(binom=lambda n, p: off))
+        kernel = distributions._binom_pmf
+        monkeypatch.setattr(distributions, "_binom_pmf",
+                            lambda k, n, p: (1.0 + 1e-6) * kernel(k, n, p))
         with pytest.raises(ValueError, match="binomial pmf must sum to 1"):
             make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
 
@@ -87,6 +91,8 @@ class TestMakeStatisticModel:
                             "draws": 10 ** 8}),
         ("noncentral-hypergeometric", {"population": 10 ** 9, "successes": 5 * 10 ** 8,
                                        "draws": 10 ** 8, "odds": 2.0}),
+        ("poisson", {"rate": 1e300}),
+        ("negative-binomial", {"successes": 3, "prob": 1e-300}),
     ])
     def test_support_over_cap_refused_before_allocation(self, family, params):
         tracemalloc.start()
@@ -112,10 +118,30 @@ class TestMakeStatisticModel:
         again = make_statistic_model("poisson", {"rate": 3.0})
         np.testing.assert_array_equal(again.pmf, poisson.pmf)
 
+    @pytest.mark.parametrize("family,params,message", [
+        ("poisson", {"rate": math.inf}, "rate must be a positive finite number, got inf"),
+        ("poisson", {"rate": math.nan}, "rate must be a positive finite number, got nan"),
+        ("noncentral-hypergeometric",
+         {"population": 50, "successes": 20, "draws": 10, "odds": math.inf},
+         "odds must be a positive finite number, got inf"),
+        ("binomial", {"trials": math.inf, "prob": 0.5}, "trials must be an integer, got inf"),
+    ])
+    def test_non_finite_parameters_rejected(self, family, params, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make_statistic_model(family, params)
+
     def test_custom_normalized(self):
         m = make_statistic_model("custom", {"support": [1, 5, 9],
                                             "pmf": [0.2, 0.3, 0.5 + 3e-10]})
         assert m.pmf.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_sum_errors_print_plain_floats(self):
+        with pytest.raises(ValueError, match=r"custom pmf must sum to 1 within 1e-09, got 0\.8$"):
+            make_statistic_model("custom", {"support": [0, 1], "pmf": [0.4, 0.4]})
+        with pytest.raises(ValueError, match=r"pmf must sum to 1 within 1e-12, got 1\.1$"):
+            StatisticModel(family="custom", params={}, support=[0, 1], pmf=[0.5, 0.6])
 
     @pytest.mark.parametrize("family,params", [
         ("nosuch", {}),
@@ -130,6 +156,134 @@ class TestMakeStatisticModel:
     def test_invalid_inputs(self, family, params):
         with pytest.raises(ValueError):
             make_statistic_model(family, params)
+
+
+# ---------------------------------------------------------------------------
+# the special-function kernels against scipy.stats
+# ---------------------------------------------------------------------------
+
+def _scipy_model(family, params):
+    """Support and pmf built from frozen scipy.stats laws, the way pcomb
+    built them before its own kernels: unbounded laws cut where the tail
+    walked from ``isf`` drops below TAIL_EPS, renormalised, zeros dropped."""
+    if family == "binomial":
+        support = np.arange(params["trials"] + 1)
+        pmf = stats.binom(params["trials"], params["prob"]).pmf(support)
+    elif family == "hypergeometric":
+        N, K, m = params["population"], params["successes"], params["draws"]
+        support = np.arange(max(0, m + K - N), min(m, K) + 1)
+        pmf = stats.hypergeom(N, K, m).pmf(support)
+    else:
+        frozen, lo = {
+            "poisson": lambda: (stats.poisson(params["rate"]), 0),
+            "geometric": lambda: (stats.geom(params["prob"]), 1),
+            "negative-binomial": lambda: (stats.nbinom(params["successes"], params["prob"]), 0),
+        }[family]()
+        hi = int(frozen.isf(distributions.TAIL_EPS))
+        while frozen.sf(hi) >= distributions.TAIL_EPS:
+            hi += 1
+        while hi > lo and frozen.sf(hi - 1) < distributions.TAIL_EPS:
+            hi -= 1
+        support = np.arange(lo, hi + 1)
+        pmf = frozen.pmf(support)
+        pmf[-1] = frozen.sf(hi - 1)
+        if family == "negative-binomial":
+            support = support + params["successes"]
+    pmf = pmf / pmf.sum()
+    return support[pmf > 0], pmf[pmf > 0]
+
+
+def _exact_fnch(N, K, m, odds):
+    """Fisher's noncentral hypergeometric pmf in exact rationals."""
+    lo, hi = max(0, m + K - N), min(m, K)
+    w = [math.comb(K, k) * math.comb(N - K, m - k) * Fraction(odds) ** k
+         for k in range(lo, hi + 1)]
+    total = sum(w)
+    pmf = np.array([float(x / total) for x in w])
+    return np.arange(lo, hi + 1)[pmf > 0], pmf[pmf > 0]
+
+
+def _assert_masses_close(got, ref, rtol=1e-12):
+    assert np.array_equal(got > 0, ref > 0)
+    big = ref >= 1e-280
+    assert np.max(np.abs(got[big] - ref[big]) / ref[big]) <= rtol
+
+
+BIT_IDENTICAL = (
+    [("binomial", {"trials": n, "prob": p})
+     for n in (1, 5, 60, 400, 3000) for p in (0.05, 0.3, 0.5, 0.95)]
+    + [("poisson", {"rate": r}) for r in (1e-3, 0.5, 3.0, 40.0, 1635.4, 2000.0, 5000.0)]
+    + [("geometric", {"prob": p}) for p in (1e-4, 0.01, 0.2, 0.5, 0.8, 0.99)])
+
+# the benchmark's sizes: cohorts of 2000 (equal and unequal) and 1000 up to
+# population 3000, 3-60 mutations and up to 300 draws
+CLOSE = (
+    [("hypergeometric", {"population": N, "successes": K, "draws": m})
+     for N, K in ((2000, 1000), (1000, 500), (2000, 600), (2000, 1400), (2000, 300),
+                  (3000, 1500), (3000, 100), (20, 7))
+     for m in (1, 3, 8, 19, 33, 60, 188, 300) if m <= N]
+    + [("negative-binomial", {"successes": r, "prob": p})
+       for r in (1, 2, 3, 5, 40) for p in (0.05, 0.2, 0.5, 0.8)])
+
+
+class TestKernelsAgainstScipy:
+    @pytest.mark.parametrize("family,params", BIT_IDENTICAL)
+    def test_bit_identical(self, family, params):
+        m = make_statistic_model(family, params)
+        support, pmf = _scipy_model(family, params)
+        np.testing.assert_array_equal(m.support, support)
+        np.testing.assert_array_equal(m.pmf, pmf)
+
+    @pytest.mark.parametrize("family,params", CLOSE)
+    def test_same_support_and_close_masses(self, family, params):
+        m = make_statistic_model(family, params)
+        support, pmf = _scipy_model(family, params)
+        np.testing.assert_array_equal(m.support, support)
+        _assert_masses_close(m.pmf, pmf)
+
+    @pytest.mark.parametrize("N,K", [(2000, 1000), (3000, 1500), (2000, 300), (50, 20)])
+    def test_noncentral_at_odds_one_is_the_hypergeometric(self, N, K):
+        # scipy's own nchypergeom_fisher is only ~5e-12 accurate here, so
+        # the reference is its central law
+        for m in (4, 10, 20, 33, 300):
+            if m > N:
+                continue
+            params = {"population": N, "successes": K, "draws": m}
+            got = make_statistic_model("noncentral-hypergeometric", {**params, "odds": 1.0})
+            support, pmf = _scipy_model("hypergeometric", params)
+            np.testing.assert_array_equal(got.support, support)
+            _assert_masses_close(got.pmf, pmf)
+
+    @pytest.mark.parametrize("odds", [0.5, 2.0, 7.0, 0.125])
+    def test_noncentral_against_exact_rationals(self, odds):
+        for N, K, m in ((2000, 1000, 19), (2000, 500, 60), (3000, 1000, 300),
+                        (1000, 500, 300), (50, 20, 10)):
+            got = make_statistic_model("noncentral-hypergeometric",
+                                       {"population": N, "successes": K, "draws": m,
+                                        "odds": odds})
+            support, pmf = _exact_fnch(N, K, m, odds)
+            np.testing.assert_array_equal(got.support, support)
+            _assert_masses_close(got.pmf, pmf)
+
+    @pytest.mark.parametrize("family,params", BIT_IDENTICAL + [
+        (f, p) for f, p in CLOSE if p.get("successes", 0) <= 5 or f == "hypergeometric"])
+    def test_same_atoms(self, family, params):
+        support, pmf = _scipy_model(family, params)
+        ref = StatisticModel(family=family, params=params, support=support, pmf=pmf)
+        model = make_statistic_model(family, params)
+        for side in SIDES:
+            want, got = pvalue_distribution(ref, side), pvalue_distribution(model, side)
+            if family in ("hypergeometric", "negative-binomial") and side != "two":
+                # cumulative sums within a few ulps of 1 merge or not by
+                # their last bits, so only the atoms below that band agree
+                got, want = (d.atoms[d.atoms < 1.0 - 1e-15] for d in (got, want))
+                assert got.size == want.size
+                _assert_masses_close(got, want)
+                continue
+            assert len(got) == len(want)
+            np.testing.assert_array_equal(got.outcome_map, want.outcome_map)
+            if family not in ("hypergeometric", "negative-binomial"):
+                np.testing.assert_array_equal(got.atoms, want.atoms)
 
 
 class TestPValueDistribution:

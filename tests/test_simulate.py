@@ -141,6 +141,27 @@ class TestExperiments:
                              0.05, 100, seed=0)
 
 
+class TestAlternativeCdfs:
+    # the pinned digests hash these cdfs, so they match scipy.stats bit for bit
+    @pytest.mark.parametrize("theta0,trials", [(0.3, 5), (0.5, 60), (0.05, 400)])
+    def test_binomial(self, theta0, trials):
+        group, = binomial_scenario(theta0, trials, "two")._groups
+        for theta in (0.01, theta0, 0.35, 0.9):
+            want = stats.binom(trials, theta).cdf(group.outcome_values)
+            want[-1] = 1.0  # the support may end before trials: zero masses dropped
+            np.testing.assert_array_equal(group.cdf_for(theta), want)
+
+    @pytest.mark.parametrize("scenario", [geometric_scenario(0.3, "right"),
+                                          geometric_noniid_scenario(side="two")])
+    def test_geometric(self, scenario):
+        for group, p0 in zip(scenario._groups, scenario.params.get("p0_set", [0.3])):
+            for param in (0.02, 0.1, 0.15):
+                p1 = p0 + param if scenario.kind == "geometric-noniid" else param
+                want = stats.geom(p1).cdf(group.outcome_values)
+                want[-1] = 1.0
+                np.testing.assert_array_equal(group.cdf_for(param), want)
+
+
 class TestLrtThreshold:
     def test_right_sided_conservative(self):
         sc = geometric_scenario(0.5, "right")
@@ -156,6 +177,37 @@ class TestLrtThreshold:
         assert not upper
         assert stats.nbinom.cdf(int(t) - 100, 100, 0.5) <= 0.05
         assert stats.nbinom.cdf(int(t) + 1 - 100, 100, 0.5) > 0.05
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_same_thresholds_as_the_scipy_search(self, side):
+        def scipy_search(n, p0, alpha):
+            # the search made before the special-function kernels
+            if side == "right":
+                t = n + int(stats.nbinom.isf(alpha, n, p0))
+                while stats.nbinom.sf(t - n - 1, n, p0) > alpha:
+                    t += 1
+                while t > n and stats.nbinom.sf(t - n - 2, n, p0) <= alpha:
+                    t -= 1
+                return float(t)
+            t = n + int(stats.nbinom.ppf(alpha, n, p0))
+            while t >= n and stats.nbinom.cdf(t - n, n, p0) > alpha:
+                t -= 1
+            return float(t)
+
+        for p0 in (0.05, 0.2, 0.5, 0.8, 0.95):
+            sc = geometric_scenario(p0, side)
+            for n in (1, 2, 10, 50, 100, 1000):
+                for alpha in (1e-4, 0.01, 0.05, 0.1, 0.3):
+                    t, upper = _geometric_lrt_threshold(sc, n, alpha)
+                    assert upper == (side == "right")
+                    assert t == scipy_search(n, p0, alpha), (n, p0, alpha)
+
+    def test_exact_tie_with_alpha(self):
+        # by symmetry P(X > 99) = 1/2 exactly for the failures X before the
+        # 100th success at p0 = 1/2; scipy.stats rounds it to 0.5000000000000004
+        # and so moved the right-sided threshold one trial up
+        t, _ = _geometric_lrt_threshold(geometric_scenario(0.5, "right"), 100, 0.5)
+        assert t == 200.0
 
     def test_fisher_ordering_matches_lrt_exactly(self):
         # affine link between the Fisher sum and the trial total makes the
