@@ -12,15 +12,14 @@ convolution oracle for verification.
 """
 
 from .adjust import (METHODS, AdjustedStatistic, MethodSpec, adjust,
-                     adjust_generic, continuous_moments, method_spec)
+                     adjust_generic, method_spec)
 from .combine import (CombinedResult, SurrogateDist, combine,
                       combine_observations, surrogate)
 from .distributions import (FAMILIES, SIDES, DiscretePValueDist, StatisticModel,
                             custom_pvalue_distribution, make_statistic_model,
                             observed_pvalue, pvalue_distribution)
-from .metrics import (MethodMetrics, MetricsReport, exact_law, rank_methods,
-                      scaled_w2, surrogate_law, variance_ratio,
-                      w2_discrete_continuous, w2_lower_bound,
+from .metrics import (MethodMetrics, MetricsReport, rank_methods, scaled_w2,
+                      variance_ratio, w2_discrete_continuous, w2_lower_bound,
                       w2_to_continuous_transform)
 from .simulate import (LRT_GEOMETRIC, ExperimentReport, ExperimentRow,
                        GeneExampleReport, Scenario, binomial_scenario,
@@ -38,11 +37,10 @@ __all__ = [
     "Scenario", "ExperimentReport", "ExperimentRow", "GeneExampleReport",
     "make_statistic_model", "pvalue_distribution", "observed_pvalue",
     "custom_pvalue_distribution",
-    "adjust", "adjust_generic", "continuous_moments", "method_spec",
+    "adjust", "adjust_generic", "method_spec",
     "surrogate", "combine", "combine_observations",
     "w2_discrete_continuous", "w2_to_continuous_transform", "scaled_w2",
-    "variance_ratio", "w2_lower_bound", "rank_methods", "exact_law",
-    "surrogate_law",
+    "variance_ratio", "w2_lower_bound", "rank_methods",
     "synthetic_scenario", "binomial_scenario", "geometric_scenario",
     "geometric_noniid_scenario", "circular_scenario", "scenario_from_json",
     "sample_pvalues", "type1_experiment", "power_experiment",

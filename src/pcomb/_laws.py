@@ -1,22 +1,24 @@
 """Continuous reference laws with closed-form probability-cell integrals.
 
-The quantile-coupling machinery repeatedly needs, for a law with quantile
-function Q and probability cells (c0, c1),
+A law with quantile function Q owns two elementwise operations on
+probability cells (c0, c1):
 
-    cell_sq_moment(z, c0, c1) = integral over (c0, c1) of (z - Q(w))^2 dw,
+- ``cell_means(cells)``: the means of Q over the cells, which are the
+  adjusted statistic z, and Var(Z) when the cells partition (0, 1);
+- ``cell_sq_moment(z, c0, c1)``: the integral over (c0, c1) of
+  (z - Q(w))^2 dw, the quantile-coupling cell of the W2 diagnostics.
 
-evaluated elementwise over arrays of z, c0 and c1.  Each law here
-evaluates that integral through exact partial moments on (Q(c0), Q(c1))
-instead of quadrature, so cells in the far tails lose no accuracy; cells
-of zero width are exactly zero.  ``QuantileLaw`` is the fallback for
-arbitrary quantile callables and integrates on the probability scale.
+Both work through exact partial moments on (Q(c0), Q(c1)), with the
+limits x log x -> 0 and phi(Phi^-1(F)) -> 0 at F in {0, 1}, so cells in
+the far tails need no quadrature.  ``QuantileLaw`` is the fallback for
+arbitrary quantile callables and integrates each cell by quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -24,22 +26,67 @@ from scipy import special
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+class Cells(NamedTuple):
+    """Probability cells (lo, hi) of mass p = hi - lo, carrying 1 - lo and
+    1 - hi, so a reflected cell never recomputes 1 - (1 - hi)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    p: np.ndarray
+    one_minus_lo: np.ndarray
+    one_minus_hi: np.ndarray
+
+    @classmethod
+    def of_atoms(cls, atoms: np.ndarray) -> "Cells":
+        """The cells (F_{i-1}, F_i) of a p-value distribution, F_0 = 0."""
+        edges = np.concatenate(([0.0], atoms))
+        lo, hi, tails = edges[:-1], edges[1:], 1.0 - edges
+        return cls(lo, hi, hi - lo, tails[:-1], tails[1:])
+
+    def reflected(self) -> "Cells":
+        """(1 - hi, 1 - lo): the mean of Q(1 - W) on a cell is that of Q on these."""
+        return Cells(self.one_minus_hi, self.one_minus_lo, self.p, self.hi, self.lo)
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = x[pos] * np.log(x[pos])
+    return out
+
+
+def _entropy_increments(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
+    """Cell increments of F log F and of -(1-F) log(1-F)."""
+    a = _xlogx(cells.hi) - _xlogx(cells.lo)
+    b = _xlogx(cells.one_minus_lo) - _xlogx(cells.one_minus_hi)
+    return a, b
+
+
 def _cell_arrays(z, c0, c1) -> list[np.ndarray]:
     return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, c0, c1)))
 
 
 class _ClosedFormCells:
-    """``cell_sq_moment`` from a law's ``_cells`` formula, with zero-width
-    cells pinned to exactly zero."""
+    """``sd``, and ``cell_sq_moment`` from a law's ``_cells`` formula with
+    zero-width cells pinned to exactly zero."""
+
+    @property
+    def sd(self) -> float:
+        return math.sqrt(self.variance)
 
     def cell_sq_moment(self, z, c0, c1) -> np.ndarray:
         z, c0, c1 = _cell_arrays(z, c0, c1)
         return np.where(c1 > c0, self._cells(z, c0, c1), 0.0)
 
 
+def _norm_pdf(t: np.ndarray) -> np.ndarray:
+    """phi(t), zero at +-inf."""
+    return np.exp(-0.5 * t * t) / _SQRT_2PI
+
+
 def _norm_pdf_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """phi(t) and t * phi(t), both with the zero limit at +-inf."""
-    phi = np.exp(-0.5 * t * t) / _SQRT_2PI
+    phi = _norm_pdf(t)
     return phi, np.where(np.isfinite(t), t, 0.0) * phi
 
 
@@ -61,6 +108,12 @@ class NormalLaw(_ClosedFormCells):
 
     def sf(self, y):
         return special.ndtr((self.mean - np.asarray(y, dtype=float)) / self.sd)
+
+    def cell_means(self, cells: Cells) -> tuple[np.ndarray, float]:
+        # integral of Phi^-1 over a cell is phi(Phi^-1(lo)) - phi(Phi^-1(hi))
+        dk = _norm_pdf(special.ndtri(cells.lo)) - _norm_pdf(special.ndtri(cells.hi))
+        z = self.mean + self.sd * dk / cells.p
+        return z, self.sd ** 2 * float(np.sum(dk * dk / cells.p))
 
     def _cells(self, z, c0, c1):
         # Standardized bounds (ndtri is -inf/+inf at 0/1); c0/c1 are exact
@@ -88,10 +141,6 @@ class GammaLaw(_ClosedFormCells):
     def variance(self) -> float:
         return self.shape * self.scale ** 2
 
-    @property
-    def sd(self) -> float:
-        return math.sqrt(self.variance)
-
     def quantile(self, w):
         return self.scale * special.gammaincinv(self.shape, w)
 
@@ -104,6 +153,15 @@ class GammaLaw(_ClosedFormCells):
 
     def sf(self, y):
         return special.gammaincc(self.shape, self._standardized(y))
+
+    def cell_means(self, cells: Cells) -> tuple[np.ndarray, float]:
+        # at shape 1, the only shape of a transform law, Q(w) = -s log(1-w),
+        # whose cell integral is s p - s * (increment of -(1-F) log(1-F))
+        if self.shape != 1.0:
+            raise ValueError(f"closed-form cell means need gamma shape 1, got {self.shape}")
+        s = self.scale
+        _, b = _entropy_increments(cells)
+        return s - s * b / cells.p, s * s * float(np.sum(b * b / cells.p))
 
     def _cells(self, z, c0, c1):
         # Regularized lower incomplete gamma at shape shifted by m turns
@@ -123,15 +181,16 @@ class UniformLaw(_ClosedFormCells):
     mean: float = 0.5
     variance: float = 1.0 / 12.0
 
-    @property
-    def sd(self) -> float:
-        return math.sqrt(self.variance)
-
     def quantile(self, w):
         return np.asarray(w, dtype=float)
 
     def cdf(self, y):
         return np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
+
+    def cell_means(self, cells: Cells) -> tuple[np.ndarray, float]:
+        # Var(Z) = sum (hi + lo)^2 p / 4 - 1/4 telescopes to sum hi lo p / 4
+        return ((cells.hi + cells.lo) / 2.0,
+                float(np.sum(cells.hi * cells.lo * cells.p) / 4.0))
 
     def _cells(self, z, c0, c1):
         return ((z - c0) ** 3 - (z - c1) ** 3) / 3.0
@@ -158,14 +217,7 @@ class LogisticLaw(_ClosedFormCells):
     """Standard logistic; mean 0, variance pi^2/3."""
 
     mean: float = 0.0
-
-    @property
-    def variance(self) -> float:
-        return math.pi ** 2 / 3.0
-
-    @property
-    def sd(self) -> float:
-        return math.sqrt(self.variance)
+    variance: float = math.pi ** 2 / 3.0
 
     def quantile(self, w):
         w = np.asarray(w, dtype=float)
@@ -173,6 +225,15 @@ class LogisticLaw(_ClosedFormCells):
 
     def cdf(self, y):
         return special.expit(np.asarray(y, dtype=float))
+
+    def cell_means(self, cells: Cells) -> tuple[np.ndarray, float]:
+        # the half difference of the two chi-square(2) cell means, kept in that
+        # form ((a - b) / p moves the last bits); the variance uses the cell
+        # increments of h(F) = F log F + (1-F) log(1-F), stable at F = 1
+        a, b = _entropy_increments(cells)
+        z = ((2.0 - 2.0 * b / cells.p) - (2.0 - 2.0 * a / cells.p)) / 2.0
+        dh = a - b
+        return z, float(np.sum(dh * dh / cells.p))
 
     def _cells(self, z, c0, c1):
         a0, b0 = _logit_antiderivs(c0)
@@ -182,7 +243,8 @@ class LogisticLaw(_ClosedFormCells):
 
 class QuantileLaw:
     """Adapter for an arbitrary quantile callable; each cell goes through
-    adaptive quadrature on the probability scale (absolute tol 1e-12)."""
+    adaptive quadrature on the probability scale to absolute tolerance
+    ``tol`` (relative ``tol`` for cell means, 1e-12 for second moments)."""
 
     def __init__(self, quantile_fn: Callable[[float], float], tol: float = 1e-12):
         self._q = quantile_fn
@@ -190,6 +252,23 @@ class QuantileLaw:
 
     def quantile(self, w):
         return self._q(w)
+
+    def cell_means(self, cells: Cells) -> tuple[np.ndarray, float]:
+        from scipy.integrate import quad  # here, so importing pcomb does not load it
+
+        z = np.full(cells.p.size, math.nan)   # a cell of zero width has no mean
+        for i, (lo, hi) in enumerate(zip(cells.lo.tolist(), cells.hi.tolist())):
+            if hi > lo:
+                val, _, _, *msg = quad(self._q, lo, hi, epsabs=self._tol, epsrel=self._tol,
+                                       limit=500, full_output=True)
+                if msg:
+                    raise RuntimeError(
+                        f"quantile quadrature failed on cell ({lo!r}, {hi!r}): {msg[0]}")
+                z[i] = val / (hi - lo)
+            if not math.isfinite(z[i]):
+                raise ValueError(f"the quantile has no finite mean on cell ({lo!r}, {hi!r})")
+        mean = float(np.sum(cells.p * z))
+        return z, float(np.sum(cells.p * z * z) - mean * mean)
 
     def cell_sq_moment(self, z, c0, c1) -> np.ndarray:
         from scipy.integrate import quad  # here, so importing pcomb does not load it

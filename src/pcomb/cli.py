@@ -13,10 +13,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .adjust import METHODS, adjust
 from .combine import combine, combine_observations
-from .distributions import (DiscretePValueDist, StatisticModel,
+from .distributions import (DiscretePValueDist, StatisticModel, _json, _json_numbers,
                             custom_pvalue_distribution, pvalue_distribution)
 from .metrics import rank_methods
 from .simulate import (LRT_GEOMETRIC, gene_example, power_experiment,
@@ -25,15 +26,11 @@ from .simulate import (LRT_GEOMETRIC, gene_example, power_experiment,
 SEED_ENV = "PCOMB_SEED"
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _read_json(path: str):
-    return json.loads(_read_text(path))
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _emit(args, text: str) -> None:
@@ -48,12 +45,8 @@ def _emit_json(args, obj) -> None:
     _emit(args, json.dumps(obj, indent=2) + "\n")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _numbers(text: str, kind=float) -> list:
+    return [kind(tok) for tok in text.replace(",", " ").split()]
 
 
 def _model_from_args(args) -> StatisticModel:
@@ -66,13 +59,9 @@ def _model_from_args(args) -> StatisticModel:
     if args.family == "custom":
         if not (args.support and args.pmf):
             raise ValueError("custom family needs --support and --pmf")
-        params = {"support": _ints(args.support), "pmf": _floats(args.pmf)}
+        params = {"support": _numbers(args.support, int), "pmf": _numbers(args.pmf)}
     from .distributions import make_statistic_model
     return make_statistic_model(args.family, params)
-
-
-def _dist_from_path(path: str) -> DiscretePValueDist:
-    return DiscretePValueDist.from_json(_read_json(path))
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -144,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pdist(args) -> None:
     if args.atoms:
-        dist = custom_pvalue_distribution(_floats(args.atoms), args.side)
+        dist = custom_pvalue_distribution(_numbers(args.atoms), args.side)
     else:
         if not (args.family or args.model):
             raise ValueError("pdist needs --family/--model or --atoms")
@@ -153,27 +142,31 @@ def _cmd_pdist(args) -> None:
 
 
 def _cmd_adjust(args) -> None:
-    dist = _dist_from_path(args.pdist)
+    dist = DiscretePValueDist.from_json(_read_json(args.pdist))
     _emit_json(args, adjust(args.method, dist).to_json())
 
 
 def _cmd_combine(args) -> None:
-    spec = _read_json(args.input)
+    spec = _json(_read_json(args.input), "object", "combine input")
     if "tests" in spec:
-        models = [StatisticModel.from_json(t["model"]) for t in spec["tests"]]
-        dists = [pvalue_distribution(m, t["side"]) for m, t in zip(models, spec["tests"])]
-        xs = [int(t["x"]) for t in spec["tests"]]
+        tests = [_json(t, "object", f"test {i}", ("model", "side", "x"))
+                 for i, t in enumerate(_json(spec["tests"], "list", "the input's 'tests'"))]
+        dists = [pvalue_distribution(StatisticModel.from_json(t["model"]), t["side"])
+                 for t in tests]
+        xs = [_json(t["x"], "number", f"test {i}'s 'x'") for i, t in enumerate(tests)]
         result = combine_observations(args.method, xs, dists)
     elif "pvalues" in spec:
-        dists = [DiscretePValueDist.from_json(d) for d in spec["dists"]]
-        result = combine(args.method, [float(p) for p in spec["pvalues"]], dists)
+        dists = [DiscretePValueDist.from_json(d)
+                 for d in _json(spec.get("dists"), "list", "the input's 'dists'")]
+        pvalues = [float(p) for p in _json_numbers(spec["pvalues"], "the input's 'pvalues'")]
+        result = combine(args.method, pvalues, dists)
     else:
         raise ValueError("combine input needs either 'tests' or 'pvalues'+'dists'")
     _emit_json(args, result.to_json())
 
 
 def _cmd_metrics(args) -> None:
-    dists = [_dist_from_path(p) for p in args.pdist]
+    dists = [DiscretePValueDist.from_json(_read_json(p)) for p in args.pdist]
     report = rank_methods(dists if len(dists) > 1 else dists[0])
     if args.format == "json":
         _emit_json(args, report.to_json())
@@ -188,19 +181,16 @@ def _cmd_simulate(args) -> None:
         seed = int(os.environ.get(SEED_ENV, "0"))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.mode == "type1":
-        report = type1_experiment(scenario, methods, _ints(args.n_grid),
+        report = type1_experiment(scenario, methods, _numbers(args.n_grid, int),
                                   args.alpha, args.reps, seed, args.workers)
     else:
         if not args.alt_grid:
             raise ValueError("power mode needs --alt-grid")
-        report = power_experiment(scenario, methods, _floats(args.alt_grid),
+        report = power_experiment(scenario, methods, _numbers(args.alt_grid),
                                   args.n, args.alpha, args.reps, seed, args.workers)
     if args.format == "json":
         _emit_json(args, {"seed": report.seed, "generator": report.generator,
-                          "rows": [dict(scenario=r.scenario, method=r.method, n=r.n,
-                                        alt_param=r.alt_param, alpha=r.alpha,
-                                        reps=r.reps, rejections=r.rejections,
-                                        proportion=r.proportion, mc_se=r.mc_se)
+                          "rows": [{**asdict(r), "proportion": r.proportion, "mc_se": r.mc_se}
                                    for r in report.rows]})
     else:
         _emit(args, report.to_csv())

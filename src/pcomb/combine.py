@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _laws
-from .adjust import AdjustedStatistic, adjust, method_spec
+from .adjust import adjust, method_spec
 from .distributions import DiscretePValueDist
 
 #: relative tolerance for matching a supplied p-value to an atom
@@ -74,7 +74,7 @@ def surrogate(method: str, variances: Sequence[float]) -> SurrogateDist:
                          "(degenerate single-atom p-value distribution)")
     n = int(nus.size)
     nu_bar = float(nus.mean())
-    mu = spec.mean
+    mu = spec.law.mean
     if isinstance(spec.law, _laws.GammaLaw):
         law = _laws.GammaLaw(shape=mu * mu * n / nu_bar, scale=nu_bar / mu)
     else:
@@ -105,7 +105,8 @@ def _match_atom(dist: DiscretePValueDist, value: float) -> int:
 
 
 def _combine_indices(method: str, indices: Sequence[int],
-                     adjusted: Sequence[AdjustedStatistic]) -> CombinedResult:
+                     dists: Sequence[DiscretePValueDist]) -> CombinedResult:
+    adjusted = [adjust(method, d) for d in dists]
     for adj in adjusted:
         if adj.is_degenerate:
             raise ValueError("single-atom p-value distribution has zero "
@@ -128,9 +129,8 @@ def combine(method: str, observed_pvalues: Sequence[float],
         raise ValueError(f"got {len(observed_pvalues)} p-values for {len(dists)} distributions")
     if len(dists) == 0:
         raise ValueError("nothing to combine")
-    indices = [_match_atom(d, p) for p, d in zip(observed_pvalues, dists)]
-    adjusted = [adjust(method, d) for d in dists]
-    return _combine_indices(method, indices, adjusted)
+    return _combine_indices(method, [_match_atom(d, p) for p, d in zip(observed_pvalues, dists)],
+                            dists)
 
 
 def combine_observations(method: str, observations: Sequence[int],
@@ -141,6 +141,5 @@ def combine_observations(method: str, observations: Sequence[int],
         raise ValueError(f"got {len(observations)} observations for {len(dists)} distributions")
     if len(dists) == 0:
         raise ValueError("nothing to combine")
-    indices = [d.atom_of(x)[1] for x, d in zip(observations, dists)]
-    adjusted = [adjust(method, d) for d in dists]
-    return _combine_indices(method, indices, adjusted)
+    return _combine_indices(method, [d.atom_of(x)[1] for x, d in zip(observations, dists)],
+                            dists)

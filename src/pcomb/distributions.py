@@ -38,6 +38,7 @@ over SUPPORT_CAP points is refused before anything is allocated.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NoReturn, Sequence
 
@@ -119,11 +120,12 @@ class StatisticModel:
 
     @staticmethod
     def from_json(obj: Mapping) -> "StatisticModel":
-        family = obj.get("family")
+        family = _json(obj, "object", "a model").get("family")
         if family == "custom":
-            return make_statistic_model(
-                "custom", {"support": obj["support"], "pmf": obj["pmf"]})
-        return make_statistic_model(family, obj.get("params", {}))
+            return make_statistic_model("custom", {k: _json_numbers(obj[k], f"the model's {k!r}")
+                                                   for k in ("support", "pmf") if k in obj})
+        return make_statistic_model(family, _json(obj.get("params", {}), "object",
+                                                  f"the {family} params"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +149,13 @@ class DiscretePValueDist:
             raise ValueError("atoms must be a nonempty 1-D sequence")
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
-        if atoms[0] <= 0.0:
+        if not atoms[0] > 0.0:   # NaN fails too
             raise ValueError("the first atom must be positive")
         if abs(atoms[-1] - 1.0) > ATOM_TOL:
             raise ValueError(f"the last atom must equal 1 within {ATOM_TOL}, got {float(atoms[-1])!r}")
         atoms[-1] = 1.0  # pin before the monotonicity check so a pinned
         # duplicate at the top is rejected as a zero-mass atom
-        if np.any(np.diff(atoms) <= 0.0):
+        if not np.all(np.diff(atoms) > 0.0):
             raise ValueError("atoms must be strictly increasing (zero-mass atom)")
 
     @property
@@ -176,7 +178,8 @@ class DiscretePValueDist:
 
     @staticmethod
     def from_json(obj: Mapping) -> "DiscretePValueDist":
-        return custom_pvalue_distribution(obj["F"], obj["side"])
+        obj = _json(obj, "object", "a p-value distribution", ("F", "side"))
+        return custom_pvalue_distribution(_json_numbers(obj["F"], "the atoms 'F'"), obj["side"])
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -184,25 +187,47 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _as_positive_int(params: Mapping, key: str, minimum: int = 1) -> int:
+_JSON_TYPES = {"object": Mapping, "list": (list, tuple), "number": (int, float)}
+
+
+def _json(value, kind: str, what: str, keys: Sequence[str] = ()):
+    """``value``, which must be a JSON ``kind`` ("object", "list" or
+    "number"; a bool is not a number) holding ``keys``."""
+    _require(isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool),
+             f"{what} must be a JSON {kind}, got {reprlib.repr(value)}")
+    for key in keys:
+        _require(key in value, f"{what} needs the key {key!r}")
+    return value
+
+
+def _json_numbers(value, what: str) -> list:
+    return [_json(v, "number", f"each entry of {what}") for v in _json(value, "list", what)]
+
+
+def _param(params: Mapping, key: str) -> float:
     _require(key in params, f"missing parameter {key!r}")
-    v = params[key]
-    _require(math.isfinite(float(v)) and float(v) == int(v), f"{key} must be an integer, got {v!r}")
+    try:
+        return float(params[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {reprlib.repr(params[key])}") from None
+
+
+def _as_positive_int(params: Mapping, key: str, minimum: int = 1) -> int:
+    f, v = _param(params, key), params[key]
+    _require(math.isfinite(f) and f == int(v), f"{key} must be an integer, got {v!r}")
     v = int(v)
     _require(v >= minimum, f"{key} must be >= {minimum}, got {v}")
     return v
 
 
 def _as_prob(params: Mapping, key: str) -> float:
-    _require(key in params, f"missing parameter {key!r}")
-    v = float(params[key])
+    v = _param(params, key)
     _require(0.0 < v < 1.0, f"{key} must be in (0, 1), got {v}")
     return v
 
 
 def _as_positive_real(params: Mapping, key: str) -> float:
-    _require(key in params, f"missing parameter {key!r}")
-    v = float(params[key])
+    v = _param(params, key)
     _require(0.0 < v < math.inf, f"{key} must be a positive finite number, got {v}")
     return v
 

@@ -25,16 +25,6 @@ from .combine import surrogate
 from .distributions import DiscretePValueDist
 
 
-def exact_law(method: str):
-    """Law of the per-term transform under continuous p-values."""
-    return method_spec(method).law
-
-
-def surrogate_law(method: str, variance: float):
-    """Per-term moment-matched surrogate law for one adjusted statistic."""
-    return surrogate(method, [variance]).law
-
-
 def _sorted_cells(adjusted: AdjustedStatistic) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """z sorted ascending with the cumulative cell boundaries of Z.
 
@@ -48,10 +38,6 @@ def _sorted_cells(adjusted: AdjustedStatistic) -> tuple[np.ndarray, np.ndarray, 
     hi[-1] = 1.0
     lo = np.concatenate(([0.0], hi[:-1]))
     return z, lo, hi
-
-
-def _coupling_cells(adjusted: AdjustedStatistic, law) -> np.ndarray:
-    return law.cell_sq_moment(*_sorted_cells(adjusted))
 
 
 def _root(x: float) -> float:
@@ -70,29 +56,25 @@ def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> 
     law = continuous_quantile
     if not hasattr(law, "cell_sq_moment"):
         law = _laws.QuantileLaw(continuous_quantile)
-    return _root(np.sum(_coupling_cells(adjusted, law)))
+    return _root(np.sum(law.cell_sq_moment(*_sorted_cells(adjusted))))
 
 
 def w2_to_continuous_transform(method: str, dist: DiscretePValueDist) -> float:
     """W2 between the adjusted statistic and its exact continuous law Y."""
-    return w2_discrete_continuous(adjust(method, dist), exact_law(method))
-
-
-def _require_nondegenerate(adjusted: AdjustedStatistic) -> None:
-    if adjusted.is_degenerate:
-        raise ValueError("diagnostics need at least two atoms; "
-                         "a single-atom distribution is degenerate")
+    return w2_discrete_continuous(adjust(method, dist), method_spec(method).law)
 
 
 def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
     """Coupling cells of an adjusted statistic against its per-term surrogate."""
-    _require_nondegenerate(adjusted)
-    return _coupling_cells(adjusted, surrogate_law(method, adjusted.variance))
+    if adjusted.is_degenerate:
+        raise ValueError("diagnostics need at least two atoms; "
+                         "a single-atom distribution is degenerate")
+    return surrogate(method, [adjusted.variance]).law.cell_sq_moment(*_sorted_cells(adjusted))
 
 
 def _scaled(method: str, x: float) -> float:
     """sqrt(x) / SD(Y): a squared distance on the scale of the transform."""
-    return _root(x) / method_spec(method).sd
+    return _root(x) / method_spec(method).law.sd
 
 
 def scaled_w2(method: str, dist: DiscretePValueDist) -> float:
@@ -100,15 +82,17 @@ def scaled_w2(method: str, dist: DiscretePValueDist) -> float:
     return _scaled(method, np.sum(_surrogate_cells(method, adjust(method, dist))))
 
 
-def variance_ratio(method: str, dist) -> float:
-    """Var(Z)/Var(Y); for a sequence of distributions, the average ratio."""
-    spec = method_spec(method)
-    if isinstance(dist, DiscretePValueDist):
-        return adjust(method, dist).variance / spec.variance
-    dists = list(dist)
+def _dist_list(dists) -> list[DiscretePValueDist]:
+    dists = [dists] if isinstance(dists, DiscretePValueDist) else list(dists)
     if not dists:
         raise ValueError("need at least one distribution")
-    return float(np.mean([adjust(method, d).variance for d in dists])) / spec.variance
+    return dists
+
+
+def variance_ratio(method: str, dist) -> float:
+    """Var(Z)/Var(Y); for a sequence of distributions, the average ratio."""
+    variances = [adjust(method, d).variance for d in _dist_list(dist)]
+    return float(np.mean(variances)) / method_spec(method).law.variance
 
 
 def w2_lower_bound(method: str, dist: DiscretePValueDist) -> float:
@@ -164,16 +148,10 @@ class MetricsReport:
 def rank_methods(dists) -> MetricsReport:
     """Full diagnostic table over all methods for one distribution or,
     for a sequence, the across-distribution averages of each column."""
-    if isinstance(dists, DiscretePValueDist):
-        dists = [dists]
-    else:
-        dists = list(dists)
-    if not dists:
-        raise ValueError("need at least one distribution")
-
+    dists = _dist_list(dists)
     rows = []
     for method in METHODS:
-        spec = method_spec(method)
+        law = method_spec(method).law
         variances, sw2, w2y, lb = [], [], [], []
         for d in dists:
             adjusted = adjust(method, d)
@@ -181,11 +159,11 @@ def rank_methods(dists) -> MetricsReport:
             variances.append(adjusted.variance)
             sw2.append(_scaled(method, np.sum(cells)))
             lb.append(_scaled(method, np.max(cells)))
-            w2y.append(w2_discrete_continuous(adjusted, spec.law))
+            w2y.append(w2_discrete_continuous(adjusted, law))
         rows.append(MethodMetrics(
             method=method,
             variance=float(np.mean(variances)),
-            ratio=float(np.mean(variances)) / spec.variance,
+            ratio=float(np.mean(variances)) / law.variance,
             scaled_w2=float(np.mean(sw2)),
             w2_to_y=float(np.mean(w2y)),
             lower_bound=float(np.mean(lb)),

@@ -28,8 +28,9 @@ from . import _genedata, _philox
 from .adjust import METHODS, AdjustedStatistic, adjust
 from .combine import CombinedResult, combine_observations, surrogate
 from .distributions import (DiscretePValueDist, _binom_cdf, _first, _geom_cdf,
-                            _nbinom_cdf, _nbinom_sf, custom_pvalue_distribution,
-                            make_statistic_model, pvalue_distribution)
+                            _json, _json_numbers, _nbinom_cdf, _nbinom_sf,
+                            custom_pvalue_distribution, make_statistic_model,
+                            pvalue_distribution)
 
 LRT_GEOMETRIC = "lrt-geometric"
 
@@ -103,7 +104,7 @@ class Scenario:
 
 
 def synthetic_scenario(name: str) -> Scenario:
-    if name not in SYNTHETIC_ATOMS:
+    if not isinstance(name, str) or name not in SYNTHETIC_ATOMS:
         raise ValueError(f"unknown synthetic distribution {name!r}; "
                          f"expected one of {tuple(SYNTHETIC_ATOMS)}")
     return Scenario(kind="synthetic", name=name, params={"name": name})
@@ -131,25 +132,33 @@ def geometric_noniid_scenario(p0_set: Sequence[float] = (0.2, 0.5, 0.8),
 def circular_scenario(points: int) -> Scenario:
     """Uniform sampling on ``points`` equispaced circle points (odd), with
     the exponential concentration alternative."""
-    if points < 3 or points % 2 == 0:
+    if points < 3 or points % 2 != 1:
         raise ValueError(f"points must be an odd integer >= 3, got {points}")
     return Scenario(kind="circular", name=f"circular-{points}",
                     params={"points": int(points)})
 
 
 def scenario_from_json(obj: Mapping) -> Scenario:
-    kind = obj.get("kind")
+    kind = _json(obj, "object", "a scenario").get("kind")
+
+    def number(key, *default):
+        return _json(obj.get(key, *default) if default else obj[key], "number",
+                     f"the {kind} scenario's {key!r}")
+
     try:
         if kind == "synthetic":
             return synthetic_scenario(obj["name"])
         if kind == "binomial":
-            return binomial_scenario(obj["theta0"], obj.get("trials", 5), obj.get("side", "left"))
+            return binomial_scenario(number("theta0"), number("trials", 5),
+                                     obj.get("side", "left"))
         if kind == "geometric":
-            return geometric_scenario(obj["p0"], obj["side"])
+            return geometric_scenario(number("p0"), obj["side"])
         if kind == "geometric-noniid":
-            return geometric_noniid_scenario(obj.get("p0_set", (0.2, 0.5, 0.8)), obj["side"])
+            p0_set = _json_numbers(obj.get("p0_set", (0.2, 0.5, 0.8)),
+                                   f"the {kind} scenario's 'p0_set'")
+            return geometric_noniid_scenario(p0_set, obj["side"])
         if kind == "circular":
-            return circular_scenario(obj["points"])
+            return circular_scenario(number("points"))
     except KeyError as exc:
         raise ValueError(f"{kind} scenario needs the key {exc.args[0]!r}") from None
     raise ValueError(f"unknown scenario kind {kind!r}")
@@ -454,19 +463,26 @@ def _check_run(alpha: float, reps: int, seed: int, workers: int, grid_name: str,
             raise ValueError(f"the number of tests n must be >= 1, got {n!r}")
 
 
+def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tuple],
+                alpha: float, reps: int, seed: int, workers: int) -> ExperimentReport:
+    """Rejection counts of each method at each (n, alt_param) configuration;
+    the configuration's index keys its random streams."""
+    rows = []
+    for ci, (n, alt) in enumerate(configs):
+        prep = _ConfigPrep(scenario, methods, n, alt, alpha)
+        counts = _run_config(prep, reps, seed, ci, workers)
+        rows += [ExperimentRow(scenario=scenario.name, method=m, n=n, alt_param=alt,
+                               alpha=alpha, reps=reps, rejections=int(c))
+                 for m, c in zip(methods, counts)]
+    return ExperimentReport(rows=tuple(rows), seed=seed)
+
+
 def type1_experiment(scenario: Scenario, methods: Sequence[str], n_grid: Sequence[int],
                      alpha: float, reps: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Null rejection proportions for each grid size and method."""
     _check_run(alpha, reps, seed, workers, "n_grid", n_grid, n_grid)
-    rows = []
-    for ci, n in enumerate(n_grid):
-        prep = _ConfigPrep(scenario, methods, int(n), scenario.null_param, alpha)
-        counts = _run_config(prep, reps, seed, ci, workers)
-        for m, c in zip(methods, counts):
-            rows.append(ExperimentRow(scenario=scenario.name, method=m, n=int(n),
-                                      alt_param=scenario.null_param, alpha=alpha,
-                                      reps=reps, rejections=int(c)))
-    return ExperimentReport(rows=tuple(rows), seed=seed)
+    return _experiment(scenario, methods, [(int(n), scenario.null_param) for n in n_grid],
+                       alpha, reps, seed, workers)
 
 
 def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Sequence[float],
@@ -480,15 +496,8 @@ def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Seque
     if scenario.null_param is None:
         raise ValueError(f"scenario {scenario.name!r} has no alternative family")
     _check_run(alpha, reps, seed, workers, "alt_grid", alt_grid, [n])
-    rows = []
-    for ci, alt in enumerate(alt_grid):
-        prep = _ConfigPrep(scenario, methods, int(n), float(alt), alpha)
-        counts = _run_config(prep, reps, seed, ci, workers)
-        for m, c in zip(methods, counts):
-            rows.append(ExperimentRow(scenario=scenario.name, method=m, n=int(n),
-                                      alt_param=float(alt), alpha=alpha,
-                                      reps=reps, rejections=int(c)))
-    return ExperimentReport(rows=tuple(rows), seed=seed)
+    return _experiment(scenario, methods, [(int(n), float(alt)) for alt in alt_grid],
+                       alpha, reps, seed, workers)
 
 
 # ---------------------------------------------------------------------------

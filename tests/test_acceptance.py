@@ -20,8 +20,8 @@ import pytest
 from scipy import stats
 
 from pcomb import (LRT_GEOMETRIC, METHODS, adjust, adjust_generic,
-                   continuous_moments, custom_pvalue_distribution, exact_convolution,
-                   gene_example, geometric_scenario, make_statistic_model,
+                   custom_pvalue_distribution, exact_convolution,
+                   gene_example, geometric_scenario, make_statistic_model, method_spec,
                    power_experiment, pvalue_distribution, rank_methods, scaled_w2,
                    surrogate, synthetic_scenario,
                    type1_experiment, w2_lower_bound, w2_to_continuous_transform,
@@ -132,7 +132,7 @@ def test_criterion_2_circular_table():
         dist = custom_pvalue_distribution(atoms, "right")
         for method, printed in per_method.items():
             adj = adjust(method, dist)
-            computed = (adj.variance, adj.variance / continuous_moments(method)[1])
+            computed = (adj.variance, adj.variance / method_spec(method).law.variance)
             for col, (got, want) in enumerate(zip(computed, printed)):
                 key = (points, method, col)
                 if key in TABLE6_CORRECTED:
@@ -180,7 +180,7 @@ def test_criterion_3_geometric_tables_and_surrogates():
                 nus[(side, method, p0)] = adjust(method, d).variance
 
     for method, per_p0 in TABLE_C1.items():
-        var_y = continuous_moments(method)[1]
+        var_y = method_spec(method).law.variance
         for p0 in p0s:
             want_var, want_ratio = per_p0[p0]
             got = nus[("right", method, p0)]
@@ -291,7 +291,7 @@ def test_criterion_5_binomial_ratios():
         d = pvalue_distribution(m, "left")
         for method in METHODS:
             ratios[(theta0, method)] = (adjust(method, d).variance
-                                        / continuous_moments(method)[1])
+                                        / method_spec(method).law.variance)
         for method, want in per_method.items():
             got = ratios[(theta0, method)]
             _chk(failures, abs(got - want) <= 1e-3,
@@ -320,7 +320,7 @@ def test_criterion_6_variance_decomposition_suite(random_dists):
         for method in METHODS:
             adj = adjust(method, d)
             w2y = w2_to_continuous_transform(method, d)
-            gap = abs(continuous_moments(method)[1] - adj.variance - w2y ** 2)
+            gap = abs(method_spec(method).law.variance - adj.variance - w2y ** 2)
             worst_identity = max(worst_identity, gap)
             if w2_lower_bound(method, d) > scaled_w2(method, d) + 1e-9:
                 bound_violations += 1

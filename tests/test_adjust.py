@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pcomb import (METHODS, adjust, adjust_generic, continuous_moments,
-                   custom_pvalue_distribution, make_statistic_model,
-                   pvalue_distribution, synthetic_scenario)
+from pcomb import (METHODS, adjust, adjust_generic, custom_pvalue_distribution,
+                   make_statistic_model, method_spec, pvalue_distribution,
+                   synthetic_scenario)
 from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P
 
 from conftest import make_random_dists
@@ -23,18 +23,23 @@ GENERIC = {
 }
 
 
+def _law_moments(method):
+    law = method_spec(method).law
+    return law.mean, law.variance
+
+
 class TestContinuousMoments:
     def test_values(self):
-        assert continuous_moments("fisher") == (2.0, 4.0)
-        assert continuous_moments("pearson") == (2.0, 4.0)
-        assert continuous_moments("stouffer") == (0.0, 1.0)
-        assert continuous_moments("edgington") == (0.5, 1.0 / 12.0)
-        mean, var = continuous_moments("george")
+        assert _law_moments("fisher") == (2.0, 4.0)
+        assert _law_moments("pearson") == (2.0, 4.0)
+        assert _law_moments("stouffer") == (0.0, 1.0)
+        assert _law_moments("edgington") == (0.5, 1.0 / 12.0)
+        mean, var = _law_moments("george")
         assert mean == 0.0 and var == pytest.approx(math.pi ** 2 / 3.0, rel=1e-15)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            continuous_moments("tippett")
+            method_spec("tippett")
 
 
 class TestClosedForms:
@@ -54,7 +59,7 @@ class TestClosedForms:
             adj = adjust(method, one)
             assert adj.is_degenerate
             assert adj.variance == 0.0
-            assert adj.z[0] == pytest.approx(continuous_moments(method)[0], abs=1e-12)
+            assert adj.z[0] == pytest.approx(method_spec(method).law.mean, abs=1e-12)
 
     def test_circular_n11_variances(self):
         atoms = (2.0 * np.arange(6) + 1.0) / 11.0
@@ -81,7 +86,7 @@ class TestInvariants:
         for d in random_dists[:80]:
             for method in METHODS:
                 adj = adjust(method, d)
-                assert adj.mean == pytest.approx(continuous_moments(method)[0], abs=1e-10)
+                assert adj.mean == pytest.approx(method_spec(method).law.mean, abs=1e-10)
 
     def test_monotone_z(self, random_dists):
         for d in random_dists[:80]:
@@ -110,7 +115,7 @@ class TestInvariants:
     def test_variance_below_continuous(self, random_dists):
         for d in random_dists[:80]:
             for method in METHODS:
-                assert adjust(method, d).variance <= continuous_moments(method)[1]
+                assert adjust(method, d).variance <= method_spec(method).law.variance
 
 
 class TestAdjustGeneric:
@@ -148,6 +153,24 @@ class TestAdjustGeneric:
     def test_bad_orientation(self):
         with pytest.raises(ValueError):
             adjust_generic(lambda w: w, "sideways", TWO_ATOM)
+
+    @pytest.mark.parametrize("atoms,orientation,cell", [
+        # the reflected first cell rounds to zero width
+        ([1e-17, 0.5, 1.0], ORIENT_ONE_MINUS_P, "(1.0, 1.0)"),
+        # cells touching 1, where -2 log(1 - w) has no finite mean in doubles
+        ([1e-16, 0.5, 1.0], ORIENT_ONE_MINUS_P, "(0.9999999999999999, 1.0)"),
+        ([0.5, 1.0 - 1e-16, 1.0], ORIENT_P, "(0.9999999999999999, 1.0)"),
+    ])
+    def test_non_finite_cell_mean_names_the_cell(self, atoms, orientation, cell):
+        d = custom_pvalue_distribution(atoms, "left")
+        with np.errstate(divide="ignore"), pytest.raises(ValueError) as info:
+            adjust_generic(lambda w: -2.0 * np.log1p(-w), orientation, d)
+        assert str(info.value) == f"the quantile has no finite mean on cell {cell}"
+
+    def test_quadrature_failure_prints_plain_floats(self):
+        d = custom_pvalue_distribution([0.3, 0.6, 1.0], "left")
+        with pytest.raises(RuntimeError, match=r"failed on cell \(0\.3, 0\.6\): "):
+            adjust_generic(lambda w: 1.0 / (0.6 - w) ** 2, ORIENT_P, d)
 
 
 def test_inverse_normal_quantile_contract():

@@ -251,6 +251,53 @@ class TestSimulateValidation:
         assert err == "pcomb: error: geometric scenario needs the key 'side'\n"
 
 
+_BINOMIAL = {"family": "binomial", "params": {"trials": 5, "prob": 0.5}}
+_MALFORMED = [
+    ("combine", 5, "combine input must be a JSON object, got 5"),
+    ("combine", {"pvalues": 0.5, "dists": 3}, "the input's 'dists' must be a JSON list, got 3"),
+    ("combine", {"pvalues": [0.5]}, "the input's 'dists' must be a JSON list, got None"),
+    ("combine", {"pvalues": [0.5], "dists": [[0.5, 1.0]]},
+     "a p-value distribution must be a JSON object, got [0.5, 1.0]"),
+    ("combine", {"tests": [{"model": _BINOMIAL, "x": 1}]}, "test 0 needs the key 'side'"),
+    ("combine", {"pvalues": [0.5], "dists": [{"side": "left"}]},
+     "a p-value distribution needs the key 'F'"),
+    ("combine", {"pvalues": [0.5], "dists": [{"side": "left", "F": [None, 1.0]}]},
+     "each entry of the atoms 'F' must be a JSON number, got None"),
+    ("combine", {"tests": [{"model": {"family": "binomial", "params": {"trials": None}},
+                            "side": "left", "x": 1}]},
+     "trials must be a number, got None"),
+    ("combine", {"tests": [{"model": {"family": "binomial", "params": [5]},
+                            "side": "left", "x": 1}]},
+     "the binomial params must be a JSON object, got [5]"),
+    ("combine", {"tests": [{"model": _BINOMIAL, "side": "left", "x": None}]},
+     "test 0's 'x' must be a JSON number, got None"),
+    ("combine", {"tests": [{"model": _BINOMIAL, "side": "left", "x": 1.5}]},
+     "observation 1.5 is not in the model support"),
+    ("simulate", [1], "a scenario must be a JSON object, got [1]"),
+    ("simulate", {"kind": "circular", "points": "x"},
+     "the circular scenario's 'points' must be a JSON number, got 'x'"),
+    ("simulate", {"kind": "circular", "points": 11.5},
+     "points must be an odd integer >= 3, got 11.5"),
+    ("simulate", {"kind": "binomial", "theta0": "abc"},
+     "the binomial scenario's 'theta0' must be a JSON number, got 'abc'"),
+    ("simulate", {"kind": "synthetic", "name": ["PL"]},
+     "unknown synthetic distribution ['PL']; expected one of ('PL', 'PR', 'PC', 'PS')"),
+    ("adjust", [0.5, 1], "a p-value distribution must be a JSON object, got [0.5, 1]"),
+]
+
+
+@pytest.mark.parametrize("command,payload,message", _MALFORMED)
+def test_malformed_json_is_one_line_error(capsys, tmp_path, command, payload, message):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    flag = {"combine": ["--method", "fisher", "--input"],
+            "simulate": ["--reps", "10", "--scenario"],
+            "adjust": ["--method", "fisher", "--pdist"]}[command]
+    code, out, err = invoke(capsys, command, *flag, str(f))
+    assert code == 1 and out == ""
+    assert err == f"pcomb: error: {message}\n"
+
+
 # No CLI request needs scipy.stats or scipy.integrate, and every call of the
 # console script is a fresh interpreter that pays for each module it imports.
 _IMPORT_GUARD = r"""

@@ -152,6 +152,8 @@ class TestMakeStatisticModel:
         ("hypergeometric", {"population": 10, "successes": 11, "draws": 5}),
         ("custom", {"support": [0, 1], "pmf": [0.4, 0.4]}),
         ("custom", {"support": [0, 1], "pmf": [0.5, -0.5]}),
+        ("binomial", {"trials": None, "prob": 0.5}),
+        ("poisson", {"rate": [1.0]}),
     ])
     def test_invalid_inputs(self, family, params):
         with pytest.raises(ValueError):
@@ -399,6 +401,8 @@ class TestCustomPValueDistribution:
         [0.5, 0.9],             # last atom != 1
         [0.0, 0.5, 1.0],        # first atom must be positive
         [0.7, 0.4, 1.0],        # non-monotone
+        [float("nan"), 1.0],    # NaN fails every comparison
+        [0.2, float("nan"), 1.0],
     ])
     def test_invalid_atoms(self, atoms):
         with pytest.raises(ValueError):

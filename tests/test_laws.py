@@ -1,6 +1,8 @@
 """The vectorised cell kernels of the continuous laws against the scalar
-formulas they replaced, and the surrogate's serialised form against
-output recorded before the surrogate became a law plus a tail."""
+formulas they replaced, the laws' cell means against the closed forms
+``adjust`` used before the laws owned them, and the surrogate's
+serialised form against output recorded before the surrogate became a
+law plus a tail."""
 
 import json
 import math
@@ -9,9 +11,12 @@ import numpy as np
 import pytest
 from scipy import special
 
-from pcomb import surrogate
-from pcomb._laws import GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw
+from pcomb import (METHODS, FAMILIES, adjust, custom_pvalue_distribution,
+                   make_statistic_model, pvalue_distribution, surrogate)
+from pcomb._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw
 from pcomb.cli import run
+
+from conftest import make_random_dists
 
 RTOL, ATOL = 1e-12, 1e-14
 
@@ -154,6 +159,100 @@ def test_gamma_and_normal_tails_below_and_at_support():
     n = NormalLaw(1.0, 2.0)
     assert n.cdf(1.0) == 0.5 and n.sf(1.0) == 0.5
     assert float(g.cdf(3.0) + g.sf(3.0)) == pytest.approx(1.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# cell means: the closed forms as ``adjust`` wrote them, one method at a
+# time, before they moved into the laws; every bit must stay the same
+# ---------------------------------------------------------------------------
+
+
+def _xlogx(x):
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = x[pos] * np.log(x[pos])
+    return out
+
+
+def _normal_kernel(F):
+    out = np.zeros_like(F)
+    interior = (F > 0.0) & (F < 1.0)
+    q = special.ndtri(F[interior])
+    out[interior] = np.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
+    return out
+
+
+def reference_adjust(method, atoms):
+    """(z, mean, variance) of the closed-form adjustment."""
+    hi = atoms
+    lo = np.concatenate(([0.0], hi[:-1]))
+    p = hi - lo
+    if method in ("fisher", "pearson", "george"):
+        a = _xlogx(hi) - _xlogx(lo)
+        b = _xlogx(1.0 - lo) - _xlogx(1.0 - hi)
+        z_f = 2.0 - 2.0 * a / p
+        z_p = 2.0 - 2.0 * b / p
+        if method == "fisher":
+            z, variance = z_f, 4.0 * np.sum(a * a / p)
+        elif method == "pearson":
+            z, variance = z_p, 4.0 * np.sum(b * b / p)
+        else:
+            z = (z_p - z_f) / 2.0
+            dh = a - b
+            variance = float(np.sum(dh * dh / p))
+    elif method == "stouffer":
+        K = _normal_kernel(np.concatenate(([0.0], hi)))
+        z = (K[:-1] - K[1:]) / p
+        variance = float(np.sum((K[1:] - K[:-1]) ** 2 / p))
+    else:
+        z = (hi + lo) / 2.0
+        variance = float(np.sum(hi * lo * p) / 4.0)
+    return z, float(np.sum(p * z)), float(variance)
+
+
+def _oracle_dists():
+    """Random atoms, near-tied atoms, atoms within 1e-12 of 0 and 1, and
+    every named family on all three sides."""
+    dists = make_random_dists(120, seed=4242)
+    dists += make_random_dists(40, seed=17, max_atoms=30, min_gap=1e-15)
+    rng = np.random.default_rng(31)
+    for gap in (1e-9, 1e-12, 1e-15):
+        base = np.sort(rng.uniform(0.05, 0.95, 5))
+        dists.append(custom_pvalue_distribution(
+            np.concatenate([np.sort(np.concatenate([base, base + gap])), [1.0]]), "left"))
+    for tiny in (1e-300, 1e-100, 1e-16, 1e-12):
+        dists.append(custom_pvalue_distribution([tiny, 2.0 * tiny, 0.5, 1.0], "left"))
+    for near_one in (1e-12, 1e-15):
+        dists.append(custom_pvalue_distribution(
+            [0.3, 1.0 - 2.0 * near_one, 1.0 - near_one, 1.0], "left"))
+    dists.append(custom_pvalue_distribution([1e-12, 0.5, 1.0 - 1e-12, 1.0], "left"))
+    params = {"binomial": {"trials": 30, "prob": 0.3},
+              "poisson": {"rate": 12.5},
+              "negative-binomial": {"successes": 3, "prob": 0.4},
+              "geometric": {"prob": 0.2},
+              "hypergeometric": {"population": 400, "successes": 90, "draws": 40},
+              "noncentral-hypergeometric": {"population": 100, "successes": 30,
+                                            "draws": 20, "odds": 2.0},
+              "custom": {"support": [0, 1, 2, 3], "pmf": [0.1, 0.4, 0.4, 0.1]}}
+    assert set(params) == set(FAMILIES)
+    for family, p in params.items():
+        model = make_statistic_model(family, p)
+        dists += [pvalue_distribution(model, side) for side in ("left", "right", "two")]
+    return dists
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_cell_means_equal_the_adjust_closed_forms_bit_for_bit(method):
+    for d in _oracle_dists():
+        adj = adjust(method, d)
+        z, mean, variance = reference_adjust(method, d.atoms)
+        np.testing.assert_array_equal(adj.z, z)
+        assert adj.mean == mean and adj.variance == variance, (method, d.atoms)
+
+
+def test_gamma_cell_means_need_shape_one():
+    with pytest.raises(ValueError, match="shape 1"):
+        GammaLaw(2.0, 1.0).cell_means(Cells.of_atoms(np.array([0.5, 1.0])))
 
 
 # ---------------------------------------------------------------------------

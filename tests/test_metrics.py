@@ -5,10 +5,10 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from pcomb import (METHODS, adjust, continuous_moments, custom_pvalue_distribution,
-                   exact_law, geometric_scenario, make_statistic_model,
-                   pvalue_distribution, rank_methods, scaled_w2, surrogate_law,
-                   synthetic_scenario, variance_ratio, w2_discrete_continuous,
+from pcomb import (METHODS, adjust, custom_pvalue_distribution, geometric_scenario,
+                   make_statistic_model, method_spec, pvalue_distribution, rank_methods,
+                   scaled_w2, surrogate, synthetic_scenario, variance_ratio,
+                   w2_discrete_continuous,
                    w2_lower_bound, w2_to_continuous_transform)
 from pcomb._laws import GammaLaw, NormalLaw, UniformLaw
 
@@ -50,7 +50,7 @@ class TestW2DiscreteContinuous:
         for d in (TWO_ATOM, custom_pvalue_distribution([0.1, 0.3, 0.55, 0.8, 0.94, 1.0], "left")):
             for method in METHODS:
                 adj = adjust(method, d)
-                law = surrogate_law(method, adj.variance)
+                law = surrogate(method, [adj.variance]).law
                 ours = w2_discrete_continuous(adj, law)
                 oracle = midpoint_w2(adj, law.quantile)
                 assert ours == pytest.approx(oracle, abs=1e-3)
@@ -103,15 +103,15 @@ class TestVarianceDecomposition:
             for method in METHODS:
                 adj = adjust(method, d)
                 w2y = w2_to_continuous_transform(method, d)
-                var_y = continuous_moments(method)[1]
+                var_y = method_spec(method).law.variance
                 assert var_y - adj.variance - w2y ** 2 == pytest.approx(0.0, abs=1e-8)
 
     def test_triangle_inequality_observable(self):
         for d in (TWO_ATOM, PL):
             for method in METHODS:
                 adj = adjust(method, d)
-                law_y = exact_law(method)
-                law_s = surrogate_law(method, adj.variance)
+                law_y = method_spec(method).law
+                law_s = surrogate(method, [adj.variance]).law
                 lhs = w2_discrete_continuous(adj, law_s)
                 z_to_y = w2_discrete_continuous(adj, law_y)
                 y_to_s = math.sqrt(max(quad(
@@ -159,7 +159,7 @@ class TestRankMethods:
     def test_w2_to_y_column_matches_decomposition(self):
         rep = rank_methods(PC)
         for r in rep.rows:
-            var_y = continuous_moments(r.method)[1]
+            var_y = method_spec(r.method).law.variance
             assert r.w2_to_y == pytest.approx(math.sqrt(var_y - r.variance), abs=1e-8)
 
     def test_serialization(self):
