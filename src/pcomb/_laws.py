@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -217,7 +217,7 @@ class LogisticLaw(_ClosedFormCells):
     """Standard logistic; mean 0, variance pi^2/3."""
 
     mean: float = 0.0
-    variance: float = math.pi ** 2 / 3.0
+    variance: ClassVar[float] = math.pi ** 2 / 3.0
 
     def quantile(self, w):
         w = np.asarray(w, dtype=float)

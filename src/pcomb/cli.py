@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .adjust import METHODS, adjust
 from .combine import combine, combine_observations
@@ -26,11 +25,15 @@ from .simulate import (LRT_GEOMETRIC, gene_example, power_experiment,
 SEED_ENV = "PCOMB_SEED"
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
     if path == "-":
-        return json.load(sys.stdin)
+        return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return fh.read()
+
+
+def _read_json(path: str):
+    return json.loads(_read_text(path))
 
 
 def _emit(args, text: str) -> None:
@@ -45,8 +48,12 @@ def _emit_json(args, obj) -> None:
     _emit(args, json.dumps(obj, indent=2) + "\n")
 
 
-def _numbers(text: str, kind=float) -> list:
-    return [kind(tok) for tok in text.replace(",", " ").split()]
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.replace(",", " ").split()]
 
 
 def _model_from_args(args) -> StatisticModel:
@@ -59,9 +66,13 @@ def _model_from_args(args) -> StatisticModel:
     if args.family == "custom":
         if not (args.support and args.pmf):
             raise ValueError("custom family needs --support and --pmf")
-        params = {"support": _numbers(args.support, int), "pmf": _numbers(args.pmf)}
+        params = {"support": _ints(args.support), "pmf": _floats(args.pmf)}
     from .distributions import make_statistic_model
     return make_statistic_model(args.family, params)
+
+
+def _dist_from_path(path: str) -> DiscretePValueDist:
+    return DiscretePValueDist.from_json(_read_json(path))
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -133,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pdist(args) -> None:
     if args.atoms:
-        dist = custom_pvalue_distribution(_numbers(args.atoms), args.side)
+        dist = custom_pvalue_distribution(_floats(args.atoms), args.side)
     else:
         if not (args.family or args.model):
             raise ValueError("pdist needs --family/--model or --atoms")
@@ -142,7 +153,7 @@ def _cmd_pdist(args) -> None:
 
 
 def _cmd_adjust(args) -> None:
-    dist = DiscretePValueDist.from_json(_read_json(args.pdist))
+    dist = _dist_from_path(args.pdist)
     _emit_json(args, adjust(args.method, dist).to_json())
 
 
@@ -166,7 +177,7 @@ def _cmd_combine(args) -> None:
 
 
 def _cmd_metrics(args) -> None:
-    dists = [DiscretePValueDist.from_json(_read_json(p)) for p in args.pdist]
+    dists = [_dist_from_path(p) for p in args.pdist]
     report = rank_methods(dists if len(dists) > 1 else dists[0])
     if args.format == "json":
         _emit_json(args, report.to_json())
@@ -181,16 +192,19 @@ def _cmd_simulate(args) -> None:
         seed = int(os.environ.get(SEED_ENV, "0"))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.mode == "type1":
-        report = type1_experiment(scenario, methods, _numbers(args.n_grid, int),
+        report = type1_experiment(scenario, methods, _ints(args.n_grid),
                                   args.alpha, args.reps, seed, args.workers)
     else:
         if not args.alt_grid:
             raise ValueError("power mode needs --alt-grid")
-        report = power_experiment(scenario, methods, _numbers(args.alt_grid),
+        report = power_experiment(scenario, methods, _floats(args.alt_grid),
                                   args.n, args.alpha, args.reps, seed, args.workers)
     if args.format == "json":
         _emit_json(args, {"seed": report.seed, "generator": report.generator,
-                          "rows": [{**asdict(r), "proportion": r.proportion, "mc_se": r.mc_se}
+                          "rows": [dict(scenario=r.scenario, method=r.method, n=r.n,
+                                        alt_param=r.alt_param, alpha=r.alpha,
+                                        reps=r.reps, rejections=r.rejections,
+                                        proportion=r.proportion, mc_se=r.mc_se)
                                    for r in report.rows]})
     else:
         _emit(args, report.to_csv())

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _laws
-from .adjust import adjust, method_spec
+from .adjust import AdjustedStatistic, adjust, method_spec
 from .distributions import DiscretePValueDist
 
 #: relative tolerance for matching a supplied p-value to an atom
@@ -105,8 +105,7 @@ def _match_atom(dist: DiscretePValueDist, value: float) -> int:
 
 
 def _combine_indices(method: str, indices: Sequence[int],
-                     dists: Sequence[DiscretePValueDist]) -> CombinedResult:
-    adjusted = [adjust(method, d) for d in dists]
+                     adjusted: Sequence[AdjustedStatistic]) -> CombinedResult:
     for adj in adjusted:
         if adj.is_degenerate:
             raise ValueError("single-atom p-value distribution has zero "
@@ -129,8 +128,9 @@ def combine(method: str, observed_pvalues: Sequence[float],
         raise ValueError(f"got {len(observed_pvalues)} p-values for {len(dists)} distributions")
     if len(dists) == 0:
         raise ValueError("nothing to combine")
-    return _combine_indices(method, [_match_atom(d, p) for p, d in zip(observed_pvalues, dists)],
-                            dists)
+    indices = [_match_atom(d, p) for p, d in zip(observed_pvalues, dists)]
+    adjusted = [adjust(method, d) for d in dists]
+    return _combine_indices(method, indices, adjusted)
 
 
 def combine_observations(method: str, observations: Sequence[int],
@@ -141,5 +141,6 @@ def combine_observations(method: str, observations: Sequence[int],
         raise ValueError(f"got {len(observations)} observations for {len(dists)} distributions")
     if len(dists) == 0:
         raise ValueError("nothing to combine")
-    return _combine_indices(method, [d.atom_of(x)[1] for x, d in zip(observations, dists)],
-                            dists)
+    indices = [d.atom_of(x)[1] for x, d in zip(observations, dists)]
+    adjusted = [adjust(method, d) for d in dists]
+    return _combine_indices(method, indices, adjusted)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NoReturn, Sequence
 
@@ -192,9 +193,13 @@ _JSON_TYPES = {"object": Mapping, "list": (list, tuple), "number": (int, float)}
 
 def _json(value, kind: str, what: str, keys: Sequence[str] = ()):
     """``value``, which must be a JSON ``kind`` ("object", "list" or
-    "number"; a bool is not a number) holding ``keys``."""
+    "number"; a bool is not a number) holding ``keys``.  A number must be
+    finite, and the exact int/float comparison also refuses an integer too
+    large for a float."""
     _require(isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool),
              f"{what} must be a JSON {kind}, got {reprlib.repr(value)}")
+    _require(kind != "number" or abs(value) <= sys.float_info.max,
+             f"{what} must be finite, got {reprlib.repr(value)}")
     for key in keys:
         _require(key in value, f"{what} needs the key {key!r}")
     return value
@@ -208,8 +213,8 @@ def _param(params: Mapping, key: str) -> float:
     _require(key in params, f"missing parameter {key!r}")
     try:
         return float(params[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number, got {reprlib.repr(params[key])}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be a finite number, got {reprlib.repr(params[key])}") from None
 
 
 def _as_positive_int(params: Mapping, key: str, minimum: int = 1) -> int:

@@ -40,6 +40,10 @@ def _sorted_cells(adjusted: AdjustedStatistic) -> tuple[np.ndarray, np.ndarray, 
     return z, lo, hi
 
 
+def _coupling_cells(adjusted: AdjustedStatistic, law) -> np.ndarray:
+    return law.cell_sq_moment(*_sorted_cells(adjusted))
+
+
 def _root(x: float) -> float:
     # cell integrals are nonnegative up to roundoff
     return math.sqrt(max(float(x), 0.0))
@@ -56,7 +60,7 @@ def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> 
     law = continuous_quantile
     if not hasattr(law, "cell_sq_moment"):
         law = _laws.QuantileLaw(continuous_quantile)
-    return _root(np.sum(law.cell_sq_moment(*_sorted_cells(adjusted))))
+    return _root(np.sum(_coupling_cells(adjusted, law)))
 
 
 def w2_to_continuous_transform(method: str, dist: DiscretePValueDist) -> float:
@@ -64,12 +68,16 @@ def w2_to_continuous_transform(method: str, dist: DiscretePValueDist) -> float:
     return w2_discrete_continuous(adjust(method, dist), method_spec(method).law)
 
 
-def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
-    """Coupling cells of an adjusted statistic against its per-term surrogate."""
+def _require_nondegenerate(adjusted: AdjustedStatistic) -> None:
     if adjusted.is_degenerate:
         raise ValueError("diagnostics need at least two atoms; "
                          "a single-atom distribution is degenerate")
-    return surrogate(method, [adjusted.variance]).law.cell_sq_moment(*_sorted_cells(adjusted))
+
+
+def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
+    """Coupling cells of an adjusted statistic against its per-term surrogate."""
+    _require_nondegenerate(adjusted)
+    return _coupling_cells(adjusted, surrogate(method, [adjusted.variance]).law)
 
 
 def _scaled(method: str, x: float) -> float:
@@ -82,17 +90,15 @@ def scaled_w2(method: str, dist: DiscretePValueDist) -> float:
     return _scaled(method, np.sum(_surrogate_cells(method, adjust(method, dist))))
 
 
-def _dist_list(dists) -> list[DiscretePValueDist]:
-    dists = [dists] if isinstance(dists, DiscretePValueDist) else list(dists)
-    if not dists:
-        raise ValueError("need at least one distribution")
-    return dists
-
-
 def variance_ratio(method: str, dist) -> float:
     """Var(Z)/Var(Y); for a sequence of distributions, the average ratio."""
-    variances = [adjust(method, d).variance for d in _dist_list(dist)]
-    return float(np.mean(variances)) / method_spec(method).law.variance
+    spec = method_spec(method)
+    if isinstance(dist, DiscretePValueDist):
+        return adjust(method, dist).variance / spec.law.variance
+    dists = list(dist)
+    if not dists:
+        raise ValueError("need at least one distribution")
+    return float(np.mean([adjust(method, d).variance for d in dists])) / spec.law.variance
 
 
 def w2_lower_bound(method: str, dist: DiscretePValueDist) -> float:
@@ -148,10 +154,16 @@ class MetricsReport:
 def rank_methods(dists) -> MetricsReport:
     """Full diagnostic table over all methods for one distribution or,
     for a sequence, the across-distribution averages of each column."""
-    dists = _dist_list(dists)
+    if isinstance(dists, DiscretePValueDist):
+        dists = [dists]
+    else:
+        dists = list(dists)
+    if not dists:
+        raise ValueError("need at least one distribution")
+
     rows = []
     for method in METHODS:
-        law = method_spec(method).law
+        spec = method_spec(method)
         variances, sw2, w2y, lb = [], [], [], []
         for d in dists:
             adjusted = adjust(method, d)
@@ -159,11 +171,11 @@ def rank_methods(dists) -> MetricsReport:
             variances.append(adjusted.variance)
             sw2.append(_scaled(method, np.sum(cells)))
             lb.append(_scaled(method, np.max(cells)))
-            w2y.append(w2_discrete_continuous(adjusted, law))
+            w2y.append(w2_discrete_continuous(adjusted, spec.law))
         rows.append(MethodMetrics(
             method=method,
             variance=float(np.mean(variances)),
-            ratio=float(np.mean(variances)) / law.variance,
+            ratio=float(np.mean(variances)) / spec.law.variance,
             scaled_w2=float(np.mean(sw2)),
             w2_to_y=float(np.mean(w2y)),
             lower_bound=float(np.mean(lb)),

@@ -463,26 +463,19 @@ def _check_run(alpha: float, reps: int, seed: int, workers: int, grid_name: str,
             raise ValueError(f"the number of tests n must be >= 1, got {n!r}")
 
 
-def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tuple],
-                alpha: float, reps: int, seed: int, workers: int) -> ExperimentReport:
-    """Rejection counts of each method at each (n, alt_param) configuration;
-    the configuration's index keys its random streams."""
-    rows = []
-    for ci, (n, alt) in enumerate(configs):
-        prep = _ConfigPrep(scenario, methods, n, alt, alpha)
-        counts = _run_config(prep, reps, seed, ci, workers)
-        rows += [ExperimentRow(scenario=scenario.name, method=m, n=n, alt_param=alt,
-                               alpha=alpha, reps=reps, rejections=int(c))
-                 for m, c in zip(methods, counts)]
-    return ExperimentReport(rows=tuple(rows), seed=seed)
-
-
 def type1_experiment(scenario: Scenario, methods: Sequence[str], n_grid: Sequence[int],
                      alpha: float, reps: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Null rejection proportions for each grid size and method."""
     _check_run(alpha, reps, seed, workers, "n_grid", n_grid, n_grid)
-    return _experiment(scenario, methods, [(int(n), scenario.null_param) for n in n_grid],
-                       alpha, reps, seed, workers)
+    rows = []
+    for ci, n in enumerate(n_grid):
+        prep = _ConfigPrep(scenario, methods, int(n), scenario.null_param, alpha)
+        counts = _run_config(prep, reps, seed, ci, workers)
+        for m, c in zip(methods, counts):
+            rows.append(ExperimentRow(scenario=scenario.name, method=m, n=int(n),
+                                      alt_param=scenario.null_param, alpha=alpha,
+                                      reps=reps, rejections=int(c)))
+    return ExperimentReport(rows=tuple(rows), seed=seed)
 
 
 def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Sequence[float],
@@ -496,8 +489,15 @@ def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Seque
     if scenario.null_param is None:
         raise ValueError(f"scenario {scenario.name!r} has no alternative family")
     _check_run(alpha, reps, seed, workers, "alt_grid", alt_grid, [n])
-    return _experiment(scenario, methods, [(int(n), float(alt)) for alt in alt_grid],
-                       alpha, reps, seed, workers)
+    rows = []
+    for ci, alt in enumerate(alt_grid):
+        prep = _ConfigPrep(scenario, methods, int(n), float(alt), alpha)
+        counts = _run_config(prep, reps, seed, ci, workers)
+        for m, c in zip(methods, counts):
+            rows.append(ExperimentRow(scenario=scenario.name, method=m, n=int(n),
+                                      alt_param=float(alt), alpha=alpha,
+                                      reps=reps, rejections=int(c)))
+    return ExperimentReport(rows=tuple(rows), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ _MALFORMED = [
      "each entry of the atoms 'F' must be a JSON number, got None"),
     ("combine", {"tests": [{"model": {"family": "binomial", "params": {"trials": None}},
                             "side": "left", "x": 1}]},
-     "trials must be a number, got None"),
+     "trials must be a finite number, got None"),
     ("combine", {"tests": [{"model": {"family": "binomial", "params": [5]},
                             "side": "left", "x": 1}]},
      "the binomial params must be a JSON object, got [5]"),
@@ -283,6 +283,14 @@ _MALFORMED = [
     ("simulate", {"kind": "synthetic", "name": ["PL"]},
      "unknown synthetic distribution ['PL']; expected one of ('PL', 'PR', 'PC', 'PS')"),
     ("adjust", [0.5, 1], "a p-value distribution must be a JSON object, got [0.5, 1]"),
+    # integers too large for a float
+    ("combine", {"pvalues": [10 ** 400], "dists": [{"side": "left", "F": [0.5, 1.0]}]},
+     "each entry of the input's 'pvalues' must be finite, got 100000000000000000...0000000000000000000"),
+    ("combine", {"tests": [{"model": {"family": "poisson", "params": {"rate": 10 ** 400}},
+                            "side": "left", "x": 1}]},
+     "rate must be a finite number, got 100000000000000000...0000000000000000000"),
+    ("simulate", {"kind": "circular", "points": -10 ** 400},
+     "the circular scenario's 'points' must be finite, got -10000000000000000...0000000000000000000"),
 ]
 
 

@@ -255,6 +255,13 @@ def test_gamma_cell_means_need_shape_one():
         GammaLaw(2.0, 1.0).cell_means(Cells.of_atoms(np.array([0.5, 1.0])))
 
 
+def test_logistic_variance_is_fixed():
+    # the quantile, cdf and cell means are those of the standard logistic
+    assert LogisticLaw().variance == math.pi ** 2 / 3.0
+    with pytest.raises(TypeError):
+        LogisticLaw(0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # serialised surrogate and combine output, recorded before the change
 # ---------------------------------------------------------------------------
