@@ -4,7 +4,10 @@ A law with quantile function Q owns two elementwise operations on
 probability cells (c0, c1):
 
 - ``cell_means(cells)``: the means of Q over the cells, which are the
-  adjusted statistic z, and Var(Z) when the cells partition (0, 1);
+  adjusted statistic z, and per-cell variance terms; ``cell_variance``
+  turns the terms of the cells of one partition of (0, 1) into Var(Z).
+  The cells may hold several partitions laid end to end, so one call
+  serves every test of a combination;
 - ``cell_sq_moment(z, c0, c1)``: the integral over (c0, c1) of
   (z - Q(w))^2 dw, the quantile-coupling cell of the W2 diagnostics.
 
@@ -24,6 +27,7 @@ import numpy as np
 from scipy import special
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_ZERO = np.zeros(1)
 
 
 class Cells(NamedTuple):
@@ -37,11 +41,16 @@ class Cells(NamedTuple):
     one_minus_hi: np.ndarray
 
     @classmethod
-    def of_atoms(cls, atoms: np.ndarray) -> "Cells":
-        """The cells (F_{i-1}, F_i) of a p-value distribution, F_0 = 0."""
-        edges = np.concatenate(([0.0], atoms))
-        lo, hi, tails = edges[:-1], edges[1:], 1.0 - edges
-        return cls(lo, hi, hi - lo, tails[:-1], tails[1:])
+    def of_atoms(cls, *atoms: np.ndarray) -> "Cells":
+        """The cells (F_{i-1}, F_i) of p-value distributions laid end to end,
+        each with F_0 = 0."""
+        hi = np.concatenate(atoms)
+        lo = np.concatenate((_ZERO, hi[:-1]))
+        start = 0
+        for a in atoms[:-1]:
+            start += a.size
+            lo[start] = 0.0
+        return cls(lo, hi, hi - lo, 1.0 - lo, 1.0 - hi)
 
     def reflected(self) -> "Cells":
         """(1 - hi, 1 - lo): the mean of Q(1 - W) on a cell is that of Q on these."""
@@ -55,11 +64,14 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropy_increments(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
-    """Cell increments of F log F and of -(1-F) log(1-F)."""
-    a = _xlogx(cells.hi) - _xlogx(cells.lo)
-    b = _xlogx(cells.one_minus_lo) - _xlogx(cells.one_minus_hi)
-    return a, b
+def _entropy_increment(cells: Cells) -> np.ndarray:
+    """Cell increments of F log F."""
+    return _xlogx(cells.hi) - _xlogx(cells.lo)
+
+
+def _tail_entropy_increment(cells: Cells) -> np.ndarray:
+    """Cell increments of -(1-F) log(1-F)."""
+    return _xlogx(cells.one_minus_lo) - _xlogx(cells.one_minus_hi)
 
 
 def _cell_arrays(z, c0, c1) -> list[np.ndarray]:
@@ -109,11 +121,13 @@ class NormalLaw(_ClosedFormCells):
     def sf(self, y):
         return special.ndtr((self.mean - np.asarray(y, dtype=float)) / self.sd)
 
-    def cell_means(self, cells: Cells) -> tuple[np.ndarray, float]:
+    def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
         # integral of Phi^-1 over a cell is phi(Phi^-1(lo)) - phi(Phi^-1(hi))
         dk = _norm_pdf(special.ndtri(cells.lo)) - _norm_pdf(special.ndtri(cells.hi))
-        z = self.mean + self.sd * dk / cells.p
-        return z, self.sd ** 2 * float(np.sum(dk * dk / cells.p))
+        return self.mean + self.sd * dk / cells.p, dk * dk / cells.p
+
+    def cell_variance(self, terms: np.ndarray) -> float:
+        return self.sd ** 2 * float(terms.sum())
 
     def _cells(self, z, c0, c1):
         # Standardized bounds (ndtri is -inf/+inf at 0/1); c0/c1 are exact
@@ -154,14 +168,18 @@ class GammaLaw(_ClosedFormCells):
     def sf(self, y):
         return special.gammaincc(self.shape, self._standardized(y))
 
-    def cell_means(self, cells: Cells) -> tuple[np.ndarray, float]:
+    def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
         # at shape 1, the only shape of a transform law, Q(w) = -s log(1-w),
         # whose cell integral is s p - s * (increment of -(1-F) log(1-F))
         if self.shape != 1.0:
             raise ValueError(f"closed-form cell means need gamma shape 1, got {self.shape}")
         s = self.scale
-        _, b = _entropy_increments(cells)
-        return s - s * b / cells.p, s * s * float(np.sum(b * b / cells.p))
+        b = _tail_entropy_increment(cells)
+        return s - s * b / cells.p, b * b / cells.p
+
+    def cell_variance(self, terms: np.ndarray) -> float:
+        s = self.scale
+        return s * s * float(terms.sum())
 
     def _cells(self, z, c0, c1):
         # Regularized lower incomplete gamma at shape shifted by m turns
@@ -187,10 +205,12 @@ class UniformLaw(_ClosedFormCells):
     def cdf(self, y):
         return np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
 
-    def cell_means(self, cells: Cells) -> tuple[np.ndarray, float]:
+    def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
+        return (cells.hi + cells.lo) / 2.0, cells.hi * cells.lo * cells.p
+
+    def cell_variance(self, terms: np.ndarray) -> float:
         # Var(Z) = sum (hi + lo)^2 p / 4 - 1/4 telescopes to sum hi lo p / 4
-        return ((cells.hi + cells.lo) / 2.0,
-                float(np.sum(cells.hi * cells.lo * cells.p) / 4.0))
+        return float(terms.sum() / 4.0)
 
     def _cells(self, z, c0, c1):
         return ((z - c0) ** 3 - (z - c1) ** 3) / 3.0
@@ -226,14 +246,17 @@ class LogisticLaw(_ClosedFormCells):
     def cdf(self, y):
         return special.expit(np.asarray(y, dtype=float))
 
-    def cell_means(self, cells: Cells) -> tuple[np.ndarray, float]:
+    def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
         # the half difference of the two chi-square(2) cell means, kept in that
         # form ((a - b) / p moves the last bits); the variance uses the cell
         # increments of h(F) = F log F + (1-F) log(1-F), stable at F = 1
-        a, b = _entropy_increments(cells)
+        a, b = _entropy_increment(cells), _tail_entropy_increment(cells)
         z = ((2.0 - 2.0 * b / cells.p) - (2.0 - 2.0 * a / cells.p)) / 2.0
         dh = a - b
-        return z, float(np.sum(dh * dh / cells.p))
+        return z, dh * dh / cells.p
+
+    def cell_variance(self, terms: np.ndarray) -> float:
+        return float(terms.sum())
 
     def _cells(self, z, c0, c1):
         a0, b0 = _logit_antiderivs(c0)
@@ -253,7 +276,7 @@ class QuantileLaw:
     def quantile(self, w):
         return self._q(w)
 
-    def cell_means(self, cells: Cells) -> tuple[np.ndarray, float]:
+    def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
         from scipy.integrate import quad  # here, so importing pcomb does not load it
 
         z = np.full(cells.p.size, math.nan)   # a cell of zero width has no mean
@@ -261,14 +284,19 @@ class QuantileLaw:
             if hi > lo:
                 val, _, _, *msg = quad(self._q, lo, hi, epsabs=self._tol, epsrel=self._tol,
                                        limit=500, full_output=True)
-                if msg:
+                if msg:  # QUADPACK's first line names the failure; the rest is advice
+                    reason = msg[0].strip().partition("\n")[0]
                     raise RuntimeError(
-                        f"quantile quadrature failed on cell ({lo!r}, {hi!r}): {msg[0]}")
+                        f"quantile quadrature failed on cell ({lo!r}, {hi!r}): {reason}")
                 z[i] = val / (hi - lo)
             if not math.isfinite(z[i]):
                 raise ValueError(f"the quantile has no finite mean on cell ({lo!r}, {hi!r})")
-        mean = float(np.sum(cells.p * z))
-        return z, float(np.sum(cells.p * z * z) - mean * mean)
+        pz = cells.p * z
+        return z, np.array([pz, pz * z])
+
+    def cell_variance(self, terms: np.ndarray) -> float:
+        mean = float(terms[0].sum())
+        return float(terms[1].sum() - mean * mean)
 
     def cell_sq_moment(self, z, c0, c1) -> np.ndarray:
         from scipy.integrate import quad  # here, so importing pcomb does not load it

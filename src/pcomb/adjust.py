@@ -9,12 +9,17 @@ reflect them to (1 - F_i, 1 - F_{i-1}) when the transform applies to
 The five classical methods differ only in their ``MethodSpec``; their
 laws (``pcomb._laws``) hold the closed forms, and ``adjust_generic``
 wraps an arbitrary quantile function in a quadrature law.
+
+``cell_pass`` does this once for any number of distributions, their
+cells laid end to end, so a combination of n tests makes one call into
+the law; ``adjust`` is its one-distribution case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,14 +89,30 @@ class AdjustedStatistic:
                 "variance": self.variance}
 
 
-def _adjusted(name: str, law, orientation: str,
-              dist: DiscretePValueDist) -> AdjustedStatistic:
-    cells = Cells.of_atoms(dist.atoms)
+def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
+              ) -> tuple[Cells, np.ndarray, list[int], list[float]]:
+    """Cell means of several distributions in one call of ``law``.
+
+    Returns the cells laid end to end, their means z, the index of each
+    distribution's first cell, and each distribution's variance.  Each
+    variance sums its own cells' terms alone: ``np.add.reduceat`` adds in
+    another order than ``np.sum`` and would move the last bits.
+    """
+    atoms = [d.atoms for d in dists]
+    bounds = [0, *itertools.accumulate(a.size for a in atoms)]
+    cells = Cells.of_atoms(*atoms)
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()
-    z, variance = law.cell_means(cells)
+    z, terms = law.cell_means(cells)
+    variances = [law.cell_variance(terms[..., a:b]) for a, b in zip(bounds, bounds[1:])]
+    return cells, z, bounds[:-1], variances
+
+
+def _adjusted(name: str, law, orientation: str,
+              dist: DiscretePValueDist) -> AdjustedStatistic:
+    cells, z, _, (variance,) = cell_pass(law, orientation, [dist])
     return AdjustedStatistic(method=name, z=z, atoms=dist.atoms, masses=cells.p,
-                             mean=float(np.sum(cells.p * z)), variance=variance,
+                             mean=float((cells.p * z).sum()), variance=variance,
                              source=dist)
 
 

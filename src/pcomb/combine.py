@@ -6,6 +6,10 @@ a Gamma for the chi-square based transforms (mean 2n preserved by shape
 4n/nu, scale nu/2) and a Normal for the others.  Independent but
 non-identically distributed tests use the same families with the variance
 replaced by the sum of the per-test variances.
+
+``combine`` and ``combine_observations`` adjust all n tests in one cell
+pass (``adjust.cell_pass``) and build no per-test ``AdjustedStatistic``;
+S is the left-to-right sum of the observed cells' adjusted values.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _laws
-from .adjust import AdjustedStatistic, adjust, method_spec
+from .adjust import cell_pass, method_spec
 from .distributions import DiscretePValueDist
 
 #: relative tolerance for matching a supplied p-value to an atom
@@ -105,14 +109,15 @@ def _match_atom(dist: DiscretePValueDist, value: float) -> int:
 
 
 def _combine_indices(method: str, indices: Sequence[int],
-                     adjusted: Sequence[AdjustedStatistic]) -> CombinedResult:
-    for adj in adjusted:
-        if adj.is_degenerate:
-            raise ValueError("single-atom p-value distribution has zero "
-                             "variance; no surrogate exists")
-    statistic = float(sum(adj.z[i] for i, adj in zip(indices, adjusted)))
-    surr = surrogate(method, [adj.variance for adj in adjusted])
-    return CombinedResult(method=method, n=len(adjusted), statistic=statistic,
+                     dists: Sequence[DiscretePValueDist]) -> CombinedResult:
+    spec = method_spec(method)
+    if any(len(d) < 2 for d in dists):
+        raise ValueError("single-atom p-value distribution has zero "
+                         "variance; no surrogate exists")
+    _, z, starts, variances = cell_pass(spec.law, spec.orientation, dists)
+    statistic = float(sum(z[[s + i for s, i in zip(starts, indices)]]))
+    surr = surrogate(method, variances)
+    return CombinedResult(method=method, n=len(dists), statistic=statistic,
                           surrogate=surr, global_p=surr.p_value(statistic),
                           atom_indices=tuple(int(i) for i in indices))
 
@@ -129,8 +134,7 @@ def combine(method: str, observed_pvalues: Sequence[float],
     if len(dists) == 0:
         raise ValueError("nothing to combine")
     indices = [_match_atom(d, p) for p, d in zip(observed_pvalues, dists)]
-    adjusted = [adjust(method, d) for d in dists]
-    return _combine_indices(method, indices, adjusted)
+    return _combine_indices(method, indices, dists)
 
 
 def combine_observations(method: str, observations: Sequence[int],
@@ -142,5 +146,4 @@ def combine_observations(method: str, observations: Sequence[int],
     if len(dists) == 0:
         raise ValueError("nothing to combine")
     indices = [d.atom_of(x)[1] for x, d in zip(observations, dists)]
-    adjusted = [adjust(method, d) for d in dists]
-    return _combine_indices(method, indices, adjusted)
+    return _combine_indices(method, indices, dists)

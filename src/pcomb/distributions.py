@@ -45,7 +45,14 @@ from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 from scipy import special
-from scipy.special._ufuncs import _binom_cdf, _binom_pmf  # private; checked on scipy 1.17.1
+try:
+    from scipy.special._ufuncs import _binom_cdf, _binom_pmf
+except ImportError:
+    import scipy
+    raise ImportError(
+        "pcomb needs scipy's private binomial kernels _binom_pmf and _binom_cdf "
+        f"(checked on scipy 1.17.1), which the installed scipy {scipy.__version__} "
+        "does not have") from None
 
 FAMILIES = ("binomial", "poisson", "negative-binomial", "geometric",
             "hypergeometric", "noncentral-hypergeometric", "custom")
@@ -218,9 +225,12 @@ def _param(params: Mapping, key: str) -> float:
 
 
 def _as_positive_int(params: Mapping, key: str, minimum: int = 1) -> int:
-    f, v = _param(params, key), params[key]
-    _require(math.isfinite(f) and f == int(v), f"{key} must be an integer, got {v!r}")
-    v = int(v)
+    # integrality is decided on the float, so the string '3.5' is refused
+    # in the same words as the number 3.5
+    f = _param(params, key)
+    _require(math.isfinite(f) and f.is_integer(),
+             f"{key} must be an integer, got {params[key]!r}")
+    v = int(f)
     _require(v >= minimum, f"{key} must be >= {minimum}, got {v}")
     return v
 
@@ -411,24 +421,43 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
 def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Atoms and outcome->atom map for two-sided p-values.
 
-    Outcomes are grouped from least likely upward; masses equal within
-    TIE_RTOL form one tie group and contribute a single atom."""
+    Outcomes are grouped from least likely upward; a group takes every
+    following mass within TIE_RTOL of its first one and contributes a
+    single atom, the running sum of the group sums.
+
+    A gap over TIE_RTOL between sorted neighbours always ends a group.
+    A run between such gaps that spans no more than TIE_RTOL is one
+    group; only a wider run, a chain of near ties, is split by walking
+    it from each group's first element."""
     order = np.argsort(pmf, kind="stable")
-    sorted_p = pmf[order]
-    atoms = []
-    outcome_map = np.empty(pmf.size, dtype=np.int64)
-    total = 0.0
-    i = 0
-    while i < sorted_p.size:
-        j = i
-        while (j + 1 < sorted_p.size
-               and sorted_p[j + 1] - sorted_p[i] <= TIE_RTOL * sorted_p[j + 1]):
-            j += 1
-        total += sorted_p[i:j + 1].sum()
-        outcome_map[order[i:j + 1]] = len(atoms)
-        atoms.append(total)
-        i = j + 1
-    atoms = np.asarray(atoms)
+    p = pmf[order]
+    start = np.empty(p.size, dtype=bool)
+    start[0] = True
+    np.greater(p[1:] - p[:-1], TIE_RTOL * p[1:], out=start[1:])
+    starts = np.flatnonzero(start)
+    group = np.cumsum(start) - 1
+    chained = p - p[starts[group]] > TIE_RTOL * p
+    if chained.any():
+        runs = [*starts.tolist(), p.size]
+        for r in set(group[chained].tolist()):
+            i, end = runs[r], runs[r + 1]
+            while i < end:
+                j = i + 1
+                while j < end and p[j] - p[i] <= TIE_RTOL * p[j]:
+                    j += 1
+                start[i] = True
+                i = j
+        starts = np.flatnonzero(start)
+        group = np.cumsum(start) - 1
+    sizes = np.diff(starts, append=p.size)
+    sums = np.add.reduceat(p, starts)
+    # reduceat adds left to right and np.sum pairwise after the first
+    # element, so they agree on groups of one or two members only
+    for k in np.flatnonzero(sizes > 2).tolist():
+        sums[k] = p[starts[k]:starts[k] + sizes[k]].sum()
+    outcome_map = np.empty(p.size, dtype=np.int64)
+    outcome_map[order] = group
+    atoms = np.cumsum(sums)
     atoms[-1] = 1.0
     return atoms, outcome_map
 

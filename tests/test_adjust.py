@@ -172,6 +172,14 @@ class TestAdjustGeneric:
         with pytest.raises(RuntimeError, match=r"failed on cell \(0\.3, 0\.6\): "):
             adjust_generic(lambda w: 1.0 / (0.6 - w) ** 2, ORIENT_P, d)
 
+    def test_quadrature_failure_is_one_line_naming_the_cell(self):
+        d = custom_pvalue_distribution([0.3, 0.6, 1.0], "left")
+        with pytest.raises(RuntimeError) as info:
+            adjust_generic(lambda w: -1.0 / w, ORIENT_P, d)
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.startswith("quantile quadrature failed on cell (0.0, 0.3): ")
+
 
 def test_inverse_normal_quantile_contract():
     # the normal kernel rides on ndtri, which must hold ~1e-12 absolute

@@ -291,6 +291,8 @@ _MALFORMED = [
      "rate must be a finite number, got 100000000000000000...0000000000000000000"),
     ("simulate", {"kind": "circular", "points": -10 ** 400},
      "the circular scenario's 'points' must be finite, got -10000000000000000...0000000000000000000"),
+    ("pdist", {"family": "binomial", "params": {"trials": "3.5", "prob": 0.5}},
+     "trials must be an integer, got '3.5'"),
 ]
 
 
@@ -300,7 +302,8 @@ def test_malformed_json_is_one_line_error(capsys, tmp_path, command, payload, me
     f.write_text(json.dumps(payload))
     flag = {"combine": ["--method", "fisher", "--input"],
             "simulate": ["--reps", "10", "--scenario"],
-            "adjust": ["--method", "fisher", "--pdist"]}[command]
+            "adjust": ["--method", "fisher", "--pdist"],
+            "pdist": ["--side", "left", "--model"]}[command]
     code, out, err = invoke(capsys, command, *flag, str(f))
     assert code == 1 and out == ""
     assert err == f"pcomb: error: {message}\n"

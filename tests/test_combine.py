@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pcomb import (SurrogateDist, adjust, combine, combine_observations,
+from pcomb import (METHODS, SurrogateDist, adjust, combine, combine_observations,
                    custom_pvalue_distribution, make_statistic_model,
                    pvalue_distribution, surrogate)
 from pcomb._laws import GammaLaw
+from pcomb.distributions import TIE_RTOL, _two_sided_grouping
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
 
@@ -176,3 +177,126 @@ def test_surrogate_variance_equals_adjusted_variance():
     mean, var = s.moments
     assert mean == pytest.approx(0.0, abs=1e-15)
     assert var == pytest.approx(adj.variance, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the one cell pass of combine against the per-test path it replaced
+# ---------------------------------------------------------------------------
+
+COHORTS = ((1000, 1000), (500, 500), (600, 1400), (1400, 600), (300, 1700))
+
+
+def _snp(rng):
+    """(family, params, observation) of one SNP test, observed under its null."""
+    cases, controls = COHORTS[int(rng.integers(len(COHORTS)))]
+    u = rng.random()
+    if u < 0.7:
+        draws = int(rng.integers(3, 61))
+        return ("hypergeometric",
+                {"population": cases + controls, "successes": cases, "draws": draws},
+                int(rng.hypergeometric(cases, controls, draws)))
+    if u < 0.8:
+        trials, prob = int(rng.integers(5, 61)), float(rng.uniform(0.05, 0.95))
+        return "binomial", {"trials": trials, "prob": prob}, int(rng.binomial(trials, prob))
+    if u < 0.9:
+        rate = float(rng.uniform(0.5, 40.0))
+        return "poisson", {"rate": rate}, int(rng.poisson(rate))
+    r, prob = int(rng.integers(1, 6)), float(rng.uniform(0.2, 0.8))
+    return ("negative-binomial", {"successes": r, "prob": prob},
+            r + int(rng.negative_binomial(r, prob)))
+
+
+def _genes(seed, count):
+    rng = np.random.default_rng(seed)
+    return [[_snp(rng) for _ in range(int(rng.integers(5, 41)))] for _ in range(count)]
+
+
+def _per_test(method, indices, dists):
+    """S, p and surrogate of the per-test path: one ``adjust`` per test."""
+    adjusted = [adjust(method, d) for d in dists]
+    statistic = float(sum(adj.z[i] for i, adj in zip(indices, adjusted)))
+    surr = surrogate(method, [adj.variance for adj in adjusted])
+    return statistic, surr.p_value(statistic), surr.to_json()
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_one_cell_pass_equals_the_per_test_path_bit_for_bit(seed):
+    from test_laws import reference_adjust
+
+    for gene in _genes(seed, 6):
+        models = [make_statistic_model(f, p) for f, p, _ in gene]
+        xs = [x for _, _, x in gene]
+        for side in ("left", "right", "two"):
+            dists = [pvalue_distribution(m, side) for m in models]
+            indices = [d.atom_of(x)[1] for d, x in zip(dists, xs)]
+            for method in METHODS:
+                # adjust must not share the batched segment sums: pin each
+                # variance to the closed form summed with np.sum on its own
+                for d in dists:
+                    assert adjust(method, d).variance == reference_adjust(method, d.atoms)[2]
+                statistic, p, surr = _per_test(method, indices, dists)
+                for res in (combine_observations(method, xs, dists),
+                            combine(method, [d.atoms[i] for d, i in zip(dists, indices)], dists)):
+                    assert res.statistic == statistic and res.global_p == p
+                    assert res.surrogate.to_json() == surr
+                    assert res.atom_indices == tuple(indices)
+
+
+def test_single_atom_distribution_still_refused():
+    single = custom_pvalue_distribution([1.0], "left")
+    model = make_statistic_model("custom", {"support": [3], "pmf": [1.0]})
+    message = "single-atom p-value distribution has zero variance"
+    for method in METHODS:
+        with pytest.raises(ValueError, match=message):
+            combine(method, [0.5, 1.0, 1.0], [TWO_ATOM, single, TWO_ATOM])
+        with pytest.raises(ValueError, match=message):
+            combine_observations(method, [3], [pvalue_distribution(model, "two")])
+
+
+def _loop_grouping(pmf):
+    """The two-sided grouping as a Python loop, each group anchored at its
+    first element and summed with np.sum."""
+    order = np.argsort(pmf, kind="stable")
+    sorted_p = pmf[order]
+    atoms = []
+    outcome_map = np.empty(pmf.size, dtype=np.int64)
+    total = 0.0
+    i = 0
+    while i < sorted_p.size:
+        j = i
+        while (j + 1 < sorted_p.size
+               and sorted_p[j + 1] - sorted_p[i] <= TIE_RTOL * sorted_p[j + 1]):
+            j += 1
+        total += sorted_p[i:j + 1].sum()
+        outcome_map[order[i:j + 1]] = len(atoms)
+        atoms.append(total)
+        i = j + 1
+    atoms = np.asarray(atoms)
+    atoms[-1] = 1.0
+    return atoms, outcome_map
+
+
+def test_two_sided_grouping_equals_the_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    sizes = set()
+    for _ in range(200):
+        # masses repeated one to four times, some nudged into chains of
+        # near ties p, p(1 + 0.6e-12), p(1 + 1.2e-12) that span over TIE_RTOL
+        base = rng.uniform(0.01, 1.0, int(rng.integers(1, 12)))
+        pmf = np.repeat(base, rng.integers(1, 5, base.size))
+        pmf *= 1.0 + rng.choice([0.0, 0.6e-12, 1.2e-12, 3e-12], pmf.size)
+        rng.shuffle(pmf)
+        pmf /= pmf.sum()
+        atoms, outcome_map = _two_sided_grouping(pmf)
+        want_atoms, want_map = _loop_grouping(pmf)
+        np.testing.assert_array_equal(atoms, want_atoms)
+        np.testing.assert_array_equal(outcome_map, want_map)
+        sizes.update(np.bincount(want_map).tolist())
+    assert {1, 2, 3, 4} <= sizes
+
+    p = 0.01
+    chain = np.array([p, p * (1.0 + 0.6e-12), p * (1.0 + 1.2e-12), 0.3, 0.3, 0.3, 0.37])
+    chain /= chain.sum()
+    atoms, outcome_map = _two_sided_grouping(chain)
+    assert outcome_map.tolist() == [0, 0, 1, 2, 2, 2, 3]
+    np.testing.assert_array_equal(atoms, _loop_grouping(chain)[0])

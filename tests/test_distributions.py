@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -158,6 +162,22 @@ class TestMakeStatisticModel:
     def test_invalid_inputs(self, family, params):
         with pytest.raises(ValueError):
             make_statistic_model(family, params)
+
+
+def test_missing_private_binomial_kernels_named_at_import():
+    code = ("import scipy.special._ufuncs as u\n"
+            "del u._binom_pmf\n"
+            "import pcomb\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: pcomb needs scipy's private binomial kernels")
+    assert "checked on scipy 1.17.1" in last
+    assert f"installed scipy {scipy.__version__}" in last
 
 
 # ---------------------------------------------------------------------------
