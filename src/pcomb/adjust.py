@@ -63,21 +63,28 @@ def method_spec(method: str) -> MethodSpec:
 
 @dataclass(frozen=True, eq=False)
 class AdjustedStatistic:
-    """Adjusted per-atom values z_i with their masses and moments.
+    """Adjusted per-atom values z_i with their probability cells and moments.
 
     ``z[i]`` is the adjusted value taken when the p-value equals
-    ``atoms[i]``; ``variance`` is the per-term variance used to build the
-    surrogate null.  A single-atom source is allowed here (variance 0) and
-    flagged via ``is_degenerate`` so downstream surrogates can reject it.
+    ``atoms[i]``: the mean of the transform's quantile over ``cells[i]``.
+    The cells are those ``cell_pass`` built, (F_{i-1}, F_i), reflected to
+    (1 - F_i, 1 - F_{i-1}) for "1-p" methods, so z[i] and cells[i] are
+    already paired in quantile-coupling order.  ``variance`` is the
+    per-term variance used to build the surrogate null.  A single-atom
+    source is allowed here (variance 0) and flagged via ``is_degenerate``
+    so downstream surrogates can reject it.
     """
 
     method: str
     z: np.ndarray
     atoms: np.ndarray
-    masses: np.ndarray
+    cells: Cells
     mean: float
     variance: float
-    source: DiscretePValueDist | None = None
+
+    @property
+    def masses(self) -> np.ndarray:
+        return self.cells.p
 
     @property
     def is_degenerate(self) -> bool:
@@ -111,9 +118,8 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
 def _adjusted(name: str, law, orientation: str,
               dist: DiscretePValueDist) -> AdjustedStatistic:
     cells, z, _, (variance,) = cell_pass(law, orientation, [dist])
-    return AdjustedStatistic(method=name, z=z, atoms=dist.atoms, masses=cells.p,
-                             mean=float((cells.p * z).sum()), variance=variance,
-                             source=dist)
+    return AdjustedStatistic(method=name, z=z, atoms=dist.atoms, cells=cells,
+                             mean=float((cells.p * z).sum()), variance=variance)
 
 
 def adjust(method: str, dist: DiscretePValueDist) -> AdjustedStatistic:

@@ -25,15 +25,11 @@ from .simulate import (LRT_GEOMETRIC, gene_example, power_experiment,
 SEED_ENV = "PCOMB_SEED"
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _read_json(path: str):
-    return json.loads(_read_text(path))
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _emit(args, text: str) -> None:
@@ -48,12 +44,18 @@ def _emit_json(args, obj) -> None:
     _emit(args, json.dumps(obj, indent=2) + "\n")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _numbers(text: str, kind: type, name: str) -> list:
+    """The comma- or space-separated entries of ``text`` as ``kind`` (int or
+    float); an entry that does not convert is an error naming ``name``, the
+    flag or variable the text came from."""
+    out = []
+    for tok in text.replace(",", " ").split():
+        try:
+            out.append(kind(tok))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{name}: {tok!r} is not {noun}") from None
+    return out
 
 
 def _model_from_args(args) -> StatisticModel:
@@ -66,13 +68,10 @@ def _model_from_args(args) -> StatisticModel:
     if args.family == "custom":
         if not (args.support and args.pmf):
             raise ValueError("custom family needs --support and --pmf")
-        params = {"support": _ints(args.support), "pmf": _floats(args.pmf)}
+        params = {"support": _numbers(args.support, int, "--support"),
+                  "pmf": _numbers(args.pmf, float, "--pmf")}
     from .distributions import make_statistic_model
     return make_statistic_model(args.family, params)
-
-
-def _dist_from_path(path: str) -> DiscretePValueDist:
-    return DiscretePValueDist.from_json(_read_json(path))
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -144,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pdist(args) -> None:
     if args.atoms:
-        dist = custom_pvalue_distribution(_floats(args.atoms), args.side)
+        dist = custom_pvalue_distribution(_numbers(args.atoms, float, "--atoms"), args.side)
     else:
         if not (args.family or args.model):
             raise ValueError("pdist needs --family/--model or --atoms")
@@ -153,7 +152,7 @@ def _cmd_pdist(args) -> None:
 
 
 def _cmd_adjust(args) -> None:
-    dist = _dist_from_path(args.pdist)
+    dist = DiscretePValueDist.from_json(_read_json(args.pdist))
     _emit_json(args, adjust(args.method, dist).to_json())
 
 
@@ -177,7 +176,7 @@ def _cmd_combine(args) -> None:
 
 
 def _cmd_metrics(args) -> None:
-    dists = [_dist_from_path(p) for p in args.pdist]
+    dists = [DiscretePValueDist.from_json(_read_json(p)) for p in args.pdist]
     report = rank_methods(dists if len(dists) > 1 else dists[0])
     if args.format == "json":
         _emit_json(args, report.to_json())
@@ -189,15 +188,19 @@ def _cmd_simulate(args) -> None:
     scenario = scenario_from_json(_read_json(args.scenario))
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0"))
+        text = os.environ.get(SEED_ENV, "0")
+        seeds = _numbers(text, int, SEED_ENV)
+        if len(seeds) != 1:
+            raise ValueError(f"{SEED_ENV} must be one integer, got {text!r}")
+        seed = seeds[0]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.mode == "type1":
-        report = type1_experiment(scenario, methods, _ints(args.n_grid),
+        report = type1_experiment(scenario, methods, _numbers(args.n_grid, int, "--n-grid"),
                                   args.alpha, args.reps, seed, args.workers)
     else:
         if not args.alt_grid:
             raise ValueError("power mode needs --alt-grid")
-        report = power_experiment(scenario, methods, _floats(args.alt_grid),
+        report = power_experiment(scenario, methods, _numbers(args.alt_grid, float, "--alt-grid"),
                                   args.n, args.alpha, args.reps, seed, args.workers)
     if args.format == "json":
         _emit_json(args, {"seed": report.seed, "generator": report.generator,

@@ -1,13 +1,14 @@
 """Method-selection diagnostics: variance ratios and scaled Wasserstein
 distances between adjusted statistics and their continuous laws.
 
-All distances are order-2 Wasserstein computed by quantile coupling: the
-squared distance is the sum over atoms of the exact cell integral
-int (z_i - Q(w))^2 dw over the atom's probability cell, with the cells
-evaluated in closed form for normal, gamma, uniform and logistic laws.
-Distances are reported scaled by the standard deviation of the continuous
-transform Y (not of the surrogate), following the variance-ratio
-convention Var(Z)/Var(Y).
+All distances are order-2 Wasserstein by quantile coupling on the cells
+an ``AdjustedStatistic`` carries: z_i is the mean of the transform over
+cell i, and z runs monotone along the cells, so z_i is paired with the
+same probability cell of any continuous law Q.  The squared distance is
+the sum of the cell integrals int (z_i - Q(w))^2 dw, in closed form for
+normal, gamma, uniform and logistic laws.  Distances are reported scaled
+by the standard deviation of the continuous transform Y (not of the
+surrogate), following the variance-ratio convention Var(Z)/Var(Y).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,42 +25,23 @@ from .combine import surrogate
 from .distributions import DiscretePValueDist
 
 
-def _sorted_cells(adjusted: AdjustedStatistic) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z sorted ascending with the cumulative cell boundaries of Z.
-
-    Boundaries are clipped to one: rounding can push a cumulative sum
-    slightly past it, and cells saturated at double precision are width
-    zero (the laws return an exact zero for those)."""
-    order = np.argsort(adjusted.z, kind="stable")
-    z = adjusted.z[order]
-    masses = adjusted.masses[order]
-    hi = np.minimum(np.cumsum(masses), 1.0)
-    hi[-1] = 1.0
-    lo = np.concatenate(([0.0], hi[:-1]))
-    return z, lo, hi
-
-
-def _coupling_cells(adjusted: AdjustedStatistic, law) -> np.ndarray:
-    return law.cell_sq_moment(*_sorted_cells(adjusted))
-
-
 def _root(x: float) -> float:
     # cell integrals are nonnegative up to roundoff
     return math.sqrt(max(float(x), 0.0))
 
 
 def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> float:
-    """W2 between an adjusted statistic and a continuous law.
+    """W2 between an adjusted statistic and a continuous law, coupled on
+    the adjusted statistic's own cells.
 
     ``continuous_quantile`` is either one of the law objects used in this
     package or a bare quantile callable (integrated by quadrature at
-    absolute cell tolerance 1e-12).  Atoms are reordered by z internally,
-    so decreasing-orientation methods need no special handling.
+    absolute cell tolerance 1e-12).
     """
     law = continuous_quantile
     if not hasattr(law, "cell_sq_moment"):
         law = _laws.QuantileLaw(continuous_quantile)
-    return _root(np.sum(_coupling_cells(adjusted, law)))
+    return _root(np.sum(law.cell_sq_moment(adjusted.z, adjusted.cells.lo, adjusted.cells.hi)))
 
 
 def w2_to_continuous_transform(method: str, dist: DiscretePValueDist) -> float:
@@ -68,16 +49,13 @@ def w2_to_continuous_transform(method: str, dist: DiscretePValueDist) -> float:
     return w2_discrete_continuous(adjust(method, dist), method_spec(method).law)
 
 
-def _require_nondegenerate(adjusted: AdjustedStatistic) -> None:
+def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
+    """Coupling cells of an adjusted statistic against its per-term surrogate."""
     if adjusted.is_degenerate:
         raise ValueError("diagnostics need at least two atoms; "
                          "a single-atom distribution is degenerate")
-
-
-def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
-    """Coupling cells of an adjusted statistic against its per-term surrogate."""
-    _require_nondegenerate(adjusted)
-    return _coupling_cells(adjusted, surrogate(method, [adjusted.variance]).law)
+    law = surrogate(method, [adjusted.variance]).law
+    return law.cell_sq_moment(adjusted.z, adjusted.cells.lo, adjusted.cells.hi)
 
 
 def _scaled(method: str, x: float) -> float:
@@ -90,15 +68,18 @@ def scaled_w2(method: str, dist: DiscretePValueDist) -> float:
     return _scaled(method, np.sum(_surrogate_cells(method, adjust(method, dist))))
 
 
-def variance_ratio(method: str, dist) -> float:
-    """Var(Z)/Var(Y); for a sequence of distributions, the average ratio."""
-    spec = method_spec(method)
-    if isinstance(dist, DiscretePValueDist):
-        return adjust(method, dist).variance / spec.law.variance
-    dists = list(dist)
+def _dist_list(dists) -> list[DiscretePValueDist]:
+    """One distribution or a sequence of them, as a nonempty list."""
+    dists = [dists] if isinstance(dists, DiscretePValueDist) else list(dists)
     if not dists:
         raise ValueError("need at least one distribution")
-    return float(np.mean([adjust(method, d).variance for d in dists])) / spec.law.variance
+    return dists
+
+
+def variance_ratio(method: str, dist) -> float:
+    """Var(Z)/Var(Y); for a sequence of distributions, the average ratio."""
+    variances = [adjust(method, d).variance for d in _dist_list(dist)]
+    return float(np.mean(variances)) / method_spec(method).law.variance
 
 
 def w2_lower_bound(method: str, dist: DiscretePValueDist) -> float:
@@ -154,13 +135,7 @@ class MetricsReport:
 def rank_methods(dists) -> MetricsReport:
     """Full diagnostic table over all methods for one distribution or,
     for a sequence, the across-distribution averages of each column."""
-    if isinstance(dists, DiscretePValueDist):
-        dists = [dists]
-    else:
-        dists = list(dists)
-    if not dists:
-        raise ValueError("need at least one distribution")
-
+    dists = _dist_list(dists)
     rows = []
     for method in METHODS:
         spec = method_spec(method)

@@ -200,7 +200,10 @@ def _build_groups(sc: Scenario) -> tuple[_Group, ...]:
                                                   "prob": sc.params["theta0"]})
 
         def alt_cdf(theta, _support=model.support, _trials=trials):
-            F = _binom_cdf(_support, _trials, float(theta))
+            theta = float(theta)
+            if not 0.0 <= theta <= 1.0:
+                raise ValueError(f"alternative parameter gives theta={theta}, outside [0, 1]")
+            F = _binom_cdf(_support, _trials, theta)
             F[-1] = 1.0
             return F
 
@@ -239,9 +242,11 @@ def _build_groups(sc: Scenario) -> tuple[_Group, ...]:
         def alt_cdf(lam, _tvals=tvals, _N=N):
             # weights proportional to exp(-lambda t), doubled off the pole;
             # the normalizing constant is computed by direct summation
-            if lam < 0.0:
-                raise ValueError(f"lambda must be >= 0, got {lam}")
-            w = np.exp(-float(lam) * _tvals) * np.where(_tvals == 0, 1.0, 2.0)
+            lam = float(lam)
+            if not 0.0 <= lam < math.inf:
+                raise ValueError(f"alternative parameter gives lambda={lam}, outside [0, inf)")
+            with np.errstate(over="ignore"):  # lambda t past the float range: exp gives 0
+                w = np.exp(-lam * _tvals) * np.where(_tvals == 0, 1.0, 2.0)
             F = np.cumsum(w / w.sum())
             F[-1] = 1.0
             return F
@@ -444,10 +449,14 @@ def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
     return counts
 
 
-def _check_run(alpha: float, reps: int, seed: int, workers: int, grid_name: str,
-               grid: Sequence, ns: Sequence[int]) -> None:
-    """Reject experiment settings that would otherwise fail deep inside a
-    run, or be silently changed (seeds key Philox, which takes 128 bits)."""
+def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tuple],
+                alpha: float, reps: int, seed: int, workers: int, grid_name: str,
+                grid: Sequence) -> ExperimentReport:
+    """Rejection counts of every method at each (n, alt_param) configuration;
+    configuration i draws from Philox stream i.
+
+    Settings that would otherwise fail deep inside a run, or be silently
+    changed (seeds key Philox, which takes 128 bits), are refused first."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     if reps < 1:
@@ -458,24 +467,24 @@ def _check_run(alpha: float, reps: int, seed: int, workers: int, grid_name: str,
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if len(grid) == 0:
         raise ValueError(f"{grid_name} must be nonempty")
-    for n in ns:
+    for n, _ in configs:
         if n < 1:
             raise ValueError(f"the number of tests n must be >= 1, got {n!r}")
+    rows = []
+    for ci, (n, alt) in enumerate(configs):
+        prep = _ConfigPrep(scenario, methods, int(n), alt, alpha)
+        counts = _run_config(prep, reps, seed, ci, workers)
+        rows.extend(ExperimentRow(scenario=scenario.name, method=m, n=prep.n, alt_param=alt,
+                                  alpha=alpha, reps=reps, rejections=int(c))
+                    for m, c in zip(methods, counts))
+    return ExperimentReport(rows=tuple(rows), seed=seed)
 
 
 def type1_experiment(scenario: Scenario, methods: Sequence[str], n_grid: Sequence[int],
                      alpha: float, reps: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Null rejection proportions for each grid size and method."""
-    _check_run(alpha, reps, seed, workers, "n_grid", n_grid, n_grid)
-    rows = []
-    for ci, n in enumerate(n_grid):
-        prep = _ConfigPrep(scenario, methods, int(n), scenario.null_param, alpha)
-        counts = _run_config(prep, reps, seed, ci, workers)
-        for m, c in zip(methods, counts):
-            rows.append(ExperimentRow(scenario=scenario.name, method=m, n=int(n),
-                                      alt_param=scenario.null_param, alpha=alpha,
-                                      reps=reps, rejections=int(c)))
-    return ExperimentReport(rows=tuple(rows), seed=seed)
+    return _experiment(scenario, methods, [(n, scenario.null_param) for n in n_grid],
+                       alpha, reps, seed, workers, "n_grid", n_grid)
 
 
 def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Sequence[float],
@@ -488,16 +497,8 @@ def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Seque
     equal to the null parameter, power is the Type I error."""
     if scenario.null_param is None:
         raise ValueError(f"scenario {scenario.name!r} has no alternative family")
-    _check_run(alpha, reps, seed, workers, "alt_grid", alt_grid, [n])
-    rows = []
-    for ci, alt in enumerate(alt_grid):
-        prep = _ConfigPrep(scenario, methods, int(n), float(alt), alpha)
-        counts = _run_config(prep, reps, seed, ci, workers)
-        for m, c in zip(methods, counts):
-            rows.append(ExperimentRow(scenario=scenario.name, method=m, n=int(n),
-                                      alt_param=float(alt), alpha=alpha,
-                                      reps=reps, rejections=int(c)))
-    return ExperimentReport(rows=tuple(rows), seed=seed)
+    return _experiment(scenario, methods, [(n, float(alt)) for alt in alt_grid],
+                       alpha, reps, seed, workers, "alt_grid", alt_grid)
 
 
 # ---------------------------------------------------------------------------

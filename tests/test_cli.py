@@ -82,6 +82,17 @@ class TestPdist:
         assert (code, out, err) == (1, "", f"pcomb: error: {message}\n")
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("args,message", [
+        (["--atoms", "0.5,abc"], "--atoms: 'abc' is not a number"),
+        (["--family", "custom", "--support", "0,1.5", "--pmf", "0.5,0.5"],
+         "--support: '1.5' is not an integer"),
+        (["--family", "custom", "--support", "0,1", "--pmf", "0.5,x"],
+         "--pmf: 'x' is not a number"),
+    ])
+    def test_bad_list_flag_names_the_flag(self, capsys, args, message):
+        code, out, err = invoke(capsys, "pdist", *args, "--side", "left")
+        assert (code, out, err) == (1, "", f"pcomb: error: {message}\n")
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["pdist", "--family", "binomial", "--side", "sideways"])
@@ -195,6 +206,19 @@ class TestSimulateAndExample:
         assert code == 0
         assert out.strip().split("\n")[1].split(",")[-1] == "777"
 
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "PCOMB_SEED: 'abc' is not an integer"),
+        ("1,2", "PCOMB_SEED must be one integer, got '1,2'"),
+        ("", "PCOMB_SEED must be one integer, got ''"),
+    ])
+    def test_bad_env_seed(self, capsys, tmp_path, monkeypatch, value, message):
+        monkeypatch.setenv("PCOMB_SEED", value)
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"kind": "synthetic", "name": "PL"}))
+        code, out, err = invoke(capsys, "simulate", "--scenario", str(sc),
+                                "--n-grid", "2", "--reps", "40")
+        assert (code, out, err) == (1, "", f"pcomb: error: {message}\n")
+
     def test_example_gene(self, capsys):
         code, out, _ = invoke(capsys, "example", "gene")
         assert code == 0
@@ -226,6 +250,8 @@ class TestSimulateValidation:
         (["--seed", str(2 ** 128 + 3)], f"seed must be in [0, 2**128), got {2 ** 128 + 3}"),
         (["--workers", "0"], "workers must be >= 1, got 0"),
         (["--workers", "-3"], "workers must be >= 1, got -3"),
+        (["--n-grid", "2.5"], "--n-grid: '2.5' is not an integer"),
+        (["--mode", "power", "--alt-grid", "x"], "--alt-grid: 'x' is not a number"),
     ])
     def test_bad_settings(self, capsys, tmp_path, extra, message):
         sc = tmp_path / "sc.json"
@@ -242,6 +268,32 @@ class TestSimulateValidation:
                               "--alt-grid", "0.1", "--n", "0", "--reps", "10")
         assert code == 1
         assert err == "pcomb: error: the number of tests n must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("scenario,alt,message", [
+        ({"kind": "binomial", "theta0": 0.3}, "1.5", "theta=1.5, outside [0, 1]"),
+        ({"kind": "binomial", "theta0": 0.3}, "-0.5", "theta=-0.5, outside [0, 1]"),
+        ({"kind": "binomial", "theta0": 0.3}, "nan", "theta=nan, outside [0, 1]"),
+        ({"kind": "circular", "points": 11}, "nan", "lambda=nan, outside [0, inf)"),
+        ({"kind": "circular", "points": 11}, "inf", "lambda=inf, outside [0, inf)"),
+        ({"kind": "circular", "points": 11}, "-1", "lambda=-1.0, outside [0, inf)"),
+    ])
+    def test_alternative_out_of_range(self, capsys, tmp_path, scenario, alt, message):
+        # these once sampled from a NaN cdf and printed power 1 for every method
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(scenario))
+        code, out, err = invoke(capsys, "simulate", "--scenario", str(sc), "--mode", "power",
+                                f"--alt-grid={alt}", "--n", "10", "--reps", "10")
+        assert (code, out) == (1, "")
+        assert err == f"pcomb: error: alternative parameter gives {message}\n"
+
+    def test_huge_lambda_is_a_point_mass(self, capsys, tmp_path):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"kind": "circular", "points": 11}))
+        code, out, err = invoke(capsys, "simulate", "--scenario", str(sc), "--mode", "power",
+                                "--alt-grid", "1e308", "--n", "10", "--reps", "10",
+                                "--methods", "edgington")
+        assert code == 0 and err == ""
+        assert out.split("\n")[1].split(",")[6] == "10"
 
     def test_scenario_missing_side(self, capsys, tmp_path):
         sc = tmp_path / "sc.json"

@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from pcomb import (METHODS, adjust, custom_pvalue_distribution, geometric_scenario,
+from pcomb import (METHODS, adjust, adjust_generic, custom_pvalue_distribution,
+                   geometric_scenario,
                    make_statistic_model, method_spec, pvalue_distribution, rank_methods,
                    scaled_w2, surrogate, synthetic_scenario, variance_ratio,
                    w2_discrete_continuous,
@@ -44,6 +45,12 @@ class TestW2DiscreteContinuous:
         via_callable = w2_discrete_continuous(
             adj, lambda w: stats.norm.ppf(w, scale=math.sqrt(adj.variance)))
         assert via_callable == pytest.approx(direct, abs=1e-9)
+
+    def test_accepts_generic_adjustment(self):
+        d = custom_pvalue_distribution([0.1, 0.3, 0.55, 0.8, 0.94, 1.0], "left")
+        generic = adjust_generic(stats.norm.ppf, "p", d)
+        w2 = w2_discrete_continuous(generic, NormalLaw(0.0, 1.0))
+        assert w2 == pytest.approx(w2_to_continuous_transform("stouffer", d), rel=1e-9)
 
     def test_matches_midpoint_oracle(self):
         # sorted-coupling against a dense equal-mass discretization
@@ -126,10 +133,47 @@ class TestVarianceDecomposition:
         base = w2_discrete_continuous(adj, law)
         for a in (2.0, 7.5):
             scaled = AdjustedStatistic(method="stouffer", z=adj.z * a,
-                                       atoms=adj.atoms, masses=adj.masses,
+                                       atoms=adj.atoms, cells=adj.cells,
                                        mean=adj.mean * a, variance=adj.variance * a * a)
             law_a = NormalLaw(0.0, a * math.sqrt(adj.variance))
             assert w2_discrete_continuous(scaled, law_a) == pytest.approx(a * base, rel=1e-9)
+
+
+def _fisher_w2_oracle(atoms) -> float:
+    """W2(Z, Y) for Fisher in 60-digit arithmetic on the exact atoms.
+
+    z_i is the mean of -2 log v over (F_{i-1}, F_i), the increment of
+    J(v) = -2 (v log v - v) over the cell's mass, and W2^2 = E[Y^2] - E[Z^2]
+    with E[Y^2] = 8 for chi-square(2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        F = [mpmath.mpf(0)] + [mpmath.mpf(float(a)) for a in atoms]
+        J = [-2 * (v * mpmath.log(v) - v) if v > 0 else mpmath.mpf(0) for v in F]
+        ez2 = sum((j1 - j0) ** 2 / (f1 - f0)
+                  for f0, f1, j0, j1 in zip(F, F[1:], J, J[1:]))
+        return float(mpmath.sqrt(8 - ez2))
+
+
+class TestHighPrecisionOracle:
+    """The coupling runs on the cells z was averaged over, so W2 keeps the
+    digits of 1 - F near the top of the support."""
+
+    DISTS = [
+        ("binomial", {"trials": 120, "prob": 0.3}, "two"),
+        ("binomial", {"trials": 120, "prob": 0.3}, "right"),
+        ("binomial", {"trials": 400, "prob": 0.3}, "right"),
+        ("poisson", {"rate": 2000}, "left"),
+    ]
+
+    @pytest.mark.parametrize("family,params,side", DISTS)
+    def test_fisher_w2_to_y_and_variance_identity(self, family, params, side):
+        d = pvalue_distribution(make_statistic_model(family, params), side)
+        w2 = w2_to_continuous_transform("fisher", d)
+        assert w2 == pytest.approx(_fisher_w2_oracle(d.atoms), rel=1e-11)
+        for method in METHODS:
+            w2y = w2_to_continuous_transform(method, d)
+            var_y = method_spec(method).law.variance
+            assert abs(var_y - adjust(method, d).variance - w2y ** 2) <= 1e-13
 
 
 class TestRankMethods:
