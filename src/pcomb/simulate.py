@@ -5,12 +5,15 @@ oracle, and the embedded gene-level example.
 Replication is deterministic and independent of the worker count: each
 replicate draws from its own counter-based Philox substream, which
 ``_philox`` evaluates in numpy for a whole block of replicates at once.
-Each replicate's scores are summed in a fixed order and the kernel reports
-aggregate integer rejection counts, so neither the block size nor the
-chunking of blocks over ``workers`` threads can change a single byte of
-the output.  Threads overlap only inside numpy calls, which are short at
-the default block size, so on two cores ``workers=2`` runs at about the
-speed of one worker.
+A guide table per group (Chen & Asau 1974) turns each uniform into its
+outcome index with one gather and one compare, and sends only the few
+uniforms that land where cdf values crowd to ``searchsorted``; the
+indices are ``searchsorted``'s by construction.  Each replicate's scores
+are summed in a fixed order and the kernel reports aggregate integer
+rejection counts, so neither the block size nor the chunking of blocks
+over ``workers`` threads can change a single byte of the output.  Threads
+overlap only inside numpy calls, which are short at the default block
+size, so on two cores ``workers=2`` runs at about the speed of one worker.
 """
 
 from __future__ import annotations
@@ -262,8 +265,42 @@ def _build_groups(sc: Scenario) -> tuple[_Group, ...]:
 # deterministic replication
 # ---------------------------------------------------------------------------
 
+class _GuideTable:
+    """Outcome lookup on one group's cdf by a guide table (Chen & Asau 1974).
+
+    The table splits [0, 1) into G = 2^k equal bins, G about four times the
+    cdf's length and at most 2^14, and holds for bin j the number of cdf
+    values below j/G.  A uniform u in bin j has at least that many below it,
+    and one step forward (``cdf[idx] < u``) gives the exact count whenever
+    the bin holds at most one cdf value.  Uniforms in crowded bins, such as
+    a geometric tail's, are looked up by ``searchsorted`` instead."""
+
+    def __init__(self, cdf: np.ndarray):
+        # cumulative sums can overshoot 1 by an ulp or two; capped, the cdf
+        # is nondecreasing, and no index moves since every u < 1
+        self.cdf = np.minimum(cdf, 1.0)
+        self.bins = 1 << min(14, (4 * self.cdf.size - 1).bit_length())
+        edges = np.searchsorted(self.cdf, np.arange(self.bins + 1) / self.bins)
+        self.table = edges[:-1]
+        crowded = np.diff(edges) > 1
+        self.crowded = crowded if crowded.any() else None
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(cdf, u, side="left")``: the number of cdf values
+        below each u in [0, 1)."""
+        # u * G only shifts the exponent, so the bin index is exact
+        j = (u * self.bins).astype(np.intp)
+        idx = self.table.take(j)
+        idx += self.cdf.take(idx) < u
+        if self.crowded is not None:
+            hard = self.crowded.take(j)
+            if hard.any():
+                idx[hard] = np.searchsorted(self.cdf, u[hard])
+        return idx
+
+
 class _Sampler:
-    """Outcome cdf and test positions of each group, for n tests at one
+    """Outcome lookup and test positions of each group, for n tests at one
     alternative parameter (None for the null)."""
 
     def __init__(self, scenario: Scenario, n: int, alt_param: float | None):
@@ -273,13 +310,14 @@ class _Sampler:
         # each group's tests
         ng = len(scenario._groups)
         self.group_pos = [slice(gi, None, ng) for gi in range(ng)]
-        self.group_cdf = [g.cdf_for(alt_param) for g in scenario._groups]
+        self.group_lookup = [_GuideTable(g.cdf_for(alt_param)) for g in scenario._groups]
 
     def outcomes(self, u: np.ndarray) -> list[np.ndarray]:
         """Outcome index of each group's tests, from uniforms whose last axis
-        holds the n tests (one draw, or a block of replicates' draws)."""
-        return [np.searchsorted(cdf, u[..., pos], side="left")
-                for cdf, pos in zip(self.group_cdf, self.group_pos)]
+        holds the n tests (one draw, or a block of replicates' draws): the
+        number of the group's cdf values below each uniform, read from its
+        guide table."""
+        return [lookup(u[..., pos]) for lookup, pos in zip(self.group_lookup, self.group_pos)]
 
 
 def sample_pvalues(scenario: Scenario, rng: np.random.Generator, n: int,
@@ -467,9 +505,11 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if len(grid) == 0:
         raise ValueError(f"{grid_name} must be nonempty")
-    for n, _ in configs:
+    for n, alt in configs:
         if n < 1:
             raise ValueError(f"the number of tests n must be >= 1, got {n!r}")
+        for g in scenario._groups:
+            g.cdf_for(alt)  # raises on a parameter outside the family's range
     rows = []
     for ci, (n, alt) in enumerate(configs):
         prep = _ConfigPrep(scenario, methods, int(n), alt, alpha)

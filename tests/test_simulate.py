@@ -11,6 +11,7 @@ from pcomb import (LRT_GEOMETRIC, METHODS, adjust, binomial_scenario,
                    scenario_from_json, surrogate, synthetic_scenario,
                    type1_experiment)
 from pcomb import _philox, simulate
+from pcomb.distributions import SUPPORT_CAP
 from pcomb.simulate import BLOCK_ELEMENTS, SYNTHETIC_ATOMS, _geometric_lrt_threshold
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
@@ -140,6 +141,17 @@ class TestExperiments:
             power_experiment(synthetic_scenario("PL"), ["fisher"], [0.1], 10,
                              0.05, 100, seed=0)
 
+    def test_bad_alternative_refused_before_any_configuration_runs(self, monkeypatch):
+        runs = []
+        run_config = simulate._run_config
+        monkeypatch.setattr(simulate, "_run_config",
+                            lambda *args: runs.append(args) or run_config(*args))
+        with pytest.raises(ValueError,
+                           match=r"alternative parameter gives theta=1\.5, outside \[0, 1\]"):
+            power_experiment(binomial_scenario(0.3), METHODS, [0.3, 0.4, 1.5], 100, 0.05,
+                             20000, 1)
+        assert runs == []
+
 
 class TestAlternativeCdfs:
     # the pinned digests hash these cdfs, so they match scipy.stats bit for bit
@@ -160,6 +172,97 @@ class TestAlternativeCdfs:
                 want = stats.geom(p1).cdf(group.outcome_values)
                 want[-1] = 1.0
                 np.testing.assert_array_equal(group.cdf_for(param), want)
+
+
+#: built-in scenarios of every kind, each with alternatives across its
+#: family's range; circular-199 at lambda 0.4, 0.5 and 0.65 and the two-sided
+#: binomial null at 50 trials have cumulative sums that overshoot 1 by an ulp
+#: or two
+BUILTIN_GRIDS = [
+    *[(synthetic_scenario(name), [None]) for name in SYNTHETIC_ATOMS],
+    *[(binomial_scenario(theta0, trials, side), [None, *np.linspace(0.0, 1.0, 21)])
+      for theta0, trials, side in [(0.1, 5, "left"), (0.3, 5, "right"), (0.3, 50, "two"),
+                                   (0.05, 400, "two")]],
+    *[(geometric_scenario(p0, side), [None, *np.linspace(0.05, 0.95, 19)])
+      for p0, side in [(0.5, "right"), (0.5, "left"), (0.3, "two")]],
+    *[(geometric_noniid_scenario(side=side), [None, *np.linspace(-0.15, 0.15, 13)])
+      for side in ("right", "left", "two")],
+    *[(circular_scenario(points), [None, 0.0, 0.005, 0.01, 0.02, 0.1, 0.4, 0.5, 0.65, 1.0,
+                                   2.0, 10.0, 1e3])
+      for points in (11, 51, 199)],
+]
+
+
+def _sampling_cdfs():
+    """(label, raw cdf, the sampler's cdf) of every group of every built-in
+    scenario, at the null and across its alternative grid."""
+    for scenario, grid in BUILTIN_GRIDS:
+        for alt in grid:
+            lookups = simulate._Sampler(scenario, len(scenario._groups), alt).group_lookup
+            for group, lookup in zip(scenario._groups, lookups):
+                yield f"{scenario.name} at {alt}", group.cdf_for(alt), lookup.cdf
+
+
+def _edge_uniforms(cdf):
+    """0, each cdf value below 1 and the double just under each, and a
+    spread of uniforms."""
+    u = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0),
+                        np.random.default_rng(cdf.size).random(2000)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestGuideTable:
+    def test_sampling_cdfs_nondecreasing_and_end_at_one(self):
+        overshoots = set()
+        for label, raw, cdf in _sampling_cdfs():
+            assert np.all(np.diff(cdf) >= 0.0), label
+            assert cdf[-1] == 1.0, label
+            if raw.max() > 1.0:
+                overshoots.add(label)
+        assert {"circular-199 at 0.4", "circular-199 at 0.5", "circular-199 at 0.65",
+                "binomial-theta0.3-two at None"} <= overshoots
+
+    def test_same_indices_as_searchsorted_on_every_scenario_cdf(self):
+        for label, raw, _ in _sampling_cdfs():
+            u = _edge_uniforms(raw)
+            np.testing.assert_array_equal(simulate._GuideTable(raw)(u),
+                                          np.searchsorted(raw, u, side="left"), label)
+
+    @pytest.mark.parametrize("cdf", [
+        # a geometric tail: the top bins hold many cdf values
+        np.append(1.0 - 0.5 ** np.arange(1, 60), 1.0),
+        # a cluster inside one bin, and ties
+        np.array([0.1, 0.3, 0.3 + 1e-12, 0.3 + 2e-12, 0.3 + 3e-12, 0.5, 0.5, 0.5, 0.9, 1.0]),
+        # everything in the first bin
+        np.append(np.linspace(1e-9, 1e-6, 30), 1.0),
+    ])
+    def test_crowded_bins_take_searchsorted(self, cdf):
+        lookup = simulate._GuideTable(cdf)
+        assert lookup.crowded is not None
+        u = _edge_uniforms(cdf)
+        assert lookup.crowded[(u * lookup.bins).astype(np.intp)].any()
+        np.testing.assert_array_equal(lookup(u), np.searchsorted(cdf, u, side="left"))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 31])
+    def test_strided_group_views(self, n):
+        # the non-i.i.d. groups read every third test of a block: strided views
+        scenario = geometric_noniid_scenario(side="two")
+        sampler = simulate._Sampler(scenario, n, 0.05)
+        u = _philox.uniforms(3, 0, 0, 50, n)
+        for block in (u, u[7]):
+            for group, pos, idx in zip(scenario._groups, sampler.group_pos,
+                                       sampler.outcomes(block)):
+                np.testing.assert_array_equal(
+                    idx, np.searchsorted(group.cdf_for(0.05), block[..., pos], side="left"))
+
+    def test_table_bounded_on_the_largest_support(self):
+        # SUPPORT_CAP points is the most a named family builds
+        cdf = np.linspace(1.0 / SUPPORT_CAP, 1.0, SUPPORT_CAP)
+        lookup = simulate._GuideTable(cdf)
+        assert lookup.bins == 1 << 14
+        assert lookup.table.nbytes + lookup.crowded.nbytes <= 144 * 1024
+        u = _edge_uniforms(cdf[::9973])
+        np.testing.assert_array_equal(lookup(u), np.searchsorted(cdf, u, side="left"))
 
 
 class TestLrtThreshold:
