@@ -134,8 +134,14 @@ def adjust_generic(quantile_fn: Callable[[float], float], orientation: str,
 
     ``quantile_fn`` must be strictly increasing on (0, 1) with a finite
     second moment (caller-asserted; non-monotone cell means raise, and so
-    does a cell whose mean is not finite).  Each cell integral is computed
-    to absolute tolerance ``tol``.
+    does a cell whose mean is not finite).  It is called on arrays of
+    nodes, or one float at a time if it takes floats only.  All cells go
+    through one tanh-sinh quadrature (``pcomb._laws``), and each cell mean
+    z_i is refined until its estimated error is at most ``tol`` * max(1,
+    |z_i|), a finite ``tol`` > 0.  A cell that cannot get there raises
+    RuntimeError: next to 1 the doubles leave a sliver no node can reach,
+    so for -2 log(1 - w) at the default ``tol`` a top cell narrower than
+    about 1e-6 fails.
     """
     if orientation not in (ORIENT_P, ORIENT_ONE_MINUS_P):
         raise ValueError(f"orientation must be {ORIENT_P!r} or {ORIENT_ONE_MINUS_P!r}")

@@ -35,8 +35,9 @@ def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> 
     the adjusted statistic's own cells.
 
     ``continuous_quantile`` is either one of the law objects used in this
-    package or a bare quantile callable (integrated by quadrature at
-    absolute cell tolerance 1e-12).
+    package or a bare quantile callable, whose cell integrals go through
+    tanh-sinh quadrature, each to an estimated error of 1e-12 * max(1, m),
+    m the mean of the integrand (z_i - Q(w))^2 over the cell.
     """
     law = continuous_quantile
     if not hasattr(law, "cell_sq_moment"):

@@ -349,16 +349,19 @@ GENERIC_QUANTILES = {
 def test_criterion_7_closed_form_vs_quadrature(random_dists):
     failures = []
     worst_z = worst_nu = 0.0
+    t0 = time.monotonic()
     for d in random_dists:
         for method, (qfun, orient) in GENERIC_QUANTILES.items():
             ref = adjust(method, d)
             gen = adjust_generic(qfun, orient, d)
             worst_z = max(worst_z, float(np.max(np.abs(ref.z - gen.z))))
             worst_nu = max(worst_nu, abs(ref.variance - gen.variance))
+    elapsed = time.monotonic() - t0
     _chk(failures, worst_z <= 1e-9, f"worst z gap {worst_z:.2e}")
     _chk(failures, worst_nu <= 1e-9, f"worst variance gap {worst_nu:.2e}")
-    _finish(7, f"adjust vs adjust_generic on {len(random_dists)}x5 random cases",
-            failures)
+    _chk(failures, elapsed < 10.0, f"took {elapsed:.1f}s (limit 10s)")
+    _finish(7, f"adjust vs adjust_generic on {len(random_dists)}x5 random cases "
+               f"({elapsed:.1f} s)", failures)
 
 
 # --------------------------------------------------------------------------

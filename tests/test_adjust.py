@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from pcomb import (METHODS, adjust, adjust_generic, custom_pvalue_distribution,
                    make_statistic_model, method_spec, pvalue_distribution,
                    synthetic_scenario)
+from pcomb._laws import QuantileLaw
 from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P
 
 from conftest import make_random_dists
@@ -179,6 +182,48 @@ class TestAdjustGeneric:
         message = str(info.value)
         assert "\n" not in message
         assert message.startswith("quantile quadrature failed on cell (0.0, 0.3): ")
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        message = f"tol must be a finite number > 0, got {tol!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            adjust_generic(lambda w: w, ORIENT_P, TWO_ATOM, tol=tol)
+
+    def test_scalar_only_quantiles_are_mapped_over_the_nodes(self):
+        # math.log raises TypeError on an array; the sum turns an array into
+        # one number, the wrong shape; both are called one float at a time
+        scalar_only = {
+            "fisher": (lambda w: -2.0 * math.log1p(-w), ORIENT_ONE_MINUS_P),
+            "george": (lambda w: math.log(w) - math.log1p(-w), ORIENT_P),
+            "stouffer": (lambda w: np.sum(stats.norm.ppf(w)), ORIENT_P),
+        }
+        for d in make_random_dists(4, seed=31, max_atoms=6):
+            for method, (qfun, orient) in scalar_only.items():
+                gen = adjust_generic(qfun, orient, d)
+                ref = adjust(method, d)
+                np.testing.assert_allclose(gen.z, ref.z, rtol=0.0, atol=1e-9)
+                assert gen.variance == pytest.approx(ref.variance, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=st.floats(-6.0, -1.0), top=st.floats(-6.0, -1.0),
+       middle=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_generic_matches_closed_forms_across_the_atom_range(first, top, middle):
+    # atoms as close as 1e-6 to 0 and to 1, no cell narrower than 1e-6
+    lo, hi = 10.0 ** first, 1.0 - 10.0 ** top
+    atoms = np.unique([lo, hi, 1.0, *(lo + (hi - lo) * np.array(middle))])
+    assume(np.min(np.diff(atoms, prepend=0.0)) >= 1e-6)
+    d = custom_pvalue_distribution(atoms, "left")
+    for method, (qfun, orient) in GENERIC.items():
+        gen = adjust_generic(qfun, orient, d)
+        ref = adjust(method, d)
+        assert np.max(np.abs(gen.z - ref.z)) <= 1e-9
+        assert abs(gen.variance - ref.variance) <= 1e-9
+        cells = ref.cells
+        np.testing.assert_allclose(
+            QuantileLaw(qfun).cell_sq_moment(ref.z, cells.lo, cells.hi),
+            method_spec(method).law.cell_sq_moment(ref.z, cells.lo, cells.hi),
+            rtol=1e-9, atol=1e-12)
 
 
 def test_inverse_normal_quantile_contract():

@@ -13,7 +13,8 @@ from scipy import special
 
 from pcomb import (METHODS, FAMILIES, adjust, custom_pvalue_distribution,
                    make_statistic_model, pvalue_distribution, surrogate)
-from pcomb._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw
+from pcomb._laws import (Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw,
+                         _cells_quad)
 from pcomb.cli import run
 
 from conftest import make_random_dists
@@ -150,6 +151,36 @@ def test_quantile_law_cells_match_the_closed_form():
     got = QuantileLaw(special.ndtri).cell_sq_moment(z, c0[keep], c1[keep])
     np.testing.assert_allclose(got, law.cell_sq_moment(z, c0[keep], c1[keep]),
                                rtol=1e-9, atol=1e-11)
+
+
+def test_quadrature_calls_f_once_a_level_on_nodes_inside_the_cells():
+    # cells (0, 1e-300), (1 - 1e-6, 1), one holding a single double
+    # (0.5 + 1 ulp), and (1e-300, 0.5)
+    lo = np.array([0.0, 1.0 - 1e-6, 0.5, 1e-300])
+    hi = np.array([1e-300, 1.0, np.nextafter(np.nextafter(0.5, 1.0), 1.0), 0.5])
+    calls = []
+
+    def f(w, i):
+        calls.append((w.copy(), np.arange(lo.size)[i]))
+        return w
+    means = _cells_quad(f, lo, hi, 1e-12)
+    assert len(calls) == 2  # f(w) = w is done at the first estimate
+    for w, cells in calls:
+        assert w.ndim == 2 and w.shape[0] == cells.size
+        assert np.all((w > lo[cells, None]) & (w < hi[cells, None]))
+    assert means[2] == np.nextafter(0.5, 1.0)
+    np.testing.assert_allclose(means, (lo + hi) / 2.0, rtol=1e-15)
+
+
+def test_quantile_law_zero_width_cells_are_zero():
+    got = QuantileLaw(special.ndtri).cell_sq_moment(0.0, [0.3, 1.0], [0.3, 1.0])
+    assert got.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("lo,hi", [(0.3, 0.3), (0.5, np.nextafter(0.5, 1.0))])
+def test_quadrature_refuses_a_cell_with_no_double_inside(lo, hi):
+    with pytest.raises(ValueError, match="no finite mean on cell"):
+        _cells_quad(lambda w, i: w, np.array([0.0, lo]), np.array([0.1, hi]), 1e-12)
 
 
 def test_gamma_and_normal_tails_below_and_at_support():

@@ -46,6 +46,19 @@ class TestW2DiscreteContinuous:
             adj, lambda w: stats.norm.ppf(w, scale=math.sqrt(adj.variance)))
         assert via_callable == pytest.approx(direct, abs=1e-9)
 
+    def test_scalar_only_quantile_callables(self):
+        # math.log raises TypeError on an array, so the cells fall back to
+        # calling the quantile one float at a time
+        scalar_only = {
+            "pearson": lambda w: -2.0 * math.log1p(-w),
+            "george": lambda w: math.log(w) - math.log1p(-w),
+        }
+        d = custom_pvalue_distribution([0.1, 0.3, 0.55, 0.8, 0.94, 1.0], "left")
+        for method, qfun in scalar_only.items():
+            adj = adjust(method, d)
+            assert w2_discrete_continuous(adj, qfun) == pytest.approx(
+                w2_discrete_continuous(adj, method_spec(method).law), abs=1e-9)
+
     def test_accepts_generic_adjustment(self):
         d = custom_pvalue_distribution([0.1, 0.3, 0.55, 0.8, 0.94, 1.0], "left")
         generic = adjust_generic(stats.norm.ppf, "p", d)
