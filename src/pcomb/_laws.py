@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_ZERO = np.zeros(1)
 
 
 class Cells(NamedTuple):
@@ -42,15 +41,13 @@ class Cells(NamedTuple):
     one_minus_hi: np.ndarray
 
     @classmethod
-    def of_atoms(cls, *atoms: np.ndarray) -> "Cells":
-        """The cells (F_{i-1}, F_i) of p-value distributions laid end to end,
-        each with F_0 = 0."""
-        hi = np.concatenate(atoms)
-        lo = np.concatenate((_ZERO, hi[:-1]))
-        start = 0
-        for a in atoms[:-1]:
-            start += a.size
-            lo[start] = 0.0
+    def of_atoms(cls, hi: np.ndarray, starts: Sequence[int]) -> "Cells":
+        """The cells (F_{i-1}, F_i) of p-value distributions whose atoms are
+        laid end to end in ``hi``; ``starts`` holds the index of each one's
+        first atom, 0 included, whose cell takes F_0 = 0."""
+        lo = np.empty_like(hi)
+        lo[1:] = hi[:-1]
+        lo[starts] = 0.0
         return cls(lo, hi, hi - lo, 1.0 - lo, 1.0 - hi)
 
     def reflected(self) -> "Cells":
@@ -59,10 +56,8 @@ class Cells(NamedTuple):
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = x[pos] * np.log(x[pos])
-    return out
+    """x log x with the limit 0 at x = 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
 def _entropy_increment(cells: Cells) -> np.ndarray:

@@ -107,7 +107,7 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
     """
     atoms = [d.atoms for d in dists]
     bounds = [0, *itertools.accumulate(a.size for a in atoms)]
-    cells = Cells.of_atoms(*atoms)
+    cells = Cells.of_atoms(np.concatenate(atoms), bounds[:-1])
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()
     z, terms = law.cell_means(cells)

@@ -73,9 +73,11 @@ def surrogate(method: str, variances: Sequence[float]) -> SurrogateDist:
     nus = np.asarray(variances, dtype=float)
     if nus.size == 0:
         raise ValueError("variances must be a nonempty sequence")
-    if np.any(nus <= 0.0):
-        raise ValueError("every per-test variance must be positive "
-                         "(degenerate single-atom p-value distribution)")
+    valid = (nus > 0.0) & (nus < math.inf)   # NaN fails both
+    if not valid.all():
+        raise ValueError("every per-test variance must be positive and finite "
+                         "(zero for a degenerate single-atom p-value distribution), "
+                         f"got {float(nus[~valid][0])!r}")
     n = int(nus.size)
     nu_bar = float(nus.mean())
     mu = spec.law.mean
@@ -111,11 +113,11 @@ def _match_atom(dist: DiscretePValueDist, value: float) -> int:
 def _combine_indices(method: str, indices: Sequence[int],
                      dists: Sequence[DiscretePValueDist]) -> CombinedResult:
     spec = method_spec(method)
-    if any(len(d) < 2 for d in dists):
+    if any(d.atoms.size < 2 for d in dists):
         raise ValueError("single-atom p-value distribution has zero "
                          "variance; no surrogate exists")
     _, z, starts, variances = cell_pass(spec.law, spec.orientation, dists)
-    statistic = float(sum(z[[s + i for s, i in zip(starts, indices)]]))
+    statistic = sum(z[[s + i for s, i in zip(starts, indices)]].tolist())
     surr = surrogate(method, variances)
     return CombinedResult(method=method, n=len(dists), statistic=statistic,
                           surrogate=surr, global_p=surr.p_value(statistic),

@@ -100,21 +100,21 @@ class StatisticModel:
         object.__setattr__(self, "pmf", pmf)
         if support.ndim != 1 or pmf.shape != support.shape or support.size == 0:
             raise ValueError("support and pmf must be 1-D arrays of equal, nonzero length")
-        if np.any(np.diff(support) <= 0):
+        if (support[1:] <= support[:-1]).any():
             raise ValueError("support must be strictly increasing")
-        if np.any(pmf <= 0.0):
+        if (pmf <= 0.0).any():
             raise ValueError("pmf masses must be positive (zero-mass outcomes are dropped at build time)")
         if abs(pmf.sum() - 1.0) > ATOM_TOL:
             raise ValueError(f"pmf must sum to 1 within {ATOM_TOL}, got {float(pmf.sum())!r}")
 
     def cdf(self) -> np.ndarray:
         """Cumulative masses, with the final value forced to exactly 1."""
-        F = np.cumsum(self.pmf)
+        F = self.pmf.cumsum()
         F[-1] = 1.0
         return F
 
     def index_of(self, x: int) -> int:
-        i = int(np.searchsorted(self.support, x))
+        i = int(self.support.searchsorted(x))
         if i >= self.support.size or self.support[i] != x:
             raise ValueError(f"observation {x!r} is not in the model support")
         return i
@@ -163,7 +163,7 @@ class DiscretePValueDist:
             raise ValueError(f"the last atom must equal 1 within {ATOM_TOL}, got {float(atoms[-1])!r}")
         atoms[-1] = 1.0  # pin before the monotonicity check so a pinned
         # duplicate at the top is rejected as a zero-mass atom
-        if not np.all(np.diff(atoms) > 0.0):
+        if not (atoms[1:] > atoms[:-1]).all():   # NaN fails too
             raise ValueError("atoms must be strictly increasing (zero-mass atom)")
 
     @property
@@ -296,8 +296,8 @@ def _mode_anchored(ratios: np.ndarray) -> np.ndarray:
     mode = int(np.count_nonzero(ratios > 1.0))
     w = np.empty(ratios.size + 1)
     w[mode] = 1.0
-    w[mode + 1:] = np.cumprod(ratios[mode:])
-    w[:mode] = np.cumprod(1.0 / ratios[:mode][::-1])[::-1]
+    w[mode + 1:] = ratios[mode:].cumprod()
+    w[:mode] = (1.0 / ratios[:mode][::-1]).cumprod()[::-1]
     return w / w.sum()
 
 
@@ -414,7 +414,8 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
 
     # drop outcomes whose probability underflowed to exactly zero
     keep = pmf > 0.0
-    support, pmf = support[keep], pmf[keep]
+    if not keep.all():
+        support, pmf = support[keep], pmf[keep]
     return StatisticModel(family=family, params=params, support=support, pmf=pmf)
 
 
@@ -429,13 +430,13 @@ def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A run between such gaps that spans no more than TIE_RTOL is one
     group; only a wider run, a chain of near ties, is split by walking
     it from each group's first element."""
-    order = np.argsort(pmf, kind="stable")
+    order = pmf.argsort(kind="stable")
     p = pmf[order]
     start = np.empty(p.size, dtype=bool)
     start[0] = True
     np.greater(p[1:] - p[:-1], TIE_RTOL * p[1:], out=start[1:])
-    starts = np.flatnonzero(start)
-    group = np.cumsum(start) - 1
+    starts = start.nonzero()[0]
+    group = start.cumsum() - 1
     chained = p - p[starts[group]] > TIE_RTOL * p
     if chained.any():
         runs = [*starts.tolist(), p.size]
@@ -447,17 +448,19 @@ def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     j += 1
                 start[i] = True
                 i = j
-        starts = np.flatnonzero(start)
-        group = np.cumsum(start) - 1
-    sizes = np.diff(starts, append=p.size)
+        starts = start.nonzero()[0]
+        group = start.cumsum() - 1
+    sizes = np.empty_like(starts)
+    sizes[:-1] = starts[1:] - starts[:-1]
+    sizes[-1] = p.size - starts[-1]
     sums = np.add.reduceat(p, starts)
     # reduceat adds left to right and np.sum pairwise after the first
     # element, so they agree on groups of one or two members only
-    for k in np.flatnonzero(sizes > 2).tolist():
+    for k in (sizes > 2).nonzero()[0].tolist():
         sums[k] = p[starts[k]:starts[k] + sizes[k]].sum()
     outcome_map = np.empty(p.size, dtype=np.int64)
     outcome_map[order] = group
-    atoms = np.cumsum(sums)
+    atoms = sums.cumsum()
     atoms[-1] = 1.0
     return atoms, outcome_map
 
@@ -471,19 +474,21 @@ def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
         atoms = model.cdf()
         outcome_map = np.arange(m)
     elif side == "right":
-        upper = np.cumsum(model.pmf[::-1])[::-1]  # P(X >= x_k)
-        upper[0] = 1.0
-        atoms = upper[::-1].copy()
+        atoms = model.pmf[::-1].cumsum()  # atoms[j] = P(X >= x_{m-1-j})
+        atoms[-1] = 1.0
         outcome_map = (m - 1) - np.arange(m)
-        if atoms[-1] < 1.0 - ATOM_TOL:
-            # the outcome with upper-tail probability one was truncated away
-            atoms = np.append(atoms, 1.0)
     else:
         atoms, outcome_map = _two_sided_grouping(model.pmf)
-    # cumulative rounding can overshoot 1 or repeat a value at double
-    # precision; clip, then let coinciding p-values share one atom
-    atoms, inverse = np.unique(np.minimum(atoms, 1.0), return_inverse=True)
-    outcome_map = inverse[outcome_map]
+    # on every side the atoms are running sums of positive masses, the last
+    # pinned to 1, so once clipped at 1 they never decrease: the values that
+    # rounding repeats or pushes past 1 form runs, and each run shares its
+    # first atom, which is what np.unique would keep
+    atoms = np.minimum(atoms, 1.0)
+    tied = atoms[1:] == atoms[:-1]
+    if tied.any():
+        first = np.concatenate(([True], ~tied))
+        atoms = atoms[first]
+        outcome_map = (first.cumsum() - 1)[outcome_map]
     return DiscretePValueDist(atoms=atoms, side=side, model=model,
                               outcome_map=outcome_map)
 

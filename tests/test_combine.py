@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from scipy import stats
 
 from pcomb import (METHODS, SurrogateDist, adjust, combine, combine_observations,
-                   custom_pvalue_distribution, make_statistic_model,
+                   custom_pvalue_distribution, gene_example, make_statistic_model,
                    pvalue_distribution, surrogate)
 from pcomb._laws import GammaLaw
 from pcomb.distributions import TIE_RTOL, _two_sided_grouping
@@ -59,8 +61,11 @@ class TestSurrogate:
     def test_rejects_bad_variances(self):
         with pytest.raises(ValueError):
             surrogate("fisher", [])
-        with pytest.raises(ValueError):
-            surrogate("fisher", [1.0, 0.0])
+        message = "every per-test variance must be positive and finite"
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            for method in ("fisher", "stouffer"):
+                with pytest.raises(ValueError, match=message):
+                    surrogate(method, [1.0, bad])
 
 
 class TestTailAndQuantile:
@@ -300,3 +305,35 @@ def test_two_sided_grouping_equals_the_loop_bit_for_bit():
     atoms, outcome_map = _two_sided_grouping(chain)
     assert outcome_map.tolist() == [0, 0, 1, 2, 2, 2, 3]
     np.testing.assert_array_equal(atoms, _loop_grouping(chain)[0])
+
+
+#: ``_analyze_digest()`` recorded before the per-call numpy overhead of the
+#: gene path was cut
+ANALYZE_SHA256 = "3a8891d3f1c89fba7703421a89ca0d9ad9df1b56690231c77e07fc388a9a2bb4"
+
+
+def _analyze_digest(seeds=(31, 32), count=8):
+    """sha256 over the whole gene path at full precision: the atoms and
+    outcome map of every distribution, every ``combine_observations`` JSON
+    and atom indices on all sides and methods, and ``gene_example``."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        for gene in _genes(seed, count):
+            models = [make_statistic_model(f, p) for f, p, _ in gene]
+            xs = [x for _, _, x in gene]
+            for side in ("left", "right", "two"):
+                dists = [pvalue_distribution(m, side) for m in models]
+                for d in dists:
+                    h.update(d.atoms.tobytes())
+                    h.update(d.outcome_map.tobytes())
+                for method in METHODS:
+                    res = combine_observations(method, xs, dists)
+                    h.update(json.dumps(res.to_json(), sort_keys=True).encode())
+                    h.update(repr(res.atom_indices).encode())
+    h.update(json.dumps(gene_example().to_json(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_gene_path_outputs_are_pinned_bit_for_bit():
+    # any moved bit of any output changes the digest
+    assert _analyze_digest() == ANALYZE_SHA256

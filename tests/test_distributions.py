@@ -464,3 +464,75 @@ class TestJsonRoundTrip:
         d2 = DiscretePValueDist.from_json(json.loads(json.dumps(d.to_json())))
         assert d2.side == "two"
         np.testing.assert_array_equal(d.atoms, d2.atoms)
+
+
+# ---------------------------------------------------------------------------
+# clipped atoms and merged runs against np.unique on the raw running sums
+# ---------------------------------------------------------------------------
+
+def _unique_reference(model, side):
+    """Atoms and outcome map as ``np.unique`` builds them from each side's
+    raw running sums: clip at 1, then one atom per distinct value."""
+    m = model.pmf.size
+    if side == "left":
+        raw, raw_map = model.cdf(), np.arange(m)
+    elif side == "right":
+        upper = np.cumsum(model.pmf[::-1])[::-1]
+        upper[0] = 1.0
+        raw, raw_map = upper[::-1].copy(), (m - 1) - np.arange(m)
+    else:
+        raw, raw_map = distributions._two_sided_grouping(model.pmf)
+    atoms, inverse = np.unique(np.minimum(raw, 1.0), return_inverse=True)
+    return atoms, inverse[raw_map]
+
+
+def _assert_matches_unique(model):
+    for side in SIDES:
+        d = pvalue_distribution(model, side)
+        atoms, outcome_map = _unique_reference(model, side)
+        np.testing.assert_array_equal(d.atoms, atoms)
+        np.testing.assert_array_equal(d.outcome_map, outcome_map)
+        assert d.outcome_map.dtype == outcome_map.dtype
+
+
+_NAMED = st.one_of(
+    st.builds(lambda n, p: ("binomial", {"trials": n, "prob": p}),
+              st.integers(1, 300), st.floats(0.001, 0.999)),
+    st.builds(lambda r: ("poisson", {"rate": r}), st.floats(0.01, 2000.0)),
+    st.builds(lambda p: ("geometric", {"prob": p}), st.floats(0.001, 0.999)),
+    st.builds(lambda r, p: ("negative-binomial", {"successes": r, "prob": p}),
+              st.integers(1, 20), st.floats(0.05, 0.95)),
+    st.builds(lambda N, k, m: ("hypergeometric",
+                               {"population": N, "successes": min(k, N), "draws": min(m, N)}),
+              st.integers(1, 3000), st.integers(0, 3000), st.integers(1, 200)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(named=_NAMED)
+def test_named_atoms_equal_the_unique_reference(named):
+    _assert_matches_unique(make_statistic_model(*named))
+
+
+@settings(max_examples=150, deadline=None)
+@given(masses=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40),
+       tail=st.lists(st.floats(1e-18, 9e-17), max_size=4))
+def test_custom_atoms_equal_the_unique_reference(masses, tail):
+    # a trailing mass below 1e-16 leaves the running sum repeating or
+    # overshooting 1.0, so runs merge at the top of the left side
+    pmf = np.array(masses) / np.sum(masses)
+    pmf = np.append(pmf, tail)
+    model = make_statistic_model("custom", {"support": np.arange(pmf.size), "pmf": pmf})
+    _assert_matches_unique(model)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("custom", {"support": [0, 1, 2, 3], "pmf": [0.25, 0.75, 1e-17, 5e-17]}),
+    ("poisson", {"rate": 1635.4}),
+])
+def test_atoms_merged_near_one_equal_the_unique_reference(family, params):
+    model = make_statistic_model(family, params)
+    # masses next to 1 leave the left (custom) or right (Poisson) running
+    # sums at 1.0 for several outcomes, which share one atom
+    assert any(len(pvalue_distribution(model, side)) < model.pmf.size for side in SIDES)
+    _assert_matches_unique(model)

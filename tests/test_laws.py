@@ -9,10 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from pcomb import (METHODS, FAMILIES, adjust, custom_pvalue_distribution,
                    make_statistic_model, pvalue_distribution, surrogate)
+from pcomb import _laws
 from pcomb._laws import (Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw,
                          _cells_quad)
 from pcomb.cli import run
@@ -205,6 +208,26 @@ def _xlogx(x):
     return out
 
 
+_XLOGX_EDGES = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0]
+
+
+def _assert_xlogx_is_masked(x):
+    np.testing.assert_array_equal(_laws._xlogx(x).view(np.uint64), _xlogx(x).view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_xlogx_equals_the_masked_form_bit_for_bit(values):
+    _assert_xlogx_is_masked(np.array(_XLOGX_EDGES + values))
+
+
+def test_xlogx_equals_the_masked_form_on_random_values():
+    rng = np.random.default_rng(17)
+    x = np.concatenate((rng.random(200_000), 10.0 ** rng.uniform(-320.0, 0.0, 200_000),
+                        _XLOGX_EDGES))
+    _assert_xlogx_is_masked(x)
+
+
 def _normal_kernel(F):
     out = np.zeros_like(F)
     interior = (F > 0.0) & (F < 1.0)
@@ -283,7 +306,7 @@ def test_cell_means_equal_the_adjust_closed_forms_bit_for_bit(method):
 
 def test_gamma_cell_means_need_shape_one():
     with pytest.raises(ValueError, match="shape 1"):
-        GammaLaw(2.0, 1.0).cell_means(Cells.of_atoms(np.array([0.5, 1.0])))
+        GammaLaw(2.0, 1.0).cell_means(Cells.of_atoms(np.array([0.5, 1.0]), [0]))
 
 
 def test_logistic_variance_is_fixed():
