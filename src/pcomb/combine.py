@@ -117,7 +117,9 @@ def _combine_indices(method: str, indices: Sequence[int],
         raise ValueError("single-atom p-value distribution has zero "
                          "variance; no surrogate exists")
     _, z, starts, variances = cell_pass(spec.law, spec.orientation, dists)
-    statistic = sum(z[[s + i for s, i in zip(starts, indices)]].tolist())
+    statistic = 0.0
+    for v in z[[s + i for s, i in zip(starts, indices)]].tolist():
+        statistic += v   # plain left to right: sum() compensates on 3.12+
     surr = surrogate(method, variances)
     return CombinedResult(method=method, n=len(dists), statistic=statistic,
                           surrogate=surr, global_p=surr.p_value(statistic),

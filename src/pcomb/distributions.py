@@ -396,7 +396,7 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
     elif family == "custom":
         _require("support" in params and "pmf" in params,
                  "custom models need 'support' and 'pmf'")
-        support = np.asarray(params["support"], dtype=np.int64)
+        support = np.array(params["support"], dtype=np.int64)  # a copy: the model must not alias it
         pmf = np.asarray(params["pmf"], dtype=float)
         _require(support.shape == pmf.shape and support.ndim == 1,
                  "support and pmf must be 1-D arrays of equal length")

@@ -141,6 +141,12 @@ class TestMakeStatisticModel:
                                             "pmf": [0.2, 0.3, 0.5 + 3e-10]})
         assert m.pmf.sum() == pytest.approx(1.0, abs=1e-15)
 
+    def test_custom_model_does_not_alias_the_callers_support(self):
+        support = np.array([1, 5, 9], dtype=np.int64)
+        m = make_statistic_model("custom", {"support": support, "pmf": [0.2, 0.3, 0.5]})
+        support[:] = [9, 5, 1]
+        assert m.support.tolist() == [1, 5, 9]
+
     def test_sum_errors_print_plain_floats(self):
         with pytest.raises(ValueError, match=r"custom pmf must sum to 1 within 1e-09, got 0\.8$"):
             make_statistic_model("custom", {"support": [0, 1], "pmf": [0.4, 0.4]})

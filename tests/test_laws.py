@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import special
 
 from pcomb import (METHODS, FAMILIES, adjust, custom_pvalue_distribution,
@@ -211,21 +209,11 @@ def _xlogx(x):
 _XLOGX_EDGES = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0]
 
 
-def _assert_xlogx_is_masked(x):
-    np.testing.assert_array_equal(_laws._xlogx(x).view(np.uint64), _xlogx(x).view(np.uint64))
-
-
-@settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.floats(0.0, 1.0), max_size=40))
-def test_xlogx_equals_the_masked_form_bit_for_bit(values):
-    _assert_xlogx_is_masked(np.array(_XLOGX_EDGES + values))
-
-
 def test_xlogx_equals_the_masked_form_on_random_values():
     rng = np.random.default_rng(17)
     x = np.concatenate((rng.random(200_000), 10.0 ** rng.uniform(-320.0, 0.0, 200_000),
                         _XLOGX_EDGES))
-    _assert_xlogx_is_masked(x)
+    np.testing.assert_array_equal(_laws._xlogx(x).view(np.uint64), _xlogx(x).view(np.uint64))
 
 
 def _normal_kernel(F):
