@@ -4,7 +4,8 @@ replicates at once.
 Row r of ``uniforms(seed, config_index, lo, hi, n)`` is bit for bit
 ``Generator(Philox(key=seed, counter=(config_index << 192) | (r << 64))).random(n)``:
 Philox is counter-based, so the words of every replicate are a pure function
-of (key, counter) and need no generator state.
+of (key, counter) and need no generator state, and words that are constant
+along a replicate or a counter need not be computed at full size.
 """
 
 from __future__ import annotations
@@ -33,13 +34,17 @@ def uniforms(seed: int, config_index: int, lo: int, hi: int, n: int) -> np.ndarr
 
     The b-th counter of replicate r has the words (b + 1, r, 0, config_index);
     each counter gives four words, and a word w gives the double
-    (w >> 11) * 2**-53, as ``Generator.random`` does."""
+    (w >> 11) * 2**-53, as ``Generator.random`` does.  The words are laid
+    out as (counters, replicates): c0 starts as one column, c1 as one row
+    and c2, c3 as 1x1, and the rounds broadcast them to full size, so only
+    15 of the 20 ``_mulhilo`` calls run on the whole block.  The lanes are
+    written as contiguous rows: the result is the transpose of a
+    C-contiguous (n, replicates) array."""
     reps, counters = hi - lo, -(-n // 4)
-    shape = (reps, counters)
-    c0 = np.broadcast_to(np.arange(1, counters + 1, dtype=np.uint64), shape)
-    c1 = np.broadcast_to(np.arange(lo, hi, dtype=np.uint64)[:, None], shape)
-    c2 = np.zeros(shape, dtype=np.uint64)
-    c3 = np.full(shape, config_index, dtype=np.uint64)
+    c0 = np.arange(1, counters + 1, dtype=np.uint64)[:, None]
+    c1 = np.arange(lo, hi, dtype=np.uint64)[None, :]
+    c2 = np.zeros((1, 1), dtype=np.uint64)
+    c3 = np.full((1, 1), config_index, dtype=np.uint64)
     k0, k1 = seed & _MASK64, seed >> 64
     for _ in range(ROUNDS):
         hi0, lo0 = _mulhilo(_M0, c0)
@@ -47,7 +52,7 @@ def uniforms(seed: int, config_index: int, lo: int, hi: int, n: int) -> np.ndarr
         c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
         # key bumps in Python ints, so no numpy scalar can overflow
         k0, k1 = (k0 + _W0) & _MASK64, (k1 + _W1) & _MASK64
-    u = np.empty((reps, counters, 4))
+    u = np.empty((counters, 4, reps))
     for lane, c in enumerate((c0, c1, c2, c3)):
-        np.multiply(c >> np.uint64(11), 2.0 ** -53, out=u[..., lane])
-    return u.reshape(reps, 4 * counters)[:, :n]
+        np.multiply(c >> np.uint64(11), 2.0 ** -53, out=u[:, lane])
+    return u.reshape(4 * counters, reps)[:n].T

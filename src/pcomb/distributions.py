@@ -102,10 +102,14 @@ class StatisticModel:
             raise ValueError("support and pmf must be 1-D arrays of equal, nonzero length")
         if (support[1:] <= support[:-1]).any():
             raise ValueError("support must be strictly increasing")
+        total = float(pmf.sum())
+        # a NaN or infinite mass makes the sum non-finite; only then is it looked for
+        if not math.isfinite(total) and not np.isfinite(pmf).all():
+            raise ValueError(f"pmf masses must be finite, got {reprlib.repr(pmf.tolist())}")
         if (pmf <= 0.0).any():
             raise ValueError("pmf masses must be positive (zero-mass outcomes are dropped at build time)")
-        if abs(pmf.sum() - 1.0) > ATOM_TOL:
-            raise ValueError(f"pmf must sum to 1 within {ATOM_TOL}, got {float(pmf.sum())!r}")
+        if abs(total - 1.0) > ATOM_TOL:
+            raise ValueError(f"pmf must sum to 1 within {ATOM_TOL}, got {total!r}")
 
     def cdf(self) -> np.ndarray:
         """Cumulative masses, with the final value forced to exactly 1."""

@@ -153,6 +153,12 @@ class TestMakeStatisticModel:
         with pytest.raises(ValueError, match=r"pmf must sum to 1 within 1e-12, got 1\.1$"):
             StatisticModel(family="custom", params={}, support=[0, 1], pmf=[0.5, 0.6])
 
+    @pytest.mark.parametrize("pmf,shown", [([math.nan, math.nan], r"\[nan, nan\]"),
+                                           ([math.inf, 0.5], r"\[inf, 0\.5\]")])
+    def test_model_refuses_non_finite_masses(self, pmf, shown):
+        with pytest.raises(ValueError, match=f"^pmf masses must be finite, got {shown}$"):
+            StatisticModel(family="custom", params={}, support=[0, 1], pmf=pmf)
+
     @pytest.mark.parametrize("family,params", [
         ("nosuch", {}),
         ("binomial", {"trials": 0, "prob": 0.5}),

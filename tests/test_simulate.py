@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,13 @@ class TestSamplePValues:
             sample_pvalues(synthetic_scenario("PL"), np.random.default_rng(0), 2,
                            alt_param=0.3)
 
+    @pytest.mark.parametrize("n,message", [(-1, "n must be >= 0, got -1"),
+                                           (2.5, "n must be an integer, got 2.5"),
+                                           (True, "n must be an integer, got True")])
+    def test_bad_n_refused(self, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_pvalues(synthetic_scenario("PL"), np.random.default_rng(0), n)
+
 
 class TestExperiments:
     def test_determinism_across_workers(self):
@@ -151,6 +159,23 @@ class TestExperiments:
             power_experiment(binomial_scenario(0.3), METHODS, [0.3, 0.4, 1.5], 100, 0.05,
                              20000, 1)
         assert runs == []
+
+    @pytest.mark.parametrize("override,message", [
+        ({"n_grid": [5.5]}, "the number of tests n must be an integer, got 5.5"),
+        ({"reps": True}, "reps must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+    ])
+    def test_non_integer_arguments_refused(self, override, message):
+        args = {"n_grid": [5], "reps": 10, "seed": 1, "workers": 1, **override}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            type1_experiment(synthetic_scenario("PC"), ["fisher"], alpha=0.05, **args)
+
+    def test_numpy_integers_accepted(self):
+        sc = synthetic_scenario("PC")
+        a = type1_experiment(sc, ["fisher"], [np.int64(10)], 0.05, np.int32(300),
+                             seed=np.uint64(9), workers=np.int64(2))
+        assert a.to_csv() == type1_experiment(sc, ["fisher"], [10], 0.05, 300, seed=9).to_csv()
 
 
 class TestAlternativeCdfs:
@@ -434,6 +459,25 @@ class TestPhilox:
             for row, rep in zip(u, range(lo, hi)):
                 np.testing.assert_array_equal(row, _stream_uniforms(7, 1, rep, 9))
 
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_single_replicate(self, n):
+        # every counter word stays 1x1 or a single row or column
+        u = _philox.uniforms(3, 2, 17, 18, n)
+        assert u.shape == (1, n)
+        np.testing.assert_array_equal(u[0], _stream_uniforms(3, 2, 17, n))
+
+    def test_largest_seed_and_config_index(self):
+        seed, config_index = 2 ** 128 - 1, 2 ** 64 - 1
+        u = _philox.uniforms(seed, config_index, 5, 9, 7)
+        for row, rep in zip(u, range(5, 9)):
+            np.testing.assert_array_equal(row, _stream_uniforms(seed, config_index, rep, 7))
+
+    @pytest.mark.parametrize("n", [1, 5, 100])
+    def test_tests_by_replicates_layout(self, n):
+        # the kernel's speed rests on this layout: each lane is written as
+        # contiguous rows, and the outcome lookup reads whole rows
+        assert _philox.uniforms(1, 0, 0, 50, n).T.flags.c_contiguous
+
 
 #: SHA-256 of ``to_csv()`` (and of the ``sample_pvalues`` draws), recorded
 #: from the one-replicate-at-a-time kernel, which drew each replicate from a
@@ -567,6 +611,15 @@ class TestPinnedOutput:
             assert _sha256(csv) == PINNED_SHA256[f"{name} seed {PINNED_SEEDS[1]}"]
 
 
+def _assert_block_matches_one_replicate_sums(prep, u):
+    block = simulate._block_scores(prep, prep.outcomes(u))
+    for r in range(len(u)):
+        one = np.zeros(len(prep.method_names))
+        for group_scores, idx in zip(prep.group_scores, prep.outcomes(u[r])):
+            one += group_scores[:, idx].sum(axis=1)
+        np.testing.assert_array_equal(block[:, r], one)
+
+
 class TestKernelScores:
     @pytest.mark.parametrize("scenario,alt,methods", [
         (synthetic_scenario("PS"), None, METHODS),
@@ -580,13 +633,19 @@ class TestKernelScores:
         for subset in (methods, methods[:1], methods[-2:]):
             for n in (1, 2, 9, 100, 129):
                 prep = simulate._ConfigPrep(scenario, subset, n, alt, 0.05)
-                u = _philox.uniforms(11, 0, 0, 20, n)
-                block = simulate._block_scores(prep, prep.outcomes(u))
-                for r in range(len(u)):
-                    one = np.zeros(len(subset))
-                    for group_scores, idx in zip(prep.group_scores, prep.outcomes(u[r])):
-                        one += group_scores[:, idx].sum(axis=1)
-                    np.testing.assert_array_equal(block[:, r], one)
+                _assert_block_matches_one_replicate_sums(prep, _philox.uniforms(11, 0, 0, 20, n))
+
+    def test_full_block_with_crowded_bins(self):
+        # non-i.i.d. geometric tails: strided groups whose guide tables send
+        # some uniforms of the block to searchsorted
+        n = 100
+        u = _philox.uniforms(11, 0, 0, BLOCK_ELEMENTS // n, n)
+        for methods in (METHODS, METHODS[:1]):
+            prep = simulate._ConfigPrep(geometric_noniid_scenario(side="two"), methods, n,
+                                        0.03, 0.05)
+            for lookup, pos in zip(prep.group_lookup, prep.group_pos):
+                assert lookup.crowded.take((u[:, pos] * lookup.bins).astype(np.intp)).any()
+            _assert_block_matches_one_replicate_sums(prep, u)
 
 
 class _RecordingExecutor:
