@@ -463,10 +463,14 @@ def _block_scores(prep: _ConfigPrep, outcomes: list[np.ndarray]) -> np.ndarray:
     pairwise sum runs along the rows of the C-contiguous (replicates, tests)
     gather; a reduction over the outer axis of a C-contiguous (tests,
     replicates) gather adds the tests strictly left to right and writes no
-    full-size output."""
+    full-size output.  A block of one replicate takes that kernel's own
+    gather: numpy would merge away its size-one axis and sum pairwise."""
     scores = np.zeros((prep.thresholds.size, len(outcomes[0])))
     for group_scores, idx in zip(prep.group_scores, outcomes):
         if not idx.size:  # a group can have no tests when n is small
+            continue
+        if len(idx) == 1:
+            scores[:, 0] += group_scores[:, idx[0]].sum(axis=1)
             continue
         if len(group_scores) == 1:
             scores[0] += group_scores[0][idx].sum(axis=-1)

@@ -634,6 +634,11 @@ class TestKernelScores:
             for n in (1, 2, 9, 100, 129):
                 prep = simulate._ConfigPrep(scenario, subset, n, alt, 0.05)
                 _assert_block_matches_one_replicate_sums(prep, _philox.uniforms(11, 0, 0, 20, n))
+                # a block of one replicate: reps == 1, n > BLOCK_ELEMENTS, or
+                # the last block of a run
+                for seed in range(5):
+                    _assert_block_matches_one_replicate_sums(
+                        prep, _philox.uniforms(seed, 0, 0, 1, n))
 
     def test_full_block_with_crowded_bins(self):
         # non-i.i.d. geometric tails: strided groups whose guide tables send
