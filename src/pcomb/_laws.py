@@ -4,12 +4,13 @@ A law with quantile function Q owns two elementwise operations on
 probability cells (c0, c1):
 
 - ``cell_means(cells)``: the means of Q over the cells, which are the
-  adjusted statistic z, and per-cell variance terms; ``cell_variance``
-  turns the terms of the cells of one partition of (0, 1) into Var(Z).
-  The cells may hold several partitions laid end to end, so one call
-  serves every test of a combination;
+  adjusted statistic z, and each cell's share of Var(Z), scaled by the
+  law, so the shares of one partition of (0, 1) sum to its Var(Z).  The
+  cells may hold several partitions laid end to end, so one call serves
+  every test of a combination;
 - ``cell_sq_moment(z, c0, c1)``: the integral over (c0, c1) of
-  (z - Q(w))^2 dw, the quantile-coupling cell of the W2 diagnostics.
+  (z - Q(w))^2 dw, the quantile-coupling cell of the W2 diagnostics,
+  exactly 0 on a cell of zero width.
 
 Both work through exact partial moments on (Q(c0), Q(c1)), with the
 limits x log x -> 0 and phi(Phi^-1(F)) -> 0 at F in {0, 1}, so cells in
@@ -70,21 +71,19 @@ def _tail_entropy_increment(cells: Cells) -> np.ndarray:
     return _xlogx(cells.one_minus_lo) - _xlogx(cells.one_minus_hi)
 
 
-def _cell_arrays(z, c0, c1) -> list[np.ndarray]:
-    return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, c0, c1)))
-
-
-class _ClosedFormCells:
-    """``sd``, and ``cell_sq_moment`` from a law's ``_cells`` formula with
-    zero-width cells pinned to exactly zero."""
+class _CellLaw:
+    """``sd``, and ``cell_sq_moment`` from a law's ``_cells`` formula, run
+    on the cells of positive width; zero-width cells stay exactly zero."""
 
     @property
     def sd(self) -> float:
         return math.sqrt(self.variance)
 
     def cell_sq_moment(self, z, c0, c1) -> np.ndarray:
-        z, c0, c1 = _cell_arrays(z, c0, c1)
-        return np.where(c1 > c0, self._cells(z, c0, c1), 0.0)
+        z, c0, c1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, c0, c1)))
+        out, live = np.zeros(z.shape), c1 > c0
+        out[live] = self._cells(z[live], c0[live], c1[live])
+        return out
 
 
 def _norm_pdf(t: np.ndarray) -> np.ndarray:
@@ -99,7 +98,7 @@ def _norm_pdf_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class NormalLaw(_ClosedFormCells):
+class NormalLaw(_CellLaw):
     mean: float = 0.0
     sd: float = 1.0
     family = "normal"
@@ -120,10 +119,7 @@ class NormalLaw(_ClosedFormCells):
     def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
         # integral of Phi^-1 over a cell is phi(Phi^-1(lo)) - phi(Phi^-1(hi))
         dk = _norm_pdf(special.ndtri(cells.lo)) - _norm_pdf(special.ndtri(cells.hi))
-        return self.mean + self.sd * dk / cells.p, dk * dk / cells.p
-
-    def cell_variance(self, terms: np.ndarray) -> float:
-        return self.sd ** 2 * float(terms.sum())
+        return self.mean + self.sd * dk / cells.p, dk * dk / cells.p * self.sd ** 2
 
     def _cells(self, z, c0, c1):
         # Standardized bounds (ndtri is -inf/+inf at 0/1); c0/c1 are exact
@@ -138,7 +134,7 @@ class NormalLaw(_ClosedFormCells):
 
 
 @dataclass(frozen=True)
-class GammaLaw(_ClosedFormCells):
+class GammaLaw(_CellLaw):
     shape: float
     scale: float
     family = "gamma"
@@ -171,11 +167,8 @@ class GammaLaw(_ClosedFormCells):
             raise ValueError(f"closed-form cell means need gamma shape 1, got {self.shape}")
         s = self.scale
         b = _tail_entropy_increment(cells)
-        return s - s * b / cells.p, b * b / cells.p
-
-    def cell_variance(self, terms: np.ndarray) -> float:
-        s = self.scale
-        return s * s * float(terms.sum())
+        # the scale goes on the finished share: inside the product it moves the rounding
+        return s - s * b / cells.p, b * b / cells.p * (s * s)
 
     def _cells(self, z, c0, c1):
         # Regularized lower incomplete gamma at shape shifted by m turns
@@ -189,7 +182,7 @@ class GammaLaw(_ClosedFormCells):
 
 
 @dataclass(frozen=True)
-class UniformLaw(_ClosedFormCells):
+class UniformLaw(_CellLaw):
     """Uniform(0, 1); the quantile is the identity."""
 
     mean: float = 0.5
@@ -202,11 +195,8 @@ class UniformLaw(_ClosedFormCells):
         return np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
 
     def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
-        return (cells.hi + cells.lo) / 2.0, cells.hi * cells.lo * cells.p
-
-    def cell_variance(self, terms: np.ndarray) -> float:
         # Var(Z) = sum (hi + lo)^2 p / 4 - 1/4 telescopes to sum hi lo p / 4
-        return float(terms.sum() / 4.0)
+        return (cells.hi + cells.lo) / 2.0, cells.hi * cells.lo * cells.p / 4.0
 
     def _cells(self, z, c0, c1):
         return ((z - c0) ** 3 - (z - c1) ** 3) / 3.0
@@ -229,7 +219,7 @@ def _logit_antiderivs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class LogisticLaw(_ClosedFormCells):
+class LogisticLaw(_CellLaw):
     """Standard logistic; mean 0, variance pi^2/3."""
 
     mean: float = 0.0
@@ -250,9 +240,6 @@ class LogisticLaw(_ClosedFormCells):
         z = ((2.0 - 2.0 * b / cells.p) - (2.0 - 2.0 * a / cells.p)) / 2.0
         dh = a - b
         return z, dh * dh / cells.p
-
-    def cell_variance(self, terms: np.ndarray) -> float:
-        return float(terms.sum())
 
     def _cells(self, z, c0, c1):
         a0, b0 = _logit_antiderivs(c0)
@@ -292,13 +279,13 @@ def _cells_quad(f, lo: np.ndarray, hi: np.ndarray, tol) -> np.ndarray:
     nodes.  Cells whose estimate exceeds ``tol`` * max(1, |mean|) (``tol``
     one number or one per cell) go on to the next step.
     """
-    def no_mean(i):
-        return ValueError(f"the quantile has no finite mean on cell "
-                          f"({float(lo[i])!r}, {float(hi[i])!r})")
+    def cell(i):
+        return f"({float(lo[i])!r}, {float(hi[i])!r})"
 
     inside_lo, inside_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
     if np.any(inside_lo >= hi):
-        raise no_mean(np.argmax(inside_lo >= hi))
+        raise ValueError(f"the cell {cell(np.argmax(inside_lo >= hi))} is too narrow "
+                         f"to integrate over: no double lies strictly inside it")
     ends, widths = np.empty((lo.size, 2, 1)), np.empty((lo.size, 2, 1))
     ends[:, 0, 0], ends[:, 1, 0], widths[:, 0, 0], widths[:, 1, 0] = lo, hi, hi - lo, lo - hi
     unreached = np.stack((inside_lo - lo, hi - inside_hi), axis=1) / (2.0 * widths[:, :1, 0])
@@ -312,7 +299,8 @@ def _cells_quad(f, lo: np.ndarray, hi: np.ndarray, tol) -> np.ndarray:
         fw = f(w.reshape(w.shape[0], 2 * d.size), cells)
         finite = np.isfinite(fw).all(axis=1)
         if not finite.all():
-            raise no_mean(index[cells][np.argmin(finite)])
+            raise ValueError(f"the quantile has no finite mean on cell "
+                             f"{cell(index[cells][np.argmin(finite)])}")
         m = fw @ g + mean[cells] / 2.0
         err = np.abs(m - mean[cells])
         mean[cells] = m
@@ -324,16 +312,19 @@ def _cells_quad(f, lo: np.ndarray, hi: np.ndarray, tol) -> np.ndarray:
         cells = index[cells][going]
         if not cells.size:
             return mean
-    raise RuntimeError(f"quantile quadrature failed on cell ({float(lo[cells[0]])!r}, "
-                       f"{float(hi[cells[0]])!r}): estimated error {err[going][0]:.1e} "
-                       f"in the mean at step 1/128")
+    raise RuntimeError(f"quantile quadrature failed on cell {cell(cells[0])}: estimated "
+                       f"error {err[going][0]:.1e} in the mean at step 1/128")
 
 
-class QuantileLaw:
+class QuantileLaw(_CellLaw):
     """Adapter for an arbitrary quantile callable, whose cell integrals go
     through ``_cells_quad``: each cell mean to an estimated error of ``tol``
     * max(1, |mean|), and each ``cell_sq_moment`` integral to ``tol`` *
-    max(1, |m|), m the mean of its integrand over the cell."""
+    max(1, |m|), m the mean of its integrand over the cell.  A cell's share
+    of Var(Z) is p (z - m)^2, m the mass-weighted mean of all the cells
+    given; unlike the mean square less the squared mean, it does not cancel
+    when m is large.  ``adjust_generic``, the only caller of ``cell_means``,
+    passes one distribution: one partition of (0, 1)."""
 
     def __init__(self, quantile_fn: Callable[[float], float], tol: float = 1e-12):
         if not 0.0 < tol < math.inf:
@@ -354,18 +345,8 @@ class QuantileLaw:
 
     def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
         z = _cells_quad(lambda w, _: self._values(w), cells.lo, cells.hi, self._tol)
-        pz = cells.p * z
-        return z, np.array([pz, pz * z])
+        return z, cells.p * (z - (cells.p * z).sum()) ** 2
 
-    def cell_variance(self, terms: np.ndarray) -> float:
-        mean = float(terms[0].sum())
-        return float(terms[1].sum() - mean * mean)
-
-    def cell_sq_moment(self, z, c0, c1) -> np.ndarray:
-        z, c0, c1 = _cell_arrays(z, c0, c1)
-        out = np.zeros(z.shape)
-        live = c1 > c0
-        zl, lo, hi = z[live], c0[live], c1[live]
-        out[live] = (hi - lo) * _cells_quad(lambda w, i: (zl[i, None] - self._values(w)) ** 2,
-                                            lo, hi, self._tol / (hi - lo))
-        return out
+    def _cells(self, z, lo, hi):
+        return (hi - lo) * _cells_quad(lambda w, i: (z[i, None] - self._values(w)) ** 2,
+                                       lo, hi, self._tol / (hi - lo))

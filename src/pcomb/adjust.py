@@ -101,17 +101,17 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
     """Cell means of several distributions in one call of ``law``.
 
     Returns the cells laid end to end, their means z, the index of each
-    distribution's first cell, and each distribution's variance.  Each
-    variance sums its own cells' terms alone: ``np.add.reduceat`` adds in
-    another order than ``np.sum`` and would move the last bits.
+    distribution's first cell, and each distribution's variance: the sum of
+    its own cells' shares of Var(Z), one ``sum`` each, since
+    ``np.add.reduceat`` adds in another order and would move the last bits.
     """
     atoms = [d.atoms for d in dists]
     bounds = [0, *itertools.accumulate(a.size for a in atoms)]
     cells = Cells.of_atoms(np.concatenate(atoms), bounds[:-1])
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()
-    z, terms = law.cell_means(cells)
-    variances = [law.cell_variance(terms[..., a:b]) for a, b in zip(bounds, bounds[1:])]
+    z, shares = law.cell_means(cells)
+    variances = [float(shares[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
     return cells, z, bounds[:-1], variances
 
 
@@ -147,8 +147,14 @@ def adjust_generic(quantile_fn: Callable[[float], float], orientation: str,
         raise ValueError(f"orientation must be {ORIENT_P!r} or {ORIENT_ONE_MINUS_P!r}")
     adjusted = _adjusted("generic", QuantileLaw(quantile_fn, tol), orientation, dist)
     # cell means of a strictly increasing quantile must be strictly
-    # monotone; a violation means the supplied function is not a quantile
-    diffs = np.diff(adjusted.z)
-    if np.any((diffs if orientation == ORIENT_P else -diffs) <= 0.0):
-        raise ValueError("quantile_fn is not strictly increasing on (0, 1)")
+    # monotone; the cells of "1-p" methods run from right to left
+    c, z = adjusted.cells, adjusted.z
+    stalls = np.flatnonzero((np.diff(z) if orientation == ORIENT_P else -np.diff(z)) <= 0.0)
+    if stalls.size:
+        i = stalls[0]
+        a, b = (f"({float(c.lo[j])!r}, {float(c.hi[j])!r}) with mean {float(z[j])!r}"
+                for j in ((i, i + 1) if orientation == ORIENT_P else (i + 1, i)))
+        raise ValueError(f"the cell means of quantile_fn do not increase from cell {a} "
+                         f"to cell {b}: either quantile_fn does not increase there or the "
+                         f"cells are too narrow for doubles to separate their means")
     return adjusted

@@ -160,15 +160,47 @@ class TestAdjustGeneric:
     @pytest.mark.parametrize("atoms,orientation,cell", [
         # the reflected first cell rounds to zero width
         ([1e-17, 0.5, 1.0], ORIENT_ONE_MINUS_P, "(1.0, 1.0)"),
-        # cells touching 1, where -2 log(1 - w) has no finite mean in doubles
+        # cells touching 1 with no double strictly inside
         ([1e-16, 0.5, 1.0], ORIENT_ONE_MINUS_P, "(0.9999999999999999, 1.0)"),
         ([0.5, 1.0 - 1e-16, 1.0], ORIENT_P, "(0.9999999999999999, 1.0)"),
     ])
-    def test_non_finite_cell_mean_names_the_cell(self, atoms, orientation, cell):
+    def test_too_narrow_cell_names_the_cell(self, atoms, orientation, cell):
         d = custom_pvalue_distribution(atoms, "left")
         with np.errstate(divide="ignore"), pytest.raises(ValueError) as info:
             adjust_generic(lambda w: -2.0 * np.log1p(-w), orientation, d)
-        assert str(info.value) == f"the quantile has no finite mean on cell {cell}"
+        assert str(info.value) == (f"the cell {cell} is too narrow to integrate over: "
+                                   f"no double lies strictly inside it")
+
+    def test_non_finite_cell_mean_names_the_cell(self):
+        d = custom_pvalue_distribution([0.3, 0.6, 1.0], "left")
+        with pytest.raises(ValueError) as info:
+            adjust_generic(lambda w: np.where(w < 0.6, w, np.inf), ORIENT_P, d)
+        assert str(info.value) == "the quantile has no finite mean on cell (0.6, 1.0)"
+
+    def test_tied_cell_means_name_both_cells(self):
+        # the first two atoms are the subnormals 1e-323 and 3.5e-323; the
+        # identity increases, but doubles cannot separate the cell means
+        d = pvalue_distribution(make_statistic_model("poisson", {"rate": 2000}), "left")
+        with pytest.raises(ValueError) as info:
+            adjust_generic(lambda w: w, ORIENT_P, d)
+        assert str(info.value) == (
+            "the cell means of quantile_fn do not increase from cell (0.0, 1e-323) with mean "
+            "0.0 to cell (1e-323, 3.5e-323) with mean 0.0: either quantile_fn does not "
+            "increase there or the cells are too narrow for doubles to separate their means")
+
+    def test_cell_with_no_double_inside_is_too_narrow(self):
+        d = pvalue_distribution(make_statistic_model("poisson", {"rate": 2000}), "right")
+        with pytest.raises(ValueError) as info:
+            adjust_generic(lambda w: w, ORIENT_P, d)
+        assert str(info.value) == ("the cell (0.9999999999999996, 0.9999999999999997) is too "
+                                   "narrow to integrate over: no double lies strictly inside it")
+
+    @pytest.mark.parametrize("shift", [0.0, 1e2, 1e4])
+    def test_variance_does_not_move_with_a_shifted_quantile(self, shift):
+        d = pvalue_distribution(make_statistic_model("binomial", {"trials": 20, "prob": 0.3}),
+                                "two")
+        gen = adjust_generic(lambda w: shift + w, ORIENT_P, d)
+        assert gen.variance == pytest.approx(adjust("edgington", d).variance, rel=1e-10, abs=0)
 
     def test_quadrature_failure_prints_plain_floats(self):
         d = custom_pvalue_distribution([0.3, 0.6, 1.0], "left")

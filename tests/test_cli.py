@@ -302,6 +302,18 @@ class TestSimulateValidation:
         assert code == 1
         assert err == "pcomb: error: geometric scenario needs the key 'side'\n"
 
+    @pytest.mark.parametrize("scenario,message", [
+        ({"kind": "binomial", "theta0": 0.3, "trials": 3.7}, "trials must be an integer, got 3.7"),
+        ({"kind": "binomial", "theta0": 1.5}, "theta0 must be in (0, 1), got 1.5"),
+        ({"kind": "geometric-noniid", "p0_set": [], "side": "right"}, "p0_set must be nonempty"),
+    ])
+    def test_bad_scenario_parameter_is_named(self, capsys, tmp_path, scenario, message):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(scenario))
+        code, out, err = invoke(capsys, "simulate", "--scenario", str(sc), "--reps", "10")
+        assert code == 1 and out == ""
+        assert err == f"pcomb: error: {message}\n"
+
 
 _BINOMIAL = {"family": "binomial", "params": {"trials": 5, "prob": 0.5}}
 _MALFORMED = [

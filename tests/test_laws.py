@@ -180,7 +180,8 @@ def test_quantile_law_zero_width_cells_are_zero():
 
 @pytest.mark.parametrize("lo,hi", [(0.3, 0.3), (0.5, np.nextafter(0.5, 1.0))])
 def test_quadrature_refuses_a_cell_with_no_double_inside(lo, hi):
-    with pytest.raises(ValueError, match="no finite mean on cell"):
+    with pytest.raises(ValueError, match=r"^the cell \(.*\) is too narrow to integrate over: "
+                                          r"no double lies strictly inside it$"):
         _cells_quad(lambda w, i: w, np.array([0.0, lo]), np.array([0.1, hi]), 1e-12)
 
 

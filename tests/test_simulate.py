@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -45,11 +46,48 @@ class TestScenarios:
         np.testing.assert_array_equal(sc.group_assignment(7), [0, 1, 2, 0, 1, 2, 0])
 
     def test_json_round_trip(self):
+        alternative = {"synthetic": None, "binomial": 0.4, "geometric": 0.3,
+                       "geometric-noniid": 0.05, "circular": 0.5}
         for sc in (synthetic_scenario("PC"), binomial_scenario(0.1),
                    geometric_scenario(0.5, "right"),
                    geometric_noniid_scenario(side="left"), circular_scenario(11)):
-            again = scenario_from_json(sc.to_json())
+            again = scenario_from_json(json.loads(json.dumps(sc.to_json())))
             assert again.name == sc.name
+            assert again.null_param == sc.null_param and again.params == sc.params
+            assert len(again._groups) == len(sc._groups)
+            for g, h in zip(sc._groups, again._groups):
+                assert g.dist.atoms.tobytes() == h.dist.atoms.tobytes()
+                assert g.null_cdf.tobytes() == h.null_cdf.tobytes()
+                alt = alternative[sc.kind]
+                assert g.cdf_for(alt).tobytes() == h.cdf_for(alt).tobytes()
+                if alt is not None:
+                    assert g.cdf_for(alt).tobytes() != g.null_cdf.tobytes()
+
+    def test_binomial_parameters_checked_when_built(self):
+        assert binomial_scenario(0.3, 5.0).params == {"theta0": 0.3, "trials": 5}
+        for args, message in [((1.5,), "theta0 must be in (0, 1), got 1.5"),
+                              ((0.3, 3.7), "trials must be an integer, got 3.7"),
+                              ((0.3, 0), "trials must be >= 1, got 0")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                binomial_scenario(*args)
+
+    def test_geometric_parameters_checked_when_built(self):
+        for p0 in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match=r"^p0 must be in \(0, 1\), got "):
+                geometric_scenario(p0, "right")
+
+    def test_noniid_parameters_checked_when_built(self):
+        with pytest.raises(ValueError, match="^p0_set must be nonempty$"):
+            geometric_noniid_scenario(())
+        with pytest.raises(ValueError, match=re.escape("p0_set[1] must be in (0, 1), got 1.2")):
+            geometric_noniid_scenario((0.2, 1.2))
+
+    def test_circular_parameters_checked_when_built(self):
+        assert circular_scenario(199.0).params == {"points": 199}
+        for points in (3.7, 1, 10):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"points must be an odd integer >= 3, got {points}")):
+                circular_scenario(points)
 
     def test_unknown_synthetic(self):
         with pytest.raises(ValueError):
