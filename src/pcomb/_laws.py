@@ -191,9 +191,6 @@ class UniformLaw(_CellLaw):
     def quantile(self, w):
         return np.asarray(w, dtype=float)
 
-    def cdf(self, y):
-        return np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
-
     def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
         # Var(Z) = sum (hi + lo)^2 p / 4 - 1/4 telescopes to sum hi lo p / 4
         return (cells.hi + cells.lo) / 2.0, cells.hi * cells.lo * cells.p / 4.0
@@ -228,9 +225,6 @@ class LogisticLaw(_CellLaw):
     def quantile(self, w):
         w = np.asarray(w, dtype=float)
         return np.log(w) - np.log1p(-w)
-
-    def cdf(self, y):
-        return special.expit(np.asarray(y, dtype=float))
 
     def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
         # the half difference of the two chi-square(2) cell means, kept in that

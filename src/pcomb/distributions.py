@@ -223,6 +223,8 @@ def _json_numbers(value, what: str) -> list:
 def _param(params: Mapping, key: str) -> float:
     _require(key in params, f"missing parameter {key!r}")
     try:
+        if isinstance(params[key], (bool, np.bool_)):  # float() would make it 0 or 1
+            raise TypeError
         return float(params[key])
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} must be a finite number, got {reprlib.repr(params[key])}") from None

@@ -11,14 +11,13 @@ rounds mix them.  A guide table per group (Chen & Asau 1974) turns each
 uniform into its outcome index with one gather and one compare, and sends
 only the few uniforms that land where cdf values crowd to
 ``searchsorted``; the indices are ``searchsorted``'s by construction.
-Each replicate's scores are summed in a fixed order (pairwise along the
-tests for one method; for several, a reduction over the tests axis that
-adds them left to right) and the kernel reports aggregate integer
-rejection counts, so neither the block size nor the chunking of blocks
-over ``workers`` threads can change a single byte of the output.  Threads
-overlap only inside numpy calls, which are short at the default block
-size: on two cores the traced ``parallel_speedup`` of ``workers=2`` reads
-0.81-0.93, a little slower than one worker.
+Each replicate's score sums its tests strictly left to right, whatever
+other methods run beside it, and the kernel reports aggregate integer
+rejection counts, so neither the block size, the method set nor the
+chunking of blocks over ``workers`` threads can change a single byte of
+the output.  Threads overlap only inside numpy calls, which are short at
+the default block size: on two cores the traced ``parallel_speedup`` of
+``workers=2`` reads 0.81-0.93, a little slower than one worker.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ import numpy as np
 from . import _genedata, _philox
 from .adjust import METHODS, AdjustedStatistic, adjust
 from .combine import CombinedResult, combine_observations, surrogate
-from .distributions import (DiscretePValueDist, StatisticModel, _as_positive_int,
-                            _as_prob, _binom_cdf, _first, _geom_cdf, _json,
-                            _json_numbers, _nbinom_cdf, _nbinom_sf, _param, _require,
-                            custom_pvalue_distribution, make_statistic_model,
-                            pvalue_distribution)
+from .distributions import (DiscretePValueDist, _as_positive_int, _as_prob, _binom_cdf,
+                            _first, _geom_cdf, _json, _json_numbers, _nbinom_cdf, _nbinom_sf,
+                            _param, _require, custom_pvalue_distribution,
+                            make_statistic_model, pvalue_distribution)
 
 LRT_GEOMETRIC = "lrt-geometric"
 
@@ -71,12 +69,15 @@ SYNTHETIC_ATOMS = {
 @dataclass(frozen=True, eq=False)
 class _Group:
     """One distinct per-test design: a null p-value distribution plus the
-    machinery to sample outcomes under an alternative parameter."""
+    cdf of its outcomes under an alternative parameter."""
 
     dist: DiscretePValueDist
-    outcome_values: np.ndarray      # raw statistic per outcome index
-    null_cdf: np.ndarray
     alt_cdf_fn: object              # callable alt_param -> outcome cdf, or None
+
+    @property
+    def null_cdf(self) -> np.ndarray:
+        """Outcome cdf under the null; model-less outcomes are the atoms."""
+        return self.dist.atoms if self.dist.model is None else self.dist.model.cdf()
 
     @property
     def outcome_atoms(self) -> np.ndarray:
@@ -124,18 +125,12 @@ class Scenario:
         return {"kind": self.kind, **self.params, **side}
 
 
-def _model_group(model: StatisticModel, side: str, alt_cdf) -> _Group:
-    return _Group(dist=pvalue_distribution(model, side), outcome_values=model.support.astype(float),
-                  null_cdf=model.cdf(), alt_cdf_fn=alt_cdf)
-
-
 def synthetic_scenario(name: str) -> Scenario:
     if not isinstance(name, str) or name not in SYNTHETIC_ATOMS:
         raise ValueError(f"unknown synthetic distribution {name!r}; "
                          f"expected one of {tuple(SYNTHETIC_ATOMS)}")
     atoms = SYNTHETIC_ATOMS[name]
-    group = _Group(dist=custom_pvalue_distribution(atoms, "left"),
-                   outcome_values=np.arange(atoms.size), null_cdf=atoms, alt_cdf_fn=None)
+    group = _Group(custom_pvalue_distribution(atoms, "left"), None)
     return Scenario("synthetic", name, None, {"name": name}, None, (group,))
 
 
@@ -154,7 +149,7 @@ def binomial_scenario(theta0: float, trials: int = 5, side: str = "left") -> Sce
 
     return Scenario("binomial", f"binomial-theta{theta0:g}-{side}", side,
                     {"theta0": theta0, "trials": trials}, theta0,
-                    (_model_group(model, side, alt_cdf),))
+                    (_Group(pvalue_distribution(model, side), alt_cdf),))
 
 
 def _geometric_groups(p0s: Sequence[float], side: str, offset: bool) -> tuple[_Group, ...]:
@@ -177,7 +172,7 @@ def _geometric_groups(p0s: Sequence[float], side: str, offset: bool) -> tuple[_G
             F[-1] = 1.0
             return F
 
-        groups.append(_model_group(model, side, alt_cdf))
+        groups.append(_Group(pvalue_distribution(model, side), alt_cdf))
     return tuple(groups)
 
 
@@ -221,8 +216,7 @@ def circular_scenario(points: int) -> Scenario:
         F[-1] = 1.0
         return F
 
-    group = _Group(dist=custom_pvalue_distribution(atoms, "right"),
-                   outcome_values=tvals.astype(float), null_cdf=atoms, alt_cdf_fn=alt_cdf)
+    group = _Group(custom_pvalue_distribution(atoms, "right"), alt_cdf)
     return Scenario("circular", f"circular-{N}", None, {"points": N}, 0.0, (group,))
 
 
@@ -399,7 +393,7 @@ class _ConfigPrep(_Sampler):
                 if scenario.kind != "geometric":
                     raise ValueError(f"{LRT_GEOMETRIC} is only defined for "
                                      f"i.i.d. geometric scenarios, not {scenario.kind!r}")
-                score_rows.append([g.outcome_values for g in groups])
+                score_rows.append([g.dist.model.support.astype(float) for g in groups])
                 t, upper = _geometric_lrt_threshold(scenario, n, alpha)
                 self.thresholds.append(t)
                 self.upper.append(upper)
@@ -411,9 +405,8 @@ class _ConfigPrep(_Sampler):
             self.thresholds.append(surr.quantile(1.0 - alpha if surr.tail == "upper" else alpha))
             self.upper.append(surr.tail == "upper")
 
-        # stack per-group score matrices: one fancy index serves all methods
-        self.group_scores = [np.vstack([score_rows[mi][gi] for mi in range(len(score_rows))])
-                             for gi in range(len(groups))]
+        # each group's score rows, one per method
+        self.group_scores = list(zip(*score_rows))
         self.thresholds = np.asarray(self.thresholds)
         self.upper = np.asarray(self.upper, dtype=bool)
 
@@ -441,28 +434,20 @@ def _block_scores(prep: _ConfigPrep, outcomes: list[np.ndarray]) -> np.ndarray:
     (methods, replicates) array from each group's (replicates, tests)
     outcome indices.
 
-    Every replicate's sum keeps the order of the one-replicate-at-a-time
-    kernel, so no ulp can flip a rejection: groups in turn, and within a
-    group the order in which numpy reduced that kernel's (methods, tests)
-    gather, pairwise for one method and left to right for several.  The
-    pairwise sum runs along the rows of the C-contiguous (replicates, tests)
-    gather; a reduction over the outer axis of a C-contiguous (tests,
-    replicates) gather adds the tests strictly left to right and writes no
-    full-size output.  A block of one replicate takes that kernel's own
-    gather: numpy would merge away its size-one axis and sum pairwise."""
+    Every replicate adds its groups in turn, and within a group its tests
+    strictly left to right: the reduction runs over the outer axis of a
+    C-contiguous (tests, replicates) gather.  numpy merges away the size-one
+    axis of a one-replicate block and would sum pairwise, so that block
+    takes the last running sum instead."""
     scores = np.zeros((prep.thresholds.size, len(outcomes[0])))
     for group_scores, idx in zip(prep.group_scores, outcomes):
         if not idx.size:  # a group can have no tests when n is small
             continue
-        if len(idx) == 1:
-            scores[:, 0] += group_scores[:, idx[0]].sum(axis=1)
-            continue
-        if len(group_scores) == 1:
-            scores[0] += group_scores[0][idx].sum(axis=-1)
-            continue
         idx = np.ascontiguousarray(idx.T)
         for row, total in zip(group_scores, scores):
-            total += np.add.reduce(row[idx], axis=0)
+            gathered = row[idx]
+            total += (gathered.cumsum(axis=0)[-1] if len(total) == 1
+                      else np.add.reduce(gathered, axis=0))
     return scores
 
 
@@ -518,6 +503,8 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if len(grid) == 0:
         raise ValueError(f"{grid_name} must be nonempty")
+    if len(methods) == 0:
+        raise ValueError("methods must name at least one method")
     configs = [(_integer("the number of tests n", n), alt) for n, alt in configs]
     for n, alt in configs:
         if n < 1:
@@ -577,6 +564,7 @@ def exact_convolution(adjusted: AdjustedStatistic, n: int) -> tuple[np.ndarray, 
     Verification oracle; feasible only while the merged support stays
     under ``CONVOLUTION_CAP``.  Support values within 1e-12 relative are
     merged (mass-weighted)."""
+    n = _integer("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     base_v = np.asarray(adjusted.z, dtype=float)

@@ -252,6 +252,7 @@ class TestSimulateValidation:
         (["--workers", "-3"], "workers must be >= 1, got -3"),
         (["--n-grid", "2.5"], "--n-grid: '2.5' is not an integer"),
         (["--mode", "power", "--alt-grid", "x"], "--alt-grid: 'x' is not a number"),
+        (["--methods", ","], "methods must name at least one method"),
     ])
     def test_bad_settings(self, capsys, tmp_path, extra, message):
         sc = tmp_path / "sc.json"
@@ -357,6 +358,9 @@ _MALFORMED = [
      "the circular scenario's 'points' must be finite, got -10000000000000000...0000000000000000000"),
     ("pdist", {"family": "binomial", "params": {"trials": "3.5", "prob": 0.5}},
      "trials must be an integer, got '3.5'"),
+    # float(true) would be a one-trial model
+    ("pdist", {"family": "binomial", "params": {"trials": True, "prob": 0.5}},
+     "trials must be a finite number, got True"),
 ]
 
 

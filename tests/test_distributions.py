@@ -129,6 +129,9 @@ class TestMakeStatisticModel:
          {"population": 50, "successes": 20, "draws": 10, "odds": math.inf},
          "odds must be a positive finite number, got inf"),
         ("binomial", {"trials": math.inf, "prob": 0.5}, "trials must be an integer, got inf"),
+        # float() would take a bool as 0 or 1 and build a one-trial model
+        ("binomial", {"trials": True, "prob": 0.5}, "trials must be a finite number, got True"),
+        ("poisson", {"rate": np.True_}, f"rate must be a finite number, got {np.True_!r}"),
     ])
     def test_non_finite_parameters_rejected(self, family, params, message):
         with warnings.catch_warnings():

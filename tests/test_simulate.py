@@ -67,7 +67,8 @@ class TestScenarios:
         assert binomial_scenario(0.3, 5.0).params == {"theta0": 0.3, "trials": 5}
         for args, message in [((1.5,), "theta0 must be in (0, 1), got 1.5"),
                               ((0.3, 3.7), "trials must be an integer, got 3.7"),
-                              ((0.3, 0), "trials must be >= 1, got 0")]:
+                              ((0.3, 0), "trials must be >= 1, got 0"),
+                              ((0.3, True), "trials must be a finite number, got True")]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 binomial_scenario(*args)
 
@@ -209,6 +210,14 @@ class TestExperiments:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             type1_experiment(synthetic_scenario("PC"), ["fisher"], alpha=0.05, **args)
 
+    @pytest.mark.parametrize("run", [
+        lambda: type1_experiment(synthetic_scenario("PC"), [], [5], 0.05, 10, seed=1),
+        lambda: power_experiment(circular_scenario(11), [], [0.1], 5, 0.05, 10, seed=1),
+    ])
+    def test_empty_method_list_refused(self, run):
+        with pytest.raises(ValueError, match="^methods must name at least one method$"):
+            run()
+
     def test_numpy_integers_accepted(self):
         sc = synthetic_scenario("PC")
         a = type1_experiment(sc, ["fisher"], [np.int64(10)], 0.05, np.int32(300),
@@ -222,7 +231,7 @@ class TestAlternativeCdfs:
     def test_binomial(self, theta0, trials):
         group, = binomial_scenario(theta0, trials, "two")._groups
         for theta in (0.01, theta0, 0.35, 0.9):
-            want = stats.binom(trials, theta).cdf(group.outcome_values)
+            want = stats.binom(trials, theta).cdf(group.dist.model.support)
             want[-1] = 1.0  # the support may end before trials: zero masses dropped
             np.testing.assert_array_equal(group.cdf_for(theta), want)
 
@@ -232,7 +241,7 @@ class TestAlternativeCdfs:
         for group, p0 in zip(scenario._groups, scenario.params.get("p0_set", [0.3])):
             for param in (0.02, 0.1, 0.15):
                 p1 = p0 + param if scenario.kind == "geometric-noniid" else param
-                want = stats.geom(p1).cdf(group.outcome_values)
+                want = stats.geom(p1).cdf(group.dist.model.support)
                 want[-1] = 1.0
                 np.testing.assert_array_equal(group.cdf_for(param), want)
 
@@ -406,6 +415,12 @@ class TestExactConvolution:
             values, masses = exact_convolution(adj, n)
             assert masses.sum() == pytest.approx(1.0, abs=1e-12)
             assert float(values @ masses) == pytest.approx(2.0 * n, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_non_integer_n_refused(self, n):
+        adj = adjust("edgington", TWO_ATOM)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n must be an integer, got {n!r}')}$"):
+            exact_convolution(adj, n)
 
     def test_support_cap(self):
         atoms = np.append(np.linspace(1e-4, 0.9999, 600), 1.0)
@@ -649,13 +664,18 @@ class TestPinnedOutput:
             assert _sha256(csv) == PINNED_SHA256[f"{name} seed {PINNED_SEEDS[1]}"]
 
 
-def _assert_block_matches_one_replicate_sums(prep, u):
+def _assert_block_matches_left_to_right_sums(prep, u):
     block = simulate._block_scores(prep, prep.outcomes(u))
     for r in range(len(u)):
-        one = np.zeros(len(prep.method_names))
-        for group_scores, idx in zip(prep.group_scores, prep.outcomes(u[r])):
-            one += group_scores[:, idx].sum(axis=1)
-        np.testing.assert_array_equal(block[:, r], one)
+        outcomes = prep.outcomes(u[r])
+        for mi in range(len(prep.method_names)):
+            total = 0.0
+            for group_scores, idx in zip(prep.group_scores, outcomes):
+                group_sum = 0.0
+                for score in group_scores[mi][idx].tolist():
+                    group_sum += score
+                total += group_sum
+            assert block[mi, r] == total, (prep.method_names[mi], r)
 
 
 class TestKernelScores:
@@ -666,16 +686,15 @@ class TestKernelScores:
         (geometric_noniid_scenario(side="two"), 0.03, METHODS),
         (circular_scenario(51), 0.02, METHODS),
     ])
-    def test_bit_identical_to_one_replicate_sums(self, scenario, alt, methods):
-        # one method sums a group's tests pairwise, several left to right
+    def test_bit_identical_to_left_to_right_sums(self, scenario, alt, methods):
         for subset in (methods, methods[:1], methods[-2:]):
             for n in (1, 2, 9, 100, 129):
                 prep = simulate._ConfigPrep(scenario, subset, n, alt, 0.05)
-                _assert_block_matches_one_replicate_sums(prep, _philox.uniforms(11, 0, 0, 20, n))
+                _assert_block_matches_left_to_right_sums(prep, _philox.uniforms(11, 0, 0, 20, n))
                 # a block of one replicate: reps == 1, n > BLOCK_ELEMENTS, or
                 # the last block of a run
                 for seed in range(5):
-                    _assert_block_matches_one_replicate_sums(
+                    _assert_block_matches_left_to_right_sums(
                         prep, _philox.uniforms(seed, 0, 0, 1, n))
 
     def test_full_block_with_crowded_bins(self):
@@ -688,7 +707,44 @@ class TestKernelScores:
                                         0.03, 0.05)
             for lookup, pos in zip(prep.group_lookup, prep.group_pos):
                 assert lookup.crowded.take((u[:, pos] * lookup.bins).astype(np.intp)).any()
-            _assert_block_matches_one_replicate_sums(prep, u)
+            _assert_block_matches_left_to_right_sums(prep, u)
+
+
+#: scenarios at an alternative, with every method each accepts
+ALONE_OR_BESIDE = [
+    (binomial_scenario(0.3, 50, "two"), 0.35, METHODS),
+    (geometric_scenario(0.3, "right"), 0.25, [*METHODS, LRT_GEOMETRIC]),
+    (geometric_noniid_scenario(side="two"), 0.03, METHODS),
+    (circular_scenario(51), 0.02, METHODS),
+]
+
+
+class TestMethodSetIndependence:
+    """A method's scores, and so its rejection counts, do not depend on
+    which other methods run beside it, at any block size."""
+
+    @pytest.mark.parametrize("block_elements", [1, 64, 1000, BLOCK_ELEMENTS])
+    def test_each_method_alone_as_beside_the_others(self, monkeypatch, block_elements):
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", block_elements)
+        reps = 60
+        for scenario, alt, methods in ALONE_OR_BESIDE:
+            for n in (1, 9, 100):
+                # the blocks of a run, as _run_config draws them
+                block = max(1, block_elements // n)
+                uniforms = [_philox.uniforms(3, 0, b0, min(b0 + block, reps), n)
+                            for b0 in range(0, reps, block)]
+                beside = simulate._ConfigPrep(scenario, methods, n, alt, 0.05)
+                scores = [simulate._block_scores(beside, beside.outcomes(u)) for u in uniforms]
+                for mi, method in enumerate(methods):
+                    alone = simulate._ConfigPrep(scenario, [method], n, alt, 0.05)
+                    for u, together in zip(uniforms, scores):
+                        one = simulate._block_scores(alone, alone.outcomes(u))
+                        assert one[0].tobytes() == together[mi].tobytes(), (scenario.name, n)
+            csv = power_experiment(scenario, methods, [alt], 9, 0.05, reps, seed=3).to_csv()
+            for method in methods:
+                alone = power_experiment(scenario, [method], [alt], 9, 0.05, reps, seed=3)
+                assert alone.to_csv().splitlines()[1:] == \
+                    [line for line in csv.splitlines() if line.split(",")[1] == method]
 
 
 class _RecordingExecutor:
