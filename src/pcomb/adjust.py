@@ -71,8 +71,8 @@ class AdjustedStatistic:
     (1 - F_i, 1 - F_{i-1}) for "1-p" methods, so z[i] and cells[i] are
     already paired in quantile-coupling order.  ``variance`` is the
     per-term variance used to build the surrogate null.  A single-atom
-    source is allowed here (variance 0) and flagged via ``is_degenerate``
-    so downstream surrogates can reject it.
+    source is allowed here (variance 0, ``is_degenerate``); ``surrogate``
+    refuses it.
     """
 
     method: str

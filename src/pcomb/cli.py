@@ -44,6 +44,13 @@ def _emit_json(args, obj) -> None:
     _emit(args, json.dumps(obj, indent=2) + "\n")
 
 
+def _emit_report(args, report) -> None:
+    if args.format == "json":
+        _emit_json(args, report.to_json())
+    else:
+        _emit(args, report.to_csv())
+
+
 def _numbers(text: str, kind: type, name: str) -> list:
     """The comma- or space-separated entries of ``text`` as ``kind`` (int or
     float); an entry that does not convert is an error naming ``name``, the
@@ -177,11 +184,7 @@ def _cmd_combine(args) -> None:
 
 def _cmd_metrics(args) -> None:
     dists = [DiscretePValueDist.from_json(_read_json(p)) for p in args.pdist]
-    report = rank_methods(dists if len(dists) > 1 else dists[0])
-    if args.format == "json":
-        _emit_json(args, report.to_json())
-    else:
-        _emit(args, report.to_csv())
+    _emit_report(args, rank_methods(dists if len(dists) > 1 else dists[0]))
 
 
 def _cmd_simulate(args) -> None:
@@ -202,23 +205,11 @@ def _cmd_simulate(args) -> None:
             raise ValueError("power mode needs --alt-grid")
         report = power_experiment(scenario, methods, _numbers(args.alt_grid, float, "--alt-grid"),
                                   args.n, args.alpha, args.reps, seed, args.workers)
-    if args.format == "json":
-        _emit_json(args, {"seed": report.seed, "generator": report.generator,
-                          "rows": [dict(scenario=r.scenario, method=r.method, n=r.n,
-                                        alt_param=r.alt_param, alpha=r.alpha,
-                                        reps=r.reps, rejections=r.rejections,
-                                        proportion=r.proportion, mc_se=r.mc_se)
-                                   for r in report.rows]})
-    else:
-        _emit(args, report.to_csv())
+    _emit_report(args, report)
 
 
 def _cmd_example(args) -> None:
-    report = gene_example()
-    if args.format == "json":
-        _emit_json(args, report.to_json())
-    else:
-        _emit(args, report.to_csv())
+    _emit_report(args, gene_example())
 
 
 _DISPATCH = {"pdist": _cmd_pdist, "adjust": _cmd_adjust, "combine": _cmd_combine,

@@ -31,26 +31,16 @@ ATOM_MATCH_RTOL = 1e-9
 @dataclass(frozen=True)
 class SurrogateDist:
     """Parametric null for the sum of n adjusted terms: a Gamma or Normal
-    law, and the rejection ``tail`` of the method that produced it."""
+    ``law``, which holds its moments, cdf and sf, and the rejection
+    ``tail`` of the method that produced it."""
 
     law: _laws.GammaLaw | _laws.NormalLaw
     n: int
     tail: str
 
-    @property
-    def moments(self) -> tuple[float, float]:
-        """(mean, variance), exact from the parameters."""
-        return self.law.mean, self.law.variance
-
-    def cdf(self, s: float) -> float:
-        return float(self.law.cdf(s))
-
-    def sf(self, s: float) -> float:
-        return float(self.law.sf(s))
-
     def p_value(self, s: float) -> float:
         """Global p-value of an observed sum under the rejection tail."""
-        return self.sf(s) if self.tail == "upper" else self.cdf(s)
+        return float(self.law.sf(s) if self.tail == "upper" else self.law.cdf(s))
 
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
@@ -75,9 +65,10 @@ def surrogate(method: str, variances: Sequence[float]) -> SurrogateDist:
         raise ValueError("variances must be a nonempty sequence")
     valid = (nus > 0.0) & (nus < math.inf)   # NaN fails both
     if not valid.all():
-        raise ValueError("every per-test variance must be positive and finite "
-                         "(zero for a degenerate single-atom p-value distribution), "
-                         f"got {float(nus[~valid][0])!r}")
+        bad = float(nus[~valid][0])
+        raise ValueError(f"every per-test variance must be positive and finite, got {bad!r}"
+                         + (" (a single-atom p-value distribution has zero variance)"
+                            if bad == 0.0 else ""))
     n = int(nus.size)
     nu_bar = float(nus.mean())
     mu = spec.law.mean
@@ -105,7 +96,8 @@ class CombinedResult:
 def _match_atom(dist: DiscretePValueDist, value: float) -> int:
     atoms = dist.atoms
     i = int(np.argmin(np.abs(atoms - value)))
-    if abs(atoms[i] - value) > ATOM_MATCH_RTOL * max(abs(value), atoms[i]):
+    # NaN fails the first comparison, and an infinite value the second
+    if not abs(atoms[i] - value) <= ATOM_MATCH_RTOL * max(abs(value), atoms[i]) < math.inf:
         raise ValueError(f"p-value {value!r} matches no atom of the distribution")
     return i
 
@@ -113,9 +105,6 @@ def _match_atom(dist: DiscretePValueDist, value: float) -> int:
 def _combine_indices(method: str, indices: Sequence[int],
                      dists: Sequence[DiscretePValueDist]) -> CombinedResult:
     spec = method_spec(method)
-    if any(d.atoms.size < 2 for d in dists):
-        raise ValueError("single-atom p-value distribution has zero "
-                         "variance; no surrogate exists")
     _, z, starts, variances = cell_pass(spec.law, spec.orientation, dists)
     statistic = 0.0
     for v in z[[s + i for s, i in zip(starts, indices)]].tolist():

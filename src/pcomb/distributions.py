@@ -94,7 +94,12 @@ class StatisticModel:
     pmf: np.ndarray
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.int64)
+        support = np.asarray(self.support)
+        if support.dtype != np.int64:  # the cast would truncate 1.5 and wrap 1e30
+            for v in support.ravel().tolist():
+                _require(type(v) in (int, float) and -2 ** 63 <= v < 2 ** 63 and v == math.floor(v),
+                         f"support entries must be 64-bit integers, got {v!r}")
+            support = support.astype(np.int64)
         pmf = np.asarray(self.pmf, dtype=float)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "pmf", pmf)
@@ -118,6 +123,8 @@ class StatisticModel:
         return F
 
     def index_of(self, x: int) -> int:
+        if isinstance(x, (bool, np.bool_)):  # searchsorted would take True as 1
+            raise ValueError(f"an observation must be a number, got {x!r}")
         i = int(self.support.searchsorted(x))
         if i >= self.support.size or self.support[i] != x:
             raise ValueError(f"observation {x!r} is not in the model support")
@@ -402,7 +409,7 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
     elif family == "custom":
         _require("support" in params and "pmf" in params,
                  "custom models need 'support' and 'pmf'")
-        support = np.array(params["support"], dtype=np.int64)  # a copy: the model must not alias it
+        support = np.array(params["support"])  # a copy: the model must not alias it
         pmf = np.asarray(params["pmf"], dtype=float)
         _require(support.shape == pmf.shape and support.ndim == 1,
                  "support and pmf must be 1-D arrays of equal length")

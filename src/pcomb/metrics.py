@@ -51,10 +51,8 @@ def w2_to_continuous_transform(method: str, dist: DiscretePValueDist) -> float:
 
 
 def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
-    """Coupling cells of an adjusted statistic against its per-term surrogate."""
-    if adjusted.is_degenerate:
-        raise ValueError("diagnostics need at least two atoms; "
-                         "a single-atom distribution is degenerate")
+    """Coupling cells of an adjusted statistic against its per-term
+    surrogate, which ``surrogate`` refuses for a single-atom distribution."""
     law = surrogate(method, [adjusted.variance]).law
     return law.cell_sq_moment(adjusted.z, adjusted.cells.lo, adjusted.cells.hi)
 

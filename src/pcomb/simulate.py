@@ -22,6 +22,7 @@ the default block size: on two cores the traced ``parallel_speedup`` of
 
 from __future__ import annotations
 
+import inspect
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -220,30 +221,35 @@ def circular_scenario(points: int) -> Scenario:
     return Scenario("circular", f"circular-{N}", None, {"points": N}, 0.0, (group,))
 
 
+_SCENARIO_KINDS = {"synthetic": synthetic_scenario, "binomial": binomial_scenario,
+                   "geometric": geometric_scenario, "circular": circular_scenario,
+                   "geometric-noniid": geometric_noniid_scenario}
+
+
 def scenario_from_json(obj: Mapping) -> Scenario:
-    kind = _json(obj, "object", "a scenario").get("kind")
-
-    def number(key, *default):
-        return _json(obj.get(key, *default) if default else obj[key], "number",
-                     f"the {kind} scenario's {key!r}")
-
-    try:
-        if kind == "synthetic":
-            return synthetic_scenario(obj["name"])
-        if kind == "binomial":
-            return binomial_scenario(number("theta0"), number("trials", 5),
-                                     obj.get("side", "left"))
-        if kind == "geometric":
-            return geometric_scenario(number("p0"), obj["side"])
-        if kind == "geometric-noniid":
-            p0_set = _json_numbers(obj.get("p0_set", (0.2, 0.5, 0.8)),
-                                   f"the {kind} scenario's 'p0_set'")
-            return geometric_noniid_scenario(p0_set, obj["side"])
-        if kind == "circular":
-            return circular_scenario(number("points"))
-    except KeyError as exc:
-        raise ValueError(f"{kind} scenario needs the key {exc.args[0]!r}") from None
-    raise ValueError(f"unknown scenario kind {kind!r}")
+    """The scenario built by the constructor ``kind`` names, from the other
+    keys; a key left out takes the constructor's default.  The constructors
+    check the strings ``name`` and ``side``; the rest must be JSON numbers."""
+    obj = _json(obj, "object", "a scenario")
+    kind = obj.get("kind")
+    build = _SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
+    _require(build is not None, f"unknown scenario kind {kind!r}")
+    params = inspect.signature(build).parameters
+    args = {}
+    for key, value in obj.items():
+        if key == "kind":
+            continue
+        _require(key in params, f"the {kind} scenario takes no key {key!r}")
+        what = f"the {kind} scenario's {key!r}"
+        if key == "p0_set":
+            value = _json_numbers(value, what)
+        elif key not in ("name", "side"):
+            value = _json(value, "number", what)
+        args[key] = value
+    for key, param in params.items():
+        _require(key in args or param.default is not param.empty,
+                 f"{kind} scenario needs the key {key!r}")
+    return build(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +373,10 @@ class ExperimentReport:
                 return r.proportion
         raise KeyError((method, n, alt_param))
 
+    def to_json(self) -> dict:
+        rows = [{**vars(r), "proportion": r.proportion, "mc_se": r.mc_se} for r in self.rows]
+        return {"seed": self.seed, "generator": self.generator, "rows": rows}
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("scenario,method,n,alt_param,alpha,reps,rejections,proportion,mc_se,seed\n")
@@ -379,7 +389,9 @@ class ExperimentReport:
 
 
 class _ConfigPrep(_Sampler):
-    """Per-configuration sampling tables and rejection thresholds."""
+    """Per-configuration sampling tables and rejection thresholds.  A lower-tail
+    method's score rows and threshold are stored negated, so every method rejects
+    on ``>=``; negation commutes with rounding, so the negated sums are -S exactly."""
 
     def __init__(self, scenario: Scenario, methods: Sequence[str], n: int,
                  alt_param: float | None, alpha: float):
@@ -387,28 +399,27 @@ class _ConfigPrep(_Sampler):
         groups = scenario._groups
         self.method_names = list(methods)
 
-        score_rows, self.thresholds, self.upper = [], [], []
+        score_rows, thresholds = [], []
         for name in self.method_names:
             if name == LRT_GEOMETRIC:
                 if scenario.kind != "geometric":
                     raise ValueError(f"{LRT_GEOMETRIC} is only defined for "
                                      f"i.i.d. geometric scenarios, not {scenario.kind!r}")
-                score_rows.append([g.dist.model.support.astype(float) for g in groups])
+                rows = [g.dist.model.support.astype(float) for g in groups]
                 t, upper = _geometric_lrt_threshold(scenario, n, alpha)
-                self.thresholds.append(t)
-                self.upper.append(upper)
-                continue
-            adjusted = [adjust(name, g.dist) for g in groups]
-            # z looked up directly by outcome index
-            score_rows.append([adj.z[g.outcome_atoms] for adj, g in zip(adjusted, groups)])
-            surr = surrogate(name, [adjusted[gi].variance for gi in self.assign])
-            self.thresholds.append(surr.quantile(1.0 - alpha if surr.tail == "upper" else alpha))
-            self.upper.append(surr.tail == "upper")
+            else:
+                adjusted = [adjust(name, g.dist) for g in groups]
+                # z looked up directly by outcome index
+                rows = [adj.z[g.outcome_atoms] for adj, g in zip(adjusted, groups)]
+                surr = surrogate(name, [adjusted[gi].variance for gi in self.assign])
+                upper = surr.tail == "upper"
+                t = surr.quantile(1.0 - alpha if upper else alpha)
+            score_rows.append(rows if upper else [-row for row in rows])
+            thresholds.append(t if upper else -t)
 
         # each group's score rows, one per method
         self.group_scores = list(zip(*score_rows))
-        self.thresholds = np.asarray(self.thresholds)
-        self.upper = np.asarray(self.upper, dtype=bool)
+        self.thresholds = np.asarray(thresholds)
 
 
 def _geometric_lrt_threshold(scenario: Scenario, n: int, alpha: float) -> tuple[float, bool]:
@@ -430,9 +441,9 @@ def _geometric_lrt_threshold(scenario: Scenario, n: int, alpha: float) -> tuple[
 
 
 def _block_scores(prep: _ConfigPrep, outcomes: list[np.ndarray]) -> np.ndarray:
-    """Each method's combined statistic for a block of replicates, a
-    (methods, replicates) array from each group's (replicates, tests)
-    outcome indices.
+    """Each method's signed statistic (S, or -S for a lower-tail method)
+    for a block of replicates, a (methods, replicates) array from each
+    group's (replicates, tests) outcome indices.
 
     Every replicate adds its groups in turn, and within a group its tests
     strictly left to right: the reduction runs over the outer axis of a
@@ -455,7 +466,7 @@ def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
                 workers: int) -> np.ndarray:
     nm = prep.thresholds.size
     block = max(1, BLOCK_ELEMENTS // prep.n)
-    thresholds, upper = prep.thresholds[:, None], prep.upper[:, None]
+    thresholds = prep.thresholds[:, None]
 
     def chunk(lo: int, hi: int) -> np.ndarray:
         counts = np.zeros(nm, dtype=np.int64)
@@ -464,7 +475,7 @@ def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
             # the uniforms are freed once the outcomes are drawn
             scores = _block_scores(prep, prep.outcomes(
                 _philox.uniforms(seed, config_index, b0, b1, prep.n)))
-            counts += np.where(upper, scores >= thresholds, scores <= thresholds).sum(axis=1)
+            counts += (scores >= thresholds).sum(axis=1)
         return counts
 
     # chunks start on block boundaries, so a run never has more threads

@@ -88,6 +88,7 @@ class TestPdist:
          "--support: '1.5' is not an integer"),
         (["--family", "custom", "--support", "0,1", "--pmf", "0.5,x"],
          "--pmf: 'x' is not a number"),
+        (["--family", "custom", "--pmf", "1"], "custom family needs --support and --pmf"),
     ])
     def test_bad_list_flag_names_the_flag(self, capsys, args, message):
         code, out, err = invoke(capsys, "pdist", *args, "--side", "left")
@@ -231,6 +232,47 @@ class TestSimulateAndExample:
         assert code == 0
         assert len(json.loads(out)) == 30
 
+    @staticmethod
+    def _csv_and_json(capsys, tmp_path, argv):
+        """The command's CSV and JSON outputs, with {sc}, {a} and {b} in argv
+        naming a geometric scenario and two p-value distribution files."""
+        paths = {"sc": tmp_path / "sc.json", "a": tmp_path / "a.json", "b": tmp_path / "b.json"}
+        paths["sc"].write_text(json.dumps({"kind": "geometric", "p0": 0.5, "side": "right"}))
+        paths["a"].write_text(json.dumps({"side": "left", "F": [0.2, 0.5, 1.0]}))
+        paths["b"].write_text(json.dumps({"side": "left", "F": [0.1, 0.35, 0.6, 1.0]}))
+        argv = [arg.format(**paths) for arg in argv]
+        code, csv, _ = invoke(capsys, *argv)
+        assert code == 0
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        return csv.splitlines()[1:], json.loads(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "{sc}", "--mode", "power", "--alt-grid", "0.4,0.5",
+         "--n", "12", "--reps", "200", "--seed", "4",
+         "--methods", "fisher,pearson,george,stouffer,edgington,lrt-geometric"],
+        ["simulate", "--scenario", "{sc}", "--n-grid", "3,7", "--reps", "200", "--seed", "4",
+         "--workers", "2"],
+    ])
+    def test_simulate_json_rows_agree_with_csv(self, capsys, tmp_path, argv):
+        lines, obj = self._csv_and_json(capsys, tmp_path, argv)
+        assert list(obj) == ["seed", "generator", "rows"]
+        assert (obj["seed"], obj["generator"]) == (4, "philox")
+        keys = ["scenario", "method", "n", "alt_param", "alpha", "reps", "rejections",
+                "proportion", "mc_se"]
+        assert [list(r) for r in obj["rows"]] == [keys] * len(lines)
+        assert lines == [f"{r['scenario']},{r['method']},{r['n']},{r['alt_param']:.10g},"
+                         f"{r['alpha']:.10g},{r['reps']},{r['rejections']},"
+                         f"{r['proportion']:.6f},{r['mc_se']:.6f},4" for r in obj["rows"]]
+
+    @pytest.mark.parametrize("files", [["{a}"], ["{a}", "{b}"]])
+    def test_metrics_json_rows_agree_with_csv(self, capsys, tmp_path, files):
+        lines, obj = self._csv_and_json(capsys, tmp_path, ["metrics", "--pdist", *files])
+        assert lines == [f"{r['method']},{r['variance']:.6f},{r['ratio']:.6f},"
+                         f"{r['scaled_w2']:.6f},{r['w2_to_y']:.6f},{r['lower_bound']:.6f}"
+                         for r in obj["methods"]]
+        assert obj["recommended_by_ratio"] in [r["method"] for r in obj["methods"]]
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.csv"
         code, out, _ = invoke(capsys, "example", "gene", "--out", str(dest))
@@ -253,6 +295,7 @@ class TestSimulateValidation:
         (["--n-grid", "2.5"], "--n-grid: '2.5' is not an integer"),
         (["--mode", "power", "--alt-grid", "x"], "--alt-grid: 'x' is not a number"),
         (["--methods", ","], "methods must name at least one method"),
+        (["--mode", "power"], "power mode needs --alt-grid"),
     ])
     def test_bad_settings(self, capsys, tmp_path, extra, message):
         sc = tmp_path / "sc.json"
@@ -347,7 +390,19 @@ _MALFORMED = [
      "the binomial scenario's 'theta0' must be a JSON number, got 'abc'"),
     ("simulate", {"kind": "synthetic", "name": ["PL"]},
      "unknown synthetic distribution ['PL']; expected one of ('PL', 'PR', 'PC', 'PS')"),
+    ("simulate", {"kind": "circular", "points": 199, "side": "left"},
+     "the circular scenario takes no key 'side'"),
+    ("simulate", {"kind": "ring"}, "unknown scenario kind 'ring'"),
+    ("combine", {"dists": []}, "combine input needs either 'tests' or 'pvalues'+'dists'"),
     ("adjust", [0.5, 1], "a p-value distribution must be a JSON object, got [0.5, 1]"),
+    # a cast would truncate 1.5 to 1 and overflow on 1e30
+    ("pdist", {"family": "custom", "support": [1.5, 2.0], "pmf": [0.5, 0.5]},
+     "support entries must be 64-bit integers, got 1.5"),
+    ("pdist", {"family": "custom", "support": [1e30, 2e30], "pmf": [0.5, 0.5]},
+     "support entries must be 64-bit integers, got 1e+30"),
+    ("combine", {"tests": [{"model": {"family": "custom", "support": [1.5, 2.0],
+                                      "pmf": [0.5, 0.5]}, "side": "left", "x": 2}]},
+     "support entries must be 64-bit integers, got 1.5"),
     # integers too large for a float
     ("combine", {"pvalues": [10 ** 400], "dists": [{"side": "left", "F": [0.5, 1.0]}]},
      "each entry of the input's 'pvalues' must be finite, got 100000000000000000...0000000000000000000"),

@@ -13,6 +13,8 @@ from pcomb._laws import GammaLaw
 from pcomb.distributions import TIE_RTOL, _two_sided_grouping
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
+BINOMIAL_LEFT = pvalue_distribution(make_statistic_model("binomial", {"trials": 5, "prob": 0.5}),
+                                    "left")
 
 # geometric p0=0.5, right-sided: per-test variances behind the published
 # n=1000 surrogate parameters
@@ -54,7 +56,8 @@ class TestSurrogate:
         nus = rng.uniform(0.01, 3.9, 17)
         for method, mean_y in [("fisher", 2.0), ("pearson", 2.0), ("stouffer", 0.0),
                                ("george", 0.0), ("edgington", 0.5)]:
-            mean, var = surrogate(method, nus).moments
+            law = surrogate(method, nus).law
+            mean, var = law.mean, law.variance
             assert mean == pytest.approx(17 * mean_y, abs=1e-12)
             assert var == pytest.approx(nus.sum(), rel=1e-12)
 
@@ -66,6 +69,26 @@ class TestSurrogate:
             for method in ("fisher", "stouffer"):
                 with pytest.raises(ValueError, match=message):
                     surrogate(method, [1.0, bad])
+
+    def test_zero_variance_is_named_a_single_atom(self):
+        with pytest.raises(ValueError) as zero:
+            surrogate("fisher", [1.0, 0.0])
+        assert str(zero.value) == ("every per-test variance must be positive and finite, "
+                                   "got 0.0 (a single-atom p-value distribution has zero "
+                                   "variance)")
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError) as other:
+                surrogate("fisher", [1.0, bad])
+            assert str(other.value) == ("every per-test variance must be positive and "
+                                        f"finite, got {bad!r}")
+
+    def test_surrogate_is_its_law_and_tail(self):
+        s = surrogate("fisher", [2.0, 3.0])
+        for forwarder in ("moments", "cdf", "sf"):
+            assert not hasattr(s, forwarder)
+        assert s.p_value(4.0) == float(s.law.sf(4.0))
+        lower = surrogate("stouffer", [1.0, 0.5])
+        assert lower.p_value(-1.0) == float(lower.law.cdf(-1.0))
 
 
 class TestTailAndQuantile:
@@ -100,12 +123,12 @@ class TestTailAndQuantile:
         for s in (surrogate("fisher", [2.3, 1.1, 3.0]),
                   surrogate("edgington", [0.06, 0.08])):
             for p in grid:
-                assert s.cdf(s.quantile(p)) == pytest.approx(p, abs=1e-9)
+                assert s.law.cdf(s.quantile(p)) == pytest.approx(p, abs=1e-9)
 
     def test_gamma_tails_below_support(self):
         s = surrogate("fisher", [2.0, 2.0])
         assert s.p_value(0.0) == 1.0   # upper tail of nonpositive sum
-        assert s.cdf(-1.0) == 0.0
+        assert s.law.cdf(-1.0) == 0.0
 
     def test_quantile_domain(self):
         s = surrogate("stouffer", [1.0])
@@ -120,6 +143,23 @@ class TestCombine:
         assert res.statistic == pytest.approx(0.75, abs=1e-15)
         assert res.global_p == pytest.approx(stats.norm.cdf(1.0), abs=1e-12)
         assert res.atom_indices == (1,)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pvalue_matches_no_atom(self, value):
+        with pytest.raises(ValueError, match=f"^p-value {value!r} matches no atom"):
+            combine("fisher", [value], [BINOMIAL_LEFT])
+
+    @pytest.mark.parametrize("call,values,dists,message", [
+        (combine_observations, [1, 2], [None], "got 2 observations for 1 distributions"),
+        (combine_observations, [], [], "nothing to combine"),
+        (combine_observations, [True], [BINOMIAL_LEFT],
+         "an observation must be a number, got True"),
+        (combine, [0.5], [], "got 1 p-values for 0 distributions"),
+        (combine, [], [], "nothing to combine"),
+    ])
+    def test_malformed_inputs(self, call, values, dists, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call("fisher", values, dists)
 
     def test_matches_observation_path(self):
         m = make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
@@ -169,7 +209,7 @@ def test_surrogate_kolmogorov_distance_shrinks_with_n():
             values, masses = exact_convolution(adj, n)
             surr = surrogate(method, [adj.variance] * n)
             cum = np.cumsum(masses)
-            g = np.array([surr.cdf(x) for x in values])
+            g = np.array([surr.law.cdf(x) for x in values])
             before = np.concatenate(([0.0], cum[:-1]))
             ks[n] = max(np.max(np.abs(cum - g)), np.max(np.abs(before - g)))
         assert ks[8] < ks[2]
@@ -179,7 +219,7 @@ def test_surrogate_variance_equals_adjusted_variance():
     # per-term surrogate matches the adjusted statistic's moments exactly
     adj = adjust("george", TWO_ATOM)
     s = surrogate("george", [adj.variance])
-    mean, var = s.moments
+    mean, var = s.law.mean, s.law.variance
     assert mean == pytest.approx(0.0, abs=1e-15)
     assert var == pytest.approx(adj.variance, rel=1e-14)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -161,6 +162,40 @@ class TestMakeStatisticModel:
     def test_model_refuses_non_finite_masses(self, pmf, shown):
         with pytest.raises(ValueError, match=f"^pmf masses must be finite, got {shown}$"):
             StatisticModel(family="custom", params={}, support=[0, 1], pmf=pmf)
+
+    @pytest.mark.parametrize("support,shown", [
+        ([1.5, 2.0], "1.5"),
+        ([1, 2.5], "2.5"),
+        ([1e30, 2e30], "1e+30"),
+        ([2 ** 63], "9223372036854775808"),
+        ([-2 ** 63 - 1], "-9223372036854775809"),
+        ([math.nan], "nan"),
+        ([True, False], "True"),
+    ])
+    def test_custom_support_must_hold_integers(self, support, shown):
+        # a cast would truncate 1.5 to 1 and wrap or overflow on 1e30
+        pmf = [1.0 / len(support)] * len(support)
+        message = f"^support entries must be 64-bit integers, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            make_statistic_model("custom", {"support": support, "pmf": pmf})
+        with pytest.raises(ValueError, match=message):
+            StatisticModel(family="custom", params={}, support=support, pmf=pmf)
+
+    def test_integral_support_of_any_dtype_is_kept(self):
+        for support in ([1.0, 2.0], np.array([1, 2], dtype=np.uint8), [-2 ** 63, 2 ** 63 - 1]):
+            m = StatisticModel(family="custom", params={}, support=support, pmf=[0.5, 0.5])
+            assert m.support.dtype == np.int64
+            assert m.support.tolist() == [int(v) for v in support]
+
+    @pytest.mark.parametrize("support,pmf,message", [
+        ([0, 1], [1.0], "support and pmf must be 1-D arrays of equal, nonzero length"),
+        ([], [], "support and pmf must be 1-D arrays of equal, nonzero length"),
+        ([1, 1], [0.5, 0.5], "support must be strictly increasing"),
+        ([0, 1], [1.0, 0.0], r"pmf masses must be positive \(zero-mass outcomes"),
+    ])
+    def test_direct_model_construction_errors(self, support, pmf, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            StatisticModel(family="custom", params={}, support=support, pmf=pmf)
 
     @pytest.mark.parametrize("family,params", [
         ("nosuch", {}),
@@ -419,6 +454,13 @@ class TestObservedPValue:
         with pytest.raises(ValueError):
             observed_pvalue(m, "left", 6)
 
+    @pytest.mark.parametrize("x", [True, False, np.True_])
+    def test_bool_observation_refused(self, x):
+        # searchsorted would take True as the outcome 1
+        m = make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
+        with pytest.raises(ValueError, match=f"^an observation must be a number, got {x!r}$"):
+            observed_pvalue(m, "left", x)
+
 
 class TestCustomPValueDistribution:
     def test_synthetic_left_mass(self):
@@ -442,6 +484,15 @@ class TestCustomPValueDistribution:
     def test_invalid_atoms(self, atoms):
         with pytest.raises(ValueError):
             custom_pvalue_distribution(atoms, "left")
+
+    @pytest.mark.parametrize("atoms,side,message", [
+        ([], "left", "atoms must be a nonempty 1-D sequence"),
+        ([[0.5, 1.0]], "left", "atoms must be a nonempty 1-D sequence"),
+        ([0.5, 1.0], "up", "side must be one of ('left', 'right', 'two'), got 'up'"),
+    ])
+    def test_direct_construction_errors(self, atoms, side, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DiscretePValueDist(atoms=atoms, side=side)
 
     def test_no_model_attached(self):
         d = custom_pvalue_distribution([0.5, 1.0], "left")

@@ -86,7 +86,8 @@ class TestScaledW2:
         assert scaled_w2("george", PS) == pytest.approx(0.360598, abs=1e-5)
 
     def test_single_atom_rejected(self):
-        with pytest.raises(ValueError):
+        # by the surrogate, in its words
+        with pytest.raises(ValueError, match="single-atom p-value distribution has zero variance"):
             scaled_w2("fisher", custom_pvalue_distribution([1.0], "left"))
 
 

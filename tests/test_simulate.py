@@ -94,6 +94,41 @@ class TestScenarios:
         with pytest.raises(ValueError):
             synthetic_scenario("PX")
 
+    @pytest.mark.parametrize("obj,built", [
+        # a key left out takes the constructor's default
+        ({"kind": "binomial", "theta0": 0.3}, binomial_scenario(0.3)),
+        ({"kind": "binomial", "theta0": 0.3, "trials": 7, "side": "two"},
+         binomial_scenario(0.3, 7, "two")),
+        ({"kind": "geometric-noniid"}, geometric_noniid_scenario()),
+        ({"kind": "geometric-noniid", "p0_set": [0.4, 0.6]},
+         geometric_noniid_scenario((0.4, 0.6))),
+        ({"kind": "geometric", "p0": 0.5, "side": "left"}, geometric_scenario(0.5, "left")),
+        ({"kind": "circular", "points": 199}, circular_scenario(199)),
+    ])
+    def test_json_keys_are_the_constructors_parameters(self, obj, built):
+        got = scenario_from_json(obj)
+        assert got.to_json() == built.to_json() and got.name == built.name
+
+    @pytest.mark.parametrize("obj,message", [
+        ({"kind": "circular", "points": 199, "side": "left"},
+         "the circular scenario takes no key 'side'"),
+        ({"kind": "geometric", "p0": 0.5, "side": "right", "trials": 7},
+         "the geometric scenario takes no key 'trials'"),
+        ({"kind": "synthetic", "name": "PL", "theta0": 0.3},
+         "the synthetic scenario takes no key 'theta0'"),
+        ({"kind": "geometric", "side": "right"}, "geometric scenario needs the key 'p0'"),
+        ({"kind": "geometric-noniid", "p0_set": [0.3, "x"]},
+         "each entry of the geometric-noniid scenario's 'p0_set' must be a JSON number, "
+         "got 'x'"),
+        ({"kind": "binomial", "theta0": 0.3, "trials": "5"},
+         "the binomial scenario's 'trials' must be a JSON number, got '5'"),
+        ({"kind": "ring", "points": 11}, "unknown scenario kind 'ring'"),
+        ({"points": 11}, "unknown scenario kind None"),
+    ])
+    def test_json_refuses_unknown_missing_and_mistyped_keys(self, obj, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scenario_from_json(obj)
+
 
 class TestSamplePValues:
     def test_deterministic_and_atom_valued(self):
@@ -216,6 +251,16 @@ class TestExperiments:
     ])
     def test_empty_method_list_refused(self, run):
         with pytest.raises(ValueError, match="^methods must name at least one method$"):
+            run()
+
+    @pytest.mark.parametrize("run,message", [
+        (lambda: type1_experiment(synthetic_scenario("PC"), ["fisher"], [], 0.05, 10, seed=1),
+         "n_grid must be nonempty"),
+        (lambda: power_experiment(circular_scenario(11), ["fisher"], [], 5, 0.05, 10, seed=1),
+         "alt_grid must be nonempty"),
+    ])
+    def test_empty_grid_refused(self, run, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             run()
 
     def test_numpy_integers_accepted(self):
@@ -421,6 +466,11 @@ class TestExactConvolution:
         adj = adjust("edgington", TWO_ATOM)
         with pytest.raises(ValueError, match=f"^{re.escape(f'n must be an integer, got {n!r}')}$"):
             exact_convolution(adj, n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_refused(self, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            exact_convolution(adjust("edgington", TWO_ATOM), n)
 
     def test_support_cap(self):
         atoms = np.append(np.linspace(1e-4, 0.9999, 600), 1.0)
@@ -676,6 +726,41 @@ def _assert_block_matches_left_to_right_sums(prep, u):
                     group_sum += score
                 total += group_sum
             assert block[mi, r] == total, (prep.method_names[mi], r)
+
+
+class TestSignedThresholds:
+    """Every method rejects on ``scores >= thresholds``: a lower-tail
+    method's block scores are its negated left-to-right sums and its
+    threshold the negated quantile, so each rejection is the one-sided rule
+    on the unsigned sum."""
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_lower_tail_methods_are_negated(self, side):
+        scenario, n, alpha = geometric_scenario(0.3, side), 9, 0.05
+        methods = [*METHODS, LRT_GEOMETRIC]
+        prep = simulate._ConfigPrep(scenario, methods, n, 0.25, alpha)
+        assert not hasattr(prep, "upper")
+        u = _philox.uniforms(11, 0, 0, 40, n)
+        block = simulate._block_scores(prep, prep.outcomes(u))
+        g = scenario._groups[0]
+        for mi, method in enumerate(methods):
+            if method == LRT_GEOMETRIC:
+                row = g.dist.model.support.astype(float)
+                t, upper = _geometric_lrt_threshold(scenario, n, alpha)
+            else:
+                adj = adjust(method, g.dist)
+                row = adj.z[g.outcome_atoms]
+                surr = surrogate(method, [adj.variance] * n)
+                upper = surr.tail == "upper"
+                t = surr.quantile(1.0 - alpha if upper else alpha)
+            sign = 1.0 if upper else -1.0
+            assert prep.thresholds[mi] == sign * t
+            for r in range(len(u)):
+                s = 0.0
+                for score in row[prep.outcomes(u[r])[0]].tolist():
+                    s += score
+                assert block[mi, r] == sign * s
+                assert (block[mi, r] >= prep.thresholds[mi]) == (s >= t if upper else s <= t)
 
 
 class TestKernelScores:
