@@ -17,10 +17,9 @@ from .combine import (CombinedResult, SurrogateDist, combine,
                       combine_observations, surrogate)
 from .distributions import (FAMILIES, SIDES, DiscretePValueDist, StatisticModel,
                             custom_pvalue_distribution, make_statistic_model,
-                            observed_pvalue, pvalue_distribution)
+                            pvalue_distribution)
 from .metrics import (MethodMetrics, MetricsReport, rank_methods, scaled_w2,
-                      variance_ratio, w2_discrete_continuous, w2_lower_bound,
-                      w2_to_continuous_transform)
+                      variance_ratio, w2_discrete_continuous, w2_lower_bound)
 from .simulate import (LRT_GEOMETRIC, ExperimentReport, ExperimentRow,
                        GeneExampleReport, Scenario, binomial_scenario,
                        circular_scenario, exact_convolution, gene_example,
@@ -35,11 +34,10 @@ __all__ = [
     "StatisticModel", "DiscretePValueDist", "AdjustedStatistic", "MethodSpec",
     "SurrogateDist", "CombinedResult", "MethodMetrics", "MetricsReport",
     "Scenario", "ExperimentReport", "ExperimentRow", "GeneExampleReport",
-    "make_statistic_model", "pvalue_distribution", "observed_pvalue",
-    "custom_pvalue_distribution",
+    "make_statistic_model", "pvalue_distribution", "custom_pvalue_distribution",
     "adjust", "adjust_generic", "method_spec",
     "surrogate", "combine", "combine_observations",
-    "w2_discrete_continuous", "w2_to_continuous_transform", "scaled_w2",
+    "w2_discrete_continuous", "scaled_w2",
     "variance_ratio", "w2_lower_bound", "rank_methods",
     "synthetic_scenario", "binomial_scenario", "geometric_scenario",
     "geometric_noniid_scenario", "circular_scenario", "scenario_from_json",

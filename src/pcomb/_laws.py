@@ -321,8 +321,6 @@ class QuantileLaw(_CellLaw):
     passes one distribution: one partition of (0, 1)."""
 
     def __init__(self, quantile_fn: Callable[[float], float], tol: float = 1e-12):
-        if not 0.0 < tol < math.inf:
-            raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
         self._q = quantile_fn
         self._tol = tol
 

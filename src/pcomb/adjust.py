@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._inputs import number
 from ._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw
 from .distributions import DiscretePValueDist
 
@@ -145,7 +146,8 @@ def adjust_generic(quantile_fn: Callable[[float], float], orientation: str,
     """
     if orientation not in (ORIENT_P, ORIENT_ONE_MINUS_P):
         raise ValueError(f"orientation must be {ORIENT_P!r} or {ORIENT_ONE_MINUS_P!r}")
-    adjusted = _adjusted("generic", QuantileLaw(quantile_fn, tol), orientation, dist)
+    law = QuantileLaw(quantile_fn, number(tol, "tol", positive=True))
+    adjusted = _adjusted("generic", law, orientation, dist)
     # cell means of a strictly increasing quantile must be strictly
     # monotone; the cells of "1-p" methods run from right to left
     c, z = adjusted.cells, adjusted.z

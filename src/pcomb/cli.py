@@ -14,15 +14,20 @@ import json
 import os
 import sys
 
+from ._inputs import integer, numbers
 from .adjust import METHODS, adjust
 from .combine import combine, combine_observations
-from .distributions import (DiscretePValueDist, StatisticModel, _json, _json_numbers,
-                            custom_pvalue_distribution, pvalue_distribution)
+from .distributions import (DiscretePValueDist, StatisticModel, _json,
+                            custom_pvalue_distribution, make_statistic_model,
+                            pvalue_distribution)
 from .metrics import rank_methods
 from .simulate import (LRT_GEOMETRIC, gene_example, power_experiment,
                        scenario_from_json, type1_experiment)
 
 SEED_ENV = "PCOMB_SEED"
+#: the named families' parameters, one flag each
+_MODEL_FLAGS = {"trials": int, "prob": float, "rate": float, "successes": int,
+               "population": int, "draws": int, "odds": float}
 
 
 def _read_json(path: str):
@@ -68,29 +73,20 @@ def _numbers(text: str, kind: type, name: str) -> list:
 def _model_from_args(args) -> StatisticModel:
     if args.model:
         return StatisticModel.from_json(_read_json(args.model))
-    flags = {"trials": args.trials, "prob": args.prob, "rate": args.rate,
-             "successes": args.successes, "population": args.population,
-             "draws": args.draws, "odds": args.odds}
-    params = {k: v for k, v in flags.items() if v is not None}
+    params = {k: getattr(args, k) for k in _MODEL_FLAGS if getattr(args, k) is not None}
     if args.family == "custom":
         if not (args.support and args.pmf):
             raise ValueError("custom family needs --support and --pmf")
-        params = {"support": _numbers(args.support, int, "--support"),
-                  "pmf": _numbers(args.pmf, float, "--pmf")}
-    from .distributions import make_statistic_model
+        params.update(support=_numbers(args.support, int, "--support"),
+                      pmf=_numbers(args.pmf, float, "--pmf"))
     return make_statistic_model(args.family, params)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="statistic family (binomial, poisson, ...)")
     p.add_argument("--model", help="JSON model file ('-' for stdin) instead of flags")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--prob", type=float)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--successes", type=int)
-    p.add_argument("--population", type=int)
-    p.add_argument("--draws", type=int)
-    p.add_argument("--odds", type=float)
+    for flag, kind in _MODEL_FLAGS.items():
+        p.add_argument(f"--{flag}", type=kind)
     p.add_argument("--support", help="comma-separated outcomes (custom family)")
     p.add_argument("--pmf", help="comma-separated masses (custom family)")
 
@@ -170,13 +166,12 @@ def _cmd_combine(args) -> None:
                  for i, t in enumerate(_json(spec["tests"], "list", "the input's 'tests'"))]
         dists = [pvalue_distribution(StatisticModel.from_json(t["model"]), t["side"])
                  for t in tests]
-        xs = [_json(t["x"], "number", f"test {i}'s 'x'") for i, t in enumerate(tests)]
+        xs = [integer(t["x"], f"test {i}'s 'x'") for i, t in enumerate(tests)]
         result = combine_observations(args.method, xs, dists)
     elif "pvalues" in spec:
         dists = [DiscretePValueDist.from_json(d)
                  for d in _json(spec.get("dists"), "list", "the input's 'dists'")]
-        pvalues = [float(p) for p in _json_numbers(spec["pvalues"], "the input's 'pvalues'")]
-        result = combine(args.method, pvalues, dists)
+        result = combine(args.method, numbers(spec["pvalues"], "pvalues"), dists)
     else:
         raise ValueError("combine input needs either 'tests' or 'pvalues'+'dists'")
     _emit_json(args, result.to_json())

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _laws
+from ._inputs import numbers, probability
 from .adjust import cell_pass, method_spec
 from .distributions import DiscretePValueDist
 
@@ -43,9 +44,7 @@ class SurrogateDist:
         return float(self.law.sf(s) if self.tail == "upper" else self.law.cdf(s))
 
     def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {p!r}")
-        return float(self.law.quantile(p))
+        return float(self.law.quantile(probability(p, "p")))
 
     def to_json(self) -> dict:
         return {"family": self.law.family, "n": self.n, "tail": self.tail,
@@ -60,7 +59,7 @@ def surrogate(method: str, variances: Sequence[float]) -> SurrogateDist:
     Gamma-distributed transforms get a Gamma surrogate, the others a Normal.
     """
     spec = method_spec(method)
-    nus = np.asarray(variances, dtype=float)
+    nus = numbers(variances, "variances", finite=False)
     if nus.size == 0:
         raise ValueError("variances must be a nonempty sequence")
     valid = (nus > 0.0) & (nus < math.inf)   # NaN fails both
@@ -93,17 +92,23 @@ class CombinedResult:
                 "p": self.global_p, "surrogate": self.surrogate.to_json()}
 
 
-def _match_atom(dist: DiscretePValueDist, value: float) -> int:
+def _match_atom(dist: DiscretePValueDist, value: float) -> tuple[float, int]:
     atoms = dist.atoms
     i = int(np.argmin(np.abs(atoms - value)))
     # NaN fails the first comparison, and an infinite value the second
     if not abs(atoms[i] - value) <= ATOM_MATCH_RTOL * max(abs(value), atoms[i]) < math.inf:
         raise ValueError(f"p-value {value!r} matches no atom of the distribution")
-    return i
+    return float(atoms[i]), i
 
 
-def _combine_indices(method: str, indices: Sequence[int],
-                     dists: Sequence[DiscretePValueDist]) -> CombinedResult:
+def _combined(method: str, values: list, dists: Sequence[DiscretePValueDist], noun: str,
+              atom) -> CombinedResult:
+    """Combination of the tests whose atoms ``atom(dist, value)`` finds."""
+    if len(values) != len(dists):
+        raise ValueError(f"got {len(values)} {noun} for {len(dists)} distributions")
+    if len(dists) == 0:
+        raise ValueError("nothing to combine")
+    indices = [atom(d, v)[1] for v, d in zip(values, dists)]
     spec = method_spec(method)
     _, z, starts, variances = cell_pass(spec.law, spec.orientation, dists)
     statistic = 0.0
@@ -112,7 +117,7 @@ def _combine_indices(method: str, indices: Sequence[int],
     surr = surrogate(method, variances)
     return CombinedResult(method=method, n=len(dists), statistic=statistic,
                           surrogate=surr, global_p=surr.p_value(statistic),
-                          atom_indices=tuple(int(i) for i in indices))
+                          atom_indices=tuple(indices))
 
 
 def combine(method: str, observed_pvalues: Sequence[float],
@@ -122,21 +127,13 @@ def combine(method: str, observed_pvalues: Sequence[float],
     Each observed value must equal one atom of its distribution within
     ``ATOM_MATCH_RTOL`` relative; independence across tests is assumed.
     """
-    if len(observed_pvalues) != len(dists):
-        raise ValueError(f"got {len(observed_pvalues)} p-values for {len(dists)} distributions")
-    if len(dists) == 0:
-        raise ValueError("nothing to combine")
-    indices = [_match_atom(d, p) for p, d in zip(observed_pvalues, dists)]
-    return _combine_indices(method, indices, dists)
+    pvalues = numbers(observed_pvalues, "observed_pvalues", finite=False).tolist()
+    return _combined(method, pvalues, dists, "p-values", _match_atom)
 
 
 def combine_observations(method: str, observations: Sequence[int],
                          dists: Sequence[DiscretePValueDist]) -> CombinedResult:
     """Combine raw statistic observations against model-backed
     distributions; avoids the atom-matching tolerance entirely."""
-    if len(observations) != len(dists):
-        raise ValueError(f"got {len(observations)} observations for {len(dists)} distributions")
-    if len(dists) == 0:
-        raise ValueError("nothing to combine")
-    indices = [d.atom_of(x)[1] for x, d in zip(observations, dists)]
-    return _combine_indices(method, indices, dists)
+    xs = numbers(observations, "observations", integral=True).tolist()
+    return _combined(method, xs, dists, "observations", DiscretePValueDist.atom_of)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NoReturn, Sequence
 
@@ -54,8 +53,15 @@ except ImportError:
         f"(checked on scipy 1.17.1), which the installed scipy {scipy.__version__} "
         "does not have") from None
 
-FAMILIES = ("binomial", "poisson", "negative-binomial", "geometric",
-            "hypergeometric", "noncentral-hypergeometric", "custom")
+from ._inputs import integer, number, numbers, probability
+
+#: each family with the parameters it takes, all of them required
+FAMILY_PARAMS = {"binomial": ("trials", "prob"), "poisson": ("rate",),
+                 "negative-binomial": ("successes", "prob"), "geometric": ("prob",),
+                 "hypergeometric": ("population", "successes", "draws"),
+                 "noncentral-hypergeometric": ("population", "successes", "draws", "odds"),
+                 "custom": ("support", "pmf")}
+FAMILIES = tuple(FAMILY_PARAMS)
 SIDES = ("left", "right", "two")
 
 # Residual upper-tail mass below this threshold is folded into the last
@@ -94,13 +100,8 @@ class StatisticModel:
     pmf: np.ndarray
 
     def __post_init__(self):
-        support = np.asarray(self.support)
-        if support.dtype != np.int64:  # the cast would truncate 1.5 and wrap 1e30
-            for v in support.ravel().tolist():
-                _require(type(v) in (int, float) and -2 ** 63 <= v < 2 ** 63 and v == math.floor(v),
-                         f"support entries must be 64-bit integers, got {v!r}")
-            support = support.astype(np.int64)
-        pmf = np.asarray(self.pmf, dtype=float)
+        support = numbers(self.support, "support", integral=True)
+        pmf = numbers(self.pmf, "pmf", finite=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "pmf", pmf)
         if support.ndim != 1 or pmf.shape != support.shape or support.size == 0:
@@ -123,8 +124,7 @@ class StatisticModel:
         return F
 
     def index_of(self, x: int) -> int:
-        if isinstance(x, (bool, np.bool_)):  # searchsorted would take True as 1
-            raise ValueError(f"an observation must be a number, got {x!r}")
+        x = integer(x, "an observation")
         i = int(self.support.searchsorted(x))
         if i >= self.support.size or self.support[i] != x:
             raise ValueError(f"observation {x!r} is not in the model support")
@@ -132,8 +132,7 @@ class StatisticModel:
 
     def to_json(self) -> dict:
         if self.family == "custom":
-            return {"family": "custom",
-                    "support": self.support.tolist(),
+            return {"family": "custom", "support": self.support.tolist(),
                     "pmf": self.pmf.tolist()}
         return {"family": self.family, "params": dict(self.params)}
 
@@ -141,8 +140,7 @@ class StatisticModel:
     def from_json(obj: Mapping) -> "StatisticModel":
         family = _json(obj, "object", "a model").get("family")
         if family == "custom":
-            return make_statistic_model("custom", {k: _json_numbers(obj[k], f"the model's {k!r}")
-                                                   for k in ("support", "pmf") if k in obj})
+            return make_statistic_model("custom", {k: obj[k] for k in ("support", "pmf") if k in obj})
         return make_statistic_model(family, _json(obj.get("params", {}), "object",
                                                   f"the {family} params"))
 
@@ -162,7 +160,7 @@ class DiscretePValueDist:
     outcome_map: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        atoms = np.array(self.atoms, dtype=float)  # copy: the tail atom is pinned below
+        atoms = numbers(self.atoms, "atoms").copy()  # the tail atom is pinned below
         object.__setattr__(self, "atoms", atoms)
         if atoms.ndim != 1 or atoms.size == 0:
             raise ValueError("atoms must be a nonempty 1-D sequence")
@@ -198,7 +196,7 @@ class DiscretePValueDist:
     @staticmethod
     def from_json(obj: Mapping) -> "DiscretePValueDist":
         obj = _json(obj, "object", "a p-value distribution", ("F", "side"))
-        return custom_pvalue_distribution(_json_numbers(obj["F"], "the atoms 'F'"), obj["side"])
+        return custom_pvalue_distribution(numbers(obj["F"], "F"), obj["side"])
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -206,58 +204,17 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-_JSON_TYPES = {"object": Mapping, "list": (list, tuple), "number": (int, float)}
+_JSON_TYPES = {"object": Mapping, "list": (list, tuple)}
 
 
 def _json(value, kind: str, what: str, keys: Sequence[str] = ()):
-    """``value``, which must be a JSON ``kind`` ("object", "list" or
-    "number"; a bool is not a number) holding ``keys``.  A number must be
-    finite, and the exact int/float comparison also refuses an integer too
-    large for a float."""
-    _require(isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool),
+    """``value``, which must be a JSON ``kind`` ("object" or "list") holding
+    ``keys``; its numbers go through ``pcomb._inputs`` as a library caller's do."""
+    _require(isinstance(value, _JSON_TYPES[kind]),
              f"{what} must be a JSON {kind}, got {reprlib.repr(value)}")
-    _require(kind != "number" or abs(value) <= sys.float_info.max,
-             f"{what} must be finite, got {reprlib.repr(value)}")
     for key in keys:
         _require(key in value, f"{what} needs the key {key!r}")
     return value
-
-
-def _json_numbers(value, what: str) -> list:
-    return [_json(v, "number", f"each entry of {what}") for v in _json(value, "list", what)]
-
-
-def _param(params: Mapping, key: str) -> float:
-    _require(key in params, f"missing parameter {key!r}")
-    try:
-        if isinstance(params[key], (bool, np.bool_)):  # float() would make it 0 or 1
-            raise TypeError
-        return float(params[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a finite number, got {reprlib.repr(params[key])}") from None
-
-
-def _as_positive_int(params: Mapping, key: str, minimum: int = 1) -> int:
-    # integrality is decided on the float, so the string '3.5' is refused
-    # in the same words as the number 3.5
-    f = _param(params, key)
-    _require(math.isfinite(f) and f.is_integer(),
-             f"{key} must be an integer, got {params[key]!r}")
-    v = int(f)
-    _require(v >= minimum, f"{key} must be >= {minimum}, got {v}")
-    return v
-
-
-def _as_prob(params: Mapping, key: str) -> float:
-    v = _param(params, key)
-    _require(0.0 < v < 1.0, f"{key} must be in (0, 1), got {v}")
-    return v
-
-
-def _as_positive_real(params: Mapping, key: str) -> float:
-    v = _param(params, key)
-    _require(0.0 < v < math.inf, f"{key} must be a positive finite number, got {v}")
-    return v
 
 
 def _refuse_support(points: str) -> NoReturn:
@@ -359,32 +316,39 @@ def _truncated_counts(sf: Callable, masses: Callable, lo: int,
 def make_statistic_model(family: str, params: Mapping | None = None) -> StatisticModel:
     """Build a normalized, truncated StatisticModel for a named family.
 
-    Parameter names: binomial ``trials, prob``; poisson ``rate``;
-    negative-binomial ``successes, prob`` (support counts trials, matching
-    the geometric convention); geometric ``prob`` (support 1, 2, ...);
-    hypergeometric ``population, successes, draws``;
-    noncentral-hypergeometric adds ``odds``; custom ``support, pmf``.
-    """
+    Each family takes exactly the parameters ``FAMILY_PARAMS`` lists, and
+    each value goes through the input policy of ``pcomb._inputs``.  The
+    negative-binomial support counts trials, as the geometric's (1, 2, ...)
+    does."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     params = dict(params or {})
+    takes = FAMILY_PARAMS[family]
+    for key in params:
+        if key not in takes:
+            raise ValueError(f"the {family} model takes no parameter {key!r}")
+    for key in takes:
+        if key not in params:
+            raise ValueError(f"the {family} model needs the parameter {key!r}")
     if family == "binomial":
-        n = _as_positive_int(params, "trials")
-        theta = _as_prob(params, "prob")
+        n = integer(params["trials"], "trials", 1)
+        theta = probability(params["prob"], "prob")
         support = _support(0, n)
         pmf = _binom_pmf(support, n, theta)
         params = {"trials": n, "prob": theta}
     elif family == "poisson":
-        rate = _as_positive_real(params, "rate")
+        rate = number(params["rate"], "rate", positive=True)
         support, pmf = _truncated_counts(lambda k: special.pdtrc(k, rate),
                                          lambda ks: _poisson_pmf(ks, rate), 0, rate)
         params = {"rate": rate}
     elif family == "geometric":
-        p = _as_prob(params, "prob")
+        p = probability(params["prob"], "prob")
         support, pmf = _truncated_counts(lambda k: _geom_sf(k, p),
                                          lambda ks: _geom_pmf(ks, p), 1, 1.0 / p)
         params = {"prob": p}
     elif family == "negative-binomial":
-        r = _as_positive_int(params, "successes")
-        p = _as_prob(params, "prob")
+        r = integer(params["successes"], "successes", 1)
+        p = probability(params["prob"], "prob")
         fail, pmf = _truncated_counts(
             lambda k: _nbinom_sf(k, r, p),
             lambda ks: _mode_anchored((ks[:-1] + r) / (ks[:-1] + 1.0) * (1.0 - p)),
@@ -392,31 +356,24 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
         support = fail + r  # number of trials until the r-th success
         params = {"successes": r, "prob": p}
     elif family in ("hypergeometric", "noncentral-hypergeometric"):
-        N = _as_positive_int(params, "population")
-        K = _as_positive_int(params, "successes", minimum=0)
-        m = _as_positive_int(params, "draws")
+        N = integer(params["population"], "population", 1)
+        K = integer(params["successes"], "successes", 0)
+        m = integer(params["draws"], "draws", 1)
         _require(K <= N, f"successes must be <= population, got {K} > {N}")
         _require(m <= N, f"draws must be <= population, got {m} > {N}")
-        odds = 1.0
-        if family == "noncentral-hypergeometric":
-            odds = _as_positive_real(params, "odds")
+        odds = number(params["odds"], "odds", positive=True) if "odds" in takes else 1.0
         lo, hi = max(0, m + K - N), min(m, K)
         support = _support(lo, hi)
         pmf = _hypergeom_masses(N, K, m, odds, lo, hi)
-        params = {"population": N, "successes": K, "draws": m}
-        if family == "noncentral-hypergeometric":
-            params["odds"] = odds
-    elif family == "custom":
-        _require("support" in params and "pmf" in params,
-                 "custom models need 'support' and 'pmf'")
-        support = np.array(params["support"])  # a copy: the model must not alias it
-        pmf = np.asarray(params["pmf"], dtype=float)
+        params = dict(zip(takes, (N, K, m, odds)))
+    else:
+        # a copy: the model must not alias the caller's support
+        support = np.array(numbers(params["support"], "support", integral=True))
+        pmf = numbers(params["pmf"], "pmf")
         _require(support.shape == pmf.shape and support.ndim == 1,
                  "support and pmf must be 1-D arrays of equal length")
         _require(bool(np.all(pmf >= 0.0)), "custom pmf masses must be nonnegative")
         params = {}
-    else:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
     # named pmfs drift from one by rounding, and the folded tail adds up to
     # TAIL_EPS; a pmf further off than CUSTOM_PMF_TOL is broken, not rounded
@@ -506,16 +463,7 @@ def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
                               outcome_map=outcome_map)
 
 
-def observed_pvalue(model: StatisticModel, side: str, x: int) -> tuple[float, int]:
-    """The p-value atom (value, index) observation ``x`` maps to.
-
-    Consistent with ``pvalue_distribution``: the returned value is an atom
-    of that distribution."""
-    return pvalue_distribution(model, side).atom_of(x)
-
-
 def custom_pvalue_distribution(atom_sequence: Sequence[float], side: str) -> DiscretePValueDist:
     """Validated distribution from explicit atoms; carries no model, so
     ``atom_of`` is unavailable."""
-    atoms = np.asarray(atom_sequence, dtype=float)
-    return DiscretePValueDist(atoms=atoms, side=side)
+    return DiscretePValueDist(atoms=atom_sequence, side=side)

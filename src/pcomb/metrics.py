@@ -45,11 +45,6 @@ def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> 
     return _root(np.sum(law.cell_sq_moment(adjusted.z, adjusted.cells.lo, adjusted.cells.hi)))
 
 
-def w2_to_continuous_transform(method: str, dist: DiscretePValueDist) -> float:
-    """W2 between the adjusted statistic and its exact continuous law Y."""
-    return w2_discrete_continuous(adjust(method, dist), method_spec(method).law)
-
-
 def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
     """Coupling cells of an adjusted statistic against its per-term
     surrogate, which ``surrogate`` refuses for a single-atom distribution."""
@@ -146,18 +141,11 @@ def rank_methods(dists) -> MetricsReport:
             sw2.append(_scaled(method, np.sum(cells)))
             lb.append(_scaled(method, np.max(cells)))
             w2y.append(w2_discrete_continuous(adjusted, spec.law))
-        rows.append(MethodMetrics(
-            method=method,
-            variance=float(np.mean(variances)),
-            ratio=float(np.mean(variances)) / spec.law.variance,
-            scaled_w2=float(np.mean(sw2)),
-            w2_to_y=float(np.mean(w2y)),
-            lower_bound=float(np.mean(lb)),
-        ))
+        variance = float(np.mean(variances))
+        rows.append(MethodMetrics(method, variance, variance / spec.law.variance,
+                                  float(np.mean(sw2)), float(np.mean(w2y)), float(np.mean(lb))))
 
-    by_ratio = max(rows, key=lambda r: r.ratio).ratio
-    by_dist = min(rows, key=lambda r: r.scaled_w2).scaled_w2
-    rec_ratio = next(r.method for r in rows if r.ratio == by_ratio)
-    rec_dist = next(r.method for r in rows if r.scaled_w2 == by_dist)
-    return MetricsReport(rows=tuple(rows), recommended_by_ratio=rec_ratio,
-                         recommended_by_distance=rec_dist)
+    # max and min keep the first of equal rows: ties go to the fixed method order
+    return MetricsReport(rows=tuple(rows),
+                         recommended_by_ratio=max(rows, key=lambda r: r.ratio).method,
+                         recommended_by_distance=min(rows, key=lambda r: r.scaled_w2).method)

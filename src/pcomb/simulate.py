@@ -32,11 +32,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _genedata, _philox
+from ._inputs import INT64_MAX, integer, number, numbers, probability
 from .adjust import METHODS, AdjustedStatistic, adjust
 from .combine import CombinedResult, combine_observations, surrogate
-from .distributions import (DiscretePValueDist, _as_positive_int, _as_prob, _binom_cdf,
-                            _first, _geom_cdf, _json, _json_numbers, _nbinom_cdf, _nbinom_sf,
-                            _param, _require, custom_pvalue_distribution,
+from .distributions import (DiscretePValueDist, _binom_cdf, _first, _geom_cdf, _json,
+                            _nbinom_cdf, _nbinom_sf, _require, custom_pvalue_distribution,
                             make_statistic_model, pvalue_distribution)
 
 LRT_GEOMETRIC = "lrt-geometric"
@@ -136,12 +136,10 @@ def synthetic_scenario(name: str) -> Scenario:
 
 
 def binomial_scenario(theta0: float, trials: int = 5, side: str = "left") -> Scenario:
-    given = {"theta0": theta0, "trials": trials}
-    theta0, trials = _as_prob(given, "theta0"), _as_positive_int(given, "trials")
+    theta0, trials = probability(theta0, "theta0"), integer(trials, "trials", 1)
     model = make_statistic_model("binomial", {"trials": trials, "prob": theta0})
 
     def alt_cdf(theta, _support=model.support, _trials=trials):
-        theta = float(theta)
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"alternative parameter gives theta={theta}, outside [0, 1]")
         F = _binom_cdf(_support, _trials, theta)
@@ -163,7 +161,7 @@ def _geometric_groups(p0s: Sequence[float], side: str, offset: bool) -> tuple[_G
         def alt_cdf(param, _support=model.support, _p0=p0):
             # i.i.d. scenarios sweep p1 directly; non-i.i.d. ones sweep a
             # common offset added to each test's null parameter
-            p1 = _p0 + float(param) if offset else float(param)
+            p1 = _p0 + param if offset else param
             if not 0.0 < p1 < 1.0:
                 raise ValueError(f"alternative parameter gives p1={p1}, outside (0, 1)")
             # alternatives heavier than the null truncation are censored
@@ -178,7 +176,7 @@ def _geometric_groups(p0s: Sequence[float], side: str, offset: bool) -> tuple[_G
 
 
 def geometric_scenario(p0: float, side: str) -> Scenario:
-    p0 = _as_prob({"p0": p0}, "p0")
+    p0 = probability(p0, "p0")
     return Scenario("geometric", f"geometric-p{p0:g}-{side}", side, {"p0": p0}, p0,
                     _geometric_groups([p0], side, offset=False))
 
@@ -188,9 +186,9 @@ def geometric_noniid_scenario(p0_set: Sequence[float] = (0.2, 0.5, 0.8),
     """Independent non-identical geometric tests: null parameters cycle
     through ``p0_set``; the alternative parameter is a common offset added
     to every test's null parameter."""
-    given = {f"p0_set[{i}]": p for i, p in enumerate(p0_set)}
-    _require(given, "p0_set must be nonempty")
-    p0_set = tuple(_as_prob(given, key) for key in given)
+    p0_set = numbers(p0_set, "p0_set")
+    _require(p0_set.size, "p0_set must be nonempty")
+    p0_set = tuple(probability(p, f"p0_set[{i}]") for i, p in enumerate(p0_set.tolist()))
     return Scenario("geometric-noniid", f"geometric-noniid-{side}", side, {"p0_set": p0_set},
                     0.0, _geometric_groups(p0_set, side, offset=True))
 
@@ -198,17 +196,16 @@ def geometric_noniid_scenario(p0_set: Sequence[float] = (0.2, 0.5, 0.8),
 def circular_scenario(points: int) -> Scenario:
     """Uniform sampling on ``points`` equispaced circle points (odd), with
     the exponential concentration alternative."""
-    N = _param({"points": points}, "points")
+    N = number(points, "points")
     _require(N >= 3 and N % 2 == 1, f"points must be an odd integer >= 3, got {points}")
     N = int(N)
     half = (N + 1) // 2
     atoms = (2.0 * np.arange(half) + 1.0) / N
     tvals = np.arange(half)
 
-    def alt_cdf(lam, _tvals=tvals, _N=N):
+    def alt_cdf(lam, _tvals=tvals):
         # weights proportional to exp(-lambda t), doubled off the pole;
         # the normalizing constant is computed by direct summation
-        lam = float(lam)
         if not 0.0 <= lam < math.inf:
             raise ValueError(f"alternative parameter gives lambda={lam}, outside [0, inf)")
         with np.errstate(over="ignore"):  # lambda t past the float range: exp gives 0
@@ -228,24 +225,16 @@ _SCENARIO_KINDS = {"synthetic": synthetic_scenario, "binomial": binomial_scenari
 
 def scenario_from_json(obj: Mapping) -> Scenario:
     """The scenario built by the constructor ``kind`` names, from the other
-    keys; a key left out takes the constructor's default.  The constructors
-    check the strings ``name`` and ``side``; the rest must be JSON numbers."""
+    keys; a key left out takes the constructor's default.  The constructor
+    checks each value, the numbers by the input policy of ``pcomb._inputs``."""
     obj = _json(obj, "object", "a scenario")
     kind = obj.get("kind")
     build = _SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
     _require(build is not None, f"unknown scenario kind {kind!r}")
     params = inspect.signature(build).parameters
-    args = {}
-    for key, value in obj.items():
-        if key == "kind":
-            continue
+    args = {key: value for key, value in obj.items() if key != "kind"}
+    for key in args:
         _require(key in params, f"the {kind} scenario takes no key {key!r}")
-        what = f"the {kind} scenario's {key!r}"
-        if key == "p0_set":
-            value = _json_numbers(value, what)
-        elif key not in ("name", "side"):
-            value = _json(value, "number", what)
-        args[key] = value
     for key, param in params.items():
         _require(key in args or param.default is not param.empty,
                  f"{kind} scenario needs the key {key!r}")
@@ -311,14 +300,6 @@ class _Sampler:
         return [lookup(u[..., pos]) for lookup, pos in zip(self.group_lookup, self.group_pos)]
 
 
-def _integer(what: str, value) -> int:
-    """``value`` as an int; a bool, a float or any other non-integer would be
-    truncated or fail deep inside a run, so it is refused here."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def sample_pvalues(scenario: Scenario, rng: np.random.Generator, n: int,
                    alt_param: float | None = None) -> list[tuple[float, DiscretePValueDist]]:
     """Draw n observed p-values (with their null distributions).
@@ -326,11 +307,11 @@ def sample_pvalues(scenario: Scenario, rng: np.random.Generator, n: int,
     Under the null each p-value lands on atom i with mass p_i; under an
     alternative the statistic is drawn from the alternative model and
     mapped through the null model's sided p-value."""
-    n = _integer("n", n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
-    if alt_param is not None and scenario.null_param is None:
-        raise ValueError(f"scenario {scenario.name!r} has no alternative family")
+    n = integer(n, "n", 0, INT64_MAX)
+    if alt_param is not None:
+        alt_param = number(alt_param, "alt_param", finite=False)
+        if scenario.null_param is None:
+            raise ValueError(f"scenario {scenario.name!r} has no alternative family")
     sampler = _Sampler(scenario, n, alt_param)
     out = [None] * n
     for g, pos, idx in zip(scenario._groups, sampler.group_pos, sampler.outcomes(rng.random(n))):
@@ -497,29 +478,19 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
                 alpha: float, reps: int, seed: int, workers: int, grid_name: str,
                 grid: Sequence) -> ExperimentReport:
     """Rejection counts of every method at each (n, alt_param) configuration;
-    configuration i draws from Philox stream i.
-
-    Settings that would otherwise fail deep inside a run, or be silently
-    changed (seeds key Philox, which takes 128 bits; a fractional n or a
-    bool would be truncated), are refused first."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    reps, seed = _integer("reps", reps), _integer("seed", seed)
-    workers = _integer("workers", workers)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps!r}")
+    configuration i draws from Philox stream i.  Every setting is checked
+    before the first run; seeds key Philox, which takes 128 bits."""
+    alpha = probability(alpha, "alpha")
+    reps, seed = integer(reps, "reps", 1, INT64_MAX), integer(seed, "seed")
+    workers = integer(workers, "workers", 1)
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
     if len(grid) == 0:
         raise ValueError(f"{grid_name} must be nonempty")
     if len(methods) == 0:
         raise ValueError("methods must name at least one method")
-    configs = [(_integer("the number of tests n", n), alt) for n, alt in configs]
+    configs = [(integer(n, "the number of tests n", 1, INT64_MAX), alt) for n, alt in configs]
     for n, alt in configs:
-        if n < 1:
-            raise ValueError(f"the number of tests n must be >= 1, got {n!r}")
         for g in scenario._groups:
             g.cdf_for(alt)  # raises on a parameter outside the family's range
     rows = []
@@ -535,6 +506,7 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
 def type1_experiment(scenario: Scenario, methods: Sequence[str], n_grid: Sequence[int],
                      alpha: float, reps: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Null rejection proportions for each grid size and method."""
+    n_grid = numbers(n_grid, "n_grid").tolist()
     return _experiment(scenario, methods, [(n, scenario.null_param) for n in n_grid],
                        alpha, reps, seed, workers, "n_grid", n_grid)
 
@@ -549,7 +521,8 @@ def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Seque
     equal to the null parameter, power is the Type I error."""
     if scenario.null_param is None:
         raise ValueError(f"scenario {scenario.name!r} has no alternative family")
-    return _experiment(scenario, methods, [(n, float(alt)) for alt in alt_grid],
+    alt_grid = numbers(alt_grid, "alt_grid", finite=False).tolist()
+    return _experiment(scenario, methods, [(n, alt) for alt in alt_grid],
                        alpha, reps, seed, workers, "alt_grid", alt_grid)
 
 
@@ -575,9 +548,7 @@ def exact_convolution(adjusted: AdjustedStatistic, n: int) -> tuple[np.ndarray, 
     Verification oracle; feasible only while the merged support stays
     under ``CONVOLUTION_CAP``.  Support values within 1e-12 relative are
     merged (mass-weighted)."""
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = integer(n, "n", 1, CONVOLUTION_CAP)
     base_v = np.asarray(adjusted.z, dtype=float)
     base_w = np.asarray(adjusted.masses, dtype=float)
     values, masses = base_v.copy(), base_w.copy()

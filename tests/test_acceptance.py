@@ -24,7 +24,7 @@ from pcomb import (LRT_GEOMETRIC, METHODS, adjust, adjust_generic,
                    gene_example, geometric_scenario, make_statistic_model, method_spec,
                    power_experiment, pvalue_distribution, rank_methods, scaled_w2,
                    surrogate, synthetic_scenario,
-                   type1_experiment, w2_lower_bound, w2_to_continuous_transform,
+                   type1_experiment, w2_discrete_continuous, w2_lower_bound,
                    circular_scenario)
 from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P
 
@@ -319,7 +319,7 @@ def test_criterion_6_variance_decomposition_suite(random_dists):
     for d in random_dists:
         for method in METHODS:
             adj = adjust(method, d)
-            w2y = w2_to_continuous_transform(method, d)
+            w2y = w2_discrete_continuous(adj, method_spec(method).law)
             gap = abs(method_spec(method).law.variance - adj.variance - w2y ** 2)
             worst_identity = max(worst_identity, gap)
             if w2_lower_bound(method, d) > scaled_w2(method, d) + 1e-9:

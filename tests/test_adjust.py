@@ -217,7 +217,7 @@ class TestAdjustGeneric:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tol_must_be_finite_and_positive(self, tol):
-        message = f"tol must be a finite number > 0, got {tol!r}"
+        message = f"tol must be a positive finite number, got {tol!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             adjust_generic(lambda w: w, ORIENT_P, TWO_ATOM, tol=tol)
 

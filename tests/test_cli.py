@@ -359,6 +359,45 @@ class TestSimulateValidation:
         assert err == f"pcomb: error: {message}\n"
 
 
+_BINOMIAL_SCENARIO = {"kind": "binomial", "theta0": 0.3}
+_PDIST_MODEL = ["pdist", "--model", "m.json", "--side", "left"]
+
+
+@pytest.mark.parametrize("files,argv,message", [
+    ({}, ["pdist", "--atoms", "0.5,nan,1", "--side", "left"],
+     "atoms entries must be finite numbers, got nan"),
+    ({"sc.json": _BINOMIAL_SCENARIO},
+     ["simulate", "--scenario", "sc.json", "--alpha", "nan", "--reps", "10"],
+     "alpha must be in (0, 1), got nan"),
+    ({"sc.json": _BINOMIAL_SCENARIO},
+     ["simulate", "--scenario", "sc.json", "--mode", "power", "--alt-grid", "inf", "--n", "5",
+      "--reps", "10"],
+     "alternative parameter gives theta=inf, outside [0, 1]"),
+    ({"m.json": {"family": "binomial", "params": {"trials": "5", "prob": "0.5"}}}, _PDIST_MODEL,
+     "trials must be an integer, got '5'"),
+    ({"m.json": {"family": "binomial", "params": {"trials": 5, "prob": "0.5"}}}, _PDIST_MODEL,
+     "prob must be a number, got '0.5'"),
+    # a parameter the family does not take was once dropped without a word
+    ({"m.json": {"family": "binomial", "params": {"trials": 5, "prob": 0.5, "rate": "x"}}},
+     _PDIST_MODEL, "the binomial model takes no parameter 'rate'"),
+    ({}, ["pdist", "--family", "binomial", "--trials", "5", "--prob", "0.5", "--rate", "3",
+          "--side", "left"],
+     "the binomial model takes no parameter 'rate'"),
+    ({}, ["pdist", "--family", "custom", "--support", "0,1", "--pmf", "0.5,0.5", "--trials", "3",
+          "--side", "left"],
+     "the custom model takes no parameter 'trials'"),
+    ({"sc.json": {"kind": "geometric-noniid", "p0_set": 0.5}},
+     ["simulate", "--scenario", "sc.json", "--reps", "10"],
+     "p0_set must be a list of numbers, got 0.5"),
+])
+def test_bad_input_is_one_line_naming_it(capsys, tmp_path, monkeypatch, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (1, "", f"pcomb: error: {message}\n")
+
+
 _BINOMIAL = {"family": "binomial", "params": {"trials": 5, "prob": 0.5}}
 _MALFORMED = [
     ("combine", 5, "combine input must be a JSON object, got 5"),
@@ -370,24 +409,28 @@ _MALFORMED = [
     ("combine", {"pvalues": [0.5], "dists": [{"side": "left"}]},
      "a p-value distribution needs the key 'F'"),
     ("combine", {"pvalues": [0.5], "dists": [{"side": "left", "F": [None, 1.0]}]},
-     "each entry of the atoms 'F' must be a JSON number, got None"),
+     "F entries must be finite numbers, got None"),
     ("combine", {"tests": [{"model": {"family": "binomial", "params": {"trials": None}},
                             "side": "left", "x": 1}]},
-     "trials must be a finite number, got None"),
+     "the binomial model needs the parameter 'prob'"),
+    ("combine", {"tests": [{"model": {"family": "binomial",
+                                      "params": {"trials": None, "prob": 0.5}},
+                            "side": "left", "x": 1}]},
+     "trials must be an integer, got None"),
     ("combine", {"tests": [{"model": {"family": "binomial", "params": [5]},
                             "side": "left", "x": 1}]},
      "the binomial params must be a JSON object, got [5]"),
     ("combine", {"tests": [{"model": _BINOMIAL, "side": "left", "x": None}]},
-     "test 0's 'x' must be a JSON number, got None"),
+     "test 0's 'x' must be an integer, got None"),
     ("combine", {"tests": [{"model": _BINOMIAL, "side": "left", "x": 1.5}]},
-     "observation 1.5 is not in the model support"),
+     "test 0's 'x' must be an integer, got 1.5"),
     ("simulate", [1], "a scenario must be a JSON object, got [1]"),
     ("simulate", {"kind": "circular", "points": "x"},
-     "the circular scenario's 'points' must be a JSON number, got 'x'"),
+     "points must be a finite number, got 'x'"),
     ("simulate", {"kind": "circular", "points": 11.5},
      "points must be an odd integer >= 3, got 11.5"),
     ("simulate", {"kind": "binomial", "theta0": "abc"},
-     "the binomial scenario's 'theta0' must be a JSON number, got 'abc'"),
+     "theta0 must be a number, got 'abc'"),
     ("simulate", {"kind": "synthetic", "name": ["PL"]},
      "unknown synthetic distribution ['PL']; expected one of ('PL', 'PR', 'PC', 'PS')"),
     ("simulate", {"kind": "circular", "points": 199, "side": "left"},
@@ -405,17 +448,17 @@ _MALFORMED = [
      "support entries must be 64-bit integers, got 1.5"),
     # integers too large for a float
     ("combine", {"pvalues": [10 ** 400], "dists": [{"side": "left", "F": [0.5, 1.0]}]},
-     "each entry of the input's 'pvalues' must be finite, got 100000000000000000...0000000000000000000"),
+     "pvalues entries must be finite numbers, got 100000000000000000...0000000000000000000"),
     ("combine", {"tests": [{"model": {"family": "poisson", "params": {"rate": 10 ** 400}},
                             "side": "left", "x": 1}]},
      "rate must be a finite number, got 100000000000000000...0000000000000000000"),
     ("simulate", {"kind": "circular", "points": -10 ** 400},
-     "the circular scenario's 'points' must be finite, got -10000000000000000...0000000000000000000"),
+     "points must be a finite number, got -10000000000000000...0000000000000000000"),
     ("pdist", {"family": "binomial", "params": {"trials": "3.5", "prob": 0.5}},
      "trials must be an integer, got '3.5'"),
     # float(true) would be a one-trial model
     ("pdist", {"family": "binomial", "params": {"trials": True, "prob": 0.5}},
-     "trials must be a finite number, got True"),
+     "trials must be an integer, got True"),
 ]
 
 

@@ -153,7 +153,7 @@ class TestCombine:
         (combine_observations, [1, 2], [None], "got 2 observations for 1 distributions"),
         (combine_observations, [], [], "nothing to combine"),
         (combine_observations, [True], [BINOMIAL_LEFT],
-         "an observation must be a number, got True"),
+         "observations entries must be 64-bit integers, got True"),
         (combine, [0.5], [], "got 1 p-values for 0 distributions"),
         (combine, [], [], "nothing to combine"),
     ])

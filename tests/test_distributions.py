@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pcomb import (DiscretePValueDist, StatisticModel, custom_pvalue_distribution,
-                   make_statistic_model, observed_pvalue, pvalue_distribution)
+                   make_statistic_model, pvalue_distribution)
 from pcomb import distributions
 from pcomb.distributions import SIDES
 
@@ -131,7 +131,7 @@ class TestMakeStatisticModel:
          "odds must be a positive finite number, got inf"),
         ("binomial", {"trials": math.inf, "prob": 0.5}, "trials must be an integer, got inf"),
         # float() would take a bool as 0 or 1 and build a one-trial model
-        ("binomial", {"trials": True, "prob": 0.5}, "trials must be a finite number, got True"),
+        ("binomial", {"trials": True, "prob": 0.5}, "trials must be an integer, got True"),
         ("poisson", {"rate": np.True_}, f"rate must be a finite number, got {np.True_!r}"),
     ])
     def test_non_finite_parameters_rejected(self, family, params, message):
@@ -432,13 +432,13 @@ class TestPValueDistribution:
 class TestObservedPValue:
     def test_examples(self):
         m = make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
-        value, idx = observed_pvalue(m, "left", 0)
+        value, idx = pvalue_distribution(m, "left").atom_of(0)
         assert value == pytest.approx(1 / 32, rel=1e-12) and idx == 0
-        value, idx = observed_pvalue(m, "two", 5)
+        value, idx = pvalue_distribution(m, "two").atom_of(5)
         assert value == pytest.approx(2 / 32, rel=1e-12) and idx == 0
 
         g = make_statistic_model("geometric", {"prob": 0.5})
-        value, _ = observed_pvalue(g, "right", 3)
+        value, _ = pvalue_distribution(g, "right").atom_of(3)
         assert value == pytest.approx(0.25, rel=1e-12)
 
     def test_value_is_an_atom(self):
@@ -446,20 +446,20 @@ class TestObservedPValue:
         for side in ("left", "right", "two"):
             d = pvalue_distribution(m, side)
             for x in (0, 3, int(m.support[-1])):
-                value, idx = observed_pvalue(m, side, x)
+                value, idx = pvalue_distribution(m, side).atom_of(x)
                 assert value == d.atoms[idx]
 
     def test_outside_support(self):
         m = make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
         with pytest.raises(ValueError):
-            observed_pvalue(m, "left", 6)
+            pvalue_distribution(m, "left").atom_of(6)
 
     @pytest.mark.parametrize("x", [True, False, np.True_])
     def test_bool_observation_refused(self, x):
         # searchsorted would take True as the outcome 1
         m = make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
-        with pytest.raises(ValueError, match=f"^an observation must be a number, got {x!r}$"):
-            observed_pvalue(m, "left", x)
+        with pytest.raises(ValueError, match=f"^an observation must be an integer, got {x!r}$"):
+            pvalue_distribution(m, "left").atom_of(x)
 
 
 class TestCustomPValueDistribution:
@@ -487,7 +487,7 @@ class TestCustomPValueDistribution:
 
     @pytest.mark.parametrize("atoms,side,message", [
         ([], "left", "atoms must be a nonempty 1-D sequence"),
-        ([[0.5, 1.0]], "left", "atoms must be a nonempty 1-D sequence"),
+        ([[0.5, 1.0]], "left", "atoms entries must be finite numbers, got [0.5, 1.0]"),
         ([0.5, 1.0], "up", "side must be one of ('left', 'right', 'two'), got 'up'"),
     ])
     def test_direct_construction_errors(self, atoms, side, message):

@@ -10,7 +10,7 @@ from pcomb import (METHODS, adjust, adjust_generic, custom_pvalue_distribution,
                    make_statistic_model, method_spec, pvalue_distribution, rank_methods,
                    scaled_w2, surrogate, synthetic_scenario, variance_ratio,
                    w2_discrete_continuous,
-                   w2_lower_bound, w2_to_continuous_transform)
+                   w2_lower_bound)
 from pcomb._laws import GammaLaw, NormalLaw, UniformLaw
 
 from conftest import midpoint_w2
@@ -63,7 +63,8 @@ class TestW2DiscreteContinuous:
         d = custom_pvalue_distribution([0.1, 0.3, 0.55, 0.8, 0.94, 1.0], "left")
         generic = adjust_generic(stats.norm.ppf, "p", d)
         w2 = w2_discrete_continuous(generic, NormalLaw(0.0, 1.0))
-        assert w2 == pytest.approx(w2_to_continuous_transform("stouffer", d), rel=1e-9)
+        assert w2 == pytest.approx(w2_discrete_continuous(adjust("stouffer", d),
+                                                          method_spec("stouffer").law), rel=1e-9)
 
     def test_matches_midpoint_oracle(self):
         # sorted-coupling against a dense equal-mass discretization
@@ -123,7 +124,7 @@ class TestVarianceDecomposition:
         for d in random_dists[:60]:
             for method in METHODS:
                 adj = adjust(method, d)
-                w2y = w2_to_continuous_transform(method, d)
+                w2y = w2_discrete_continuous(adj, method_spec(method).law)
                 var_y = method_spec(method).law.variance
                 assert var_y - adj.variance - w2y ** 2 == pytest.approx(0.0, abs=1e-8)
 
@@ -182,10 +183,10 @@ class TestHighPrecisionOracle:
     @pytest.mark.parametrize("family,params,side", DISTS)
     def test_fisher_w2_to_y_and_variance_identity(self, family, params, side):
         d = pvalue_distribution(make_statistic_model(family, params), side)
-        w2 = w2_to_continuous_transform("fisher", d)
+        w2 = w2_discrete_continuous(adjust("fisher", d), method_spec("fisher").law)
         assert w2 == pytest.approx(_fisher_w2_oracle(d.atoms), rel=1e-11)
         for method in METHODS:
-            w2y = w2_to_continuous_transform(method, d)
+            w2y = w2_discrete_continuous(adjust(method, d), method_spec(method).law)
             var_y = method_spec(method).law.variance
             assert abs(var_y - adjust(method, d).variance - w2y ** 2) <= 1e-13
 

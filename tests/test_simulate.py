@@ -68,7 +68,7 @@ class TestScenarios:
         for args, message in [((1.5,), "theta0 must be in (0, 1), got 1.5"),
                               ((0.3, 3.7), "trials must be an integer, got 3.7"),
                               ((0.3, 0), "trials must be >= 1, got 0"),
-                              ((0.3, True), "trials must be a finite number, got True")]:
+                              ((0.3, True), "trials must be an integer, got True")]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 binomial_scenario(*args)
 
@@ -118,10 +118,9 @@ class TestScenarios:
          "the synthetic scenario takes no key 'theta0'"),
         ({"kind": "geometric", "side": "right"}, "geometric scenario needs the key 'p0'"),
         ({"kind": "geometric-noniid", "p0_set": [0.3, "x"]},
-         "each entry of the geometric-noniid scenario's 'p0_set' must be a JSON number, "
-         "got 'x'"),
+         "p0_set entries must be finite numbers, got 'x'"),
         ({"kind": "binomial", "theta0": 0.3, "trials": "5"},
-         "the binomial scenario's 'trials' must be a JSON number, got '5'"),
+         "trials must be an integer, got '5'"),
         ({"kind": "ring", "points": 11}, "unknown scenario kind 'ring'"),
         ({"points": 11}, "unknown scenario kind None"),
     ])
