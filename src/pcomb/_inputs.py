@@ -7,17 +7,17 @@ bools, strings, ``None`` and all else are refused, and so are NaN and +-inf
 where a finite value is required.  An **integer** is an ``int``,
 ``np.integer`` or integral float of magnitude at most 2**53 (``5.0`` is 5),
 returned as an int.  A **probability** is a number in (0, 1), and a **list
-of numbers** a sequence (not a string) or ndarray of numbers or of 64-bit
-integers.  A refusal is a one-line ValueError: ``<name> must be <what>, got
-<repr>``.  pcomb's own builds skip the type tests: a plain ``int`` or
-``float`` is taken at once, and an ndarray of an integer or float dtype
-passes a list coercer on one dtype check, its values left to the invariants
-of the object it builds.
+of numbers** a list, tuple or 1-D ndarray of numbers or of 64-bit integers;
+a string, a bare scalar or an array of another rank is not a list.  A
+refusal is a one-line ValueError: ``<name> must be <what>, got <repr>``.
+pcomb's own builds skip the type tests: a plain ``int`` or ``float`` is
+taken at once, and a 1-D ndarray of an integer or float dtype passes a list
+coercer on one dtype check, its values left to the invariants of the object
+it builds.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import reprlib
 import sys
@@ -77,21 +77,23 @@ def integer(value, name: str, minimum: int | None = None, maximum: int | None = 
     return v
 
 
+def sequence(value, name: str) -> list:
+    """The entries of a list, tuple or 1-D ndarray; a string, a scalar or an
+    array of another rank is refused."""
+    if (isinstance(value, (str, bytes)) or not isinstance(value, (Sequence, np.ndarray))
+            or getattr(value, "ndim", 1) != 1):
+        raise _refuse(name, "a list of numbers", value)
+    return value.tolist() if isinstance(value, np.ndarray) else list(value)
+
+
 def numbers(value, name: str, *, integral: bool = False, finite: bool = True) -> np.ndarray:
-    """A float64 array of numbers (finite unless ``finite`` is False), or an
-    int64 array when ``integral``."""
+    """A 1-D float64 array of numbers (finite unless ``finite`` is False), or
+    an int64 array when ``integral``."""
     dtype = np.int64 if integral else np.float64
-    if type(value) is np.ndarray and value.dtype.kind in ("i" if integral else "fiu"):
+    if (type(value) is np.ndarray and value.ndim == 1
+            and value.dtype.kind in ("i" if integral else "fiu")):
         return value if value.dtype.type is dtype else value.astype(dtype)
-    if type(value) is not list:
-        if isinstance(value, (str, bytes)) or not isinstance(value, (Sequence, np.ndarray)):
-            raise _refuse(name, "a list of numbers", value)
-        value = value.tolist() if isinstance(value, np.ndarray) else list(value)
-    if {*map(type, value)} <= {int if integral else float}:   # plain values: one pass
-        with contextlib.suppress(OverflowError):   # an int past 64 bits is named below
-            out = np.array(value, dtype=dtype)
-            if integral or not finite or np.isfinite(out).all():
-                return out
+    value = sequence(value, name)
     out = np.empty(len(value), dtype=dtype)
     for i, v in enumerate(value):
         try:

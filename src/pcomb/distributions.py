@@ -104,7 +104,7 @@ class StatisticModel:
         pmf = numbers(self.pmf, "pmf", finite=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "pmf", pmf)
-        if support.ndim != 1 or pmf.shape != support.shape or support.size == 0:
+        if pmf.shape != support.shape or support.size == 0:
             raise ValueError("support and pmf must be 1-D arrays of equal, nonzero length")
         if (support[1:] <= support[:-1]).any():
             raise ValueError("support must be strictly increasing")
@@ -132,7 +132,8 @@ class StatisticModel:
 
     def to_json(self) -> dict:
         if self.family == "custom":
-            return {"family": "custom", "support": self.support.tolist(),
+            return {"family": "custom",
+                    "support": self.support.tolist(),
                     "pmf": self.pmf.tolist()}
         return {"family": self.family, "params": dict(self.params)}
 
@@ -162,7 +163,7 @@ class DiscretePValueDist:
     def __post_init__(self):
         atoms = numbers(self.atoms, "atoms").copy()  # the tail atom is pinned below
         object.__setattr__(self, "atoms", atoms)
-        if atoms.ndim != 1 or atoms.size == 0:
+        if atoms.size == 0:
             raise ValueError("atoms must be a nonempty 1-D sequence")
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
@@ -325,11 +326,9 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
     params = dict(params or {})
     takes = FAMILY_PARAMS[family]
     for key in params:
-        if key not in takes:
-            raise ValueError(f"the {family} model takes no parameter {key!r}")
+        _require(key in takes, f"the {family} model takes no parameter {key!r}")
     for key in takes:
-        if key not in params:
-            raise ValueError(f"the {family} model needs the parameter {key!r}")
+        _require(key in params, f"the {family} model needs the parameter {key!r}")
     if family == "binomial":
         n = integer(params["trials"], "trials", 1)
         theta = probability(params["prob"], "prob")
@@ -370,7 +369,7 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
         # a copy: the model must not alias the caller's support
         support = np.array(numbers(params["support"], "support", integral=True))
         pmf = numbers(params["pmf"], "pmf")
-        _require(support.shape == pmf.shape and support.ndim == 1,
+        _require(support.shape == pmf.shape,
                  "support and pmf must be 1-D arrays of equal length")
         _require(bool(np.all(pmf >= 0.0)), "custom pmf masses must be nonnegative")
         params = {}

@@ -141,11 +141,18 @@ def rank_methods(dists) -> MetricsReport:
             sw2.append(_scaled(method, np.sum(cells)))
             lb.append(_scaled(method, np.max(cells)))
             w2y.append(w2_discrete_continuous(adjusted, spec.law))
-        variance = float(np.mean(variances))
-        rows.append(MethodMetrics(method, variance, variance / spec.law.variance,
-                                  float(np.mean(sw2)), float(np.mean(w2y)), float(np.mean(lb))))
+        rows.append(MethodMetrics(
+            method=method,
+            variance=float(np.mean(variances)),
+            ratio=float(np.mean(variances)) / spec.law.variance,
+            scaled_w2=float(np.mean(sw2)),
+            w2_to_y=float(np.mean(w2y)),
+            lower_bound=float(np.mean(lb)),
+        ))
 
-    # max and min keep the first of equal rows: ties go to the fixed method order
-    return MetricsReport(rows=tuple(rows),
-                         recommended_by_ratio=max(rows, key=lambda r: r.ratio).method,
-                         recommended_by_distance=min(rows, key=lambda r: r.scaled_w2).method)
+    by_ratio = max(rows, key=lambda r: r.ratio).ratio
+    by_dist = min(rows, key=lambda r: r.scaled_w2).scaled_w2
+    rec_ratio = next(r.method for r in rows if r.ratio == by_ratio)
+    rec_dist = next(r.method for r in rows if r.scaled_w2 == by_dist)
+    return MetricsReport(rows=tuple(rows), recommended_by_ratio=rec_ratio,
+                         recommended_by_distance=rec_dist)

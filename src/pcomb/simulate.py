@@ -32,12 +32,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _genedata, _philox
-from ._inputs import INT64_MAX, integer, number, numbers, probability
+from ._inputs import INT64_MAX, integer, number, numbers, probability, sequence
 from .adjust import METHODS, AdjustedStatistic, adjust
 from .combine import CombinedResult, combine_observations, surrogate
 from .distributions import (DiscretePValueDist, _binom_cdf, _first, _geom_cdf, _json,
-                            _nbinom_cdf, _nbinom_sf, _require, custom_pvalue_distribution,
-                            make_statistic_model, pvalue_distribution)
+                            _nbinom_cdf, _nbinom_sf, _require, _support,
+                            custom_pvalue_distribution, make_statistic_model,
+                            pvalue_distribution)
 
 LRT_GEOMETRIC = "lrt-geometric"
 
@@ -196,12 +197,11 @@ def geometric_noniid_scenario(p0_set: Sequence[float] = (0.2, 0.5, 0.8),
 def circular_scenario(points: int) -> Scenario:
     """Uniform sampling on ``points`` equispaced circle points (odd), with
     the exponential concentration alternative."""
-    N = number(points, "points")
+    # exact, so an odd count past 2**53 stays odd; a fraction is not an odd integer
+    N = integer(points, "points") if number(points, "points").is_integer() else 0
     _require(N >= 3 and N % 2 == 1, f"points must be an odd integer >= 3, got {points}")
-    N = int(N)
-    half = (N + 1) // 2
-    atoms = (2.0 * np.arange(half) + 1.0) / N
-    tvals = np.arange(half)
+    tvals = _support(0, (N - 1) // 2)   # one atom per distance from the pole
+    atoms = (2.0 * tvals + 1.0) / N
 
     def alt_cdf(lam, _tvals=tvals):
         # weights proportional to exp(-lambda t), doubled off the pole;
@@ -475,8 +475,8 @@ def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
 
 
 def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tuple],
-                alpha: float, reps: int, seed: int, workers: int, grid_name: str,
-                grid: Sequence) -> ExperimentReport:
+                alpha: float, reps: int, seed: int, workers: int,
+                grid_name: str) -> ExperimentReport:
     """Rejection counts of every method at each (n, alt_param) configuration;
     configuration i draws from Philox stream i.  Every setting is checked
     before the first run; seeds key Philox, which takes 128 bits."""
@@ -485,7 +485,7 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
     workers = integer(workers, "workers", 1)
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed!r}")
-    if len(grid) == 0:
+    if len(configs) == 0:   # one configuration per grid entry
         raise ValueError(f"{grid_name} must be nonempty")
     if len(methods) == 0:
         raise ValueError("methods must name at least one method")
@@ -506,9 +506,9 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
 def type1_experiment(scenario: Scenario, methods: Sequence[str], n_grid: Sequence[int],
                      alpha: float, reps: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Null rejection proportions for each grid size and method."""
-    n_grid = numbers(n_grid, "n_grid").tolist()
-    return _experiment(scenario, methods, [(n, scenario.null_param) for n in n_grid],
-                       alpha, reps, seed, workers, "n_grid", n_grid)
+    # only the list is read here: _experiment reads each n exactly
+    configs = [(n, scenario.null_param) for n in sequence(n_grid, "n_grid")]
+    return _experiment(scenario, methods, configs, alpha, reps, seed, workers, "n_grid")
 
 
 def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Sequence[float],
@@ -521,9 +521,8 @@ def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Seque
     equal to the null parameter, power is the Type I error."""
     if scenario.null_param is None:
         raise ValueError(f"scenario {scenario.name!r} has no alternative family")
-    alt_grid = numbers(alt_grid, "alt_grid", finite=False).tolist()
-    return _experiment(scenario, methods, [(n, alt) for alt in alt_grid],
-                       alpha, reps, seed, workers, "alt_grid", alt_grid)
+    configs = [(n, alt) for alt in numbers(alt_grid, "alt_grid", finite=False).tolist()]
+    return _experiment(scenario, methods, configs, alpha, reps, seed, workers, "alt_grid")
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def _variants(case: Case, param: str):
     spec, base = case.params[param], case.base[param]
     if spec.kind in ("number", "integer"):
         return [(v, _expect(v, spec)) for v in _scalar_variants(base)]
-    out = [(base[0], REFUSE), ("0.5", REFUSE), (None, REFUSE),
+    out = [(base[0], REFUSE), (np.array(base[0]), REFUSE), ("0.5", REFUSE), (None, REFUSE),
            (np.array(base), SAME), (tuple(base), SAME)]
     for i in (0, len(base) - 1):
         out += [([*base[:i], v, *base[i + 1:]], _expect(v, NUM))
@@ -366,6 +366,25 @@ def _type1(**kw):
                  "p0 must be a number, got '0.5'", id="p0-str"),
     pytest.param(lambda: circular_scenario("7"), "points must be a finite number, got '7'",
                  id="points-str"),
+    # a count is read exactly, not through a float that rounds 2**53 + 1 to even
+    pytest.param(lambda: circular_scenario(2 ** 53 + 1),
+                 "the support would have 4503599627370497 points, more than the cap of 10000000",
+                 id="points-odd-past-2**53"),
+    # the atoms once went straight to np.arange, which failed allocating 16 PiB
+    pytest.param(lambda: circular_scenario(2 ** 52 + 1),
+                 "the support would have 2251799813685249 points, more than the cap of 10000000",
+                 id="points-over-support-cap"),
+    pytest.param(lambda: _type1(n_grid=[2 ** 63 + 1]),
+                 "the number of tests n must be <= 9223372036854775807, got 9223372036854775809",
+                 id="n-grid-exact"),
+    # a 0-d array is a scalar, not a list of one
+    pytest.param(lambda: combine("fisher", np.array(0.5), [TWO_ATOM]),
+                 "observed_pvalues must be a list of numbers, got array(0.5)",
+                 id="combine-0d-array"),
+    pytest.param(lambda: _type1(n_grid=np.array(3)),
+                 "n_grid must be a list of numbers, got array(3)", id="n-grid-0d-array"),
+    pytest.param(lambda: custom_pvalue_distribution(np.array([[0.5, 1.0]]), "left"),
+                 "atoms must be a list of numbers, got array([[0.5, 1. ]])", id="atoms-2d-array"),
     pytest.param(lambda: make_statistic_model("binomial", {"trials": "5", "prob": 0.5}),
                  "trials must be an integer, got '5'", id="trials-str"),
     pytest.param(lambda: combine_observations("fisher", ["2"], [BINOMIAL_LEFT]),
