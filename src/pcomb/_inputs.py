@@ -12,8 +12,9 @@ a string, a bare scalar or an array of another rank is not a list.  A
 refusal is a one-line ValueError: ``<name> must be <what>, got <repr>``.
 pcomb's own builds skip the type tests: a plain ``int`` or ``float`` is
 taken at once, and a 1-D ndarray of an integer or float dtype passes a list
-coercer on one dtype check, its values left to the invariants of the object
-it builds.
+coercer on one dtype check (and, for a float array whose entries must be
+finite, one vectorised ``isfinite``), its values left to the invariants of
+the object it builds.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ def numbers(value, name: str, *, integral: bool = False, finite: bool = True) ->
     an int64 array when ``integral``."""
     dtype = np.int64 if integral else np.float64
     if (type(value) is np.ndarray and value.ndim == 1
-            and value.dtype.kind in ("i" if integral else "fiu")):
+            and value.dtype.kind in ("i" if integral else "fiu")
+            and (not finite or value.dtype.kind != "f" or np.isfinite(value).all())):
         return value if value.dtype.type is dtype else value.astype(dtype)
-    value = sequence(value, name)
+    value = sequence(value, name)   # the loop below names the entry that fails
     out = np.empty(len(value), dtype=dtype)
     for i, v in enumerate(value):
         try:

@@ -16,7 +16,9 @@ Both work through exact partial moments on (Q(c0), Q(c1)), with the
 limits x log x -> 0 and phi(Phi^-1(F)) -> 0 at F in {0, 1}, so cells in
 the far tails need no quadrature.  ``QuantileLaw`` is the fallback for
 arbitrary quantile callables: ``_cells_quad`` integrates all cells of a
-call at once by tanh-sinh quadrature, one call of the quantile per level.
+call at once by tanh-sinh quadrature, one call of the quantile for steps
+1/16 and 1/32 together, then one more for each later step on the cells
+still going.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ class Cells(NamedTuple):
         laid end to end in ``hi``; ``starts`` holds the index of each one's
         first atom, 0 included, whose cell takes F_0 = 0."""
         lo = np.empty_like(hi)
-        lo[1:] = hi[:-1]
-        lo[starts] = 0.0
+        lo[0], lo[1:] = 0.0, hi[:-1]
+        if len(starts) > 1:
+            lo[starts[1:]] = 0.0
         return cls(lo, hi, hi - lo, 1.0 - lo, 1.0 - hi)
 
     def reflected(self) -> "Cells":
@@ -243,21 +246,24 @@ class LogisticLaw(_CellLaw):
 
 def _tanh_sinh_level(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Tanh-sinh nodes that step h = 2^-(4+k) adds, t = 0, h, ... if k = 0,
-    else t = h, 3h, ..., up to 4.5: their distance d from an end in cell
-    widths, and the weights h (dw/dt) / width from the lower end, then the
-    upper."""
+    else t = h, 3h, ..., up to 4.5: their signed distances from the lower
+    end in cell widths, d, and from the upper, -d, as two rows, and the
+    weights h (dw/dt) / width from the lower end, then the upper."""
     h = 2.0 ** -(4 + k)
     t = np.arange(0.0, 4.5 + h / 2.0, h) if k == 0 else np.arange(h, 4.5, 2.0 * h)
     e = np.exp(-math.pi * np.sinh(t))   # exp(-2s), s = (pi/2) sinh t
     d = e / (1.0 + e)                   # 1 / (1 + exp(2s)) without overflow
     # both ends reach the midpoint t = 0, so each takes half its weight
     g = np.where(t > 0.0, h, h / 2.0) * math.pi * np.cosh(t) * d * (1.0 - d)
-    return d, np.concatenate((g, g))
+    return np.array((d, -d)), np.concatenate((g, g))
 
 
 #: the steps 1/16 to 1/128: the mean at a step is its level's weighted sum
 #: plus half the mean at the step before
 _TS_LEVELS = tuple(_tanh_sinh_level(k) for k in range(4))
+#: the nodes of steps 1/16 and 1/32, which share one call of f: step 1/16
+#: only seeds the error estimate, so it never finishes a cell
+_TS_FIRST_NODES = np.concatenate((_TS_LEVELS[0][0], _TS_LEVELS[1][0]), axis=1)
 
 
 def _cells_quad(f, lo: np.ndarray, hi: np.ndarray, tol) -> np.ndarray:
@@ -265,47 +271,64 @@ def _cells_quad(f, lo: np.ndarray, hi: np.ndarray, tol) -> np.ndarray:
     quadrature (Takahasi & Mori 1974); ``f(w, i)`` gets the nodes of the
     cells i (an index array or slice) as an array of shape (cells, nodes).
 
-    A node lies (hi - lo) / (1 + exp(2s)) from the nearer end, so nothing
-    cancels next to 0 or 1; one that rounds onto an end moves to the nearest
-    double inside.  A cell's error estimate is the change of its mean from
-    the step before, plus the mass of the half-spacings at its ends that no
-    double reaches times the gap between the mean and f at the outermost
-    nodes.  Cells whose estimate exceeds ``tol`` * max(1, |mean|) (``tol``
-    one number or one per cell) go on to the next step.
+    Steps 1/16 and 1/32 take one call of f on all cells; steps 1/64 and
+    1/128 take one call each on the cells still going.  A node lies (hi -
+    lo) / (1 + exp(2s)) from the nearer end, so nothing cancels next to 0 or
+    1; one that rounds onto an end moves to the nearest double inside.  A
+    cell's error estimate is the change of its mean from the step before,
+    plus the mass of the half-spacings at its ends that no double reaches
+    times the gap between the mean and f at the outermost nodes.  Cells whose
+    estimate exceeds ``tol`` * max(1, |mean|) (``tol`` one number or one per
+    cell) go on to the next step.
     """
     def cell(i):
         return f"({float(lo[i])!r}, {float(hi[i])!r})"
 
-    inside_lo, inside_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
-    if np.any(inside_lo >= hi):
-        raise ValueError(f"the cell {cell(np.argmax(inside_lo >= hi))} is too narrow "
-                         f"to integrate over: no double lies strictly inside it")
-    ends, widths = np.empty((lo.size, 2, 1)), np.empty((lo.size, 2, 1))
-    ends[:, 0, 0], ends[:, 1, 0], widths[:, 0, 0], widths[:, 1, 0] = lo, hi, hi - lo, lo - hi
-    unreached = np.stack((inside_lo - lo, hi - inside_hi), axis=1) / (2.0 * widths[:, :1, 0])
-    tol, mean = np.full_like(lo, tol), np.zeros(lo.size)
-    index, cells = np.arange(lo.size), slice(None)   # the cells still going
-    for level, (d, g) in enumerate(_TS_LEVELS):
-        w = widths[cells] * d
+    def values(cells, nodes):
+        """f at the nodes of the cells, shaped (cells, 2 ends, nodes)."""
+        w = width[cells, None, None] * nodes
         w += ends[cells]
         np.minimum(np.maximum(w, inside_lo[cells, None, None], out=w),
                    inside_hi[cells, None, None], out=w)
-        fw = f(w.reshape(w.shape[0], 2 * d.size), cells)
-        finite = np.isfinite(fw).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"the quantile has no finite mean on cell "
-                             f"{cell(index[cells][np.argmin(finite)])}")
-        m = fw @ g + mean[cells] / 2.0
+        return f(w.reshape(w.shape[0], w.shape[2] * 2), cells).reshape(w.shape)
+
+    def level_sum(fw, k):
+        """Step k's weighted sum of its values fw, (cells, 2 ends, nodes).
+        The reshape copies the columns of a step that shared its call of f
+        into a contiguous array, so the product has the bits of a call of f
+        on this step alone."""
+        g = _TS_LEVELS[k][1]
+        return fw.reshape(fw.shape[0], g.size) @ g
+
+    inside_lo, inside_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    if (inside_lo >= hi).any():
+        raise ValueError(f"the cell {cell(np.argmax(inside_lo >= hi))} is too narrow "
+                         f"to integrate over: no double lies strictly inside it")
+    width, ends = hi - lo, np.array((lo, hi)).T[:, :, None]
+    # the half-spacings at the lower and the upper ends, in cell widths
+    unreached = np.array((inside_lo - lo, hi - inside_hi)) / (2.0 * width)
+    fw = values(slice(None), _TS_FIRST_NODES)
+    n = _TS_LEVELS[0][0].shape[1]
+    parts = (fw[:, :, :n], fw[:, :, n:])   # the values of the steps that this call of f served
+    mean, outer = level_sum(parts[0], 0), fw[:, :, n - 1].T
+    cells = slice(None)   # the cells still going
+    for k in range(1, len(_TS_LEVELS)):
+        if k > 1:
+            parts = (values(cells, _TS_LEVELS[k][0]),)
+        m = level_sum(parts[-1], k) + mean[cells] / 2.0
+        if not np.isfinite(m).all():   # weights > 0: a value not finite makes its sum one too
+            for part in parts:
+                finite = np.isfinite(part).all(axis=(1, 2))
+                if not finite.all():
+                    raise ValueError(f"the quantile has no finite mean on cell "
+                                     f"{cell(np.arange(lo.size)[cells][np.argmin(finite)])}")
         err = np.abs(m - mean[cells])
         mean[cells] = m
-        if not level:
-            outer = fw.reshape(lo.size, 2, d.size)[:, :, -1]
-            continue
-        err += (unreached[cells] * np.abs(outer[cells] - m[:, None])).sum(axis=1)
-        going = err > tol[cells] * np.maximum(1.0, np.abs(m))
-        cells = index[cells][going]
-        if not cells.size:
+        err += np.add.reduce(unreached[:, cells] * np.abs(outer[:, cells] - m), axis=0)
+        going = err > tol * np.maximum(1.0, np.abs(m))
+        if not going.any():
             return mean
+        cells, tol = np.arange(lo.size)[cells][going], np.broadcast_to(tol, going.shape)[going]
     raise RuntimeError(f"quantile quadrature failed on cell {cell(cells[0])}: estimated "
                        f"error {err[going][0]:.1e} in the mean at step 1/128")
 

@@ -17,7 +17,6 @@ the law; ``adjust`` is its one-distribution case.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -107,13 +106,16 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
     ``np.add.reduceat`` adds in another order and would move the last bits.
     """
     atoms = [d.atoms for d in dists]
-    bounds = [0, *itertools.accumulate(a.size for a in atoms)]
-    cells = Cells.of_atoms(np.concatenate(atoms), bounds[:-1])
+    starts = [0]
+    for a in atoms[:-1]:
+        starts.append(starts[-1] + a.size)
+    # one distribution's atoms are its cells' upper ends as they are, not a copy
+    cells = Cells.of_atoms(np.concatenate(atoms) if len(atoms) > 1 else atoms[0], starts)
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()
     z, shares = law.cell_means(cells)
-    variances = [float(shares[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
-    return cells, z, bounds[:-1], variances
+    variances = [float(shares[a:b].sum()) for a, b in zip(starts, [*starts[1:], z.size])]
+    return cells, z, starts, variances
 
 
 def _adjusted(name: str, law, orientation: str,
@@ -139,10 +141,13 @@ def adjust_generic(quantile_fn: Callable[[float], float], orientation: str,
     nodes, or one float at a time if it takes floats only.  All cells go
     through one tanh-sinh quadrature (``pcomb._laws``), and each cell mean
     z_i is refined until its estimated error is at most ``tol`` * max(1,
-    |z_i|), a finite ``tol`` > 0.  A cell that cannot get there raises
-    RuntimeError: next to 1 the doubles leave a sliver no node can reach,
-    so for -2 log(1 - w) at the default ``tol`` a top cell narrower than
-    about 1e-6 fails.
+    |z_i|), a finite ``tol`` > 0.  One call of ``quantile_fn`` on all cells
+    serves steps 1/16 and 1/32; the cells still short of ``tol`` then take
+    one call together for step 1/64 and one for 1/128.  So a call whose
+    cells all finish at step 1/32 calls ``quantile_fn`` once.  A cell that
+    cannot get there raises RuntimeError: next to 1 the doubles leave a
+    sliver no node can reach, so for -2 log(1 - w) at the default ``tol`` a
+    top cell narrower than about 1e-6 fails.
     """
     if orientation not in (ORIENT_P, ORIENT_ONE_MINUS_P):
         raise ValueError(f"orientation must be {ORIENT_P!r} or {ORIENT_ONE_MINUS_P!r}")
@@ -151,9 +156,10 @@ def adjust_generic(quantile_fn: Callable[[float], float], orientation: str,
     # cell means of a strictly increasing quantile must be strictly
     # monotone; the cells of "1-p" methods run from right to left
     c, z = adjusted.cells, adjusted.z
-    stalls = np.flatnonzero((np.diff(z) if orientation == ORIENT_P else -np.diff(z)) <= 0.0)
-    if stalls.size:
-        i = stalls[0]
+    steps = z[1:] - z[:-1]
+    stalls = steps <= 0.0 if orientation == ORIENT_P else steps >= 0.0
+    if stalls.any():
+        i = int(np.argmax(stalls))
         a, b = (f"({float(c.lo[j])!r}, {float(c.hi[j])!r}) with mean {float(z[j])!r}"
                 for j in ((i, i + 1) if orientation == ORIENT_P else (i + 1, i)))
         raise ValueError(f"the cell means of quantile_fn do not increase from cell {a} "

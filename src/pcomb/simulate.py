@@ -17,7 +17,7 @@ rejection counts, so neither the block size, the method set nor the
 chunking of blocks over ``workers`` threads can change a single byte of
 the output.  Threads overlap only inside numpy calls, which are short at
 the default block size: on two cores the traced ``parallel_speedup`` of
-``workers=2`` reads 0.81-0.93, a little slower than one worker.
+``workers=2`` read 0.83-1.07 over six runs, no faster than one worker.
 """
 
 from __future__ import annotations

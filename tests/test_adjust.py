@@ -1,14 +1,16 @@
+import hashlib
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from pcomb import (METHODS, adjust, adjust_generic, custom_pvalue_distribution,
                    make_statistic_model, method_spec, pvalue_distribution,
-                   synthetic_scenario)
+                   synthetic_scenario, w2_discrete_continuous)
 from pcomb._laws import QuantileLaw
 from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P
 
@@ -283,3 +285,70 @@ def test_two_sided_distribution_roundtrip_through_adjust():
     assert adj.z.size == len(d)
     np.testing.assert_allclose(adj.z, (d.atoms + np.concatenate(([0.0], d.atoms[:-1]))) / 2.0,
                                rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# byte-identity pin of the quadrature path: z, variance and the W2 cells of
+# ``adjust_generic`` with bare quantile callables, recorded before the
+# quadrature schedule was reworked; every bit must stay the same
+# ---------------------------------------------------------------------------
+
+#: the bare quantiles of the five transforms, Pearson's being Fisher's in the
+#: other orientation; each runs in both, and Stouffer's is scipy's ndtri
+BARE_QUANTILES = {
+    "fisher": lambda w: -2.0 * np.log1p(-w),
+    "george": lambda w: np.log(w) - np.log1p(-w),
+    "stouffer": special.ndtri,
+    "edgington": lambda w: w,
+}
+
+QUADRATURE_PIN_SHA256 = {
+    "edgington 1-p": "2f2e40d605adb8051a80e4f65d8e493f96dbd7b7bc97941deb61c03ce8abce1c",
+    "edgington p": "23313bd83f053685b2b659b6eab6894db30c08ae5738fe7a2affb9a88a8d5513",
+    "fisher 1-p": "421213b4dfd19dffe8b308a01ae686417e5776f042e355d6e49e7e99144be2e7",
+    "fisher p": "2b052fb4ede4750d18374700672958014a1365bb4338b417fc7815d8f74585d4",
+    "george 1-p": "f338582219e03636c18c294d0b1cf0ef179d5850a92cf735e9212994da84a07e",
+    "george p": "5932a0ea5f6d3f549a4ada928cdc338c79afd7cb13bddb9543f1aed78a94a82a",
+    "stouffer 1-p": "c8bf323f81de6bc8e31399d8ca62c554d412952814937801e0a3237c703c9373",
+    "stouffer p": "47e6c8222018a8691c6079c3550802fa543b42fafe4ae7271e3151bb8b75ff12",
+    "w2 edgington 1-p": "9d7c0d5f3e31c6a10f54ef5e07197f94b3688da930a70cc2e2b8f0911cd1bbe0",
+    "w2 edgington p": "90f87f437ff60623ea0252b0c97b4c4b61a65e0ce9dbcae8dbd26b6e99acd298",
+    "w2 fisher 1-p": "37dda2e7db6c5d6b15c538801a4db4102746f10c60338e594ddaf32de3c260dc",
+    "w2 fisher p": "cace2489a901143504c67f8f650fd2dbd4a98b61be9bd65cfc6ac74327ddd104",
+    "w2 george 1-p": "3819a87d45d7b172d8a0cf1058dc17c90898dcd98bb8d60e77aa3b0508c5fd90",
+    "w2 george p": "d1a7e45e1d2cae322b4e6368cbcf9a8b44ceee93d0d95b6a678602e76445e7e5",
+    "w2 stouffer 1-p": "e76df7e84f0fe1ff1ccb824f6f993edf9f1dfebedad78030cb78511e6e1f2424",
+    "w2 stouffer p": "34610b4906226d8875b6670d566dedf631da1ec8848ea94ba317f426bf71ff63",
+}
+
+
+def _quadrature_digests(dists):
+    out = {}
+    for name, q in BARE_QUANTILES.items():
+        for orient in (ORIENT_P, ORIENT_ONE_MINUS_P):
+            adj_hash, w2_hash = hashlib.sha256(), hashlib.sha256()
+            for d in dists:
+                adj = adjust_generic(q, orient, d)
+                adj_hash.update(adj.z.tobytes())
+                adj_hash.update(struct.pack("<d", adj.variance))
+                w2_hash.update(struct.pack("<d", w2_discrete_continuous(adj, q)))
+            out[f"{name} {orient}"] = adj_hash.hexdigest()
+            out[f"w2 {name} {orient}"] = w2_hash.hexdigest()
+    return out
+
+
+def test_quadrature_outputs_are_pinned_bit_for_bit():
+    assert _quadrature_digests(make_random_dists(40, seed=20261019)) == QUADRATURE_PIN_SHA256
+
+
+def test_generic_adjustment_calls_the_quantile_once_when_every_cell_finishes_at_step_1_32():
+    calls = []
+
+    def quantile(w):
+        calls.append(w.shape)
+        return special.ndtri(w)
+    d = custom_pvalue_distribution([0.05, 0.2, 0.33, 0.5, 0.61, 0.8, 1.0], "left")
+    for orient in (ORIENT_P, ORIENT_ONE_MINUS_P):
+        calls.clear()
+        adjust_generic(quantile, orient, d)
+        assert calls == [(7, 290)]

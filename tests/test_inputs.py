@@ -344,6 +344,13 @@ def _type1(**kw):
                  "atoms entries must be finite numbers, got True", id="atoms-bool"),
     pytest.param(lambda: custom_pvalue_distribution(["0.5", "1"], "left"),
                  "atoms entries must be finite numbers, got '0.5'", id="atoms-str"),
+    # a float ndarray once passed on its dtype alone, NaN included, and the
+    # NaN then failed an invariant with a message about something else
+    pytest.param(lambda: custom_pvalue_distribution(np.array([0.5, np.nan, 1.0]), "left"),
+                 "atoms entries must be finite numbers, got nan", id="atoms-nan-array"),
+    pytest.param(lambda: make_statistic_model("custom", {"support": [0, 1],
+                                                         "pmf": np.array([np.nan, np.nan])}),
+                 "pmf entries must be finite numbers, got nan", id="custom-nan-pmf-array"),
     pytest.param(lambda: adjust_generic(lambda w: w, "p", TWO_ATOM, tol=True),
                  "tol must be a finite number, got True", id="tol-bool"),
     pytest.param(lambda: adjust_generic(lambda w: w, "p", TWO_ATOM, tol="1e-10"),

@@ -154,7 +154,7 @@ def test_quantile_law_cells_match_the_closed_form():
                                rtol=1e-9, atol=1e-11)
 
 
-def test_quadrature_calls_f_once_a_level_on_nodes_inside_the_cells():
+def test_quadrature_calls_f_once_when_every_cell_finishes_at_step_1_32():
     # cells (0, 1e-300), (1 - 1e-6, 1), one holding a single double
     # (0.5 + 1 ulp), and (1e-300, 0.5)
     lo = np.array([0.0, 1.0 - 1e-6, 0.5, 1e-300])
@@ -165,12 +165,28 @@ def test_quadrature_calls_f_once_a_level_on_nodes_inside_the_cells():
         calls.append((w.copy(), np.arange(lo.size)[i]))
         return w
     means = _cells_quad(f, lo, hi, 1e-12)
-    assert len(calls) == 2  # f(w) = w is done at the first estimate
-    for w, cells in calls:
-        assert w.ndim == 2 and w.shape[0] == cells.size
-        assert np.all((w > lo[cells, None]) & (w < hi[cells, None]))
+    assert len(calls) == 1  # f(w) = w is done at step 1/32, the first estimate
+    w, cells = calls[0]
+    assert w.shape == (lo.size, 2 * (73 + 72))   # per end, t = 0 to 4.5 by 1/16, then 1/32
+    assert np.all((w > lo[cells, None]) & (w < hi[cells, None]))
     assert means[2] == np.nextafter(0.5, 1.0)
     np.testing.assert_allclose(means, (lo + hi) / 2.0, rtol=1e-15)
+
+
+def test_quadrature_calls_f_once_a_later_step_on_the_cells_still_going():
+    # |w - 0.4|^3.5 takes the second cell, which holds 0.4, to step 1/128;
+    # the other cells finish at step 1/32
+    lo, hi = np.array([0.1, 0.3, 0.6]), np.array([0.2, 0.5, 0.9])
+    calls = []
+
+    def f(w, i):
+        calls.append((w.copy(), np.arange(lo.size)[i]))
+        return np.abs(w - 0.4) ** 3.5
+    _cells_quad(f, lo, hi, 1e-12)
+    assert [c.tolist() for _, c in calls] == [[0, 1, 2], [1], [1]]
+    for (w, cells), nodes in zip(calls[1:], (144, 288)):   # per end, at steps 1/64, 1/128
+        assert w.shape == (cells.size, 2 * nodes)
+        assert np.all((w > lo[cells, None]) & (w < hi[cells, None]))
 
 
 def test_quantile_law_zero_width_cells_are_zero():
@@ -183,6 +199,164 @@ def test_quadrature_refuses_a_cell_with_no_double_inside(lo, hi):
     with pytest.raises(ValueError, match=r"^the cell \(.*\) is too narrow to integrate over: "
                                           r"no double lies strictly inside it$"):
         _cells_quad(lambda w, i: w, np.array([0.0, lo]), np.array([0.1, hi]), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature against the schedule it replaced: one call of f a step,
+# steps 1/16 and 1/32 apart; every mean and every message must stay the same
+# ---------------------------------------------------------------------------
+
+def _level_by_level_tables(k):
+    h = 2.0 ** -(4 + k)
+    t = np.arange(0.0, 4.5 + h / 2.0, h) if k == 0 else np.arange(h, 4.5, 2.0 * h)
+    e = np.exp(-math.pi * np.sinh(t))
+    d = e / (1.0 + e)
+    g = np.where(t > 0.0, h, h / 2.0) * math.pi * np.cosh(t) * d * (1.0 - d)
+    return d, np.concatenate((g, g))
+
+
+LEVEL_BY_LEVEL = tuple(_level_by_level_tables(k) for k in range(4))
+
+
+def _cells_quad_level_by_level(f, lo, hi, tol):
+    """The quadrature as it was before steps 1/16 and 1/32 shared a call of f."""
+    def cell(i):
+        return f"({float(lo[i])!r}, {float(hi[i])!r})"
+
+    inside_lo, inside_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    if np.any(inside_lo >= hi):
+        raise ValueError(f"the cell {cell(np.argmax(inside_lo >= hi))} is too narrow "
+                         f"to integrate over: no double lies strictly inside it")
+    ends, widths = np.empty((lo.size, 2, 1)), np.empty((lo.size, 2, 1))
+    ends[:, 0, 0], ends[:, 1, 0], widths[:, 0, 0], widths[:, 1, 0] = lo, hi, hi - lo, lo - hi
+    unreached = np.stack((inside_lo - lo, hi - inside_hi), axis=1) / (2.0 * widths[:, :1, 0])
+    tol, mean = np.full_like(lo, tol), np.zeros(lo.size)
+    index, cells = np.arange(lo.size), slice(None)
+    for level, (d, g) in enumerate(LEVEL_BY_LEVEL):
+        w = widths[cells] * d
+        w += ends[cells]
+        np.minimum(np.maximum(w, inside_lo[cells, None, None], out=w),
+                   inside_hi[cells, None, None], out=w)
+        fw = f(w.reshape(w.shape[0], 2 * d.size), cells)
+        finite = np.isfinite(fw).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"the quantile has no finite mean on cell "
+                             f"{cell(index[cells][np.argmin(finite)])}")
+        m = fw @ g + mean[cells] / 2.0
+        err = np.abs(m - mean[cells])
+        mean[cells] = m
+        if not level:
+            outer = fw.reshape(lo.size, 2, d.size)[:, :, -1]
+            continue
+        err += (unreached[cells] * np.abs(outer[cells] - m[:, None])).sum(axis=1)
+        going = err > tol[cells] * np.maximum(1.0, np.abs(m))
+        cells = index[cells][going]
+        if not cells.size:
+            return mean
+    raise RuntimeError(f"quantile quadrature failed on cell {cell(cells[0])}: estimated "
+                       f"error {err[going][0]:.1e} in the mean at step 1/128")
+
+
+def _outcome(quad, f, lo, hi, tol):
+    """The means as bytes, or the type and message of the error raised,
+    with the number of calls of f.  The singular integrands overflow near
+    0, and so does a per-cell ``tol`` on the narrowest cells: numpy's
+    warnings are off."""
+    calls = []
+
+    def counted(w, i):
+        calls.append(i)
+        return f(w, i)
+    try:
+        with np.errstate(all="ignore"):
+            return quad(counted, lo, hi, tol).tobytes(), len(calls)
+    except (ValueError, RuntimeError) as e:
+        return (type(e), str(e)), len(calls)
+
+
+def _quad_cells(seed):
+    """Random cells, a partition of (0, 1), and narrow cells at both ends."""
+    rng = np.random.default_rng(seed)
+    edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 9)), [1.0]))
+    w = np.sort(rng.uniform(0.0, 1.0, (8, 2)), axis=1)
+    lo = np.concatenate((edges[:-1], w[:, 0], [0.0, 1e-300, 1e-17, 1.0 - 1e-9, 1.0 - 2.0 ** -40]))
+    hi = np.concatenate((edges[1:], w[:, 1], [1e-300, 1e-12, 1e-9, 1.0, 1.0]))
+    return lo, hi
+
+
+def _integrands(seed, lo):
+    rng = np.random.default_rng(seed)
+    z, kink = rng.normal(0.0, 2.0, lo.size), float(rng.uniform(0.05, 0.95))
+    return {
+        "identity": lambda w, i: w,
+        "ndtri": lambda w, i: special.ndtri(w),
+        "logit": lambda w, i: np.log(w) - np.log1p(-w),
+        "fisher": lambda w, i: -2.0 * np.log1p(-w),
+        "w2-ndtri": lambda w, i: (z[i, None] - special.ndtri(w)) ** 2,
+        "kink": lambda w, i: np.sqrt(np.abs(w - kink)),
+        "cusp-2.5": lambda w, i: np.abs(w - kink) ** 2.5,
+        "cusp-3.5": lambda w, i: np.abs(w - kink) ** 3.5,
+        "singular": lambda w, i: w ** -0.75,
+        "step": lambda w, i: (w > kink).astype(float),
+    }
+
+
+def test_fused_quadrature_equals_the_level_by_level_one_bit_for_bit():
+    depths = set()
+    for seed in range(6):
+        lo, hi = _quad_cells(seed)
+        for name, f in _integrands(seed, lo).items():
+            for tol in (1e-10, 1e-12, 1e-12 / (hi - lo)):
+                want = _outcome(_cells_quad_level_by_level, f, lo, hi, tol)
+                got = _outcome(_cells_quad, f, lo, hi, tol)
+                assert got[0] == want[0], (seed, name)
+                assert got[1] == want[1] - 1, (seed, name)   # 1/16 and 1/32 share a call
+                depths.add(want[1] if isinstance(want[0], bytes) else want[0][0])
+    # the last cells finish at step 1/32, 1/64 or 1/128, or never
+    assert depths == {2, 3, 4, RuntimeError}
+
+
+def test_fused_quadrature_on_no_cells_returns_no_means():
+    empty = np.array([])
+    got = _outcome(_cells_quad, lambda w, i: w, empty, empty, 1e-12)
+    assert got == (b"", 1)
+    assert got[0] == _outcome(_cells_quad_level_by_level, lambda w, i: w, empty, empty, 1e-12)[0]
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_a_value_that_is_not_finite_is_refused_at_its_step_as_before(level):
+    lo, hi = np.array([0.1, 0.3, 0.6]), np.array([0.2, 0.5, 0.9])
+    # a node of the step on the one cell that goes on to step 1/128
+    bad = (hi[1] - lo[1]) * LEVEL_BY_LEVEL[level][0][1] + lo[1]
+
+    def f(w, i):
+        return np.where(w == bad, np.nan, np.sqrt(np.abs(w - 0.4)))
+    want = _outcome(_cells_quad_level_by_level, f, lo, hi, 1e-12)[0]
+    assert want == (ValueError, "the quantile has no finite mean on cell (0.3, 0.5)")
+    assert _outcome(_cells_quad, f, lo, hi, 1e-12)[0] == want
+
+
+def test_the_cell_named_is_the_first_at_step_1_16_before_any_at_step_1_32():
+    lo, hi = np.array([0.1, 0.3, 0.6]), np.array([0.2, 0.5, 0.9])
+    # a node of step 1/32 on the first cell and one of step 1/16 on the last
+    bad = [(hi[0] - lo[0]) * LEVEL_BY_LEVEL[1][0][1] + lo[0],
+           (hi[2] - lo[2]) * LEVEL_BY_LEVEL[0][0][1] + lo[2]]
+
+    def f(w, i):
+        return np.where(np.isin(w, bad), np.inf, w)
+    want = _outcome(_cells_quad_level_by_level, f, lo, hi, 1e-12)[0]
+    assert want == (ValueError, "the quantile has no finite mean on cell (0.6, 0.9)")
+    assert _outcome(_cells_quad, f, lo, hi, 1e-12)[0] == want
+
+
+def test_finite_values_whose_sum_overflows_are_taken_as_before():
+    lo, hi = np.array([0.1, 0.3]), np.array([0.2, 0.5])
+
+    def f(w, i):
+        return np.full_like(w, 1e308)
+    want = _outcome(_cells_quad_level_by_level, f, lo, hi, 1e-12)[0]
+    assert isinstance(want, bytes)
+    assert _outcome(_cells_quad, f, lo, hi, 1e-12)[0] == want
 
 
 def test_gamma_and_normal_tails_below_and_at_support():
