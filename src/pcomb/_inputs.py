@@ -10,15 +10,15 @@ returned as an int.  A **probability** is a number in (0, 1), and a **list
 of numbers** a list, tuple or 1-D ndarray of numbers or of 64-bit integers;
 a string, a bare scalar or an array of another rank is not a list.  A
 refusal is a one-line ValueError: ``<name> must be <what>, got <repr>``.
-pcomb's own builds skip the type tests: a plain ``int`` or ``float`` is
-taken at once, and a 1-D ndarray of an integer or float dtype passes a list
-coercer on one dtype check (and, for a float array whose entries must be
-finite, one vectorised ``isfinite``), its values left to the invariants of
-the object it builds.
+A plain ``int`` or ``float`` passes at once, a list of plain ints in one
+``np.array`` call, a 1-D int or float ndarray on its dtype (and one
+``isfinite`` where entries must be finite).  pcomb's own named-family
+models and p-value distributions skip all this: valid as built, read-only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import reprlib
 import sys
@@ -95,6 +95,9 @@ def numbers(value, name: str, *, integral: bool = False, finite: bool = True) ->
             and value.dtype.kind in ("i" if integral else "fiu")
             and (not finite or value.dtype.kind != "f" or np.isfinite(value).all())):
         return value if value.dtype.type is dtype else value.astype(dtype)
+    if type(value) is list and {int}.issuperset(map(type, value)):
+        with contextlib.suppress(OverflowError):   # out of range: the loop names it
+            return np.array(value, dtype=dtype)
     value = sequence(value, name)   # the loop below names the entry that fails
     out = np.empty(len(value), dtype=dtype)
     for i, v in enumerate(value):

@@ -97,13 +97,13 @@ class AdjustedStatistic:
 
 
 def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
-              ) -> tuple[Cells, np.ndarray, list[int], list[float]]:
+              ) -> tuple[Cells, np.ndarray, list[int], np.ndarray]:
     """Cell means of several distributions in one call of ``law``.
 
     Returns the cells laid end to end, their means z, the index of each
-    distribution's first cell, and each distribution's variance: the sum of
-    its own cells' shares of Var(Z), one ``sum`` each, since
-    ``np.add.reduceat`` adds in another order and would move the last bits.
+    distribution's first cell, and an array of each one's variance, its
+    cells' shares of Var(Z) summed by ``np.add.reduce``: the pairwise sum of
+    ``ndarray.sum`` without its wrapper, where ``reduceat`` would move bits.
     """
     atoms = [d.atoms for d in dists]
     starts = [0]
@@ -114,15 +114,18 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()
     z, shares = law.cell_means(cells)
-    variances = [float(shares[a:b].sum()) for a, b in zip(starts, [*starts[1:], z.size])]
+    variances = np.array([np.add.reduce(shares[a:b])
+                          for a, b in zip(starts, [*starts[1:], z.size])])
     return cells, z, starts, variances
 
 
 def _adjusted(name: str, law, orientation: str,
               dist: DiscretePValueDist) -> AdjustedStatistic:
-    cells, z, _, (variance,) = cell_pass(law, orientation, [dist])
+    cells, z, _, variances = cell_pass(law, orientation, [dist])
+    for a in (z, *cells):
+        a.setflags(write=False)
     return AdjustedStatistic(method=name, z=z, atoms=dist.atoms, cells=cells,
-                             mean=float((cells.p * z).sum()), variance=variance)
+                             mean=float((cells.p * z).sum()), variance=float(variances[0]))
 
 
 def adjust(method: str, dist: DiscretePValueDist) -> AdjustedStatistic:

@@ -92,23 +92,23 @@ class CombinedResult:
                 "p": self.global_p, "surrogate": self.surrogate.to_json()}
 
 
-def _match_atom(dist: DiscretePValueDist, value: float) -> tuple[float, int]:
+def _match_atom(dist: DiscretePValueDist, value: float) -> int:
     atoms = dist.atoms
     i = int(np.argmin(np.abs(atoms - value)))
     # NaN fails the first comparison, and an infinite value the second
     if not abs(atoms[i] - value) <= ATOM_MATCH_RTOL * max(abs(value), atoms[i]) < math.inf:
         raise ValueError(f"p-value {value!r} matches no atom of the distribution")
-    return float(atoms[i]), i
+    return i
 
 
 def _combined(method: str, values: list, dists: Sequence[DiscretePValueDist], noun: str,
               atom) -> CombinedResult:
-    """Combination of the tests whose atoms ``atom(dist, value)`` finds."""
+    """Combination of the tests whose atom indices ``atom(dist, value)`` finds."""
     if len(values) != len(dists):
         raise ValueError(f"got {len(values)} {noun} for {len(dists)} distributions")
     if len(dists) == 0:
         raise ValueError("nothing to combine")
-    indices = [atom(d, v)[1] for v, d in zip(values, dists)]
+    indices = [atom(d, v) for v, d in zip(values, dists)]
     spec = method_spec(method)
     _, z, starts, variances = cell_pass(spec.law, spec.orientation, dists)
     statistic = 0.0
@@ -136,4 +136,4 @@ def combine_observations(method: str, observations: Sequence[int],
     """Combine raw statistic observations against model-backed
     distributions; avoids the atom-matching tolerance entirely."""
     xs = numbers(observations, "observations", integral=True).tolist()
-    return _combined(method, xs, dists, "observations", DiscretePValueDist.atom_of)
+    return _combined(method, xs, dists, "observations", DiscretePValueDist._atom_index)

@@ -53,7 +53,7 @@ except ImportError:
         f"(checked on scipy 1.17.1), which the installed scipy {scipy.__version__} "
         "does not have") from None
 
-from ._inputs import integer, number, numbers, probability
+from ._inputs import INT64_MAX, integer, number, numbers, probability
 
 #: each family with the parameters it takes, all of them required
 FAMILY_PARAMS = {"binomial": ("trials", "prob"), "poisson": ("rate",),
@@ -89,9 +89,9 @@ class StatisticModel:
     params : dict
         The named parameters the model was built from (empty for custom).
     support : ndarray of int
-        Strictly increasing outcomes.
+        Strictly increasing outcomes; read-only, as is ``pmf``.
     pmf : ndarray of float
-        Matching masses; nonnegative, summing to one within 1e-12.
+        Matching masses; positive, summing to one within 1e-12.
     """
 
     family: str
@@ -100,10 +100,10 @@ class StatisticModel:
     pmf: np.ndarray
 
     def __post_init__(self):
-        support = numbers(self.support, "support", integral=True)
-        pmf = numbers(self.pmf, "pmf", finite=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "pmf", pmf)
+        support = numbers(self.support, "support", integral=True).copy()
+        pmf = numbers(self.pmf, "pmf", finite=False).copy()
+        support.flags.writeable = pmf.flags.writeable = False   # copies: never the caller's
+        self.__dict__.update(support=support, pmf=pmf)   # past the frozen __setattr__
         if pmf.shape != support.shape or support.size == 0:
             raise ValueError("support and pmf must be 1-D arrays of equal, nonzero length")
         if (support[1:] <= support[:-1]).any():
@@ -122,13 +122,6 @@ class StatisticModel:
         F = self.pmf.cumsum()
         F[-1] = 1.0
         return F
-
-    def index_of(self, x: int) -> int:
-        x = integer(x, "an observation")
-        i = int(self.support.searchsorted(x))
-        if i >= self.support.size or self.support[i] != x:
-            raise ValueError(f"observation {x!r} is not in the model support")
-        return i
 
     def to_json(self) -> dict:
         if self.family == "custom":
@@ -152,7 +145,7 @@ class DiscretePValueDist:
 
     ``outcome_map`` maps a support index of the generating model to the
     atom index the outcome's p-value falls on; it is None for custom
-    distributions, which carry no statistic model.
+    distributions, which carry no statistic model.  Both are read-only.
     """
 
     atoms: np.ndarray
@@ -175,6 +168,10 @@ class DiscretePValueDist:
         # duplicate at the top is rejected as a zero-mass atom
         if not (atoms[1:] > atoms[:-1]).all():   # NaN fails too
             raise ValueError("atoms must be strictly increasing (zero-mass atom)")
+        atoms.flags.writeable = False
+        if self.outcome_map is not None:   # a copy, so the caller's stays writable
+            object.__setattr__(self, "outcome_map", np.array(self.outcome_map))
+            self.outcome_map.flags.writeable = False
 
     @property
     def masses(self) -> np.ndarray:
@@ -185,11 +182,17 @@ class DiscretePValueDist:
 
     def atom_of(self, x: int) -> tuple[float, int]:
         """Atom value and index for an observed statistic ``x``."""
+        j = self._atom_index(integer(x, "an observation"))
+        return float(self.atoms[j]), j
+
+    def _atom_index(self, x: int) -> int:
+        """Atom index of an observation already read as an int."""
         if self.model is None or self.outcome_map is None:
             raise ValueError("this distribution has no statistic model attached")
-        i = self.model.index_of(x)
-        j = int(self.outcome_map[i])
-        return float(self.atoms[j]), j
+        i = int(self.model.support.searchsorted(x))
+        if i >= self.model.support.size or self.model.support[i] != x:
+            raise ValueError(f"observation {x!r} is not in the model support")
+        return int(self.outcome_map[i])
 
     def to_json(self) -> dict:
         return {"side": self.side, "F": self.atoms.tolist()}
@@ -198,6 +201,13 @@ class DiscretePValueDist:
     def from_json(obj: Mapping) -> "DiscretePValueDist":
         obj = _json(obj, "object", "a p-value distribution", ("F", "side"))
         return custom_pvalue_distribution(numbers(obj["F"], "F"), obj["side"])
+
+
+def _built(cls, **fields):
+    """``cls`` holding ``fields`` unchecked: valid as built, their arrays read-only."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -223,9 +233,10 @@ def _refuse_support(points: str) -> NoReturn:
 
 
 def _support(lo: int, hi: int) -> np.ndarray:
-    """The integers lo..hi, refused before any allocation above SUPPORT_CAP."""
+    """The integers lo..hi, refused unallocated above SUPPORT_CAP or int64."""
     if hi - lo + 1 > SUPPORT_CAP:
         _refuse_support(str(hi - lo + 1))
+    _require(hi <= INT64_MAX, f"support entries must be 64-bit integers, got {hi}")
     return np.arange(lo, hi + 1)
 
 
@@ -346,13 +357,13 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
                                          lambda ks: _geom_pmf(ks, p), 1, 1.0 / p)
         params = {"prob": p}
     elif family == "negative-binomial":
-        r = integer(params["successes"], "successes", 1)
+        r = integer(params["successes"], "successes", 1, INT64_MAX)
         p = probability(params["prob"], "prob")
         fail, pmf = _truncated_counts(
             lambda k: _nbinom_sf(k, r, p),
             lambda ks: _mode_anchored((ks[:-1] + r) / (ks[:-1] + 1.0) * (1.0 - p)),
             0, r * (1.0 - p) / p)
-        support = fail + r  # number of trials until the r-th success
+        support = _support(r, r + int(fail[-1]))  # trials until the r-th success
         params = {"successes": r, "prob": p}
     elif family in ("hypergeometric", "noncentral-hypergeometric"):
         N = integer(params["population"], "population", 1)
@@ -366,8 +377,7 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
         pmf = _hypergeom_masses(N, K, m, odds, lo, hi)
         params = dict(zip(takes, (N, K, m, odds)))
     else:
-        # a copy: the model must not alias the caller's support
-        support = np.array(numbers(params["support"], "support", integral=True))
+        support = numbers(params["support"], "support", integral=True)
         pmf = numbers(params["pmf"], "pmf")
         _require(support.shape == pmf.shape,
                  "support and pmf must be 1-D arrays of equal length")
@@ -385,7 +395,10 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
     keep = pmf > 0.0
     if not keep.all():
         support, pmf = support[keep], pmf[keep]
-    return StatisticModel(family=family, params=params, support=support, pmf=pmf)
+    if family == "custom":   # only a custom support is the caller's to check
+        return StatisticModel(family=family, params=params, support=support, pmf=pmf)
+    support.flags.writeable = pmf.flags.writeable = False
+    return _built(StatisticModel, family=family, params=params, support=support, pmf=pmf)
 
 
 def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,16 +463,17 @@ def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
         atoms, outcome_map = _two_sided_grouping(model.pmf)
     # on every side the atoms are running sums of positive masses, the last
     # pinned to 1, so once clipped at 1 they never decrease: the values that
-    # rounding repeats or pushes past 1 form runs, and each run shares its
-    # first atom, which is what np.unique would keep
+    # rounding repeats or pushes past 1 form runs, and keeping each run's
+    # first atom (as np.unique would) leaves them valid as built
     atoms = np.minimum(atoms, 1.0)
     tied = atoms[1:] == atoms[:-1]
     if tied.any():
         first = np.concatenate(([True], ~tied))
         atoms = atoms[first]
         outcome_map = (first.cumsum() - 1)[outcome_map]
-    return DiscretePValueDist(atoms=atoms, side=side, model=model,
-                              outcome_map=outcome_map)
+    atoms.flags.writeable = outcome_map.flags.writeable = False
+    return _built(DiscretePValueDist, atoms=atoms, side=side, model=model,
+                  outcome_map=outcome_map)
 
 
 def custom_pvalue_distribution(atom_sequence: Sequence[float], side: str) -> DiscretePValueDist:

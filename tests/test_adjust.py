@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import special, stats
 
-from pcomb import (METHODS, adjust, adjust_generic, custom_pvalue_distribution,
-                   make_statistic_model, method_spec, pvalue_distribution,
-                   synthetic_scenario, w2_discrete_continuous)
+from pcomb import (METHODS, DiscretePValueDist, StatisticModel, adjust, adjust_generic,
+                   custom_pvalue_distribution, make_statistic_model, method_spec,
+                   pvalue_distribution, synthetic_scenario, w2_discrete_continuous)
 from pcomb._laws import QuantileLaw
 from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P
 
@@ -352,3 +352,41 @@ def test_generic_adjustment_calls_the_quantile_once_when_every_cell_finishes_at_
         calls.clear()
         adjust_generic(quantile, orient, d)
         assert calls == [(7, 290)]
+
+
+def test_arrays_handed_out_are_read_only():
+    # writing into a distribution's atoms once changed the adjusted
+    # statistics already built from it, which share that array
+    d = custom_pvalue_distribution([0.5, 1.0], "left")
+    a = adjust("stouffer", d)
+    with pytest.raises(ValueError, match="read-only"):
+        d.atoms[0] = 0.9
+    assert a.atoms.tolist() == [0.5, 1.0]
+
+    model = make_statistic_model("binomial", {"trials": 6, "prob": 0.5})
+    named = pvalue_distribution(model, "two")
+    arrays = [model.support, model.pmf, named.atoms, named.outcome_map]
+    for method in ("fisher", "stouffer"):   # both orientations of the cells
+        adjusted = adjust(method, named)
+        arrays += [adjusted.z, adjusted.atoms, *adjusted.cells]
+    adjusted = adjust_generic(*GENERIC["pearson"], named)
+    arrays += [adjusted.z, *adjusted.cells]
+    for array in arrays:
+        assert not array.flags.writeable
+
+
+def test_arrays_the_caller_passed_stay_writable():
+    support, pmf = np.array([0, 1, 2]), np.array([0.25, 0.5, 0.25])
+    atoms, outcome_map = np.array([0.25, 1.0]), np.array([0, 1, 0])
+    model = make_statistic_model("custom", {"support": support, "pmf": pmf})
+    direct = StatisticModel("custom", {}, support, pmf)
+    dist = custom_pvalue_distribution(atoms, "two")
+    mapped = DiscretePValueDist(atoms, "two", direct, outcome_map)
+    for array in (support, pmf, atoms, outcome_map):
+        assert array.flags.writeable
+    for array in (model.support, model.pmf, direct.support, direct.pmf, dist.atoms,
+                  mapped.atoms, mapped.outcome_map):
+        assert not array.flags.writeable
+    support[0], pmf[0], atoms[0], outcome_map[0] = 9, 0.0, 0.5, 1
+    assert model.support[0] == direct.support[0] == 0 and direct.pmf[0] == 0.25
+    assert dist.atoms[0] == mapped.atoms[0] == 0.25 and mapped.outcome_map[0] == 0

@@ -377,3 +377,30 @@ def _analyze_digest(seeds=(31, 32), count=8):
 def test_gene_path_outputs_are_pinned_bit_for_bit():
     # any moved bit of any output changes the digest
     assert _analyze_digest() == ANALYZE_SHA256
+
+
+#: ``_combine_digest()`` recorded before ``combine_observations`` and
+#: ``atom_of`` came to share one observation lookup
+COMBINE_SHA256 = "537868c28a7e842c6525c17506a0a2668cd518422b5118399ef487e1388ac0f9"
+
+
+def _combine_digest(seeds=(31, 32), count=8):
+    """sha256 over every ``combine`` JSON and atom indices of the gene sets
+    of ``_analyze_digest``, each observed p-value given as its test's atom,
+    on all sides and methods: the p-value matching path of ``_combined``."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        for gene in _genes(seed, count):
+            models = [make_statistic_model(f, p) for f, p, _ in gene]
+            for side in ("left", "right", "two"):
+                dists = [pvalue_distribution(m, side) for m in models]
+                pvalues = [d.atoms[d.atom_of(x)[1]] for d, (_, _, x) in zip(dists, gene)]
+                for method in METHODS:
+                    res = combine(method, pvalues, dists)
+                    h.update(json.dumps(res.to_json(), sort_keys=True).encode())
+                    h.update(repr(res.atom_indices).encode())
+    return h.hexdigest()
+
+
+def test_pvalue_matching_path_is_pinned_bit_for_bit():
+    assert _combine_digest() == COMBINE_SHA256

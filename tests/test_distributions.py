@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -562,8 +562,9 @@ def _assert_matches_unique(model):
 
 
 _NAMED = st.one_of(
+    # prob 0.5 makes the binomial symmetric, so two-sided atoms group ties
     st.builds(lambda n, p: ("binomial", {"trials": n, "prob": p}),
-              st.integers(1, 300), st.floats(0.001, 0.999)),
+              st.integers(1, 300), st.just(0.5) | st.floats(0.001, 0.999)),
     st.builds(lambda r: ("poisson", {"rate": r}), st.floats(0.01, 2000.0)),
     st.builds(lambda p: ("geometric", {"prob": p}), st.floats(0.001, 0.999)),
     st.builds(lambda r, p: ("negative-binomial", {"successes": r, "prob": p}),
@@ -571,6 +572,11 @@ _NAMED = st.one_of(
     st.builds(lambda N, k, m: ("hypergeometric",
                                {"population": N, "successes": min(k, N), "draws": min(m, N)}),
               st.integers(1, 3000), st.integers(0, 3000), st.integers(1, 200)),
+    st.builds(lambda N, k, m, odds: ("noncentral-hypergeometric",
+                                     {"population": N, "successes": min(k, N),
+                                      "draws": min(m, N), "odds": odds}),
+              st.integers(1, 3000), st.integers(0, 3000), st.integers(1, 200),
+              st.floats(0.05, 20.0)),
 )
 
 
@@ -578,6 +584,54 @@ _NAMED = st.one_of(
 @given(named=_NAMED)
 def test_named_atoms_equal_the_unique_reference(named):
     _assert_matches_unique(make_statistic_model(*named))
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(named=_NAMED)
+@example(named=("binomial", {"trials": 40, "prob": 0.5}))   # two-sided tie groups
+@example(named=("poisson", {"rate": 1635.4}))   # right-sided atoms merged near 1
+def test_built_models_and_distributions_pass_the_public_checks(named):
+    # make_statistic_model and pvalue_distribution build their objects past
+    # the validating constructors; fed back through them, every field is
+    # accepted and comes out bit for bit the same
+    model = make_statistic_model(*named)
+    again = StatisticModel(model.family, model.params, model.support, model.pmf)
+    assert _same(again.support, model.support) and _same(again.pmf, model.pmf)
+    arrays = [model.support, model.pmf]
+    for side in SIDES:
+        d = pvalue_distribution(model, side)
+        rebuilt = DiscretePValueDist(d.atoms, side, model, d.outcome_map)
+        assert _same(rebuilt.atoms, d.atoms) and _same(rebuilt.outcome_map, d.outcome_map)
+        arrays += [d.atoms, d.outcome_map]
+    assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("params,message", [
+    # support = failures + successes once wrapped past 2**63 - 1, and the
+    # wrapped support was refused as "support must be strictly increasing"
+    ({"successes": 2 ** 63 - 1000, "prob": 1 - 1e-16}, "support entries must be 64-bit integers"),
+    # ks + successes once raised numpy's OverflowError
+    ({"successes": 2 ** 64, "prob": 1 - 1e-16},
+     "successes must be <= 9223372036854775807, got 18446744073709551616"),
+])
+def test_negative_binomial_support_stays_in_int64(params, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make_statistic_model("negative-binomial", params)
+
+
+def test_hypergeometric_support_past_int64_refused():
+    # np.arange would give an object or float64 support, which the model
+    # must not take unchecked
+    N = 2 ** 70
+    with pytest.raises(ValueError, match=f"^support entries must be 64-bit integers, got {N - 1}$"):
+        make_statistic_model("hypergeometric", {"population": N, "successes": N - 1,
+                                                "draws": N - 1})
 
 
 @settings(max_examples=150, deadline=None)

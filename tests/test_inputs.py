@@ -32,6 +32,7 @@ from pcomb import (DiscretePValueDist, StatisticModel, adjust, adjust_generic,
                    geometric_scenario, make_statistic_model, power_experiment,
                    pvalue_distribution, sample_pvalues, scenario_from_json, surrogate,
                    synthetic_scenario, type1_experiment)
+from pcomb._inputs import numbers
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
 BINOMIAL_LEFT = pvalue_distribution(make_statistic_model("binomial", {"trials": 5, "prob": 0.5}),
@@ -407,6 +408,23 @@ def test_closed_hole(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def _coerced(value, **kw):
+    try:
+        out = numbers(value, "xs", **kw)
+    except ValueError as exc:
+        return str(exc)
+    return out.dtype, out.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.integers(-2 ** 64, 2 ** 64) | st.integers(-10, 10)
+                   | st.just(10 ** 400), max_size=6),
+       integral=st.booleans())
+def test_a_list_of_plain_ints_reads_as_the_entry_loop_does(xs, integral):
+    # a list of plain ints takes one np.array call; a tuple takes the loop
+    assert _coerced(xs, integral=integral) == _coerced(tuple(xs), integral=integral)
 
 
 def test_integral_floats_and_numpy_scalars_are_their_values():
