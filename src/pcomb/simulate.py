@@ -3,21 +3,22 @@ the geometric likelihood-ratio comparator, an exact small-n convolution
 oracle, and the embedded gene-level example.
 
 Replication is deterministic and independent of the worker count: each
-replicate draws from its own counter-based Philox substream, which
-``_philox`` evaluates in numpy for a whole block of replicates at once; the
-counter words that are constant along a row or a column stay that small
-through the first rounds and are broadcast to full size only when the
-rounds mix them.  A guide table per group (Chen & Asau 1974) turns each
-uniform into its outcome index with one gather and one compare, and sends
-only the few uniforms that land where cdf values crowd to
-``searchsorted``; the indices are ``searchsorted``'s by construction.
-Each replicate's score sums its tests strictly left to right, whatever
-other methods run beside it, and the kernel reports aggregate integer
-rejection counts, so neither the block size, the method set nor the
-chunking of blocks over ``workers`` threads can change a single byte of
-the output.  Threads overlap only inside numpy calls, which are short at
-the default block size: on two cores the traced ``parallel_speedup`` of
-``workers=2`` read 0.83-1.07 over six runs, no faster than one worker.
+configuration reads one contiguous stream of numpy's C ``Philox``, and
+replicate r takes doubles [r n, (r + 1) n) of it, so a run can start at any
+replicate by jumping the counter.  This stream is the generator
+``"philox-stream"``; reports that say ``"philox"`` came from the earlier
+per-replicate substreams and cannot be reproduced by this version.  A guide
+table per group (Chen & Asau 1974) turns each uniform into its outcome index
+with one gather and one compare, and sends only the few uniforms that land
+where cdf values crowd to ``searchsorted``; the indices are
+``searchsorted``'s by construction.  Each replicate's score sums its tests
+strictly left to right, whatever other methods run beside it, and the kernel
+reports aggregate integer rejection counts, so neither the block size, the
+method set nor the chunking of blocks over ``workers`` threads can change a
+single byte of the output.  Threads overlap only inside numpy calls, the
+``Philox`` fill among them, and the lookup and score sums of a block are
+many short ones: on two cores the traced ``parallel_speedup`` of
+``workers=2`` read 0.93-1.27 over six runs, little faster than one worker.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _genedata, _philox
+from . import _genedata
 from ._inputs import INT64_MAX, integer, number, numbers, probability, sequence
 from .adjust import METHODS, AdjustedStatistic, adjust
 from .combine import CombinedResult, combine_observations, surrogate
@@ -42,17 +43,17 @@ from .distributions import (DiscretePValueDist, _binom_cdf, _first, _geom_cdf, _
 
 LRT_GEOMETRIC = "lrt-geometric"
 
-GENERATOR_NAME = "philox"
+GENERATOR_NAME = "philox-stream"
 
 #: cap on the materialized support size of the exact convolution
 CONVOLUTION_CAP = 10_000_000
 #: relative tolerance for merging equal convolution support values
 CONVOLUTION_MERGE_RTOL = 1e-12
 #: replicates x tests drawn at once by the replicate kernel; keeps its
-#: temporaries (Philox lanes, uniforms, outcome indices, gathered scores)
-#: near 1 MiB per thread.  2,000 replicates of the five methods at n = 100
-#: took 12.8, 9.1, 9.0, 8.2 and 8.7 ms at 2^13 to 2^17 (median of 30, two
-#: cores): 2^16 gains about 9% there at twice the temporaries
+#: temporaries (uniforms, outcome indices, gathered scores) near 1 MiB per
+#: thread.  2,000 replicates of the five methods at n = 100 (circular-199)
+#: took 4.2, 3.8, 3.7, 5.4 and 6.9 ms at 2^13 to 2^17 (median of 30, two
+#: cores): 2^14 and 2^15 tie, and larger blocks are slower
 BLOCK_ELEMENTS = 1 << 15
 
 SYNTHETIC_ATOMS = {
@@ -443,6 +444,21 @@ def _block_scores(prep: _ConfigPrep, outcomes: list[np.ndarray]) -> np.ndarray:
     return scores
 
 
+def _replicate_stream(seed: int, config_index: int, replicate: int,
+                      n: int) -> np.random.Generator:
+    """Configuration ``config_index``'s stream, ``Generator(Philox(key=seed,
+    counter=config_index << 192))``, at the first of replicate ``replicate``'s
+    n doubles: replicate r reads doubles [r n, (r + 1) n) of it.  Philox
+    gives four words (four doubles) per counter, so the start is one counter
+    jump plus at most three discarded words, and the words before it are
+    never drawn."""
+    bits = np.random.Philox(key=seed, counter=config_index << 192)
+    skipped = replicate * n
+    bits.advance(skipped // 4)
+    bits.random_raw(skipped % 4)
+    return np.random.Generator(bits)
+
+
 def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
                 workers: int) -> np.ndarray:
     nm = prep.thresholds.size
@@ -451,11 +467,11 @@ def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
 
     def chunk(lo: int, hi: int) -> np.ndarray:
         counts = np.zeros(nm, dtype=np.int64)
+        stream = _replicate_stream(seed, config_index, lo, prep.n)
         for b0 in range(lo, hi, block):
-            b1 = min(b0 + block, hi)
             # the uniforms are freed once the outcomes are drawn
             scores = _block_scores(prep, prep.outcomes(
-                _philox.uniforms(seed, config_index, b0, b1, prep.n)))
+                stream.random((min(block, hi - b0), prep.n))))
             counts += (scores >= thresholds).sum(axis=1)
         return counts
 
@@ -478,7 +494,8 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
                 alpha: float, reps: int, seed: int, workers: int,
                 grid_name: str) -> ExperimentReport:
     """Rejection counts of every method at each (n, alt_param) configuration;
-    configuration i draws from Philox stream i.  Every setting is checked
+    configuration i reads the Philox stream at counter i << 192, replicate
+    after replicate (``_replicate_stream``).  Every setting is checked
     before the first run; seeds key Philox, which takes 128 bits."""
     alpha = probability(alpha, "alpha")
     reps, seed = integer(reps, "reps", 1, INT64_MAX), integer(seed, "seed")

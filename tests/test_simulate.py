@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pcomb import (LRT_GEOMETRIC, METHODS, adjust, binomial_scenario,
                    geometric_scenario, power_experiment, sample_pvalues,
                    scenario_from_json, surrogate, synthetic_scenario,
                    type1_experiment)
-from pcomb import _philox, simulate
+from pcomb import simulate
 from pcomb.distributions import SUPPORT_CAP
 from pcomb.simulate import BLOCK_ELEMENTS, SYNTHETIC_ATOMS, _geometric_lrt_threshold
 
@@ -364,7 +365,7 @@ class TestGuideTable:
         # the non-i.i.d. groups read every third test of a block: strided views
         scenario = geometric_noniid_scenario(side="two")
         sampler = simulate._Sampler(scenario, n, 0.05)
-        u = _philox.uniforms(3, 0, 0, 50, n)
+        u = _uniforms(3, 0, 0, 50, n)
         for block in (u, u[7]):
             for group, pos, idx in zip(scenario._groups, sampler.group_pos,
                                        sampler.outcomes(block)):
@@ -533,57 +534,58 @@ class TestGeneExample:
 
 
 # ---------------------------------------------------------------------------
-# the block replicate kernel against the per-replicate Philox streams
+# the block replicate kernel against each configuration's Philox stream
 # ---------------------------------------------------------------------------
 
-def _stream_uniforms(seed, config_index, replicate, n):
-    """The draws of one replicate from numpy's own Philox generator."""
-    counter = (config_index << 192) | (replicate << 64)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter)).random(n)
+def _uniforms(seed, config_index, lo, hi, n):
+    """(hi - lo, n) doubles: the draws of replicates lo..hi-1."""
+    return simulate._replicate_stream(seed, config_index, lo, n).random((hi - lo, n))
 
 
-class TestPhilox:
+class TestStream:
     @pytest.mark.parametrize("seed", [0, 2 ** 64 + 5, 2 ** 128 - 1])
     @pytest.mark.parametrize("config_index", [0, 3, 2 ** 40])
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 100])
-    def test_matches_numpy_philox(self, seed, config_index, n):
-        # the range crosses a block boundary of the replicate kernel
+    def test_replicates_read_numpy_philox_in_order(self, seed, config_index, n):
+        # replicate r takes doubles [r n, (r + 1) n) of the configuration's
+        # stream; the range crosses a block boundary of the replicate kernel
         block = BLOCK_ELEMENTS // n
-        lo, hi = block - 2, block + 2
-        u = _philox.uniforms(seed, config_index, lo, hi, n)
-        assert u.shape == (hi - lo, n)
-        for row, rep in zip(u, range(lo, hi)):
-            np.testing.assert_array_equal(row, _stream_uniforms(seed, config_index, rep, n))
+        stream = np.random.Generator(np.random.Philox(key=seed, counter=config_index << 192))
+        whole = stream.random((block + 2) * n).reshape(block + 2, n)
+        np.testing.assert_array_equal(_uniforms(seed, config_index, 0, 1, n)[0], whole[0])
+        for rep in range(block - 2, block + 2):
+            np.testing.assert_array_equal(
+                simulate._replicate_stream(seed, config_index, rep, n).random(n), whole[rep])
 
-    def test_first_replicates_and_large_replicate_index(self):
-        for lo, hi in ((0, 3), (2 ** 40, 2 ** 40 + 2)):
-            u = _philox.uniforms(7, 1, lo, hi, 9)
-            for row, rep in zip(u, range(lo, hi)):
-                np.testing.assert_array_equal(row, _stream_uniforms(7, 1, rep, 9))
+    @pytest.mark.parametrize("n", [1, 3, 7, 10, 50, 100])
+    def test_uneven_chunks_read_the_contiguous_stream(self, n):
+        whole = _uniforms(5, 2, 0, 2000, n)
+        chunks = [_uniforms(5, 2, lo, hi, n) for lo, hi in ((0, 13), (13, 999), (999, 2000))]
+        np.testing.assert_array_equal(np.concatenate(chunks), whole)
 
-    @pytest.mark.parametrize("n", [1, 4, 5])
-    def test_single_replicate(self, n):
-        # every counter word stays 1x1 or a single row or column
-        u = _philox.uniforms(3, 2, 17, 18, n)
-        assert u.shape == (1, n)
-        np.testing.assert_array_equal(u[0], _stream_uniforms(3, 2, 17, n))
-
-    def test_largest_seed_and_config_index(self):
-        seed, config_index = 2 ** 128 - 1, 2 ** 64 - 1
-        u = _philox.uniforms(seed, config_index, 5, 9, 7)
-        for row, rep in zip(u, range(5, 9)):
-            np.testing.assert_array_equal(row, _stream_uniforms(seed, config_index, rep, 7))
-
-    @pytest.mark.parametrize("n", [1, 5, 100])
-    def test_tests_by_replicates_layout(self, n):
-        # the kernel's speed rests on this layout: each lane is written as
-        # contiguous rows, and the outcome lookup reads whole rows
-        assert _philox.uniforms(1, 0, 0, 50, n).T.flags.c_contiguous
+    def test_far_start_skips_words_without_drawing_them(self):
+        # the largest seed, config index 2**40 and replicates past 2**62: the
+        # start is a counter jump, checked against a counter set directly
+        seed, config_index, n, rep = 2 ** 128 - 1, 2 ** 40, 7, 2 ** 62 + 5
+        tracemalloc.start()
+        try:
+            u = _uniforms(seed, config_index, rep, rep + 2, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        skipped = rep * n
+        bits = np.random.Philox(key=seed, counter=(config_index << 192) + skipped // 4)
+        bits.random_raw(skipped % 4)
+        np.testing.assert_array_equal(u.ravel(), np.random.Generator(bits).random(2 * n))
+        np.testing.assert_array_equal(u[1], _uniforms(seed, config_index, rep + 1, rep + 2, n)[0])
 
 
-#: SHA-256 of ``to_csv()`` (and of the ``sample_pvalues`` draws), recorded
-#: from the one-replicate-at-a-time kernel, which drew each replicate from a
-#: fresh ``np.random.Generator(np.random.Philox(...))``.  No block size
+#: SHA-256 of ``to_csv()`` (and of the ``sample_pvalues`` draws).  The
+#: experiment digests were recorded under the "philox-stream" generator from
+#: a one-replicate-at-a-time kernel: each replicate's n doubles from its own
+#: ``_replicate_stream``, outcomes by ``np.searchsorted`` and scores summed in
+#: Python, left to right; the block kernel gave the same CSVs.  No block size
 #: ``BLOCK_ELEMENTS // n`` of these runs divides 700, so each ends in a
 #: partial block.
 PINNED_REPS = 700
@@ -622,45 +624,45 @@ PINNED_DRAWS = {
 }
 PINNED_SHA256 = {
     "synthetic-PC type1 seed 42":
-        "42cee96f06e2004b500f604ef2b5348423ad174dcfe7cf3d60fec2138ec0edaa",
+        "729bb9f7c44ae1b8a7ef7348e3e90be084035a85fcc9878c750403be679b3c83",
     "synthetic-PC type1 seed 18446744073709551621":
-        "d573d26b55062a2456f46f67763c3e1fb88fae07252a19e71eaf9afe4143b550",
+        "65a38656134a28749497777c64487d9674ddd147dc486db7b57785c80df05122",
     "binomial type1 seed 42":
-        "0875fa3a625081e6e82baa07c33089245ae9359d0d15746dfe4f93597ad3b285",
+        "ef13f30436db41de7ddda1a4fe8038bf73fb289fac75b2ed9b5b1164a3cd1313",
     "binomial type1 seed 18446744073709551621":
-        "ce1d1b981ce03986c51d4a9afcc90f0b29797433c23ad52dd64fdf837c5989fa",
+        "00fa79ad8e6ab4d2867861ddd92174ad3b667a388d0687c89f4989f4a026b582",
     "binomial power seed 42":
-        "f3dab4ccd1afd2862f57f123a8728d7745c9d8fad34f028096f00787ee6dbd5f",
+        "bf82ec70e47b91ad6adadc365f9c08e08c297d7753535c2c8177302f86526e63",
     "binomial power seed 18446744073709551621":
-        "c88d60d9f26b0ade6c5c402d5f66e53ce1e15307ce7a899c640a7030524252be",
+        "16d8507a38c36fe4ef0ab4869d066cbb0c7bcfd8315e7cfee7747de167785429",
     "geometric type1 seed 42":
-        "0355aab6c0f775f7328096c786d40d980a7e84f472de4a749cb5c6b783e8544e",
+        "083dce97fc891f62a85cba6d86eaa0630ce0cd45cfbe7287091c349d1475895b",
     "geometric type1 seed 18446744073709551621":
-        "825f711986cf3b8e2a025d748497ea1b1e017546cbe57a85205e1d176284cebf",
+        "a9f566f741e2d3065ea8511e69dea7953674d10c8fc1827ba40a502e0d44856f",
     "geometric power seed 42":
-        "33e4b54d27af9ce9311955669a360ccc5ee8d66ef1ded7696fc67b187c758d3a",
+        "19780dd96f88aa978860a8c3b46384c466e0b9de8c4bc86dcfc7c0c03cbfff6b",
     "geometric power seed 18446744073709551621":
-        "839b9ebebc81f7275a3da64d64011d6b85485cdfd6ab18d0ffe7f8d0b9529fc7",
+        "0cefdf684c38748248c2c7cddd803bf1ae5861641039b65a2fe86b3d1e55ee3f",
     "geometric-left power seed 42":
-        "9c23ba7a124d15eed5c6d3f5c7017df87cf7da023cb6f5d72eb21a7a8e07a9fd",
+        "103c5e1c8f498f291d32cd9f645ef080037ca9b2f2753a31d2fcaebebf4aa816",
     "geometric-left power seed 18446744073709551621":
-        "08f48e9b3cd3aa626e3a51a70179a27578ea184eca0719b65f09f61f0fe9792b",
+        "04f31b7115d356805c02d93fb2f0e46bc71b038ce78d5ee954e4848233312b3d",
     "noniid type1 seed 42":
-        "64266edebd47f4e40676a7bd9614eb4772c081933c9c28bc97cd2c2f29d55360",
+        "bae9f3d3e8c18d5a80c393c303f9bbe6c9ab41262ba1a9be2c4f95dcd962d8c1",
     "noniid type1 seed 18446744073709551621":
-        "12712a41c0dccec076c0d164904846a62fe10ad7a984ca9970e154ea713460f7",
+        "43bf6e1b9cfa2d261d74458b55357578c4004595b1e7b88eb86749438a110236",
     "noniid power seed 42":
-        "da2a046ba8a8d86fd7f19d4b1be5c8af7252483efde0f67ad1dc7e78e28dec67",
+        "18e3334ce2579c6aa9fbe5119ab970b5b7056f4bb57b37c38ea410df738858eb",
     "noniid power seed 18446744073709551621":
-        "75b69caad5ca3b00d95b6549d0d457d69c56489133f60d264bed930cff45428e",
+        "6ed5cf9b4e352c49c02894d14fe1dec536b7cc40933aa3f9cfe09a05696e296c",
     "circular type1 seed 42":
-        "4b7ee47df44849a78da75c409b8a31ef3cf9792b95589133e2f29edb13f82480",
+        "aec0b39d3cd9e9be69c591607a5d7d4e38ddec8117bb91ce778e3734264ff637",
     "circular type1 seed 18446744073709551621":
-        "9663e75e268b4d7dd8530cd7bd38d50fa7be522237cd368ee6c22f65023399ae",
+        "61ff3732945bcd8773e80f98424ae44e132fe10e10d720d355d24e8d3db42be1",
     "circular power seed 42":
-        "a880627e6a8de464330c747bcbade5b70a82713a3393669ba9cc767a495f1d17",
+        "a09b93c4f405523321eb66a14a7b0a2c0bac6947b8fd581b9cff1409c97849d4",
     "circular power seed 18446744073709551621":
-        "2a36d4233173252c8201389cb38fc12836433882a35377db3eed41eba5a08a2a",
+        "68c16bd9be62b07f455edd712ba0f8ada65f066687788245aea5e39018824ac6",
     "draws synthetic-PS seed 3":
         "de0c73053954caa23a642ced349ff9a056b4fe7e03dc07de0846ee9ceeac2e58",
     "draws synthetic-PS seed 17":
@@ -739,7 +741,7 @@ class TestSignedThresholds:
         methods = [*METHODS, LRT_GEOMETRIC]
         prep = simulate._ConfigPrep(scenario, methods, n, 0.25, alpha)
         assert not hasattr(prep, "upper")
-        u = _philox.uniforms(11, 0, 0, 40, n)
+        u = _uniforms(11, 0, 0, 40, n)
         block = simulate._block_scores(prep, prep.outcomes(u))
         g = scenario._groups[0]
         for mi, method in enumerate(methods):
@@ -774,18 +776,18 @@ class TestKernelScores:
         for subset in (methods, methods[:1], methods[-2:]):
             for n in (1, 2, 9, 100, 129):
                 prep = simulate._ConfigPrep(scenario, subset, n, alt, 0.05)
-                _assert_block_matches_left_to_right_sums(prep, _philox.uniforms(11, 0, 0, 20, n))
+                _assert_block_matches_left_to_right_sums(prep, _uniforms(11, 0, 0, 20, n))
                 # a block of one replicate: reps == 1, n > BLOCK_ELEMENTS, or
                 # the last block of a run
                 for seed in range(5):
                     _assert_block_matches_left_to_right_sums(
-                        prep, _philox.uniforms(seed, 0, 0, 1, n))
+                        prep, _uniforms(seed, 0, 0, 1, n))
 
     def test_full_block_with_crowded_bins(self):
         # non-i.i.d. geometric tails: strided groups whose guide tables send
         # some uniforms of the block to searchsorted
         n = 100
-        u = _philox.uniforms(11, 0, 0, BLOCK_ELEMENTS // n, n)
+        u = _uniforms(11, 0, 0, BLOCK_ELEMENTS // n, n)
         for methods in (METHODS, METHODS[:1]):
             prep = simulate._ConfigPrep(geometric_noniid_scenario(side="two"), methods, n,
                                         0.03, 0.05)
@@ -815,7 +817,8 @@ class TestMethodSetIndependence:
             for n in (1, 9, 100):
                 # the blocks of a run, as _run_config draws them
                 block = max(1, block_elements // n)
-                uniforms = [_philox.uniforms(3, 0, b0, min(b0 + block, reps), n)
+                stream = simulate._replicate_stream(3, 0, 0, n)
+                uniforms = [stream.random((min(block, reps - b0), n))
                             for b0 in range(0, reps, block)]
                 beside = simulate._ConfigPrep(scenario, methods, n, alt, 0.05)
                 scores = [simulate._block_scores(beside, beside.outcomes(u)) for u in uniforms]
@@ -864,22 +867,29 @@ class TestWorkers:
         assert _RecordingExecutor.max_workers == [blocks - 1]
 
     def test_chunks_start_on_block_boundaries(self, monkeypatch):
-        starts = []
-        uniforms = _philox.uniforms
+        draws = []
+        stream = simulate._replicate_stream
 
-        def recording(seed, config_index, lo, hi, n):
-            starts.append((lo, hi))
-            return uniforms(seed, config_index, lo, hi, n)
+        class Recording:
+            def __init__(self, seed, config_index, replicate, n):
+                self.stream = stream(seed, config_index, replicate, n)
+                self.draws = [replicate]
+                draws.append(self.draws)
+
+            def random(self, size):
+                self.draws.append(size)
+                return self.stream.random(size)
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", _RecordingExecutor)
-        monkeypatch.setattr(simulate._philox, "uniforms", recording)
+        monkeypatch.setattr(simulate, "_replicate_stream", Recording)
         monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 30)
         monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
         type1_experiment(synthetic_scenario("PC"), ["fisher"], [10], 0.05, 10, seed=1,
                          workers=3)
         # four blocks of at most 3 replicates, in chunks of two blocks: the
-        # pool runs replicates 6-9, then the calling thread runs 0-5
-        assert starts == [(6, 9), (9, 10), (0, 3), (3, 6)]
+        # pool runs replicates 6-9, then the calling thread runs 0-5, each
+        # from a stream that starts at its first replicate
+        assert draws == [[6, (3, 10), (1, 10)], [0, (3, 10), (3, 10)]]
         assert _RecordingExecutor.max_workers == [1]
 
     @pytest.mark.parametrize("workers", [0, -3])
