@@ -580,6 +580,23 @@ class TestStream:
         np.testing.assert_array_equal(u.ravel(), np.random.Generator(bits).random(2 * n))
         np.testing.assert_array_equal(u[1], _uniforms(seed, config_index, rep + 1, rep + 2, n)[0])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_experiment_configurations_read_their_own_counters(self, workers):
+        # configuration c of an experiment reads the stream at counter c << 192
+        scenario, seed, reps, alpha = binomial_scenario(0.1), 9, 2 * BLOCK_ELEMENTS // 5, 0.05
+        n_grid = [5, 7, 5]
+        report = type1_experiment(scenario, METHODS, n_grid, alpha, reps, seed, workers)
+        for ci, n in enumerate(n_grid):
+            stream = np.random.Generator(np.random.Philox(key=seed, counter=ci << 192))
+            prep = simulate._ConfigPrep(scenario, METHODS, n, scenario.null_param, alpha)
+            scores = simulate._block_scores(prep, prep.outcomes(stream.random((reps, n))))
+            expected = (scores >= prep.thresholds[:, None]).sum(axis=1)
+            rows = report.rows[ci * len(METHODS):(ci + 1) * len(METHODS)]
+            assert [r.rejections for r in rows] == expected.tolist()
+        # the same n at configurations 0 and 2 reads different streams
+        first, last = report.rows[:len(METHODS)], report.rows[2 * len(METHODS):]
+        assert [r.rejections for r in first] != [r.rejections for r in last]
+
 
 #: SHA-256 of ``to_csv()`` (and of the ``sample_pvalues`` draws).  The
 #: experiment digests were recorded under the "philox-stream" generator from
