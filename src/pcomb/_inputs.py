@@ -6,19 +6,18 @@ coercers once, on entry.  A **number** is an ``int``, ``float``,
 bools, strings, ``None`` and all else are refused, and so are NaN and +-inf
 where a finite value is required.  An **integer** is an ``int``,
 ``np.integer`` or integral float of magnitude at most 2**53 (``5.0`` is 5),
-returned as an int.  A **probability** is a number in (0, 1), and a **list
-of numbers** a list, tuple or 1-D ndarray of numbers or of 64-bit integers;
-a string, a bare scalar or an array of another rank is not a list.  A
+returned as an int.  A **probability** is a number in (0, 1).  A **list**
+(of numbers, method names or distributions) is a list, tuple or 1-D ndarray;
+a string, ``None``, a bare scalar or an array of another rank is not.  A
 refusal is a one-line ValueError: ``<name> must be <what>, got <repr>``.
-A plain ``int`` or ``float`` passes at once, a list of plain ints in one
-``np.array`` call, a 1-D int or float ndarray on its dtype (and one
-``isfinite`` where entries must be finite).  pcomb's own named-family
-models and p-value distributions skip all this: valid as built, read-only.
+A plain ``int`` or ``float`` passes at once, a 1-D int or float ndarray on
+its dtype (and one ``isfinite`` where entries must be finite), and any other
+list entry by entry.  pcomb's own named-family models and p-value
+distributions skip all this: valid as built, read-only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import reprlib
 import sys
@@ -78,12 +77,12 @@ def integer(value, name: str, minimum: int | None = None, maximum: int | None = 
     return v
 
 
-def sequence(value, name: str) -> list:
+def sequence(value, name: str, noun: str = "numbers") -> list:
     """The entries of a list, tuple or 1-D ndarray; a string, a scalar or an
-    array of another rank is refused."""
+    array of another rank is refused as not a list of ``noun``."""
     if (isinstance(value, (str, bytes)) or not isinstance(value, (Sequence, np.ndarray))
             or getattr(value, "ndim", 1) != 1):
-        raise _refuse(name, "a list of numbers", value)
+        raise _refuse(name, f"a list of {noun}", value)
     return value.tolist() if isinstance(value, np.ndarray) else list(value)
 
 
@@ -95,9 +94,6 @@ def numbers(value, name: str, *, integral: bool = False, finite: bool = True) ->
             and value.dtype.kind in ("i" if integral else "fiu")
             and (not finite or value.dtype.kind != "f" or np.isfinite(value).all())):
         return value if value.dtype.type is dtype else value.astype(dtype)
-    if type(value) is list and {int}.issuperset(map(type, value)):
-        with contextlib.suppress(OverflowError):   # out of range: the loop names it
-            return np.array(value, dtype=dtype)
     value = sequence(value, name)   # the loop below names the entry that fails
     out = np.empty(len(value), dtype=dtype)
     for i, v in enumerate(value):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _laws
-from ._inputs import numbers, probability
+from ._inputs import numbers, probability, sequence
 from .adjust import cell_pass, method_spec
 from .distributions import DiscretePValueDist
 
@@ -104,6 +104,7 @@ def _match_atom(dist: DiscretePValueDist, value: float) -> int:
 def _combined(method: str, values: list, dists: Sequence[DiscretePValueDist], noun: str,
               atom) -> CombinedResult:
     """Combination of the tests whose atom indices ``atom(dist, value)`` finds."""
+    dists = sequence(dists, "dists", "p-value distributions")
     if len(values) != len(dists):
         raise ValueError(f"got {len(values)} {noun} for {len(dists)} distributions")
     if len(dists) == 0:

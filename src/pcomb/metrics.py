@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _laws
+from ._inputs import sequence
 from .adjust import METHODS, AdjustedStatistic, adjust, method_spec
 from .combine import surrogate
 from .distributions import DiscretePValueDist
@@ -62,9 +63,10 @@ def scaled_w2(method: str, dist: DiscretePValueDist) -> float:
     return _scaled(method, np.sum(_surrogate_cells(method, adjust(method, dist))))
 
 
-def _dist_list(dists) -> list[DiscretePValueDist]:
-    """One distribution or a sequence of them, as a nonempty list."""
-    dists = [dists] if isinstance(dists, DiscretePValueDist) else list(dists)
+def _dist_list(dists, name: str) -> list[DiscretePValueDist]:
+    """One distribution or a list of them, as a nonempty list."""
+    dists = ([dists] if isinstance(dists, DiscretePValueDist)
+             else sequence(dists, name, "p-value distributions"))
     if not dists:
         raise ValueError("need at least one distribution")
     return dists
@@ -72,7 +74,7 @@ def _dist_list(dists) -> list[DiscretePValueDist]:
 
 def variance_ratio(method: str, dist) -> float:
     """Var(Z)/Var(Y); for a sequence of distributions, the average ratio."""
-    variances = [adjust(method, d).variance for d in _dist_list(dist)]
+    variances = [adjust(method, d).variance for d in _dist_list(dist, "dist")]
     return float(np.mean(variances)) / method_spec(method).law.variance
 
 
@@ -129,7 +131,7 @@ class MetricsReport:
 def rank_methods(dists) -> MetricsReport:
     """Full diagnostic table over all methods for one distribution or,
     for a sequence, the across-distribution averages of each column."""
-    dists = _dist_list(dists)
+    dists = _dist_list(dists, "dists")
     rows = []
     for method in METHODS:
         spec = method_spec(method)

@@ -11,14 +11,14 @@ per-replicate substreams and cannot be reproduced by this version.  A guide
 table per group (Chen & Asau 1974) turns each uniform into its outcome index
 with one gather and one compare, and sends only the few uniforms that land
 where cdf values crowd to ``searchsorted``; the indices are
-``searchsorted``'s by construction.  Each replicate's score sums its tests
-strictly left to right, whatever other methods run beside it, and the kernel
-reports aggregate integer rejection counts, so neither the block size, the
-method set nor the chunking of blocks over ``workers`` threads can change a
-single byte of the output.  Threads overlap only inside numpy calls, the
-``Philox`` fill among them, and the lookup and score sums of a block are
-many short ones: on two cores the traced ``parallel_speedup`` of
-``workers=2`` read 0.93-1.27 over six runs, little faster than one worker.
+``searchsorted``'s by construction.  One gather and one sum per group, from
+its (methods, outcomes) score table, give a block's scores; each replicate
+sums its tests strictly left to right, whatever other methods run beside
+it, and the kernel reports aggregate integer rejection counts, so neither
+the block size, the method set nor the chunking of blocks over ``workers``
+threads can change a single byte of the output.  Threads overlap only
+inside numpy calls, the ``Philox`` fill among them: on two cores the traced
+``parallel_speedup`` of ``workers=2`` read 0.93-1.27 over six runs.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ GENERATOR_NAME = "philox-stream"
 CONVOLUTION_CAP = 10_000_000
 #: relative tolerance for merging equal convolution support values
 CONVOLUTION_MERGE_RTOL = 1e-12
-#: replicates x tests drawn at once by the replicate kernel; keeps its
-#: temporaries (uniforms, outcome indices, gathered scores) near 1 MiB per
-#: thread.  2,000 replicates of the five methods at n = 100 (circular-199)
-#: took 4.2, 3.8, 3.7, 5.4 and 6.9 ms at 2^13 to 2^17 (median of 30, two
-#: cores): 2^14 and 2^15 tie, and larger blocks are slower
+#: replicates x tests drawn at once by the replicate kernel; its uniforms,
+#: outcome indices and score gather hold (methods + 2) x 256 KiB per thread.
+#: 2,000 replicates of the five methods at n = 100 (circular-199) took 3.7,
+#: 3.4, 3.2, 3.4 and 3.6 ms at 2^13 to 2^17 (best of three medians of 30,
+#: two cores)
 BLOCK_ELEMENTS = 1 << 15
 
 SYNTHETIC_ATOMS = {
@@ -384,9 +384,9 @@ class _ConfigPrep(_Sampler):
         score_rows, thresholds = [], []
         for name in self.method_names:
             if name == LRT_GEOMETRIC:
-                if scenario.kind != "geometric":
-                    raise ValueError(f"{LRT_GEOMETRIC} is only defined for "
-                                     f"i.i.d. geometric scenarios, not {scenario.kind!r}")
+                if scenario.kind != "geometric" or scenario.side == "two":
+                    raise ValueError(f"{LRT_GEOMETRIC} is only defined for one-sided i.i.d. "
+                                     f"geometric scenarios, not {scenario.name!r}")
                 rows = [g.dist.model.support.astype(float) for g in groups]
                 t, upper = _geometric_lrt_threshold(scenario, n, alpha)
             else:
@@ -399,8 +399,8 @@ class _ConfigPrep(_Sampler):
             score_rows.append(rows if upper else [-row for row in rows])
             thresholds.append(t if upper else -t)
 
-        # each group's score rows, one per method
-        self.group_scores = list(zip(*score_rows))
+        # each group's signed scores, a C-contiguous (methods, outcomes) table
+        self.group_tables = [np.array(rows) for rows in zip(*score_rows)]
         self.thresholds = np.asarray(thresholds)
 
 
@@ -428,19 +428,17 @@ def _block_scores(prep: _ConfigPrep, outcomes: list[np.ndarray]) -> np.ndarray:
     group's (replicates, tests) outcome indices.
 
     Every replicate adds its groups in turn, and within a group its tests
-    strictly left to right: the reduction runs over the outer axis of a
-    C-contiguous (tests, replicates) gather.  numpy merges away the size-one
-    axis of a one-replicate block and would sum pairwise, so that block
-    takes the last running sum instead."""
+    strictly left to right: the reduction runs over the middle axis of the
+    C-contiguous (methods, tests, replicates) gather from the group's table.
+    numpy merges away the size-one axis of a one-replicate block and would
+    sum pairwise, so that block takes the last running sum, made in place."""
     scores = np.zeros((prep.thresholds.size, len(outcomes[0])))
-    for group_scores, idx in zip(prep.group_scores, outcomes):
+    for table, idx in zip(prep.group_tables, outcomes):
         if not idx.size:  # a group can have no tests when n is small
             continue
-        idx = np.ascontiguousarray(idx.T)
-        for row, total in zip(group_scores, scores):
-            gathered = row[idx]
-            total += (gathered.cumsum(axis=0)[-1] if len(total) == 1
-                      else np.add.reduce(gathered, axis=0))
+        gathered = table.take(idx.T, axis=1)
+        scores += (gathered.cumsum(axis=1, out=gathered)[:, -1] if scores.shape[1] == 1
+                   else np.add.reduce(gathered, axis=1))
     return scores
 
 
@@ -500,6 +498,7 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
     alpha = probability(alpha, "alpha")
     reps, seed = integer(reps, "reps", 1, INT64_MAX), integer(seed, "seed")
     workers = integer(workers, "workers", 1)
+    methods = sequence(methods, "methods", "method names")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed!r}")
     if len(configs) == 0:   # one configuration per grid entry

@@ -30,8 +30,8 @@ from pcomb import (DiscretePValueDist, StatisticModel, adjust, adjust_generic,
                    binomial_scenario, circular_scenario, combine, combine_observations,
                    custom_pvalue_distribution, exact_convolution, geometric_noniid_scenario,
                    geometric_scenario, make_statistic_model, power_experiment,
-                   pvalue_distribution, sample_pvalues, scenario_from_json, surrogate,
-                   synthetic_scenario, type1_experiment)
+                   pvalue_distribution, rank_methods, sample_pvalues, scenario_from_json,
+                   surrogate, synthetic_scenario, type1_experiment, variance_ratio)
 from pcomb._inputs import numbers
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
@@ -403,6 +403,27 @@ def _type1(**kw):
                  "the binomial model takes no parameter 'rate'", id="model-unknown-key"),
     pytest.param(lambda: make_statistic_model("poisson", {}),
                  "the poisson model needs the parameter 'rate'", id="model-missing-key"),
+    # a string is not a list: "fisher" once ran as the methods "f", "i", ...
+    pytest.param(lambda: type1_experiment(synthetic_scenario("PC"), "fisher", [3], 0.05, 10, 1),
+                 "methods must be a list of method names, got 'fisher'", id="methods-str"),
+    pytest.param(lambda: type1_experiment(synthetic_scenario("PC"), None, [3], 0.05, 10, 1),
+                 "methods must be a list of method names, got None", id="methods-none"),
+    pytest.param(lambda: power_experiment(BINOMIAL_SCENARIO, "fisher", [0.4], 3, 0.05, 10, 1),
+                 "methods must be a list of method names, got 'fisher'", id="power-methods-str"),
+    pytest.param(lambda: rank_methods("abc"),
+                 "dists must be a list of p-value distributions, got 'abc'",
+                 id="rank-methods-str"),
+    pytest.param(lambda: variance_ratio("fisher", "abc"),
+                 "dist must be a list of p-value distributions, got 'abc'",
+                 id="variance-ratio-str"),
+    pytest.param(lambda: combine("fisher", [0.5], None),
+                 "dists must be a list of p-value distributions, got None", id="combine-dists-none"),
+    pytest.param(lambda: combine_observations("fisher", [1], None),
+                 "dists must be a list of p-value distributions, got None",
+                 id="combine-observations-dists-none"),
+    pytest.param(lambda: combine_observations("fisher", [1], "ab"),
+                 "dists must be a list of p-value distributions, got 'ab'",
+                 id="combine-observations-dists-str"),
 ])
 def test_closed_hole(call, message):
     with pytest.raises(ValueError) as info:
@@ -423,7 +444,7 @@ def _coerced(value, **kw):
                    | st.just(10 ** 400), max_size=6),
        integral=st.booleans())
 def test_a_list_of_plain_ints_reads_as_the_entry_loop_does(xs, integral):
-    # a list of plain ints takes one np.array call; a tuple takes the loop
+    # a list reads as a tuple of the same entries, one entry at a time
     assert _coerced(xs, integral=integral) == _coerced(tuple(xs), integral=integral)
 
 

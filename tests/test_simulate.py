@@ -217,6 +217,13 @@ class TestExperiments:
         with pytest.raises(ValueError):
             power_experiment(geometric_noniid_scenario(side="right"), [LRT_GEOMETRIC],
                              [0.0], 10, 0.05, 100, seed=0)
+        # the threshold is one-sided: a two-sided scenario once ran as a
+        # left-sided one and reported no rejection at all
+        with pytest.raises(ValueError) as info:
+            power_experiment(geometric_scenario(0.5, "two"), [LRT_GEOMETRIC], [0.4], 3,
+                             0.05, 10, 0)
+        assert str(info.value) == ("lrt-geometric is only defined for one-sided i.i.d. "
+                                   "geometric scenarios, not 'geometric-p0.5-two'")
 
     def test_synthetic_power_rejected(self):
         with pytest.raises(ValueError):
@@ -738,9 +745,9 @@ def _assert_block_matches_left_to_right_sums(prep, u):
         outcomes = prep.outcomes(u[r])
         for mi in range(len(prep.method_names)):
             total = 0.0
-            for group_scores, idx in zip(prep.group_scores, outcomes):
+            for table, idx in zip(prep.group_tables, outcomes):
                 group_sum = 0.0
-                for score in group_scores[mi][idx].tolist():
+                for score in table[mi][idx].tolist():
                     group_sum += score
                 total += group_sum
             assert block[mi, r] == total, (prep.method_names[mi], r)
@@ -811,6 +818,25 @@ class TestKernelScores:
             for lookup, pos in zip(prep.group_lookup, prep.group_pos):
                 assert lookup.crowded.take((u[:, pos] * lookup.bins).astype(np.intp)).any()
             _assert_block_matches_left_to_right_sums(prep, u)
+
+    @pytest.mark.parametrize("scenario,alt,methods,n", [
+        (circular_scenario(199), 0.02, METHODS, 100),
+        (geometric_scenario(0.3, "right"), 0.25, [*METHODS, LRT_GEOMETRIC], BLOCK_ELEMENTS + 1),
+    ])
+    def test_one_block_holds_one_gather_and_its_inputs(self, scenario, alt, methods, n):
+        # a block's temporaries: the (methods, tests, replicates) gather, the
+        # uniforms and the outcome indices; a one-replicate block (n past
+        # BLOCK_ELEMENTS) keeps its running sums in the gather itself
+        prep = simulate._ConfigPrep(scenario, methods, n, alt, 0.05)
+        reps = max(1, BLOCK_ELEMENTS // n)
+        simulate._run_config(prep, reps, 3, 0, 1)
+        tracemalloc.start()
+        try:
+            simulate._run_config(prep, reps, 3, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (len(methods) + 2.5) * reps * n * 8
 
 
 #: scenarios at an alternative, with every method each accepts
