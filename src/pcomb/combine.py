@@ -23,7 +23,7 @@ import numpy as np
 from . import _laws
 from ._inputs import numbers, probability, sequence
 from .adjust import cell_pass, method_spec
-from .distributions import DiscretePValueDist
+from .distributions import DiscretePValueDist, _dist_entries
 
 #: relative tolerance for matching a supplied p-value to an atom
 ATOM_MATCH_RTOL = 1e-9
@@ -109,7 +109,7 @@ def _combined(method: str, values: list, dists: Sequence[DiscretePValueDist], no
         raise ValueError(f"got {len(values)} {noun} for {len(dists)} distributions")
     if len(dists) == 0:
         raise ValueError("nothing to combine")
-    indices = [atom(d, v) for v, d in zip(values, dists)]
+    indices = [atom(d, v) for v, d in zip(values, _dist_entries(dists, "dists"))]
     spec = method_spec(method)
     _, z, starts, variances = cell_pass(spec.law, spec.orientation, dists)
     statistic = 0.0

@@ -215,6 +215,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _dist_entries(dists: list, name: str) -> list[DiscretePValueDist]:
+    """``dists``, a list, once every entry is found to be a p-value distribution."""
+    for i, d in enumerate(dists):
+        if not isinstance(d, DiscretePValueDist):
+            raise ValueError(f"{name}[{i}] must be a p-value distribution, got {reprlib.repr(d)}")
+    return dists
+
+
 _JSON_TYPES = {"object": Mapping, "list": (list, tuple)}
 
 

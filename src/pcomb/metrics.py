@@ -23,7 +23,7 @@ from . import _laws
 from ._inputs import sequence
 from .adjust import METHODS, AdjustedStatistic, adjust, method_spec
 from .combine import surrogate
-from .distributions import DiscretePValueDist
+from .distributions import DiscretePValueDist, _dist_entries
 
 
 def _root(x: float) -> float:
@@ -66,7 +66,7 @@ def scaled_w2(method: str, dist: DiscretePValueDist) -> float:
 def _dist_list(dists, name: str) -> list[DiscretePValueDist]:
     """One distribution or a list of them, as a nonempty list."""
     dists = ([dists] if isinstance(dists, DiscretePValueDist)
-             else sequence(dists, name, "p-value distributions"))
+             else _dist_entries(sequence(dists, name, "p-value distributions"), name))
     if not dists:
         raise ValueError("need at least one distribution")
     return dists

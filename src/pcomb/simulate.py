@@ -3,22 +3,23 @@ the geometric likelihood-ratio comparator, an exact small-n convolution
 oracle, and the embedded gene-level example.
 
 Replication is deterministic and independent of the worker count: each
-configuration reads one contiguous stream of numpy's C ``Philox``, and
-replicate r takes doubles [r n, (r + 1) n) of it, so a run can start at any
-replicate by jumping the counter.  This stream is the generator
-``"philox-stream"``; reports that say ``"philox"`` came from the earlier
-per-replicate substreams and cannot be reproduced by this version.  A guide
-table per group (Chen & Asau 1974) turns each uniform into its outcome index
-with one gather and one compare, and sends only the few uniforms that land
-where cdf values crowd to ``searchsorted``; the indices are
-``searchsorted``'s by construction.  One gather and one sum per group, from
-its (methods, outcomes) score table, give a block's scores; each replicate
-sums its tests strictly left to right, whatever other methods run beside
-it, and the kernel reports aggregate integer rejection counts, so neither
-the block size, the method set nor the chunking of blocks over ``workers``
-threads can change a single byte of the output.  Threads overlap only
-inside numpy calls, the ``Philox`` fill among them: on two cores the traced
-``parallel_speedup`` of ``workers=2`` read 0.93-1.27 over six runs.
+configuration c reads one contiguous stream of numpy's ``PCG64DXSM``, seeded
+by ``SeedSequence(seed, spawn_key=(c,))``, and replicate r takes doubles
+[r n, (r + 1) n) of it, so a run can start at any replicate by ``advance``.
+This stream is the generator ``"pcg64dxsm-stream"``; reports that say
+``"philox-stream"`` or ``"philox"`` came from earlier Philox streams and
+cannot be reproduced by this version.  A guide table per group (Chen & Asau
+1974) turns each uniform into its outcome index with one gather and one
+compare, and sends only the few uniforms that land where cdf values crowd to
+``searchsorted``; the indices are ``searchsorted``'s by construction.  One
+gather and one sum per group, from its (methods, outcomes) score table, give
+a block's scores; each replicate sums its tests strictly left to right,
+whatever other methods run beside it, and the kernel reports aggregate
+integer rejection counts, so neither the block size, the method set nor the
+chunking of blocks over ``workers`` threads can change a single byte of the
+output.  Threads overlap only inside numpy calls, the uniform fill among
+them: on two cores the traced ``parallel_speedup`` of ``workers=2`` read
+0.60-0.65 over three runs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .distributions import (DiscretePValueDist, _binom_cdf, _first, _geom_cdf, _
 
 LRT_GEOMETRIC = "lrt-geometric"
 
-GENERATOR_NAME = "philox-stream"
+GENERATOR_NAME = "pcg64dxsm-stream"
 
 #: cap on the materialized support size of the exact convolution
 CONVOLUTION_CAP = 10_000_000
@@ -51,8 +52,8 @@ CONVOLUTION_CAP = 10_000_000
 CONVOLUTION_MERGE_RTOL = 1e-12
 #: replicates x tests drawn at once by the replicate kernel; its uniforms,
 #: outcome indices and score gather hold (methods + 2) x 256 KiB per thread.
-#: 2,000 replicates of the five methods at n = 100 (circular-199) took 3.7,
-#: 3.4, 3.2, 3.4 and 3.6 ms at 2^13 to 2^17 (best of three medians of 30,
+#: 2,000 replicates of the five methods at n = 100 (circular-199) took 2.6,
+#: 2.4, 2.4, 2.6 and 2.7 ms at 2^13 to 2^17 (best of three medians of 30,
 #: two cores)
 BLOCK_ELEMENTS = 1 << 15
 
@@ -373,27 +374,31 @@ class ExperimentReport:
 class _ConfigPrep(_Sampler):
     """Per-configuration sampling tables and rejection thresholds.  A lower-tail
     method's score rows and threshold are stored negated, so every method rejects
-    on ``>=``; negation commutes with rounding, so the negated sums are -S exactly."""
+    on ``>=``; negation commutes with rounding, so the negated sums are -S exactly.
+    Each method's adjustment per group (None for the LRT comparator) depends on
+    neither n nor the alternative, so an experiment passes ``adjusted`` on."""
 
     def __init__(self, scenario: Scenario, methods: Sequence[str], n: int,
-                 alt_param: float | None, alpha: float):
+                 alt_param: float | None, alpha: float, adjusted: list | None = None):
         super().__init__(scenario, n, alt_param)
         groups = scenario._groups
         self.method_names = list(methods)
+        self.adjusted = adjusted or [None if name == LRT_GEOMETRIC else
+                                     [adjust(name, g.dist) for g in groups]
+                                     for name in self.method_names]
 
         score_rows, thresholds = [], []
-        for name in self.method_names:
-            if name == LRT_GEOMETRIC:
+        for name, per_group in zip(self.method_names, self.adjusted):
+            if per_group is None:
                 if scenario.kind != "geometric" or scenario.side == "two":
                     raise ValueError(f"{LRT_GEOMETRIC} is only defined for one-sided i.i.d. "
                                      f"geometric scenarios, not {scenario.name!r}")
                 rows = [g.dist.model.support.astype(float) for g in groups]
                 t, upper = _geometric_lrt_threshold(scenario, n, alpha)
             else:
-                adjusted = [adjust(name, g.dist) for g in groups]
                 # z looked up directly by outcome index
-                rows = [adj.z[g.outcome_atoms] for adj, g in zip(adjusted, groups)]
-                surr = surrogate(name, [adjusted[gi].variance for gi in self.assign])
+                rows = [adj.z[g.outcome_atoms] for adj, g in zip(per_group, groups)]
+                surr = surrogate(name, np.array([adj.variance for adj in per_group])[self.assign])
                 upper = surr.tail == "upper"
                 t = surr.quantile(1.0 - alpha if upper else alpha)
             score_rows.append(rows if upper else [-row for row in rows])
@@ -444,16 +449,11 @@ def _block_scores(prep: _ConfigPrep, outcomes: list[np.ndarray]) -> np.ndarray:
 
 def _replicate_stream(seed: int, config_index: int, replicate: int,
                       n: int) -> np.random.Generator:
-    """Configuration ``config_index``'s stream, ``Generator(Philox(key=seed,
-    counter=config_index << 192))``, at the first of replicate ``replicate``'s
-    n doubles: replicate r reads doubles [r n, (r + 1) n) of it.  Philox
-    gives four words (four doubles) per counter, so the start is one counter
-    jump plus at most three discarded words, and the words before it are
-    never drawn."""
-    bits = np.random.Philox(key=seed, counter=config_index << 192)
-    skipped = replicate * n
-    bits.advance(skipped // 4)
-    bits.random_raw(skipped % 4)
+    """``Generator(PCG64DXSM(SeedSequence(seed, spawn_key=(config_index,))))``, the
+    configuration's stream, advanced without drawing to replicate ``replicate``:
+    replicate r reads doubles [r n, (r + 1) n) of it, one 64-bit output each."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(config_index,)))
+    bits.advance(replicate * n)
     return np.random.Generator(bits)
 
 
@@ -492,9 +492,9 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
                 alpha: float, reps: int, seed: int, workers: int,
                 grid_name: str) -> ExperimentReport:
     """Rejection counts of every method at each (n, alt_param) configuration;
-    configuration i reads the Philox stream at counter i << 192, replicate
-    after replicate (``_replicate_stream``).  Every setting is checked
-    before the first run; seeds key Philox, which takes 128 bits."""
+    configuration i reads the stream of spawn key (i,), replicate after
+    replicate (``_replicate_stream``).  Every setting is checked before the
+    first run; seeds stay below 2**128, the range of earlier versions."""
     alpha = probability(alpha, "alpha")
     reps, seed = integer(reps, "reps", 1, INT64_MAX), integer(seed, "seed")
     workers = integer(workers, "workers", 1)
@@ -509,9 +509,9 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
     for n, alt in configs:
         for g in scenario._groups:
             g.cdf_for(alt)  # raises on a parameter outside the family's range
-    rows = []
+    rows, prep = [], None
     for ci, (n, alt) in enumerate(configs):
-        prep = _ConfigPrep(scenario, methods, n, alt, alpha)
+        prep = _ConfigPrep(scenario, methods, n, alt, alpha, prep and prep.adjusted)
         counts = _run_config(prep, reps, seed, ci, workers)
         rows.extend(ExperimentRow(scenario=scenario.name, method=m, n=prep.n, alt_param=alt,
                                   alpha=alpha, reps=reps, rejections=int(c))

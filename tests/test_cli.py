@@ -257,7 +257,7 @@ class TestSimulateAndExample:
     def test_simulate_json_rows_agree_with_csv(self, capsys, tmp_path, argv):
         lines, obj = self._csv_and_json(capsys, tmp_path, argv)
         assert list(obj) == ["seed", "generator", "rows"]
-        assert (obj["seed"], obj["generator"]) == (4, "philox-stream")
+        assert (obj["seed"], obj["generator"]) == (4, "pcg64dxsm-stream")
         keys = ["scenario", "method", "n", "alt_param", "alpha", "reps", "rejections",
                 "proportion", "mc_se"]
         assert [list(r) for r in obj["rows"]] == [keys] * len(lines)

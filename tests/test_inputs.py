@@ -424,6 +424,17 @@ def _type1(**kw):
     pytest.param(lambda: combine_observations("fisher", [1], "ab"),
                  "dists must be a list of p-value distributions, got 'ab'",
                  id="combine-observations-dists-str"),
+    # an entry that is not a distribution once raised AttributeError on .atoms
+    pytest.param(lambda: rank_methods([1, 2]),
+                 "dists[0] must be a p-value distribution, got 1", id="rank-methods-int-entry"),
+    pytest.param(lambda: variance_ratio("fisher", [None]),
+                 "dist[0] must be a p-value distribution, got None",
+                 id="variance-ratio-none-entry"),
+    pytest.param(lambda: combine("fisher", [0.5], [1]),
+                 "dists[0] must be a p-value distribution, got 1", id="combine-int-entry"),
+    pytest.param(lambda: combine_observations("fisher", [1], [None]),
+                 "dists[0] must be a p-value distribution, got None",
+                 id="combine-observations-none-entry"),
 ])
 def test_closed_hole(call, message):
     with pytest.raises(ValueError) as info:

@@ -18,3 +18,10 @@ def test_readme_python_blocks_run():
     proc = subprocess.run([sys.executable, "-c", "\n".join(blocks)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_names_the_current_generator():
+    # a change of stream renames the generator; the README must follow it
+    from pcomb import simulate
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        assert f'`"{simulate.GENERATOR_NAME}"`' in fh.read()

@@ -541,7 +541,7 @@ class TestGeneExample:
 
 
 # ---------------------------------------------------------------------------
-# the block replicate kernel against each configuration's Philox stream
+# the block replicate kernel against each configuration's PCG64DXSM stream
 # ---------------------------------------------------------------------------
 
 def _uniforms(seed, config_index, lo, hi, n):
@@ -549,15 +549,19 @@ def _uniforms(seed, config_index, lo, hi, n):
     return simulate._replicate_stream(seed, config_index, lo, n).random((hi - lo, n))
 
 
+def _config_bits(seed, config_index):
+    return np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(config_index,)))
+
+
 class TestStream:
     @pytest.mark.parametrize("seed", [0, 2 ** 64 + 5, 2 ** 128 - 1])
     @pytest.mark.parametrize("config_index", [0, 3, 2 ** 40])
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 100])
-    def test_replicates_read_numpy_philox_in_order(self, seed, config_index, n):
+    def test_replicates_read_numpy_pcg64dxsm_in_order(self, seed, config_index, n):
         # replicate r takes doubles [r n, (r + 1) n) of the configuration's
         # stream; the range crosses a block boundary of the replicate kernel
         block = BLOCK_ELEMENTS // n
-        stream = np.random.Generator(np.random.Philox(key=seed, counter=config_index << 192))
+        stream = np.random.Generator(_config_bits(seed, config_index))
         whole = stream.random((block + 2) * n).reshape(block + 2, n)
         np.testing.assert_array_equal(_uniforms(seed, config_index, 0, 1, n)[0], whole[0])
         for rep in range(block - 2, block + 2):
@@ -570,9 +574,9 @@ class TestStream:
         chunks = [_uniforms(5, 2, lo, hi, n) for lo, hi in ((0, 13), (13, 999), (999, 2000))]
         np.testing.assert_array_equal(np.concatenate(chunks), whole)
 
-    def test_far_start_skips_words_without_drawing_them(self):
+    def test_far_start_advances_without_drawing(self):
         # the largest seed, config index 2**40 and replicates past 2**62: the
-        # start is a counter jump, checked against a counter set directly
+        # start is one advance, checked against the same distance in two
         seed, config_index, n, rep = 2 ** 128 - 1, 2 ** 40, 7, 2 ** 62 + 5
         tracemalloc.start()
         try:
@@ -581,20 +585,20 @@ class TestStream:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        skipped = rep * n
-        bits = np.random.Philox(key=seed, counter=(config_index << 192) + skipped // 4)
-        bits.random_raw(skipped % 4)
+        bits = _config_bits(seed, config_index)
+        bits.advance(2 ** 62 * n)
+        bits.advance(5 * n)
         np.testing.assert_array_equal(u.ravel(), np.random.Generator(bits).random(2 * n))
         np.testing.assert_array_equal(u[1], _uniforms(seed, config_index, rep + 1, rep + 2, n)[0])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_experiment_configurations_read_their_own_counters(self, workers):
-        # configuration c of an experiment reads the stream at counter c << 192
+    def test_experiment_configurations_read_their_own_spawn_keys(self, workers):
+        # configuration c of an experiment reads the stream of spawn key (c,)
         scenario, seed, reps, alpha = binomial_scenario(0.1), 9, 2 * BLOCK_ELEMENTS // 5, 0.05
         n_grid = [5, 7, 5]
         report = type1_experiment(scenario, METHODS, n_grid, alpha, reps, seed, workers)
         for ci, n in enumerate(n_grid):
-            stream = np.random.Generator(np.random.Philox(key=seed, counter=ci << 192))
+            stream = np.random.Generator(_config_bits(seed, ci))
             prep = simulate._ConfigPrep(scenario, METHODS, n, scenario.null_param, alpha)
             scores = simulate._block_scores(prep, prep.outcomes(stream.random((reps, n))))
             expected = (scores >= prep.thresholds[:, None]).sum(axis=1)
@@ -605,39 +609,58 @@ class TestStream:
         assert [r.rejections for r in first] != [r.rejections for r in last]
 
 
+def _one_replicate_at_a_time(prep, reps, seed, config_index, workers):
+    """Reference for ``simulate._run_config``: each replicate's n doubles from
+    its own ``_replicate_stream``, outcomes by ``np.searchsorted`` on each
+    group's cdf, and each method's score summed in Python, every group's
+    tests left to right and the group sums in turn."""
+    counts = np.zeros(len(prep.method_names), dtype=np.int64)
+    for rep in range(reps):
+        u = simulate._replicate_stream(seed, config_index, rep, prep.n).random(prep.n)
+        outcomes = [np.searchsorted(lookup.cdf, u[pos])
+                    for lookup, pos in zip(prep.group_lookup, prep.group_pos)]
+        for mi, threshold in enumerate(prep.thresholds.tolist()):
+            total = 0.0
+            for table, idx in zip(prep.group_tables, outcomes):
+                group_sum = 0.0
+                for score in table[mi][idx].tolist():
+                    group_sum += score
+                total += group_sum
+            counts[mi] += total >= threshold
+    return counts
+
+
 #: SHA-256 of ``to_csv()`` (and of the ``sample_pvalues`` draws).  The
-#: experiment digests were recorded under the "philox-stream" generator from
-#: a one-replicate-at-a-time kernel: each replicate's n doubles from its own
-#: ``_replicate_stream``, outcomes by ``np.searchsorted`` and scores summed in
-#: Python, left to right; the block kernel gave the same CSVs.  No block size
-#: ``BLOCK_ELEMENTS // n`` of these runs divides 700, so each ends in a
+#: experiment digests were recorded under the "pcg64dxsm-stream" generator
+#: from ``_one_replicate_at_a_time`` in place of ``_run_config``; the block
+#: kernel gave the same CSVs, and still does on short runs (below).  No block
+#: size ``BLOCK_ELEMENTS // n`` of these runs divides 700, so each ends in a
 #: partial block.
 PINNED_REPS = 700
 PINNED_SEEDS = (42, 2 ** 64 + 5)
 PINNED_RUNS = {
-    "synthetic-PC type1": lambda s, w: type1_experiment(
-        synthetic_scenario("PC"), METHODS, [7, 300], 0.05, PINNED_REPS, s, w),
-    "binomial type1": lambda s, w: type1_experiment(
-        binomial_scenario(0.1), METHODS, [40], 0.05, PINNED_REPS, s, w),
-    "binomial power": lambda s, w: power_experiment(
-        binomial_scenario(0.3, 5, "right"), METHODS, [0.3, 0.4], 40, 0.05, PINNED_REPS, s, w),
-    "geometric type1": lambda s, w: type1_experiment(
-        geometric_scenario(0.5, "right"), METHODS, [50], 0.05, PINNED_REPS, s, w),
-    "geometric power": lambda s, w: power_experiment(
+    "synthetic-PC type1": lambda s, w, r=PINNED_REPS: type1_experiment(
+        synthetic_scenario("PC"), METHODS, [7, 300], 0.05, r, s, w),
+    "binomial type1": lambda s, w, r=PINNED_REPS: type1_experiment(
+        binomial_scenario(0.1), METHODS, [40], 0.05, r, s, w),
+    "binomial power": lambda s, w, r=PINNED_REPS: power_experiment(
+        binomial_scenario(0.3, 5, "right"), METHODS, [0.3, 0.4], 40, 0.05, r, s, w),
+    "geometric type1": lambda s, w, r=PINNED_REPS: type1_experiment(
+        geometric_scenario(0.5, "right"), METHODS, [50], 0.05, r, s, w),
+    "geometric power": lambda s, w, r=PINNED_REPS: power_experiment(
         geometric_scenario(0.5, "right"), [*METHODS, LRT_GEOMETRIC], [0.5, 0.4], 50,
-        0.05, PINNED_REPS, s, w),
-    "geometric-left power": lambda s, w: power_experiment(
+        0.05, r, s, w),
+    "geometric-left power": lambda s, w, r=PINNED_REPS: power_experiment(
         geometric_scenario(0.5, "left"), ["fisher", LRT_GEOMETRIC], [0.6], 30,
-        0.01, PINNED_REPS, s, w),
-    "noniid type1": lambda s, w: type1_experiment(
-        geometric_noniid_scenario(side="right"), METHODS, [10, 301], 0.05, PINNED_REPS, s, w),
-    "noniid power": lambda s, w: power_experiment(
-        geometric_noniid_scenario(side="left"), METHODS, [0.0, 0.05], 100, 0.05,
-        PINNED_REPS, s, w),
-    "circular type1": lambda s, w: type1_experiment(
-        circular_scenario(199), METHODS, [100], 0.05, PINNED_REPS, s, w),
-    "circular power": lambda s, w: power_experiment(
-        circular_scenario(199), METHODS, [0.0, 0.01], 100, 0.05, PINNED_REPS, s, w),
+        0.01, r, s, w),
+    "noniid type1": lambda s, w, r=PINNED_REPS: type1_experiment(
+        geometric_noniid_scenario(side="right"), METHODS, [10, 301], 0.05, r, s, w),
+    "noniid power": lambda s, w, r=PINNED_REPS: power_experiment(
+        geometric_noniid_scenario(side="left"), METHODS, [0.0, 0.05], 100, 0.05, r, s, w),
+    "circular type1": lambda s, w, r=PINNED_REPS: type1_experiment(
+        circular_scenario(199), METHODS, [100], 0.05, r, s, w),
+    "circular power": lambda s, w, r=PINNED_REPS: power_experiment(
+        circular_scenario(199), METHODS, [0.0, 0.01], 100, 0.05, r, s, w),
 }
 PINNED_DRAWS = {
     "synthetic-PS": (synthetic_scenario("PS"), None),
@@ -648,45 +671,45 @@ PINNED_DRAWS = {
 }
 PINNED_SHA256 = {
     "synthetic-PC type1 seed 42":
-        "729bb9f7c44ae1b8a7ef7348e3e90be084035a85fcc9878c750403be679b3c83",
+        "12edc75bbd567070b1ab3d1b0b39596e773dfd316535c1a79e6c48b1b4b633e8",
     "synthetic-PC type1 seed 18446744073709551621":
-        "65a38656134a28749497777c64487d9674ddd147dc486db7b57785c80df05122",
+        "6c3f7e6d41c5b91601cea27c523f54102004f0fa98811a1c969c10ab9de9921a",
     "binomial type1 seed 42":
-        "ef13f30436db41de7ddda1a4fe8038bf73fb289fac75b2ed9b5b1164a3cd1313",
+        "878b22d9f3fa8e4e705c0565b3f55c7b52f9ebb0f7f8a6747426b7d1e5634bd9",
     "binomial type1 seed 18446744073709551621":
-        "00fa79ad8e6ab4d2867861ddd92174ad3b667a388d0687c89f4989f4a026b582",
+        "a1a6cffd93aaa8f807991a71fd4e0202a0847e4ced983d30cc4e14fe8823bc60",
     "binomial power seed 42":
-        "bf82ec70e47b91ad6adadc365f9c08e08c297d7753535c2c8177302f86526e63",
+        "875ba2373dd2c6ee31a7e3f452c847af88b798a23bb6b63f744311de0f6a91bc",
     "binomial power seed 18446744073709551621":
-        "16d8507a38c36fe4ef0ab4869d066cbb0c7bcfd8315e7cfee7747de167785429",
+        "4bd917bed0b2c51ad2291173607cb2e2f7d9148dfad4535964ab6d85e846c69e",
     "geometric type1 seed 42":
-        "083dce97fc891f62a85cba6d86eaa0630ce0cd45cfbe7287091c349d1475895b",
+        "ab754731bac86bf6e1b72d0d41f41ff00069e636e95dae906d10e4dfd613ea5d",
     "geometric type1 seed 18446744073709551621":
-        "a9f566f741e2d3065ea8511e69dea7953674d10c8fc1827ba40a502e0d44856f",
+        "65c01fb0fc30daf6c8f06cee01877850deab7f74e99e69399306637a4a4dce8f",
     "geometric power seed 42":
-        "19780dd96f88aa978860a8c3b46384c466e0b9de8c4bc86dcfc7c0c03cbfff6b",
+        "60d62f26134568cbe483af3ad0f229b7604305c61717d9f782bf1be33ca94838",
     "geometric power seed 18446744073709551621":
-        "0cefdf684c38748248c2c7cddd803bf1ae5861641039b65a2fe86b3d1e55ee3f",
+        "f1ebce1f7c81f35f1f63fd87eed59dcee613f3efe1c1f5527eddc5f15fc2dbc0",
     "geometric-left power seed 42":
-        "103c5e1c8f498f291d32cd9f645ef080037ca9b2f2753a31d2fcaebebf4aa816",
+        "c478c8b1d61183d150ac37036befb4ca88e9d7310d28779a686f20c18e832593",
     "geometric-left power seed 18446744073709551621":
-        "04f31b7115d356805c02d93fb2f0e46bc71b038ce78d5ee954e4848233312b3d",
+        "ab2e4dc956b59761b5e4f57eaee766b2bcc84723ab2d26b29e0214e67577f821",
     "noniid type1 seed 42":
-        "bae9f3d3e8c18d5a80c393c303f9bbe6c9ab41262ba1a9be2c4f95dcd962d8c1",
+        "59a850e59a0a44d0c2eb8ac0a4576815ebf363be084213f568415f2eb5f57e9c",
     "noniid type1 seed 18446744073709551621":
-        "43bf6e1b9cfa2d261d74458b55357578c4004595b1e7b88eb86749438a110236",
+        "97443b8fd8aad0fef1e85b4ce679ffb892b791b23b146f53eb399a3e2e6d6c75",
     "noniid power seed 42":
-        "18e3334ce2579c6aa9fbe5119ab970b5b7056f4bb57b37c38ea410df738858eb",
+        "f9f91731df2362a07b91f693f5f25d23e0926edfb3ca288a5c2c2ccae607e9ca",
     "noniid power seed 18446744073709551621":
-        "6ed5cf9b4e352c49c02894d14fe1dec536b7cc40933aa3f9cfe09a05696e296c",
+        "d07244239674ed4ccae3567be41c4b28c97f4676f255aca262d3f0f4c116aab1",
     "circular type1 seed 42":
-        "aec0b39d3cd9e9be69c591607a5d7d4e38ddec8117bb91ce778e3734264ff637",
+        "7d6a42e79a8a6c9b1383d1a117e4df722e8b20a8ab088ab7da8473bd92778992",
     "circular type1 seed 18446744073709551621":
-        "61ff3732945bcd8773e80f98424ae44e132fe10e10d720d355d24e8d3db42be1",
+        "56dec597dfa9f1e93feef44079900cbcba7755edc186357e5c646de279e9e1c7",
     "circular power seed 42":
-        "a09b93c4f405523321eb66a14a7b0a2c0bac6947b8fd581b9cff1409c97849d4",
+        "ed466ca277c3961229a36920ff1cb0db2ab33c2109a404bab8513f476d9ca246",
     "circular power seed 18446744073709551621":
-        "68c16bd9be62b07f455edd712ba0f8ada65f066687788245aea5e39018824ac6",
+        "1c205591a1319ab3480345b93a0014410c4d132510abf33495e739cb1fbce596",
     "draws synthetic-PS seed 3":
         "de0c73053954caa23a642ced349ff9a056b4fe7e03dc07de0846ee9ceeac2e58",
     "draws synthetic-PS seed 17":
@@ -722,6 +745,19 @@ class TestPinnedOutput:
             for workers in (1, 2, 3):
                 csv = PINNED_RUNS[name](seed, workers).to_csv()
                 assert _sha256(csv) == expected, (seed, workers)
+
+    @pytest.mark.parametrize("name", list(PINNED_RUNS))
+    def test_block_kernel_gives_the_reference_csv(self, monkeypatch, name):
+        # 40 replicates: one block by default; at 300 elements, blocks end
+        # inside the run at every n >= 10, and n >= 300 takes one-replicate blocks
+        for seed in PINNED_SEEDS:
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_run_config", _one_replicate_at_a_time)
+                reference = PINNED_RUNS[name](seed, 1, 40).to_csv()
+            assert PINNED_RUNS[name](seed, 2, 40).to_csv() == reference, seed
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "BLOCK_ELEMENTS", 300)
+                assert PINNED_RUNS[name](seed, 2, 40).to_csv() == reference, seed
 
     @pytest.mark.parametrize("name", list(PINNED_DRAWS))
     def test_sample_pvalues_draws(self, name):
