@@ -188,8 +188,8 @@ class GammaLaw(_CellLaw):
 class UniformLaw(_CellLaw):
     """Uniform(0, 1); the quantile is the identity."""
 
-    mean: float = 0.5
-    variance: float = 1.0 / 12.0
+    mean: ClassVar[float] = 0.5
+    variance: ClassVar[float] = 1.0 / 12.0
 
     def quantile(self, w):
         return np.asarray(w, dtype=float)
@@ -222,7 +222,7 @@ def _logit_antiderivs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class LogisticLaw(_CellLaw):
     """Standard logistic; mean 0, variance pi^2/3."""
 
-    mean: float = 0.0
+    mean: ClassVar[float] = 0.0
     variance: ClassVar[float] = math.pi ** 2 / 3.0
 
     def quantile(self, w):

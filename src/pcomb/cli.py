@@ -17,7 +17,7 @@ import sys
 from ._inputs import integer, numbers
 from .adjust import METHODS, adjust
 from .combine import combine, combine_observations
-from .distributions import (DiscretePValueDist, StatisticModel, _json,
+from .distributions import (SIDES, DiscretePValueDist, StatisticModel, _json,
                             custom_pvalue_distribution, make_statistic_model,
                             pvalue_distribution)
 from .metrics import rank_methods
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("pdist", help="build a sided discrete p-value distribution")
     _add_model_flags(p)
-    p.add_argument("--side", required=True, choices=("left", "right", "two"))
+    p.add_argument("--side", required=True, choices=SIDES)
     p.add_argument("--atoms", help="comma-separated atoms for a direct custom distribution")
 
     p = add_parser("adjust", help="adjusted statistic for one method")

@@ -118,10 +118,8 @@ class StatisticModel:
             raise ValueError(f"pmf must sum to 1 within {ATOM_TOL}, got {total!r}")
 
     def cdf(self) -> np.ndarray:
-        """Cumulative masses, with the final value forced to exactly 1."""
-        F = self.pmf.cumsum()
-        F[-1] = 1.0
-        return F
+        """Cumulative masses, capped at 1 and ending at exactly 1."""
+        return _closed(self.pmf.cumsum())
 
     def to_json(self) -> dict:
         if self.family == "custom":
@@ -208,6 +206,14 @@ def _built(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _closed(cum: np.ndarray) -> np.ndarray:
+    """Running sums ``cum`` made a cdf in place: capped at 1, which rounding
+    can overshoot by an ulp or two, and the last value exactly 1."""
+    np.minimum(cum, 1.0, out=cum)
+    cum[-1] = 1.0
+    return cum
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -450,9 +456,7 @@ def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sums[k] = p[starts[k]:starts[k] + sizes[k]].sum()
     outcome_map = np.empty(p.size, dtype=np.int64)
     outcome_map[order] = group
-    atoms = sums.cumsum()
-    atoms[-1] = 1.0
-    return atoms, outcome_map
+    return _closed(sums.cumsum()), outcome_map
 
 
 def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
@@ -464,16 +468,14 @@ def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
         atoms = model.cdf()
         outcome_map = np.arange(m)
     elif side == "right":
-        atoms = model.pmf[::-1].cumsum()  # atoms[j] = P(X >= x_{m-1-j})
-        atoms[-1] = 1.0
+        atoms = _closed(model.pmf[::-1].cumsum())  # atoms[j] = P(X >= x_{m-1-j})
         outcome_map = (m - 1) - np.arange(m)
     else:
         atoms, outcome_map = _two_sided_grouping(model.pmf)
-    # on every side the atoms are running sums of positive masses, the last
-    # pinned to 1, so once clipped at 1 they never decrease: the values that
-    # rounding repeats or pushes past 1 form runs, and keeping each run's
-    # first atom (as np.unique would) leaves them valid as built
-    atoms = np.minimum(atoms, 1.0)
+    # on every side the atoms are closed running sums of positive masses,
+    # so they never decrease: the values that rounding repeats or caps at 1
+    # form runs, and keeping each run's first atom (as np.unique would)
+    # leaves them valid as built
     tied = atoms[1:] == atoms[:-1]
     if tied.any():
         first = np.concatenate(([True], ~tied))

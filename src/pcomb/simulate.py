@@ -18,8 +18,9 @@ whatever other methods run beside it, and the kernel reports aggregate
 integer rejection counts, so neither the block size, the method set nor the
 chunking of blocks over ``workers`` threads can change a single byte of the
 output.  Threads overlap only inside numpy calls, the uniform fill among
-them: on two cores the traced ``parallel_speedup`` of ``workers=2`` read
-0.60-0.65 over three runs.
+them.  On two cores (n = 100, the README's table) ``workers=2`` over one
+worker read 0.85-1.26 at 2,000 replicates, the benchmark's size, and
+0.96-1.90 at 20,000 and 100,000, a gain on every design at 100,000.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from . import _genedata
 from ._inputs import INT64_MAX, integer, number, numbers, probability, sequence
 from .adjust import METHODS, AdjustedStatistic, adjust
 from .combine import CombinedResult, combine_observations, surrogate
-from .distributions import (DiscretePValueDist, _binom_cdf, _first, _geom_cdf, _json,
-                            _nbinom_cdf, _nbinom_sf, _require, _support,
+from .distributions import (SUPPORT_CAP, DiscretePValueDist, _binom_cdf, _closed, _first,
+                            _geom_cdf, _json, _nbinom_cdf, _nbinom_sf, _require, _support,
                             custom_pvalue_distribution, make_statistic_model,
                             pvalue_distribution)
 
@@ -46,8 +47,6 @@ LRT_GEOMETRIC = "lrt-geometric"
 
 GENERATOR_NAME = "pcg64dxsm-stream"
 
-#: cap on the materialized support size of the exact convolution
-CONVOLUTION_CAP = 10_000_000
 #: relative tolerance for merging equal convolution support values
 CONVOLUTION_MERGE_RTOL = 1e-12
 #: replicates x tests drawn at once by the replicate kernel; its uniforms,
@@ -76,12 +75,7 @@ class _Group:
     cdf of its outcomes under an alternative parameter."""
 
     dist: DiscretePValueDist
-    alt_cdf_fn: object              # callable alt_param -> outcome cdf, or None
-
-    @property
-    def null_cdf(self) -> np.ndarray:
-        """Outcome cdf under the null; model-less outcomes are the atoms."""
-        return self.dist.atoms if self.dist.model is None else self.dist.model.cdf()
+    alt_cdf_fn: object              # callable alt_param -> outcome running sums, or None
 
     @property
     def outcome_atoms(self) -> np.ndarray:
@@ -91,9 +85,11 @@ class _Group:
         return self.dist.outcome_map
 
     def cdf_for(self, alt_param) -> np.ndarray:
-        if alt_param is None or self.alt_cdf_fn is None:
-            return self.null_cdf
-        return self.alt_cdf_fn(alt_param)
+        """Outcome cdf under ``alt_param``, or under the null for None;
+        model-less outcomes are the atoms, which are a cdf already."""
+        if alt_param is None:
+            return self.dist.atoms if self.dist.model is None else self.dist.model.cdf()
+        return _closed(self.alt_cdf_fn(alt_param))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +141,7 @@ def binomial_scenario(theta0: float, trials: int = 5, side: str = "left") -> Sce
     def alt_cdf(theta, _support=model.support, _trials=trials):
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"alternative parameter gives theta={theta}, outside [0, 1]")
-        F = _binom_cdf(_support, _trials, theta)
-        F[-1] = 1.0
-        return F
+        return _binom_cdf(_support, _trials, theta)
 
     return Scenario("binomial", f"binomial-theta{theta0:g}-{side}", side,
                     {"theta0": theta0, "trials": trials}, theta0,
@@ -167,12 +161,10 @@ def _geometric_groups(p0s: Sequence[float], side: str, offset: bool) -> tuple[_G
             p1 = _p0 + param if offset else param
             if not 0.0 < p1 < 1.0:
                 raise ValueError(f"alternative parameter gives p1={p1}, outside (0, 1)")
-            # alternatives heavier than the null truncation are censored
-            # into the last support point (residual < the null tail cap
-            # for the swept ranges)
-            F = _geom_cdf(_support, p1)
-            F[-1] = 1.0
-            return F
+            # alternatives heavier than the null truncation are censored into
+            # the last support point when ``cdf_for`` closes these sums
+            # (residual < the null tail cap for the swept ranges)
+            return _geom_cdf(_support, p1)
 
         groups.append(_Group(pvalue_distribution(model, side), alt_cdf))
     return tuple(groups)
@@ -212,9 +204,7 @@ def circular_scenario(points: int) -> Scenario:
             raise ValueError(f"alternative parameter gives lambda={lam}, outside [0, inf)")
         with np.errstate(over="ignore"):  # lambda t past the float range: exp gives 0
             w = np.exp(-lam * _tvals) * np.where(_tvals == 0, 1.0, 2.0)
-        F = np.cumsum(w / w.sum())
-        F[-1] = 1.0
-        return F
+        return np.cumsum(w / w.sum())
 
     group = _Group(custom_pvalue_distribution(atoms, "right"), alt_cdf)
     return Scenario("circular", f"circular-{N}", None, {"points": N}, 0.0, (group,))
@@ -255,12 +245,13 @@ class _GuideTable:
     values below j/G.  A uniform u in bin j has at least that many below it,
     and one step forward (``cdf[idx] < u``) gives the exact count whenever
     the bin holds at most one cdf value.  Uniforms in crowded bins, such as
-    a geometric tail's, are looked up by ``searchsorted`` instead."""
+    a geometric tail's, are looked up by ``searchsorted`` instead.
+
+    ``cdf`` is taken as given and must be closed as ``_Group.cdf_for``
+    closes it: nondecreasing, at most 1 and ending at exactly 1."""
 
     def __init__(self, cdf: np.ndarray):
-        # cumulative sums can overshoot 1 by an ulp or two; capped, the cdf
-        # is nondecreasing, and no index moves since every u < 1
-        self.cdf = np.minimum(cdf, 1.0)
+        self.cdf = cdf
         self.bins = 1 << min(14, (4 * self.cdf.size - 1).bit_length())
         edges = np.searchsorted(self.cdf, np.arange(self.bins + 1) / self.bins)
         self.table = edges[:-1]
@@ -561,15 +552,15 @@ def exact_convolution(adjusted: AdjustedStatistic, n: int) -> tuple[np.ndarray, 
     """Exact support and masses of the n-fold sum of an adjusted statistic.
 
     Verification oracle; feasible only while the merged support stays
-    under ``CONVOLUTION_CAP``.  Support values within 1e-12 relative are
+    under ``SUPPORT_CAP``.  Support values within 1e-12 relative are
     merged (mass-weighted)."""
-    n = integer(n, "n", 1, CONVOLUTION_CAP)
+    n = integer(n, "n", 1, SUPPORT_CAP)
     base_v = np.asarray(adjusted.z, dtype=float)
     base_w = np.asarray(adjusted.masses, dtype=float)
     values, masses = base_v.copy(), base_w.copy()
     for _ in range(n - 1):
-        if values.size * base_v.size > CONVOLUTION_CAP:
-            raise ValueError(f"convolution support would exceed {CONVOLUTION_CAP} points")
+        if values.size * base_v.size > SUPPORT_CAP:
+            raise ValueError(f"convolution support would exceed {SUPPORT_CAP} points")
         values = (values[:, None] + base_v[None, :]).ravel()
         masses = (masses[:, None] * base_w[None, :]).ravel()
         values, masses = _merge_support(values, masses)

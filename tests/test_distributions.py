@@ -514,6 +514,31 @@ def test_any_side_total_mass_and_monotone(trials, prob, side):
     np.testing.assert_allclose(np.sort(grouped[grouped > 0]), np.sort(d.masses), atol=1e-12)
 
 
+#: named models across the families; 23 of the binomials, binomial(18, 0.1)
+#: the first, have running sums that pass 1 before their last outcome
+_CDF_SWEEP = [
+    *[("binomial", {"trials": n, "prob": p}) for n in range(1, 60)
+      for p in (0.1, 0.3, 0.5, 0.7, 0.9)],
+    *[("poisson", {"rate": r}) for r in (0.1, 0.5, 1, 2.5, 3.5, 7, 10, 25, 50, 100, 400, 1635.4)],
+    *[("geometric", {"prob": p}) for p in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99)],
+    *[("hypergeometric", {"population": N, "successes": K, "draws": m})
+      for N, K, m in [*[(2000, 1000, d) for d in (1, 5, 10, 19, 20, 40, 100)],
+                      (50, 20, 10), (100, 30, 60), (500, 499, 250), (30, 15, 15)]],
+]
+
+
+def test_model_cdf_never_decreases_nor_exceeds_one():
+    for family, params in _CDF_SWEEP:
+        model = make_statistic_model(family, params)
+        F = model.cdf()
+        label = f"{family} {params}"
+        assert np.all(np.diff(F) >= 0.0) and F.max() <= 1.0 and F[-1] == 1.0, label
+        # below the cap the cdf is the running sum itself
+        raw = model.pmf.cumsum()
+        np.testing.assert_array_equal(F[:-1], np.minimum(raw[:-1], 1.0), label)
+    assert make_statistic_model("binomial", {"trials": 18, "prob": 0.1}).pmf.cumsum().max() > 1.0
+
+
 class TestJsonRoundTrip:
     def test_model(self):
         m = make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
@@ -541,7 +566,8 @@ def _unique_reference(model, side):
     raw running sums: clip at 1, then one atom per distinct value."""
     m = model.pmf.size
     if side == "left":
-        raw, raw_map = model.cdf(), np.arange(m)
+        raw, raw_map = model.pmf.cumsum(), np.arange(m)
+        raw[-1] = 1.0
     elif side == "right":
         upper = np.cumsum(model.pmf[::-1])[::-1]
         upper[0] = 1.0

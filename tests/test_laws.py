@@ -473,10 +473,14 @@ def test_gamma_cell_means_need_shape_one():
 
 
 def test_logistic_variance_is_fixed():
-    # the quantile, cdf and cell means are those of the standard logistic
-    assert LogisticLaw().variance == math.pi ** 2 / 3.0
-    with pytest.raises(TypeError):
-        LogisticLaw(0.0, 1.0)
+    # the quantile, cdf and cell means are those of the standard laws, so
+    # the moments are constants and no field a formula would ignore is taken
+    assert (LogisticLaw().mean, LogisticLaw().variance) == (0.0, math.pi ** 2 / 3.0)
+    assert (UniformLaw().mean, UniformLaw().variance) == (0.5, 1.0 / 12.0)
+    for law, args in [(LogisticLaw, (0.0, 1.0)), (LogisticLaw, (1.0,)),
+                      (UniformLaw, (0.4,)), (UniformLaw, (0.5, 1.0 / 12.0))]:
+        with pytest.raises(TypeError):
+            law(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,11 @@ class TestScenarios:
             assert len(again._groups) == len(sc._groups)
             for g, h in zip(sc._groups, again._groups):
                 assert g.dist.atoms.tobytes() == h.dist.atoms.tobytes()
-                assert g.null_cdf.tobytes() == h.null_cdf.tobytes()
+                assert g.cdf_for(None).tobytes() == h.cdf_for(None).tobytes()
                 alt = alternative[sc.kind]
                 assert g.cdf_for(alt).tobytes() == h.cdf_for(alt).tobytes()
                 if alt is not None:
-                    assert g.cdf_for(alt).tobytes() != g.null_cdf.tobytes()
+                    assert g.cdf_for(alt).tobytes() != g.cdf_for(None).tobytes()
 
     def test_binomial_parameters_checked_when_built(self):
         assert binomial_scenario(0.3, 5.0).params == {"theta0": 0.3, "trials": 5}
@@ -235,11 +235,17 @@ class TestExperiments:
         run_config = simulate._run_config
         monkeypatch.setattr(simulate, "_run_config",
                             lambda *args: runs.append(args) or run_config(*args))
-        with pytest.raises(ValueError,
-                           match=r"alternative parameter gives theta=1\.5, outside \[0, 1\]"):
-            power_experiment(binomial_scenario(0.3), METHODS, [0.3, 0.4, 1.5], 100, 0.05,
-                             20000, 1)
-        assert runs == []
+        for scenario, alt_grid, message in [
+                (binomial_scenario(0.3), [0.3, 0.4, 1.5],
+                 "alternative parameter gives theta=1.5, outside [0, 1]"),
+                (geometric_scenario(0.5, "right"), [0.3, 0.5, 1.0],
+                 "alternative parameter gives p1=1.0, outside (0, 1)"),
+                # the offset 0.25 moves the last null parameter, 0.8, to 1.05
+                (geometric_noniid_scenario(), [0.0, 0.1, 0.25],
+                 f"alternative parameter gives p1={0.8 + 0.25}, outside (0, 1)")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                power_experiment(scenario, METHODS, alt_grid, 100, 0.05, 20000, 1)
+            assert runs == [], scenario.name
 
     @pytest.mark.parametrize("override,message", [
         ({"n_grid": [5.5]}, "the number of tests n must be an integer, got 5.5"),
@@ -317,14 +323,22 @@ BUILTIN_GRIDS = [
 ]
 
 
+def _unclosed(group, alt):
+    """The running sums a group's cdf is closed from: the alternative
+    kernel's, the model's cumulated pmf, or the atoms of a model-less null."""
+    if alt is not None:
+        return group.alt_cdf_fn(alt)
+    return group.dist.atoms if group.dist.model is None else group.dist.model.pmf.cumsum()
+
+
 def _sampling_cdfs():
-    """(label, raw cdf, the sampler's cdf) of every group of every built-in
-    scenario, at the null and across its alternative grid."""
+    """(label, unclosed running sums, the sampler's cdf) of every group of
+    every built-in scenario, at the null and across its alternative grid."""
     for scenario, grid in BUILTIN_GRIDS:
         for alt in grid:
             lookups = simulate._Sampler(scenario, len(scenario._groups), alt).group_lookup
             for group, lookup in zip(scenario._groups, lookups):
-                yield f"{scenario.name} at {alt}", group.cdf_for(alt), lookup.cdf
+                yield f"{scenario.name} at {alt}", _unclosed(group, alt), lookup.cdf
 
 
 def _edge_uniforms(cdf):
@@ -339,18 +353,19 @@ class TestGuideTable:
     def test_sampling_cdfs_nondecreasing_and_end_at_one(self):
         overshoots = set()
         for label, raw, cdf in _sampling_cdfs():
-            assert np.all(np.diff(cdf) >= 0.0), label
-            assert cdf[-1] == 1.0, label
             if raw.max() > 1.0:
                 overshoots.add(label)
+            assert np.all(np.diff(cdf) >= 0.0), label
+            assert cdf.max() <= 1.0 and cdf[-1] == 1.0, label
+        # the closing is exercised: these running sums overshoot 1 unclosed
         assert {"circular-199 at 0.4", "circular-199 at 0.5", "circular-199 at 0.65",
                 "binomial-theta0.3-two at None"} <= overshoots
 
     def test_same_indices_as_searchsorted_on_every_scenario_cdf(self):
-        for label, raw, _ in _sampling_cdfs():
-            u = _edge_uniforms(raw)
-            np.testing.assert_array_equal(simulate._GuideTable(raw)(u),
-                                          np.searchsorted(raw, u, side="left"), label)
+        for label, _, cdf in _sampling_cdfs():
+            u = _edge_uniforms(cdf)
+            np.testing.assert_array_equal(simulate._GuideTable(cdf)(u),
+                                          np.searchsorted(cdf, u, side="left"), label)
 
     @pytest.mark.parametrize("cdf", [
         # a geometric tail: the top bins hold many cdf values
