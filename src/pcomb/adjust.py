@@ -18,13 +18,14 @@ the law; ``adjust`` is its one-distribution case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._inputs import number
 from ._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw
-from .distributions import DiscretePValueDist
+from .distributions import DiscretePValueDist, _instance
 
 #: Fixed method order; also the deterministic tie-break order in reports.
 METHODS = ("fisher", "pearson", "george", "stouffer", "edgington")
@@ -57,7 +58,7 @@ METHOD_SPECS = {
 def method_spec(method: str) -> MethodSpec:
     try:
         return METHOD_SPECS[method]
-    except KeyError:
+    except (KeyError, TypeError):   # TypeError: an unhashable method
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}") from None
 
 
@@ -106,21 +107,20 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
     ``ndarray.sum`` without its wrapper, where ``reduceat`` would move bits.
     """
     atoms = [d.atoms for d in dists]
-    starts = [0]
-    for a in atoms[:-1]:
-        starts.append(starts[-1] + a.size)
+    bounds = list(accumulate([a.size for a in atoms], initial=0))
+    starts = bounds[:-1]
     # one distribution's atoms are its cells' upper ends as they are, not a copy
     cells = Cells.of_atoms(np.concatenate(atoms) if len(atoms) > 1 else atoms[0], starts)
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()
     z, shares = law.cell_means(cells)
-    variances = np.array([np.add.reduce(shares[a:b])
-                          for a, b in zip(starts, [*starts[1:], z.size])])
+    variances = np.array([np.add.reduce(shares[a:b]) for a, b in zip(starts, bounds[1:])])
     return cells, z, starts, variances
 
 
 def _adjusted(name: str, law, orientation: str,
               dist: DiscretePValueDist) -> AdjustedStatistic:
+    _instance(dist, DiscretePValueDist, "dist", "a p-value distribution")
     cells, z, _, variances = cell_pass(law, orientation, [dist])
     for a in (z, *cells):
         a.setflags(write=False)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _laws
 from ._inputs import numbers, probability, sequence
-from .adjust import cell_pass, method_spec
+from .adjust import MethodSpec, cell_pass, method_spec
 from .distributions import DiscretePValueDist, _dist_entries
 
 #: relative tolerance for matching a supplied p-value to an atom
@@ -62,6 +62,12 @@ def surrogate(method: str, variances: Sequence[float]) -> SurrogateDist:
     nus = numbers(variances, "variances", finite=False)
     if nus.size == 0:
         raise ValueError("variances must be a nonempty sequence")
+    return _surrogate(spec, nus)
+
+
+def _surrogate(spec: MethodSpec, nus: np.ndarray) -> SurrogateDist:
+    """``surrogate`` of a float64 array of one or more variances, which pcomb
+    built itself or read through the input policy; only their values are checked."""
     valid = (nus > 0.0) & (nus < math.inf)   # NaN fails both
     if not valid.all():
         bad = float(nus[~valid][0])
@@ -69,7 +75,7 @@ def surrogate(method: str, variances: Sequence[float]) -> SurrogateDist:
                          + (" (a single-atom p-value distribution has zero variance)"
                             if bad == 0.0 else ""))
     n = int(nus.size)
-    nu_bar = float(nus.mean())
+    nu_bar = float(np.add.reduce(nus)) / n   # ndarray.mean's sum and division, unwrapped
     mu = spec.law.mean
     if isinstance(spec.law, _laws.GammaLaw):
         law = _laws.GammaLaw(shape=mu * mu * n / nu_bar, scale=nu_bar / mu)
@@ -113,9 +119,9 @@ def _combined(method: str, values: list, dists: Sequence[DiscretePValueDist], no
     spec = method_spec(method)
     _, z, starts, variances = cell_pass(spec.law, spec.orientation, dists)
     statistic = 0.0
-    for v in z[[s + i for s, i in zip(starts, indices)]].tolist():
+    for v in z[np.add(starts, indices)].tolist():
         statistic += v   # plain left to right: sum() compensates on 3.12+
-    surr = surrogate(method, variances)
+    surr = _surrogate(spec, variances)
     return CombinedResult(method=method, n=len(dists), statistic=statistic,
                           surrogate=surr, global_p=surr.p_value(statistic),
                           atom_indices=tuple(indices))

@@ -184,13 +184,20 @@ class DiscretePValueDist:
         return float(self.atoms[j]), j
 
     def _atom_index(self, x: int) -> int:
-        """Atom index of an observation already read as an int."""
+        """Atom index of an observation already read as an int.
+
+        A named family's support is a run of integers, so x sits at offset
+        x - support[0]; a custom support, dropped zero-mass outcomes or an
+        observation off the support miss that read and are searched."""
         if self.model is None or self.outcome_map is None:
             raise ValueError("this distribution has no statistic model attached")
-        i = int(self.model.support.searchsorted(x))
-        if i >= self.model.support.size or self.model.support[i] != x:
-            raise ValueError(f"observation {x!r} is not in the model support")
-        return int(self.outcome_map[i])
+        support = self.model.support
+        i = x - support.item(0)
+        if not (0 <= i < support.size and support.item(i) == x):
+            i = int(support.searchsorted(x))
+            if i >= support.size or support.item(i) != x:
+                raise ValueError(f"observation {x!r} is not in the model support")
+        return self.outcome_map.item(i)
 
     def to_json(self) -> dict:
         return {"side": self.side, "F": self.atoms.tolist()}
@@ -221,11 +228,19 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _instance(value, cls: type, name: str, what: str):
+    """``value``, once found to be a ``cls``: the check of every parameter
+    that takes one pcomb object, such as a model, a distribution or a scenario."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+    return value
+
+
 def _dist_entries(dists: list, name: str) -> list[DiscretePValueDist]:
     """``dists``, a list, once every entry is found to be a p-value distribution."""
     for i, d in enumerate(dists):
-        if not isinstance(d, DiscretePValueDist):
-            raise ValueError(f"{name}[{i}] must be a p-value distribution, got {reprlib.repr(d)}")
+        if not isinstance(d, DiscretePValueDist):   # tested inline: this runs once per test
+            _instance(d, DiscretePValueDist, f"{name}[{i}]", "a p-value distribution")
     return dists
 
 
@@ -302,7 +317,10 @@ def _hypergeom_masses(N: int, K: int, m: int, odds: float,
     """Fisher's noncentral hypergeometric masses on lo..hi; odds 1 is the
     central law."""
     k = np.arange(lo, hi, dtype=float)
-    return _mode_anchored((K - k) * (m - k) / ((k + 1.0) * (N - K - m + 1.0 + k)) * odds)
+    ratios = (K - k) * (m - k) / ((k + 1.0) * (N - K - m + 1.0 + k))
+    if odds != 1.0:   # x * 1.0 == x, so the central law skips the pass
+        ratios *= odds
+    return _mode_anchored(ratios)
 
 
 def _first(pred: Callable[[int], bool], lo: int, start: int) -> int:
@@ -431,6 +449,10 @@ def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     start = np.empty(p.size, dtype=bool)
     start[0] = True
     np.greater(p[1:] - p[:-1], TIE_RTOL * p[1:], out=start[1:])
+    outcome_map = np.empty(p.size, dtype=np.int64)
+    if start.all():   # tie-free: every outcome is a group of its own
+        outcome_map[order] = np.arange(p.size)
+        return _closed(p.cumsum()), outcome_map
     starts = start.nonzero()[0]
     group = start.cumsum() - 1
     chained = p - p[starts[group]] > TIE_RTOL * p
@@ -450,17 +472,20 @@ def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sizes[:-1] = starts[1:] - starts[:-1]
     sizes[-1] = p.size - starts[-1]
     sums = np.add.reduceat(p, starts)
-    # reduceat adds left to right and np.sum pairwise after the first
-    # element, so they agree on groups of one or two members only
+    # reduceat adds left to right; np.sum (np.add.reduce) starts from 0.0
+    # and, by numpy version, either adds pairwise after the first element or
+    # sums the whole group pairwise, left to right below 8 elements.  Under
+    # either, a group of one or two members has the same sum both ways, so
+    # only larger groups are re-summed
     for k in (sizes > 2).nonzero()[0].tolist():
         sums[k] = p[starts[k]:starts[k] + sizes[k]].sum()
-    outcome_map = np.empty(p.size, dtype=np.int64)
     outcome_map[order] = group
     return _closed(sums.cumsum()), outcome_map
 
 
 def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
     """Sided discrete p-value distribution of a statistic model."""
+    _instance(model, StatisticModel, "model", "a statistic model")
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     m = model.pmf.size
@@ -469,7 +494,7 @@ def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
         outcome_map = np.arange(m)
     elif side == "right":
         atoms = _closed(model.pmf[::-1].cumsum())  # atoms[j] = P(X >= x_{m-1-j})
-        outcome_map = (m - 1) - np.arange(m)
+        outcome_map = np.arange(m - 1, -1, -1)
     else:
         atoms, outcome_map = _two_sided_grouping(model.pmf)
     # on every side the atoms are closed running sums of positive masses,

@@ -22,8 +22,8 @@ import numpy as np
 from . import _laws
 from ._inputs import sequence
 from .adjust import METHODS, AdjustedStatistic, adjust, method_spec
-from .combine import surrogate
-from .distributions import DiscretePValueDist, _dist_entries
+from .combine import _surrogate
+from .distributions import DiscretePValueDist, _dist_entries, _instance
 
 
 def _root(x: float) -> float:
@@ -40,6 +40,7 @@ def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> 
     tanh-sinh quadrature, each to an estimated error of 1e-12 * max(1, m),
     m the mean of the integrand (z_i - Q(w))^2 over the cell.
     """
+    _instance(adjusted, AdjustedStatistic, "adjusted", "an adjusted statistic")
     law = continuous_quantile
     if not hasattr(law, "cell_sq_moment"):
         law = _laws.QuantileLaw(continuous_quantile)
@@ -48,8 +49,8 @@ def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> 
 
 def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
     """Coupling cells of an adjusted statistic against its per-term
-    surrogate, which ``surrogate`` refuses for a single-atom distribution."""
-    law = surrogate(method, [adjusted.variance]).law
+    surrogate, which ``_surrogate`` refuses for a single-atom distribution."""
+    law = _surrogate(method_spec(method), np.array([adjusted.variance])).law
     return law.cell_sq_moment(adjusted.z, adjusted.cells.lo, adjusted.cells.hi)
 
 

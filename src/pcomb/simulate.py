@@ -36,11 +36,11 @@ import numpy as np
 
 from . import _genedata
 from ._inputs import INT64_MAX, integer, number, numbers, probability, sequence
-from .adjust import METHODS, AdjustedStatistic, adjust
-from .combine import CombinedResult, combine_observations, surrogate
+from .adjust import METHODS, AdjustedStatistic, adjust, method_spec
+from .combine import CombinedResult, _surrogate, combine_observations
 from .distributions import (SUPPORT_CAP, DiscretePValueDist, _binom_cdf, _closed, _first,
-                            _geom_cdf, _json, _nbinom_cdf, _nbinom_sf, _require, _support,
-                            custom_pvalue_distribution, make_statistic_model,
+                            _geom_cdf, _instance, _json, _nbinom_cdf, _nbinom_sf, _require,
+                            _support, custom_pvalue_distribution, make_statistic_model,
                             pvalue_distribution)
 
 LRT_GEOMETRIC = "lrt-geometric"
@@ -300,6 +300,8 @@ def sample_pvalues(scenario: Scenario, rng: np.random.Generator, n: int,
     Under the null each p-value lands on atom i with mass p_i; under an
     alternative the statistic is drawn from the alternative model and
     mapped through the null model's sided p-value."""
+    _instance(scenario, Scenario, "scenario", "a scenario")
+    _instance(rng, np.random.Generator, "rng", "a numpy Generator")
     n = integer(n, "n", 0, INT64_MAX)
     if alt_param is not None:
         alt_param = number(alt_param, "alt_param", finite=False)
@@ -389,7 +391,8 @@ class _ConfigPrep(_Sampler):
             else:
                 # z looked up directly by outcome index
                 rows = [adj.z[g.outcome_atoms] for adj, g in zip(per_group, groups)]
-                surr = surrogate(name, np.array([adj.variance for adj in per_group])[self.assign])
+                surr = _surrogate(method_spec(name),
+                                  np.array([adj.variance for adj in per_group])[self.assign])
                 upper = surr.tail == "upper"
                 t = surr.quantile(1.0 - alpha if upper else alpha)
             score_rows.append(rows if upper else [-row for row in rows])
@@ -513,6 +516,7 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
 def type1_experiment(scenario: Scenario, methods: Sequence[str], n_grid: Sequence[int],
                      alpha: float, reps: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Null rejection proportions for each grid size and method."""
+    _instance(scenario, Scenario, "scenario", "a scenario")
     # only the list is read here: _experiment reads each n exactly
     configs = [(n, scenario.null_param) for n in sequence(n_grid, "n_grid")]
     return _experiment(scenario, methods, configs, alpha, reps, seed, workers, "n_grid")
@@ -526,6 +530,7 @@ def power_experiment(scenario: Scenario, methods: Sequence[str], alt_grid: Seque
     ``methods`` may include the geometric likelihood-ratio comparator
     ``lrt-geometric`` for i.i.d. geometric scenarios.  At the grid point
     equal to the null parameter, power is the Type I error."""
+    _instance(scenario, Scenario, "scenario", "a scenario")
     if scenario.null_param is None:
         raise ValueError(f"scenario {scenario.name!r} has no alternative family")
     configs = [(n, alt) for alt in numbers(alt_grid, "alt_grid", finite=False).tolist()]
@@ -554,6 +559,7 @@ def exact_convolution(adjusted: AdjustedStatistic, n: int) -> tuple[np.ndarray, 
     Verification oracle; feasible only while the merged support stays
     under ``SUPPORT_CAP``.  Support values within 1e-12 relative are
     merged (mass-weighted)."""
+    _instance(adjusted, AdjustedStatistic, "adjusted", "an adjusted statistic")
     n = integer(n, "n", 1, SUPPORT_CAP)
     base_v = np.asarray(adjusted.z, dtype=float)
     base_w = np.asarray(adjusted.masses, dtype=float)

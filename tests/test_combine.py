@@ -294,8 +294,9 @@ def test_single_atom_distribution_still_refused():
     for method in METHODS:
         with pytest.raises(ValueError, match=message):
             combine(method, [0.5, 1.0, 1.0], [TWO_ATOM, single, TWO_ATOM])
-        with pytest.raises(ValueError, match=message):
-            combine_observations(method, [3], [pvalue_distribution(model, "two")])
+        for side in ("left", "right", "two"):
+            with pytest.raises(ValueError, match=message):
+                combine_observations(method, [3], [pvalue_distribution(model, side)])
 
 
 def _loop_grouping(pmf):
@@ -338,6 +339,16 @@ def test_two_sided_grouping_equals_the_loop_bit_for_bit():
         np.testing.assert_array_equal(outcome_map, want_map)
         sizes.update(np.bincount(want_map).tolist())
     assert {1, 2, 3, 4} <= sizes
+
+    # tie-free pmfs, which skip the group passes: every group is one outcome
+    for _ in range(200):
+        pmf = rng.uniform(0.01, 1.0, int(rng.integers(1, 60)))
+        pmf /= pmf.sum()
+        atoms, outcome_map = _two_sided_grouping(pmf)
+        want_atoms, want_map = _loop_grouping(pmf)
+        assert atoms.size == pmf.size
+        np.testing.assert_array_equal(atoms, want_atoms)
+        np.testing.assert_array_equal(outcome_map, want_map)
 
     p = 0.01
     chain = np.array([p, p * (1.0 + 0.6e-12), p * (1.0 + 1.2e-12), 0.3, 0.3, 0.3, 0.37])

@@ -454,6 +454,39 @@ class TestObservedPValue:
         with pytest.raises(ValueError):
             pvalue_distribution(m, "left").atom_of(6)
 
+    @pytest.mark.parametrize("family, params", [
+        ("custom", {"support": [0, 2, 5, 9], "pmf": [0.1, 0.2, 0.3, 0.4]}),
+        ("negative-binomial", {"successes": 3, "prob": 0.4}),          # support starts at r
+        ("hypergeometric", {"population": 20, "successes": 15, "draws": 10}),   # lo = 5
+        ("binomial", {"trials": 2000, "prob": 0.5}),   # underflowed tails dropped
+    ])
+    def test_atom_lookup_equals_a_searchsorted_reference(self, family, params):
+        # the lookup reads an observation at its offset from support[0] and
+        # searches only on a miss; both must give the index a search gives
+        from pcomb import combine_observations
+        m = make_statistic_model(family, params)
+        support = m.support
+        if family == "binomial":
+            assert support[0] > 0 and support[-1] < 2000
+        xs = range(int(support[0]) - 3, int(support[-1]) + 4)
+        for side in SIDES:
+            d = pvalue_distribution(m, side)
+            inside = []
+            for x in xs:
+                i = int(np.searchsorted(support, x))
+                if i < support.size and support[i] == x:
+                    assert d.atom_of(x)[1] == d.outcome_map[i]
+                    inside.append((x, int(d.outcome_map[i])))
+                else:   # below, above or in a gap of the support
+                    with pytest.raises(ValueError,
+                                       match=f"^observation {x} is not in the model support$"):
+                        d.atom_of(x)
+                    with pytest.raises(ValueError,
+                                       match=f"^observation {x} is not in the model support$"):
+                        combine_observations("fisher", [x], [d])
+            res = combine_observations("fisher", [x for x, _ in inside], [d] * len(inside))
+            assert res.atom_indices == tuple(j for _, j in inside)
+
     @pytest.mark.parametrize("x", [True, False, np.True_])
     def test_bool_observation_refused(self, x):
         # searchsorted would take True as the outcome 1

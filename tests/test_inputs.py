@@ -30,8 +30,9 @@ from pcomb import (DiscretePValueDist, StatisticModel, adjust, adjust_generic,
                    binomial_scenario, circular_scenario, combine, combine_observations,
                    custom_pvalue_distribution, exact_convolution, geometric_noniid_scenario,
                    geometric_scenario, make_statistic_model, power_experiment,
-                   pvalue_distribution, rank_methods, sample_pvalues, scenario_from_json,
-                   surrogate, synthetic_scenario, type1_experiment, variance_ratio)
+                   pvalue_distribution, rank_methods, sample_pvalues, scaled_w2,
+                   scenario_from_json, surrogate, synthetic_scenario, type1_experiment,
+                   variance_ratio, w2_discrete_continuous, w2_lower_bound)
 from pcomb._inputs import numbers
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
@@ -435,6 +436,37 @@ def _type1(**kw):
     pytest.param(lambda: combine_observations("fisher", [1], [None]),
                  "dists[0] must be a p-value distribution, got None",
                  id="combine-observations-none-entry"),
+    # a wrong object in a parameter that takes one pcomb object once raised
+    # AttributeError on the first field read from it
+    pytest.param(lambda: adjust("fisher", None),
+                 "dist must be a p-value distribution, got None", id="adjust-dist-none"),
+    pytest.param(lambda: adjust_generic(lambda w: w, "p", 1),
+                 "dist must be a p-value distribution, got 1", id="adjust-generic-dist-int"),
+    pytest.param(lambda: scaled_w2("fisher", 1),
+                 "dist must be a p-value distribution, got 1", id="scaled-w2-dist-int"),
+    pytest.param(lambda: w2_lower_bound("fisher", None),
+                 "dist must be a p-value distribution, got None", id="w2-lower-bound-dist-none"),
+    pytest.param(lambda: w2_discrete_continuous(1, lambda w: w),
+                 "adjusted must be an adjusted statistic, got 1",
+                 id="w2-discrete-continuous-adjusted-int"),
+    pytest.param(lambda: exact_convolution(1, 2),
+                 "adjusted must be an adjusted statistic, got 1",
+                 id="exact-convolution-adjusted-int"),
+    pytest.param(lambda: pvalue_distribution(None, "left"),
+                 "model must be a statistic model, got None", id="pvalue-distribution-model-none"),
+    pytest.param(lambda: type1_experiment("x", ["fisher"], [3], 0.05, 10, 1),
+                 "scenario must be a scenario, got 'x'", id="type1-scenario-str"),
+    pytest.param(lambda: power_experiment(None, ["fisher"], [0.4], 3, 0.05, 10, 1),
+                 "scenario must be a scenario, got None", id="power-scenario-none"),
+    pytest.param(lambda: sample_pvalues(1, np.random.default_rng(0), 2),
+                 "scenario must be a scenario, got 1", id="sample-pvalues-scenario-int"),
+    pytest.param(lambda: sample_pvalues(BINOMIAL_SCENARIO, 5, 3),
+                 "rng must be a numpy Generator, got 5", id="sample-pvalues-rng-int"),
+    # a list as the method once raised TypeError: unhashable type
+    pytest.param(lambda: adjust(["fisher"], TWO_ATOM),
+                 "unknown method ['fisher']; expected one of "
+                 "('fisher', 'pearson', 'george', 'stouffer', 'edgington')",
+                 id="adjust-method-list"),
 ])
 def test_closed_hole(call, message):
     with pytest.raises(ValueError) as info:
@@ -479,7 +511,7 @@ INVARIANTS = {
     ("_laws.py", "_norm_pdf_terms", "isfinite"): "the standard normal's tails at w = 0 and 1",
     ("_laws.py", "_cells_quad", "isfinite"): "a quadrature node where the quantile is not finite",
     ("distributions.py", "__post_init__", "isfinite"): "a model's masses, which may be an array",
-    ("combine.py", "surrogate", "inf"): "per-test variances must be positive and finite",
+    ("combine.py", "_surrogate", "inf"): "per-test variances must be positive and finite",
     ("combine.py", "_match_atom", "inf"): "an observed p-value's distance to its atom",
     ("simulate.py", "alt_cdf", "inf"): "the concentration alternative's range [0, inf)",
 }
