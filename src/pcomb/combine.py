@@ -75,7 +75,7 @@ def _surrogate(spec: MethodSpec, nus: np.ndarray) -> SurrogateDist:
                          + (" (a single-atom p-value distribution has zero variance)"
                             if bad == 0.0 else ""))
     n = int(nus.size)
-    nu_bar = float(np.add.reduce(nus)) / n   # ndarray.mean's sum and division, unwrapped
+    nu_bar = float(nus.mean())
     mu = spec.law.mean
     if isinstance(spec.law, _laws.GammaLaw):
         law = _laws.GammaLaw(shape=mu * mu * n / nu_bar, scale=nu_bar / mu)

@@ -317,10 +317,7 @@ def _hypergeom_masses(N: int, K: int, m: int, odds: float,
     """Fisher's noncentral hypergeometric masses on lo..hi; odds 1 is the
     central law."""
     k = np.arange(lo, hi, dtype=float)
-    ratios = (K - k) * (m - k) / ((k + 1.0) * (N - K - m + 1.0 + k))
-    if odds != 1.0:   # x * 1.0 == x, so the central law skips the pass
-        ratios *= odds
-    return _mode_anchored(ratios)
+    return _mode_anchored((K - k) * (m - k) / ((k + 1.0) * (N - K - m + 1.0 + k)) * odds)
 
 
 def _first(pred: Callable[[int], bool], lo: int, start: int) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 from . import _laws
 from ._inputs import sequence
 from .adjust import METHODS, AdjustedStatistic, adjust, method_spec
-from .combine import _surrogate
+from .combine import surrogate
 from .distributions import DiscretePValueDist, _dist_entries, _instance
 
 
@@ -49,8 +49,8 @@ def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> 
 
 def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
     """Coupling cells of an adjusted statistic against its per-term
-    surrogate, which ``_surrogate`` refuses for a single-atom distribution."""
-    law = _surrogate(method_spec(method), np.array([adjusted.variance])).law
+    surrogate, which ``surrogate`` refuses for a single-atom distribution."""
+    law = surrogate(method, [adjusted.variance]).law
     return law.cell_sq_moment(adjusted.z, adjusted.cells.lo, adjusted.cells.hi)
 
 

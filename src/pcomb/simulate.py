@@ -28,6 +28,7 @@ from __future__ import annotations
 import inspect
 import io
 import math
+import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -36,8 +37,8 @@ import numpy as np
 
 from . import _genedata
 from ._inputs import INT64_MAX, integer, number, numbers, probability, sequence
-from .adjust import METHODS, AdjustedStatistic, adjust, method_spec
-from .combine import CombinedResult, _surrogate, combine_observations
+from .adjust import METHODS, AdjustedStatistic, adjust
+from .combine import CombinedResult, combine_observations, surrogate
 from .distributions import (SUPPORT_CAP, DiscretePValueDist, _binom_cdf, _closed, _first,
                             _geom_cdf, _instance, _json, _nbinom_cdf, _nbinom_sf, _require,
                             _support, custom_pvalue_distribution, make_statistic_model,
@@ -301,7 +302,8 @@ def sample_pvalues(scenario: Scenario, rng: np.random.Generator, n: int,
     alternative the statistic is drawn from the alternative model and
     mapped through the null model's sided p-value."""
     _instance(scenario, Scenario, "scenario", "a scenario")
-    _instance(rng, np.random.Generator, "rng", "a numpy Generator")
+    _require(callable(getattr(rng, "random", None)),
+             f"rng must have a random(n) method, as a numpy Generator does, got {reprlib.repr(rng)}")
     n = integer(n, "n", 0, INT64_MAX)
     if alt_param is not None:
         alt_param = number(alt_param, "alt_param", finite=False)
@@ -391,8 +393,7 @@ class _ConfigPrep(_Sampler):
             else:
                 # z looked up directly by outcome index
                 rows = [adj.z[g.outcome_atoms] for adj, g in zip(per_group, groups)]
-                surr = _surrogate(method_spec(name),
-                                  np.array([adj.variance for adj in per_group])[self.assign])
+                surr = surrogate(name, np.array([adj.variance for adj in per_group])[self.assign])
                 upper = surr.tail == "upper"
                 t = surr.quantile(1.0 - alpha if upper else alpha)
             score_rows.append(rows if upper else [-row for row in rows])

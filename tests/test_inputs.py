@@ -461,7 +461,7 @@ def _type1(**kw):
     pytest.param(lambda: sample_pvalues(1, np.random.default_rng(0), 2),
                  "scenario must be a scenario, got 1", id="sample-pvalues-scenario-int"),
     pytest.param(lambda: sample_pvalues(BINOMIAL_SCENARIO, 5, 3),
-                 "rng must be a numpy Generator, got 5", id="sample-pvalues-rng-int"),
+                 "rng must have a random(n) method, as a numpy Generator does, got 5", id="sample-pvalues-rng-int"),
     # a list as the method once raised TypeError: unhashable type
     pytest.param(lambda: adjust(["fisher"], TWO_ATOM),
                  "unknown method ['fisher']; expected one of "
@@ -472,6 +472,16 @@ def test_closed_hole(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_sample_pvalues_takes_a_legacy_random_state():
+    """The rng check asks only for random(n), so numpy's RandomState still draws."""
+    class Uniforms:
+        def random(self, n):
+            return np.random.RandomState(5).random(n)
+
+    got = sample_pvalues(BINOMIAL_SCENARIO, np.random.RandomState(5), 40)
+    assert len(got) == 40 and got == sample_pvalues(BINOMIAL_SCENARIO, Uniforms(), 40)
 
 
 def _coerced(value, **kw):

@@ -4,10 +4,9 @@
     python3 tools/bench_pairs.py PARENT CHANGE --workload cli --seeds 41,43 --trace 1
 
 Each seed is one pair: ``python3 bench/run.py --workload W --seed S
---seconds T --trace X`` runs in the parent checkout and in the change's, the
-parent first on even pairs and the change first on odd ones, so drift in the
-machine's speed falls on both sides alike.  Each run's last output line (the
-benchmark's JSON result) is appended to ``--out`` when given.  The summary
+--trace X`` runs in the parent checkout and in the change's, for the length
+the benchmark sets, the parent first on even pairs and the change first on odd
+ones, so drift in the machine's speed falls on both sides alike.  The summary
 gives, per metric the runs report, each side's median and quartiles and the
 change's wins (ties count for neither side), then every run that exited
 non-zero, failed operations or read ``correct: false``.  Standard library
@@ -35,12 +34,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: str, workload: str, seed: int, trace: int) -> dict:
     """One benchmark run in ``checkout``: its exit code and its JSON result
     (None when the run printed none)."""
     proc = subprocess.run([sys.executable, os.path.join("bench", "run.py"),
-                           "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", str(trace)],
+                           "--workload", workload, "--seed", str(seed), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -110,21 +108,14 @@ def main(argv=None) -> int:
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=parse_seeds, help='e.g. "41-50"')
-    ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--out", help="append each run's result to this JSON-lines file")
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = []
     for i, seed in enumerate(args.seeds):
         pair = {}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            pair[side] = run_once(checkouts[side], args.workload, seed, args.seconds,
-                                  args.trace)
-            if args.out:
-                with open(args.out, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"side": side, "workload": args.workload,
-                                         "trace": args.trace, **pair[side]}) + "\n")
+            pair[side] = run_once(checkouts[side], args.workload, seed, args.trace)
             print(f"pair {i} seed {seed} {side}: exit {pair[side]['exit']}", file=sys.stderr)
         pairs.append(pair)
     print(summarize(pairs, _directions(args.change)))
