@@ -1,4 +1,5 @@
-"""The input policy: the one place that decides what pcomb takes as a number.
+"""The input policy: the one place that decides what pcomb takes as a number,
+an object, a JSON value or a size.
 
 Every public entry point passes its numeric arguments through these
 coercers once, on entry.  A **number** is an ``int``, ``float``,
@@ -10,6 +11,8 @@ returned as an int.  A **probability** is a number in (0, 1).  A **list**
 (of numbers, method names or distributions) is a list, tuple or 1-D ndarray;
 a string, ``None``, a bare scalar or an array of another rank is not.  A
 refusal is a one-line ValueError: ``<name> must be <what>, got <repr>``.
+An **object** is an instance of its pcomb class.  A **size** (a support, a
+convolution, a test count) past ``SUPPORT_CAP`` is refused unallocated.
 A plain ``int`` or ``float`` passes at once, a 1-D int or float ndarray on
 its dtype (and one ``isfinite`` where entries must be finite), and any other
 list entry by entry.  pcomb's own named-family models and p-value
@@ -21,16 +24,55 @@ from __future__ import annotations
 import math
 import reprlib
 import sys
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 INT64_MAX = 2 ** 63 - 1
 _FLOAT_MAX = int(sys.float_info.max)
+# the most points a support or a test count may hold (Poisson at rate 1e9
+# would need 7.45 GiB; a replicate holds about 64 B per test)
+SUPPORT_CAP = 10_000_000
+_JSON_TYPES = {"object": Mapping, "list": (list, tuple)}
 
 
-def _refuse(name: str, what: str, value) -> ValueError:
-    return ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+def _refuse(name: str, what: str, value, show=reprlib.repr) -> ValueError:
+    """``<name> must be <what>, got <value>``, the value as ``show`` writes it."""
+    return ValueError(f"{name} must be {what}, got {show(value)}")
+
+
+def _refuse_support(points) -> ValueError:
+    """The one refusal of a size: a count, or a bound such as "over 1e+300"."""
+    return ValueError(f"the support would have {points} points, more than the cap of {SUPPORT_CAP}")
+
+
+def cap_support(points: int) -> None:
+    """Refuse, before anything is allocated, a support of more than SUPPORT_CAP points."""
+    if points > SUPPORT_CAP:
+        raise _refuse_support(points)
+
+
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ValueError(msg)
+
+
+def _instance(value, cls: type, name: str, what: str):
+    """``value``, once found to be a ``cls``: the check of every parameter
+    that takes one pcomb object, such as a model, a distribution or a scenario."""
+    if not isinstance(value, cls):
+        raise _refuse(name, what, value)
+    return value
+
+
+def _json(value, kind: str, what: str, keys: Sequence[str] = ()):
+    """``value``, which must be a JSON ``kind`` ("object" or "list") holding
+    ``keys``; its numbers go through this policy as a library caller's do."""
+    if not isinstance(value, _JSON_TYPES[kind]):
+        raise _refuse(what, f"a JSON {kind}", value)
+    for key in keys:
+        _require(key in value, f"{what} needs the key {key!r}")
+    return value
 
 
 def number(value, name: str, *, positive: bool = False, finite: bool = True) -> float:
@@ -45,16 +87,16 @@ def number(value, name: str, *, positive: bool = False, finite: bool = True) -> 
         except OverflowError:   # an int beyond the float range
             raise _refuse(name, what, value) from None
     if positive and not 0.0 < v < math.inf:
-        raise ValueError(f"{name} must be a positive finite number, got {v}")
+        raise _refuse(name, "a positive finite number", v, str)
     if finite and not math.isfinite(v):
-        raise ValueError(f"{name} must be {what}, got {v}")
+        raise _refuse(name, what, v, str)
     return v
 
 
 def probability(value, name: str) -> float:
     v = number(value, name, finite=False)
     if not 0.0 < v < 1.0:   # NaN fails too
-        raise ValueError(f"{name} must be in (0, 1), got {v}")
+        raise _refuse(name, "in (0, 1)", v, str)
     return v
 
 
@@ -71,9 +113,9 @@ def integer(value, name: str, minimum: int | None = None, maximum: int | None = 
     if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
         raise _refuse(name, "a finite number", value)
     if minimum is not None and v < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {v}")
+        raise _refuse(name, f">= {minimum}", v, str)
     if maximum is not None and v > maximum:
-        raise ValueError(f"{name} must be <= {maximum}, got {v}")
+        raise _refuse(name, f"<= {maximum}", v, str)
     return v
 
 

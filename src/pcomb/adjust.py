@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._inputs import number
+from ._inputs import _instance, number
 from ._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw
-from .distributions import DiscretePValueDist, _instance
+from .distributions import DiscretePValueDist
 
 #: Fixed method order; also the deterministic tie-break order in reports.
 METHODS = ("fisher", "pearson", "george", "stouffer", "edgington")

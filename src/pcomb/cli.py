@@ -14,10 +14,10 @@ import json
 import os
 import sys
 
-from ._inputs import integer, numbers
+from ._inputs import _json, _refuse, integer, numbers
 from .adjust import METHODS, adjust
 from .combine import combine, combine_observations
-from .distributions import (SIDES, DiscretePValueDist, StatisticModel, _json,
+from .distributions import (SIDES, DiscretePValueDist, StatisticModel,
                             custom_pvalue_distribution, make_statistic_model,
                             pvalue_distribution)
 from .metrics import rank_methods
@@ -179,7 +179,7 @@ def _cmd_combine(args) -> None:
 
 def _cmd_metrics(args) -> None:
     dists = [DiscretePValueDist.from_json(_read_json(p)) for p in args.pdist]
-    _emit_report(args, rank_methods(dists if len(dists) > 1 else dists[0]))
+    _emit_report(args, rank_methods(dists))
 
 
 def _cmd_simulate(args) -> None:
@@ -189,7 +189,7 @@ def _cmd_simulate(args) -> None:
         text = os.environ.get(SEED_ENV, "0")
         seeds = _numbers(text, int, SEED_ENV)
         if len(seeds) != 1:
-            raise ValueError(f"{SEED_ENV} must be one integer, got {text!r}")
+            raise _refuse(SEED_ENV, "one integer", text, repr)
         seed = seeds[0]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.mode == "type1":

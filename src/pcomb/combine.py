@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _laws
-from ._inputs import numbers, probability, sequence
+from ._inputs import _refuse, _require, numbers, probability, sequence
 from .adjust import MethodSpec, cell_pass, method_spec
 from .distributions import DiscretePValueDist, _dist_entries
 
@@ -60,8 +60,7 @@ def surrogate(method: str, variances: Sequence[float]) -> SurrogateDist:
     """
     spec = method_spec(method)
     nus = numbers(variances, "variances", finite=False)
-    if nus.size == 0:
-        raise ValueError("variances must be a nonempty sequence")
+    _require(nus.size, "variances must be a nonempty sequence")
     return _surrogate(spec, nus)
 
 
@@ -71,9 +70,8 @@ def _surrogate(spec: MethodSpec, nus: np.ndarray) -> SurrogateDist:
     valid = (nus > 0.0) & (nus < math.inf)   # NaN fails both
     if not valid.all():
         bad = float(nus[~valid][0])
-        raise ValueError(f"every per-test variance must be positive and finite, got {bad!r}"
-                         + (" (a single-atom p-value distribution has zero variance)"
-                            if bad == 0.0 else ""))
+        hint = " (a single-atom p-value distribution has zero variance)" if bad == 0.0 else ""
+        raise _refuse("every per-test variance", "positive and finite", f"{bad!r}{hint}", str)
     n = int(nus.size)
     nu_bar = float(nus.mean())
     mu = spec.law.mean

@@ -38,9 +38,8 @@ over SUPPORT_CAP points is refused before anything is allocated.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import special
@@ -53,7 +52,8 @@ except ImportError:
         f"(checked on scipy 1.17.1), which the installed scipy {scipy.__version__} "
         "does not have") from None
 
-from ._inputs import INT64_MAX, integer, number, numbers, probability
+from ._inputs import (INT64_MAX, _instance, _json, _refuse, _refuse_support, _require,
+                      cap_support, integer, number, numbers, probability)
 
 #: each family with the parameters it takes, all of them required
 FAMILY_PARAMS = {"binomial": ("trials", "prob"), "poisson": ("rate",),
@@ -73,9 +73,6 @@ TAIL_EPS = 1e-14
 TIE_RTOL = 1e-12
 ATOM_TOL = 1e-12
 CUSTOM_PMF_TOL = 1e-9
-# A named family whose support would hold more points than this is refused
-# before it is built (Poisson at rate 1e9 would need 7.45 GiB).
-SUPPORT_CAP = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,12 +103,11 @@ class StatisticModel:
         self.__dict__.update(support=support, pmf=pmf)   # past the frozen __setattr__
         if pmf.shape != support.shape or support.size == 0:
             raise ValueError("support and pmf must be 1-D arrays of equal, nonzero length")
-        if (support[1:] <= support[:-1]).any():
-            raise ValueError("support must be strictly increasing")
+        _require((support[1:] > support[:-1]).all(), "support must be strictly increasing")
         total = float(pmf.sum())
         # a NaN or infinite mass makes the sum non-finite; only then is it looked for
         if not math.isfinite(total) and not np.isfinite(pmf).all():
-            raise ValueError(f"pmf masses must be finite, got {reprlib.repr(pmf.tolist())}")
+            raise _refuse("pmf masses", "finite", pmf.tolist())
         if (pmf <= 0.0).any():
             raise ValueError("pmf masses must be positive (zero-mass outcomes are dropped at build time)")
         if abs(total - 1.0) > ATOM_TOL:
@@ -154,18 +150,16 @@ class DiscretePValueDist:
     def __post_init__(self):
         atoms = numbers(self.atoms, "atoms").copy()  # the tail atom is pinned below
         object.__setattr__(self, "atoms", atoms)
-        if atoms.size == 0:
-            raise ValueError("atoms must be a nonempty 1-D sequence")
+        _require(atoms.size, "atoms must be a nonempty 1-D sequence")
         if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
-        if not atoms[0] > 0.0:   # NaN fails too
-            raise ValueError("the first atom must be positive")
+            raise _refuse("side", f"one of {SIDES}", self.side, repr)
+        _require(atoms[0] > 0.0, "the first atom must be positive")   # NaN fails too
         if abs(atoms[-1] - 1.0) > ATOM_TOL:
             raise ValueError(f"the last atom must equal 1 within {ATOM_TOL}, got {float(atoms[-1])!r}")
         atoms[-1] = 1.0  # pin before the monotonicity check so a pinned
         # duplicate at the top is rejected as a zero-mass atom
-        if not (atoms[1:] > atoms[:-1]).all():   # NaN fails too
-            raise ValueError("atoms must be strictly increasing (zero-mass atom)")
+        _require((atoms[1:] > atoms[:-1]).all(),   # NaN fails too
+                 "atoms must be strictly increasing (zero-mass atom)")
         atoms.flags.writeable = False
         if self.outcome_map is not None:   # a copy, so the caller's stays writable
             object.__setattr__(self, "outcome_map", np.array(self.outcome_map))
@@ -223,19 +217,6 @@ def _closed(cum: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
-
-
-def _instance(value, cls: type, name: str, what: str):
-    """``value``, once found to be a ``cls``: the check of every parameter
-    that takes one pcomb object, such as a model, a distribution or a scenario."""
-    if not isinstance(value, cls):
-        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
-    return value
-
-
 def _dist_entries(dists: list, name: str) -> list[DiscretePValueDist]:
     """``dists``, a list, once every entry is found to be a p-value distribution."""
     for i, d in enumerate(dists):
@@ -244,28 +225,11 @@ def _dist_entries(dists: list, name: str) -> list[DiscretePValueDist]:
     return dists
 
 
-_JSON_TYPES = {"object": Mapping, "list": (list, tuple)}
-
-
-def _json(value, kind: str, what: str, keys: Sequence[str] = ()):
-    """``value``, which must be a JSON ``kind`` ("object" or "list") holding
-    ``keys``; its numbers go through ``pcomb._inputs`` as a library caller's do."""
-    _require(isinstance(value, _JSON_TYPES[kind]),
-             f"{what} must be a JSON {kind}, got {reprlib.repr(value)}")
-    for key in keys:
-        _require(key in value, f"{what} needs the key {key!r}")
-    return value
-
-
-def _refuse_support(points: str) -> NoReturn:
-    raise ValueError(f"the support would have {points} points, more than the cap of {SUPPORT_CAP}")
-
-
 def _support(lo: int, hi: int) -> np.ndarray:
     """The integers lo..hi, refused unallocated above SUPPORT_CAP or int64."""
-    if hi - lo + 1 > SUPPORT_CAP:
-        _refuse_support(str(hi - lo + 1))
-    _require(hi <= INT64_MAX, f"support entries must be 64-bit integers, got {hi}")
+    cap_support(hi - lo + 1)
+    if hi > INT64_MAX:
+        raise _refuse("support entries", "64-bit integers", hi, str)
     return np.arange(lo, hi + 1)
 
 
@@ -345,7 +309,7 @@ def _truncated_counts(sf: Callable, masses: Callable, lo: int,
     exact size.  A mean past 2**52 points, where doubles no longer step by
     one, is refused unsearched."""
     if not mean - lo < 2.0 ** 52:  # also refuses a NaN mean
-        _refuse_support(f"over {mean - lo:.3g}")
+        raise _refuse_support(f"over {mean - lo:.3g}")
     hi = _first(lambda k: sf(k) < TAIL_EPS, lo, math.ceil(mean))
     ks = _support(lo, hi)
     pmf = np.empty(ks.size)
@@ -398,8 +362,9 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
         N = integer(params["population"], "population", 1)
         K = integer(params["successes"], "successes", 0)
         m = integer(params["draws"], "draws", 1)
-        _require(K <= N, f"successes must be <= population, got {K} > {N}")
-        _require(m <= N, f"draws must be <= population, got {m} > {N}")
+        for name, count in (("successes", K), ("draws", m)):
+            if count > N:
+                raise _refuse(name, "<= population", f"{count} > {N}", str)
         odds = number(params["odds"], "odds", positive=True) if "odds" in takes else 1.0
         lo, hi = max(0, m + K - N), min(m, K)
         support = _support(lo, hi)
@@ -484,7 +449,7 @@ def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
     """Sided discrete p-value distribution of a statistic model."""
     _instance(model, StatisticModel, "model", "a statistic model")
     if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+        raise _refuse("side", f"one of {SIDES}", side, repr)
     m = model.pmf.size
     if side == "left":
         atoms = model.cdf()

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _laws
-from ._inputs import sequence
+from ._inputs import _instance, _require, sequence
 from .adjust import METHODS, AdjustedStatistic, adjust, method_spec
 from .combine import surrogate
-from .distributions import DiscretePValueDist, _dist_entries, _instance
+from .distributions import DiscretePValueDist, _dist_entries
 
 
 def _root(x: float) -> float:
@@ -68,8 +68,7 @@ def _dist_list(dists, name: str) -> list[DiscretePValueDist]:
     """One distribution or a list of them, as a nonempty list."""
     dists = ([dists] if isinstance(dists, DiscretePValueDist)
              else _dist_entries(sequence(dists, name, "p-value distributions"), name))
-    if not dists:
-        raise ValueError("need at least one distribution")
+    _require(dists, "need at least one distribution")
     return dists
 
 

@@ -18,9 +18,7 @@ whatever other methods run beside it, and the kernel reports aggregate
 integer rejection counts, so neither the block size, the method set nor the
 chunking of blocks over ``workers`` threads can change a single byte of the
 output.  Threads overlap only inside numpy calls, the uniform fill among
-them.  On two cores (n = 100, the README's table) ``workers=2`` over one
-worker read 0.85-1.26 at 2,000 replicates, the benchmark's size, and
-0.96-1.90 at 20,000 and 100,000, a gain on every design at 100,000.
+them; README gives the speed-ups ``workers`` has measured.
 """
 
 from __future__ import annotations
@@ -36,13 +34,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _genedata
-from ._inputs import INT64_MAX, integer, number, numbers, probability, sequence
+from ._inputs import (INT64_MAX, SUPPORT_CAP, _instance, _json, _refuse, _require,
+                      cap_support, integer, number, numbers, probability, sequence)
 from .adjust import METHODS, AdjustedStatistic, adjust
 from .combine import CombinedResult, combine_observations, surrogate
-from .distributions import (SUPPORT_CAP, DiscretePValueDist, _binom_cdf, _closed, _first,
-                            _geom_cdf, _instance, _json, _nbinom_cdf, _nbinom_sf, _require,
-                            _support, custom_pvalue_distribution, make_statistic_model,
-                            pvalue_distribution)
+from .distributions import (DiscretePValueDist, _binom_cdf, _closed, _first, _geom_cdf,
+                            _nbinom_cdf, _nbinom_sf, _support, custom_pvalue_distribution,
+                            make_statistic_model, pvalue_distribution)
 
 LRT_GEOMETRIC = "lrt-geometric"
 
@@ -194,7 +192,8 @@ def circular_scenario(points: int) -> Scenario:
     the exponential concentration alternative."""
     # exact, so an odd count past 2**53 stays odd; a fraction is not an odd integer
     N = integer(points, "points") if number(points, "points").is_integer() else 0
-    _require(N >= 3 and N % 2 == 1, f"points must be an odd integer >= 3, got {points}")
+    if N < 3 or N % 2 == 0:
+        raise _refuse("points", "an odd integer >= 3", points, str)
     tvals = _support(0, (N - 1) // 2)   # one atom per distance from the pole
     atoms = (2.0 * tvals + 1.0) / N
 
@@ -304,7 +303,7 @@ def sample_pvalues(scenario: Scenario, rng: np.random.Generator, n: int,
     _instance(scenario, Scenario, "scenario", "a scenario")
     _require(callable(getattr(rng, "random", None)),
              f"rng must have a random(n) method, as a numpy Generator does, got {reprlib.repr(rng)}")
-    n = integer(n, "n", 0, INT64_MAX)
+    n = integer(n, "n", 0, SUPPORT_CAP)
     if alt_param is not None:
         alt_param = number(alt_param, "alt_param", finite=False)
         if scenario.null_param is None:
@@ -495,12 +494,10 @@ def _experiment(scenario: Scenario, methods: Sequence[str], configs: Sequence[tu
     workers = integer(workers, "workers", 1)
     methods = sequence(methods, "methods", "method names")
     if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed!r}")
-    if len(configs) == 0:   # one configuration per grid entry
-        raise ValueError(f"{grid_name} must be nonempty")
-    if len(methods) == 0:
-        raise ValueError("methods must name at least one method")
-    configs = [(integer(n, "the number of tests n", 1, INT64_MAX), alt) for n, alt in configs]
+        raise _refuse("seed", "in [0, 2**128)", seed, repr)
+    _require(configs, f"{grid_name} must be nonempty")   # one configuration per grid entry
+    _require(methods, "methods must name at least one method")
+    configs = [(integer(n, "the number of tests n", 1, SUPPORT_CAP), alt) for n, alt in configs]
     for n, alt in configs:
         for g in scenario._groups:
             g.cdf_for(alt)  # raises on a parameter outside the family's range
@@ -566,8 +563,7 @@ def exact_convolution(adjusted: AdjustedStatistic, n: int) -> tuple[np.ndarray, 
     base_w = np.asarray(adjusted.masses, dtype=float)
     values, masses = base_v.copy(), base_w.copy()
     for _ in range(n - 1):
-        if values.size * base_v.size > SUPPORT_CAP:
-            raise ValueError(f"convolution support would exceed {SUPPORT_CAP} points")
+        cap_support(values.size * base_v.size)
         values = (values[:, None] + base_v[None, :]).ravel()
         masses = (masses[:, None] * base_w[None, :]).ravel()
         values, masses = _merge_support(values, masses)

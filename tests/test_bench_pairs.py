@@ -49,3 +49,38 @@ def test_a_metric_without_direction_has_no_wins():
         "scaled_work_per_s: parent 1 [1, 1]; change 2 [2, 2]; no direction",
         "setup_s: parent 0.5 [0.5, 0.5]; change 0.5 [0.5, 0.5]; no direction",
     ]
+
+
+def _tree(root, files):
+    for path, text in files.items():
+        full = root / path
+        full.parent.mkdir(parents=True, exist_ok=True)
+        full.write_text(text)
+    return str(root)
+
+
+BENCH = {"BENCHMARK.json": "{}", "bench/run.py": "raise SystemExit(3)\n",
+         "bench/tests/test_bench.py": "", "src/pcomb/__init__.py": ""}
+
+
+def test_checkouts_with_different_benchmarks_run_nothing(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    parent = _tree(tmp_path / "parent", {**BENCH, "bench/__pycache__/run.pyc": "x"})
+    change = _tree(tmp_path / "change", {**BENCH, "BENCHMARK.json": '{"paths": []}',
+                                         "bench/tests/test_bench.py": "# changed\n",
+                                         "bench/extra.py": "",
+                                         "src/pcomb/__init__.py": "# the change itself\n"})
+    code = bench_pairs.main([parent, change, "--workload", "analyze", "--seeds", "1-2"])
+    assert code == 2 and runs == []
+    assert capsys.readouterr().err == (
+        "the checkouts run different benchmarks; these files differ: "
+        f"BENCHMARK.json, {os.path.join('bench', 'extra.py')}, "
+        f"{os.path.join('bench', 'tests', 'test_bench.py')}\n")
+
+
+def test_bytecode_caches_and_the_source_may_differ(tmp_path):
+    parent = _tree(tmp_path / "parent", {**BENCH, "bench/__pycache__/run.pyc": "x"})
+    change = _tree(tmp_path / "change", {**BENCH, "src/pcomb/__init__.py": "# changed\n",
+                                         "bench/tests/__pycache__/t.pyc": "y"})
+    assert bench_pairs.differing_bench_files(parent, change) == []

@@ -273,6 +273,17 @@ class TestSimulateAndExample:
                          for r in obj["methods"]]
         assert obj["recommended_by_ratio"] in [r["method"] for r in obj["methods"]]
 
+    def test_broken_pipe_exits_1_in_silence(self, capsys, monkeypatch):
+        # a reader that closes early (``pcomb example gene | head -1``) is not an error
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = run(["example", "gene"])
+        monkeypatch.undo()
+        assert code == 1 and capsys.readouterr().err == ""
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.csv"
         code, out, _ = invoke(capsys, "example", "gene", "--out", str(dest))
@@ -312,6 +323,28 @@ class TestSimulateValidation:
                               "--alt-grid", "0.1", "--n", "0", "--reps", "10")
         assert code == 1
         assert err == "pcomb: error: the number of tests n must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("extra", [
+        ["--n-grid", "10000001"],
+        ["--n-grid", "4,1000000000"],
+        ["--mode", "power", "--alt-grid", "0.1", "--n", "10000001"],
+    ])
+    def test_test_count_over_cap(self, capsys, tmp_path, extra):
+        # one replicate of 10**9 tests once took the machine's memory and was
+        # killed without a message; the count is now refused unallocated
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"kind": "circular", "points": 11}))
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, "simulate", "--scenario", str(sc),
+                                    "--reps", "1", *extra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"pcomb: error: the number of tests n must be <= 10000000, "
+                            r"got (10000001|1000000000)\n", err)
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("scenario,alt,message", [
         ({"kind": "binomial", "theta0": 0.3}, "1.5", "theta=1.5, outside [0, 1]"),

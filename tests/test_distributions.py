@@ -17,7 +17,7 @@ from scipy import stats
 
 from pcomb import (DiscretePValueDist, StatisticModel, custom_pvalue_distribution,
                    make_statistic_model, pvalue_distribution)
-from pcomb import distributions
+from pcomb import _inputs, distributions
 from pcomb.distributions import SIDES
 
 
@@ -112,14 +112,14 @@ class TestMakeStatisticModel:
     def test_support_cap_boundary(self, monkeypatch):
         below = make_statistic_model("binomial", {"trials": 10, "prob": 0.3})
         poisson = make_statistic_model("poisson", {"rate": 3.0})
-        monkeypatch.setattr(distributions, "SUPPORT_CAP", 11)
+        monkeypatch.setattr(_inputs, "SUPPORT_CAP", 11)
         at_cap = make_statistic_model("binomial", {"trials": 10, "prob": 0.3})
         np.testing.assert_array_equal(at_cap.pmf, below.pmf)
         with pytest.raises(ValueError, match="would have 12 points, more than the cap of 11"):
             make_statistic_model("binomial", {"trials": 11, "prob": 0.3})
         with pytest.raises(ValueError, match="more than the cap of 11"):
             make_statistic_model("poisson", {"rate": 3.0})
-        monkeypatch.setattr(distributions, "SUPPORT_CAP", poisson.support.size)
+        monkeypatch.setattr(_inputs, "SUPPORT_CAP", poisson.support.size)
         again = make_statistic_model("poisson", {"rate": 3.0})
         np.testing.assert_array_equal(again.pmf, poisson.pmf)
 

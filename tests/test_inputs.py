@@ -384,7 +384,7 @@ def _type1(**kw):
                  "the support would have 2251799813685249 points, more than the cap of 10000000",
                  id="points-over-support-cap"),
     pytest.param(lambda: _type1(n_grid=[2 ** 63 + 1]),
-                 "the number of tests n must be <= 9223372036854775807, got 9223372036854775809",
+                 "the number of tests n must be <= 10000000, got 9223372036854775809",
                  id="n-grid-exact"),
     # a 0-d array is a scalar, not a list of one
     pytest.param(lambda: combine("fisher", np.array(0.5), [TWO_ATOM]),
@@ -532,9 +532,15 @@ def _mentions(node, names) -> bool:
                or (isinstance(n, ast.Attribute) and n.attr in names) for n in ast.walk(node))
 
 
+#: the coercion and refusal helpers and the bounds only the policy module defines
+POLICY_HELPER = r"_as_\w+|_param|_integer|_json\w*|_refuse\w*|_require\w*|_instance\w*|cap_\w+"
+POLICY_BOUNDS = {"SUPPORT_CAP", "INT64_MAX", "_JSON_TYPES"}
+
+
 def _policy_sites(path: Path):
-    """(function, what, line) of each bool test, finiteness test or
-    coercion helper in one module."""
+    """(function, what, line) of each bool test, finiteness test, coercion or
+    refusal helper, policy bound or "<name> must be <what>, got <value>"
+    message built in one module."""
     sites = []
 
     def visit(node, func):
@@ -542,8 +548,16 @@ def _policy_sites(path: Path):
             inner = func
             if isinstance(child, ast.FunctionDef):
                 inner = child.name
-                if re.fullmatch(r"_as_\w+|_param|_integer|_json_numbers", child.name):
+                if re.fullmatch(POLICY_HELPER, child.name):
                     sites.append((inner, "helper", child.lineno))
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                if _mentions(ast.Tuple(targets), POLICY_BOUNDS):
+                    sites.append((func, "bound", child.lineno))
+            elif isinstance(child, ast.JoinedStr):
+                text = "".join(v.value for v in child.values if isinstance(v, ast.Constant))
+                if " must be " in text and ", got " in text:
+                    sites.append((func, "refusal", child.lineno))
             elif isinstance(child, ast.Call) and _mentions(child.func, {"isfinite"}):
                 sites.append((func, "isfinite", child.lineno))
             elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
@@ -571,4 +585,5 @@ def test_input_policy_has_one_owner():
     assert not stray, f"input checks outside {POLICY_MODULE}: {sorted(stray)}"
     assert set(INVARIANTS) <= set(found), "an allow-listed invariant is gone; drop it"
     # the owner itself is found by the same scan
-    assert {what for _, what, _ in _policy_sites(SRC / POLICY_MODULE)} >= {"bool", "isfinite"}
+    assert ({what for _, what, _ in _policy_sites(SRC / POLICY_MODULE)}
+            >= {"bool", "isfinite", "helper", "bound", "refusal"})

@@ -232,6 +232,15 @@ class TestRankMethods:
         obj = rep.to_json()
         assert len(obj["methods"]) == 5
 
+    def test_missing_row_is_a_key_error(self):
+        with pytest.raises(KeyError) as info:
+            rank_methods(TWO_ATOM).row("lrt-geometric")
+        assert info.value.args == ("lrt-geometric",)
+
+    def test_one_distribution_alone_or_in_a_list_ranks_the_same(self):
+        # the CLI passes its list of one file's distribution as it is
+        assert rank_methods([PL]).to_json() == rank_methods(PL).to_json()
+
     def test_sequence_averages(self):
         dists = [geometric_scenario(p0, "right").null_dists()[0] for p0 in (0.2, 0.5, 0.8)]
         rep = rank_methods(dists)

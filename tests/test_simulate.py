@@ -14,7 +14,7 @@ from pcomb import (LRT_GEOMETRIC, METHODS, adjust, binomial_scenario,
                    scenario_from_json, surrogate, synthetic_scenario,
                    type1_experiment)
 from pcomb import simulate
-from pcomb.distributions import SUPPORT_CAP
+from pcomb._inputs import SUPPORT_CAP
 from pcomb.simulate import BLOCK_ELEMENTS, SYNTHETIC_ATOMS, _geometric_lrt_threshold
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
@@ -276,6 +276,14 @@ class TestExperiments:
         with pytest.raises(ValueError, match=f"^{message}$"):
             run()
 
+    def test_missing_row_is_a_key_error(self):
+        rep = type1_experiment(synthetic_scenario("PC"), ["fisher"], [5], 0.05, 10, seed=1)
+        for key, kw in [(("stouffer", None, None), {}), (("fisher", 6, None), {"n": 6}),
+                        (("fisher", None, 0.3), {"alt_param": 0.3})]:
+            with pytest.raises(KeyError) as info:
+                rep.proportion(key[0], **kw)
+            assert info.value.args == (key,)
+
     def test_numpy_integers_accepted(self):
         sc = synthetic_scenario("PC")
         a = type1_experiment(sc, ["fisher"], [np.int64(10)], 0.05, np.int32(300),
@@ -462,6 +470,49 @@ class TestLrtThreshold:
                 rep.proportion(LRT_GEOMETRIC, alt_param=p1)
 
 
+class TestSizeCap:
+    """A test count past SUPPORT_CAP is one line, refused before anything of
+    its size is allocated (a replicate holds about 64 B per test)."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: type1_experiment(binomial_scenario(0.3), ["fisher"], [SUPPORT_CAP + 1],
+                                  0.05, 1, 1),
+         f"the number of tests n must be <= 10000000, got {SUPPORT_CAP + 1}"),
+        (lambda: type1_experiment(binomial_scenario(0.3), ["fisher"], [10 ** 9], 0.05, 1, 1),
+         "the number of tests n must be <= 10000000, got 1000000000"),
+        (lambda: power_experiment(geometric_scenario(0.5, "right"), METHODS, [0.4],
+                                  SUPPORT_CAP + 1, 0.05, 1, 1),
+         f"the number of tests n must be <= 10000000, got {SUPPORT_CAP + 1}"),
+        (lambda: sample_pvalues(binomial_scenario(0.3), np.random.default_rng(0),
+                                SUPPORT_CAP + 1),
+         f"n must be <= 10000000, got {SUPPORT_CAP + 1}"),
+    ], ids=["type1", "type1-1e9", "power", "sample_pvalues"])
+    def test_test_count_over_cap_refused_unallocated(self, call, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 1 << 20
+
+    def test_convolution_over_cap_gives_the_shared_wording(self):
+        # 4,000 values squared is the first product past the cap
+        adj = adjust("stouffer", custom_pvalue_distribution(np.arange(1, 4001) / 4000, "left"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                exact_convolution(adj, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == ("the support would have 16000000 points, "
+                                   "more than the cap of 10000000")
+        assert peak < 1 << 20
+
+
 class TestExactConvolution:
     def test_two_atom_bernoulli_sum(self):
         adj = adjust("edgington", TWO_ATOM)
@@ -547,6 +598,11 @@ class TestGeneExample:
         assert rep.row("gene1", "right", "pearson").statistic == pytest.approx(0.84, abs=0.01)
         assert rep.row("gene1", "right", "pearson").global_p == pytest.approx(0.0001, abs=5e-4)
         assert rep.row("gene2", "two", "fisher").global_p == pytest.approx(0.3232, abs=5e-4)
+
+    def test_missing_row_is_a_key_error(self):
+        with pytest.raises(KeyError) as info:
+            gene_example().row("gene3", "two", "fisher")
+        assert info.value.args == (("gene3", "two", "fisher"),)
 
     def test_csv(self):
         rep = gene_example()

@@ -9,8 +9,10 @@ the benchmark sets, the parent first on even pairs and the change first on odd
 ones, so drift in the machine's speed falls on both sides alike.  The summary
 gives, per metric the runs report, each side's median and quartiles and the
 change's wins (ties count for neither side), then every run that exited
-non-zero, failed operations or read ``correct: false``.  Standard library
-only, so it runs wherever the benchmark does.
+non-zero, failed operations or read ``correct: false``.  Both checkouts must
+hold the same ``BENCHMARK.json`` and the same files under ``bench/``: if they
+differ, nothing runs, the differing files are named and the exit code is 2.
+Standard library only, so it runs wherever the benchmark does.
 """
 
 from __future__ import annotations
@@ -96,6 +98,30 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> str:
     return "\n".join(out)
 
 
+def _bench_files(checkout: str) -> dict[str, bytes]:
+    """``BENCHMARK.json`` and every file under ``bench/`` (bytecode caches
+    aside), by path relative to ``checkout``."""
+    paths = ["BENCHMARK.json"]
+    for root, dirs, files in os.walk(os.path.join(checkout, "bench")):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        paths += [os.path.relpath(os.path.join(root, f), checkout) for f in sorted(files)]
+    out = {}
+    for path in paths:
+        try:
+            with open(os.path.join(checkout, path), "rb") as fh:
+                out[path] = fh.read()
+        except FileNotFoundError:
+            pass
+    return out
+
+
+def differing_bench_files(parent: str, change: str) -> list[str]:
+    """The benchmark files whose bytes differ between the checkouts, or
+    that only one of them has."""
+    a, b = _bench_files(parent), _bench_files(change)
+    return sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
+
+
 def _directions(checkout: str) -> dict[str, str]:
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -111,6 +137,11 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
+    differ = differing_bench_files(args.parent, args.change)
+    if differ:
+        print("the checkouts run different benchmarks; these files differ: "
+              + ", ".join(differ), file=sys.stderr)
+        return 2
     pairs = []
     for i, seed in enumerate(args.seeds):
         pair = {}
