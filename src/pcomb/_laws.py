@@ -14,18 +14,19 @@ probability cells (c0, c1):
 
 Both work through exact partial moments on (Q(c0), Q(c1)), with the
 limits x log x -> 0 and phi(Phi^-1(F)) -> 0 at F in {0, 1}, so cells in
-the far tails need no quadrature.  ``QuantileLaw`` is the fallback for
-arbitrary quantile callables: ``_cells_quad`` integrates all cells of a
-call at once by tanh-sinh quadrature, one call of the quantile for steps
-1/16 and 1/32 together, then one more for each later step on the cells
-still going.
+the far tails need no quadrature.  ``cell_means`` takes those terms once
+per cell edge (``Cells.ends``), since neighbouring cells share an edge.
+``QuantileLaw`` is the fallback for arbitrary quantile callables:
+``_cells_quad`` integrates all cells of a call at once by tanh-sinh
+quadrature, one call of the quantile for steps 1/16 and 1/32 together, then
+one more for each later step on the cells still going.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 from scipy import special
@@ -33,15 +34,22 @@ from scipy import special
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-class Cells(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Cells:
     """Probability cells (lo, hi) of mass p = hi - lo, carrying 1 - lo and
-    1 - hi, so a reflected cell never recomputes 1 - (1 - hi)."""
+    1 - hi, so a reflected cell never recomputes 1 - (1 - hi).  The cells
+    hold partitions of (0, 1) laid end to end, in the order of their atoms
+    even when reflected; iterating gives the five cell arrays."""
 
     lo: np.ndarray
     hi: np.ndarray
     p: np.ndarray
     one_minus_lo: np.ndarray
     one_minus_hi: np.ndarray
+    is_reflected: bool = False
+
+    def __iter__(self):
+        return iter((self.lo, self.hi, self.p, self.one_minus_lo, self.one_minus_hi))
 
     @classmethod
     def of_atoms(cls, hi: np.ndarray, starts: Sequence[int]) -> "Cells":
@@ -49,14 +57,31 @@ class Cells(NamedTuple):
         laid end to end in ``hi``; ``starts`` holds the index of each one's
         first atom, 0 included, whose cell takes F_0 = 0."""
         lo = np.empty_like(hi)
-        lo[0], lo[1:] = 0.0, hi[:-1]
-        if len(starts) > 1:
-            lo[starts[1:]] = 0.0
+        lo[1:] = hi[:-1]
+        lo[starts] = 0.0
         return cls(lo, hi, hi - lo, 1.0 - lo, 1.0 - hi)
 
     def reflected(self) -> "Cells":
         """(1 - hi, 1 - lo): the mean of Q(1 - W) on a cell is that of Q on these."""
-        return Cells(self.one_minus_hi, self.one_minus_lo, self.p, self.hi, self.lo)
+        return Cells(self.one_minus_hi, self.one_minus_lo, self.p, self.hi, self.lo,
+                     not self.is_reflected)
+
+    def ends(self, k: Callable[[np.ndarray], np.ndarray], tail: bool = False
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """(k(lo), k(hi)), or (k(1 - lo), k(1 - hi)) if ``tail``, from one
+        call of k on one edge per cell, for a k with k(0) = k(1) = 0.
+
+        Within a partition a cell's lo is the hi of the cell before it, bit
+        for bit, as ``of_atoms`` copies it; reflected, its hi is the lo of
+        the cell before.  Where a partition starts, at 0 or 1, the cell
+        before ends the partition before at 1 or 0: k is 0 at both."""
+        own = self.one_minus_lo if tail else self.lo
+        if not self.is_reflected:
+            own = self.one_minus_hi if tail else self.hi
+        at_own = k(own)
+        at_shared = np.empty_like(at_own)
+        at_shared[0], at_shared[1:] = 0.0, at_own[:-1]
+        return (at_own, at_shared) if self.is_reflected else (at_shared, at_own)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -66,12 +91,14 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 def _entropy_increment(cells: Cells) -> np.ndarray:
     """Cell increments of F log F."""
-    return _xlogx(cells.hi) - _xlogx(cells.lo)
+    at_lo, at_hi = cells.ends(_xlogx)
+    return at_hi - at_lo
 
 
 def _tail_entropy_increment(cells: Cells) -> np.ndarray:
     """Cell increments of -(1-F) log(1-F)."""
-    return _xlogx(cells.one_minus_lo) - _xlogx(cells.one_minus_hi)
+    at_lo, at_hi = cells.ends(_xlogx, tail=True)
+    return at_lo - at_hi
 
 
 class _CellLaw:
@@ -121,7 +148,8 @@ class NormalLaw(_CellLaw):
 
     def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
         # integral of Phi^-1 over a cell is phi(Phi^-1(lo)) - phi(Phi^-1(hi))
-        dk = _norm_pdf(special.ndtri(cells.lo)) - _norm_pdf(special.ndtri(cells.hi))
+        at_lo, at_hi = cells.ends(lambda w: _norm_pdf(special.ndtri(w)))
+        dk = at_lo - at_hi
         return self.mean + self.sd * dk / cells.p, dk * dk / cells.p * self.sd ** 2
 
     def _cells(self, z, c0, c1):

@@ -18,7 +18,6 @@ the law; ``adjust`` is its one-distribution case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,24 +97,76 @@ class AdjustedStatistic:
 
 
 def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
-              ) -> tuple[Cells, np.ndarray, list[int], np.ndarray]:
+              ) -> tuple[Cells, np.ndarray, np.ndarray, np.ndarray]:
     """Cell means of several distributions in one call of ``law``.
 
     Returns the cells laid end to end, their means z, the index of each
-    distribution's first cell, and an array of each one's variance, its
-    cells' shares of Var(Z) summed by ``np.add.reduce``: the pairwise sum of
-    ``ndarray.sum`` without its wrapper, where ``reduceat`` would move bits.
+    distribution's first cell, and an array of each one's variance, the sum
+    of its cells' shares of Var(Z).  Each variance has the bits of
+    ``np.add.reduce`` (the pairwise sum of ``ndarray.sum`` without its
+    wrapper) on its shares alone, though one reduce over the rows of a
+    zero-padded matrix gives them all (``_run_sums``).  numpy sums a row of
+    8 to 128 float64s in eight accumulators, element j to accumulator j % 8,
+    then adds the eight pairwise and the last n % 8 elements one by one onto
+    0.0; a shorter row it adds one by one onto 0.0.  The matrix is W =
+    8 max(n // 8) + 7 <= 127 wide, and a distribution's n shares follow
+    8 (max(n // 8) - n // 8) zeros, whole rounds that every accumulator
+    takes before them, and precede 7 - n % 8 zeros, which come after its
+    last share.  Every share is >= +0.0, which adding +0.0 leaves bit for
+    bit.  A distribution of 128 atoms or more, whose sum numpy splits, and
+    a lone one keep a reduce of their own.  With the law's one evaluation
+    per cell edge, the pass makes the same numpy calls for any number of
+    distributions.
     """
     atoms = [d.atoms for d in dists]
-    bounds = list(accumulate([a.size for a in atoms], initial=0))
-    starts = bounds[:-1]
+    sizes = np.array([a.size for a in atoms])
+    starts = sizes.cumsum() - sizes
     # one distribution's atoms are its cells' upper ends as they are, not a copy
     cells = Cells.of_atoms(np.concatenate(atoms) if len(atoms) > 1 else atoms[0], starts)
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()
     z, shares = law.cell_means(cells)
-    variances = np.array([np.add.reduce(shares[a:b]) for a, b in zip(starts, bounds[1:])])
-    return cells, z, starts, variances
+    return cells, z, starts, _run_sums(shares, sizes, starts)
+
+
+#: numpy sums up to this many float64s in eight accumulators and splits longer sums
+_BLOCK = 128
+
+
+def _run_rows() -> np.ndarray:
+    """Row n marks where a run of n values sits in a row of the widest
+    padded matrix, 127 wide: after 8 (15 - n // 8) zeros."""
+    n = np.arange(_BLOCK)[:, None]
+    lead = 8 * ((_BLOCK - 1) // 8 - n // 8)
+    cols = np.arange(_BLOCK - 1)
+    return (cols >= lead) & (cols < lead + n)
+
+
+_RUN_ROWS = _run_rows()
+
+
+def _run_sums(shares: np.ndarray, sizes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``sizes`` consecutive ``shares`` that begins
+    at ``starts``, bit for bit the ``np.add.reduce`` of the run alone, by
+    the padded reduce ``cell_pass`` describes.  This rests on numpy's
+    pairwise order, which the tests pin.  The matrix takes 8 W <= 1,016
+    bytes per run and its mask W more.
+    """
+    if sizes.size == 1:
+        return np.add.reduce(shares, keepdims=True)
+    long = (sizes >= _BLOCK).nonzero()[0]
+    rows, padded = sizes, shares
+    if long.size:   # their rows stay empty
+        rows = sizes.copy()
+        rows[long] = 0
+        padded = shares[np.repeat(rows > 0, sizes)]
+    runs = _RUN_ROWS[rows, 8 * ((_BLOCK - 1) // 8 - int(rows.max()) // 8):]
+    matrix = np.zeros(runs.shape)
+    matrix[runs] = padded
+    sums = np.add.reduce(matrix, axis=1)
+    for i in long.tolist():
+        sums[i] = np.add.reduce(shares[starts[i]:starts[i] + sizes[i]])
+    return sums
 
 
 def _adjusted(name: str, law, orientation: str,

@@ -9,7 +9,12 @@ replaced by the sum of the per-test variances.
 
 ``combine`` and ``combine_observations`` adjust all n tests in one cell
 pass (``adjust.cell_pass``) and build no per-test ``AdjustedStatistic``;
-S is the left-to-right sum of the observed cells' adjusted values.
+S is the left-to-right sum of the observed cells' adjusted values.  The
+pass makes the same numpy calls for any n: the law evaluates its
+antiderivative once per cell edge, and one reduce over the rows of a
+zero-padded matrix gives every test's variance.  The padding adds +0.0 only
+where numpy's pairwise sum already holds a zero or has finished a test's
+shares, so each variance has the bits of that test's shares summed alone.
 """
 
 from __future__ import annotations

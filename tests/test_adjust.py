@@ -2,17 +2,18 @@ import hashlib
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special, stats
 
 from pcomb import (METHODS, DiscretePValueDist, StatisticModel, adjust, adjust_generic,
                    custom_pvalue_distribution, make_statistic_model, method_spec,
                    pvalue_distribution, synthetic_scenario, w2_discrete_continuous)
-from pcomb._laws import QuantileLaw
-from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P
+from pcomb._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, _norm_pdf, _xlogx
+from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P, _run_sums
 
 from conftest import make_random_dists
 
@@ -390,3 +391,90 @@ def test_arrays_the_caller_passed_stay_writable():
     support[0], pmf[0], atoms[0], outcome_map[0] = 9, 0.0, 0.5, 1
     assert model.support[0] == direct.support[0] == 0 and direct.pmf[0] == 0.25
     assert dist.atoms[0] == mapped.atoms[0] == 0.25 and mapped.outcome_map[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# the cell pass: one padded reduce for every variance, one law call per edge
+# ---------------------------------------------------------------------------
+
+#: values mixed into the shares: +0.0, subnormals, near 1e-300 and 1e300, +inf
+_SPECIAL_SHARES = {
+    "zero": lambda rng, k: np.zeros(k),
+    "subnormal": lambda rng, k: rng.random(k) * 2.2e-308,
+    "tiny": lambda rng, k: rng.random(k) * 1e-300,
+    "huge": lambda rng, k: rng.random(k) * 1e300,
+    "inf": lambda rng, k: np.full(k, math.inf),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(1, 16) | st.integers(120, 136) | st.integers(1, 300),
+                      min_size=1, max_size=60),
+       special=st.sampled_from(sorted(_SPECIAL_SHARES)), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(sizes=[127, 128], special="zero", share=0.5, seed=1)
+@example(sizes=[7, 8, 1, 127, 2, 300], special="subnormal", share=0.3, seed=2)
+def test_run_sums_equal_each_runs_own_reduce_bit_for_bit(sizes, special, share, seed):
+    # This pins the installed numpy's pairwise order of np.add.reduce, which
+    # the output pins already assume: every variance of a combination must be
+    # the bits its shares sum to alone, with runs from 1 to 300 long across
+    # numpy's block of 128 and shares from +0.0 and subnormals to +inf.
+    rng = np.random.default_rng(seed)
+    sizes = np.array(sizes)
+    shares = rng.random(sizes.sum()) * 10.0 ** rng.integers(-20, 20, sizes.sum())
+    mixed = rng.random(shares.size) < share
+    shares[mixed] = _SPECIAL_SHARES[special](rng, int(mixed.sum()))
+    starts = sizes.cumsum() - sizes
+    alone = [np.add.reduce(shares[a:a + n]) for a, n in zip(starts, sizes)]
+    assert _run_sums(shares, sizes, starts).tobytes() == np.array(alone).tobytes()
+
+
+def test_run_sums_matrix_holds_at_most_127_columns_per_run():
+    # many 2-atom tests beside one of 127 atoms make every row as wide as the
+    # widest, 127 columns: 1,016 bytes of matrix per test, 127 of mask, and
+    # 9 of sums and the long-run flags
+    sizes = np.array([2] * 4000 + [127])
+    starts = sizes.cumsum() - sizes
+    shares = np.random.default_rng(3).random(sizes.sum())
+    tracemalloc.start()
+    try:
+        _run_sums(shares, sizes, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1016 * sizes.size <= peak <= 1152 * sizes.size + 16384
+
+
+def _two_ended(law, cells):
+    """The cell means and shares of Var(Z) with the antiderivative at both
+    ends of every cell."""
+    if isinstance(law, NormalLaw):
+        dk = _norm_pdf(special.ndtri(cells.lo)) - _norm_pdf(special.ndtri(cells.hi))
+        return law.mean + law.sd * dk / cells.p, dk * dk / cells.p * law.sd ** 2
+    b = _xlogx(cells.one_minus_lo) - _xlogx(cells.one_minus_hi)
+    if isinstance(law, GammaLaw):
+        s = law.scale
+        return s - s * b / cells.p, b * b / cells.p * (s * s)
+    a = _xlogx(cells.hi) - _xlogx(cells.lo)
+    dh = a - b
+    return ((2.0 - 2.0 * b / cells.p) - (2.0 - 2.0 * a / cells.p)) / 2.0, dh * dh / cells.p
+
+
+_ATOM = (st.floats(1e-300, 1e-12) | st.floats(0.0, 1.0, exclude_min=True)
+         | st.floats(1.0 - 1e-12, 1.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions=st.lists(st.lists(_ATOM, max_size=12), min_size=1, max_size=6))
+@example(partitions=[[], [0.5], []])
+@example(partitions=[[1e-300, 2e-300, 1e-12], [1.0 - 1e-12, 1.0 - 1e-16]])
+def test_edge_once_cell_means_equal_the_two_ended_formulas_bit_for_bit(partitions):
+    atoms = [np.unique([*p, 1.0]) for p in partitions]
+    starts = np.concatenate(([0], np.cumsum([a.size for a in atoms])[:-1])).tolist()
+    cells = Cells.of_atoms(np.concatenate(atoms), starts)
+    for law in (NormalLaw(), NormalLaw(0.3, 1.7), GammaLaw(1.0, 2.0), GammaLaw(1.0, 0.5),
+                LogisticLaw()):
+        for oriented in (cells, cells.reflected()):
+            got, want = law.cell_means(oriented), _two_ended(law, oriented)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), (law, oriented.is_reflected)

@@ -84,3 +84,63 @@ def test_bytecode_caches_and_the_source_may_differ(tmp_path):
     change = _tree(tmp_path / "change", {**BENCH, "src/pcomb/__init__.py": "# changed\n",
                                          "bench/tests/__pycache__/t.pyc": "y"})
     assert bench_pairs.differing_bench_files(parent, change) == []
+
+
+SPEC = {"scaled_work_per_s": {"name": "scaled_work_per_s", "better": "higher", "bound": 0.25},
+        "setup_s": {"name": "setup_s", "better": "lower", "bound": 0.25},
+        "combine.self_s": {"name": "combine.self_s", "better": "lower"}}
+
+
+def _runs(work, setup, layer=None):
+    pairs = []
+    for seed, (a, b) in enumerate(zip(work["parent"], work["change"])):
+        pair = {"parent": _run(seed, a, setup["parent"][seed]),
+                "change": _run(seed, b, setup["change"][seed])}
+        if layer:
+            for side in pair:
+                pair[side]["result"]["metrics"]["combine.self_s"] = {
+                    "value": layer[side][seed], "unit": "s"}
+        pairs.append(pair)
+    return pairs
+
+
+def test_verdicts_give_the_median_change_the_gain_rule_and_the_bound():
+    parent = [100.0 + i for i in range(10)]   # quartiles 102.25 and 106.75
+    pairs = _runs({"parent": parent, "change": [v + 20.0 for v in parent]},
+                  {"parent": [0.5] * 10, "change": [0.7] * 10},
+                  {"parent": [2.0] * 10, "change": [1.0] * 9 + [3.0]})
+    assert bench_pairs.verdicts(pairs, SPEC).splitlines() == [
+        "verdict combine.self_s: median -50.0%; gain rule holds (wins 9/10, "
+        "gap 1 > parent IQR 0); no bound",
+        "verdict scaled_work_per_s: median +19.1%; gain rule holds (wins 10/10, "
+        "gap 20 > parent IQR 4.5); within bound 25% (worse by 0.0%)",
+        "verdict setup_s: median +40.0%; gain rule fails (wins 0/10, "
+        "gap -0.2 <= parent IQR 0); OUTSIDE bound 25% (worse by 40.0%)",
+    ]
+
+
+def test_gain_rule_needs_nine_wins_in_ten_and_a_gap_past_the_parent_iqr():
+    parent = [100.0 + i for i in range(10)]
+    # eight wins of ten, though the median moves far past the parent's IQR
+    eight = _runs({"parent": parent, "change": [v + 20.0 for v in parent[:8]] + parent[8:]},
+                  {"parent": [0.5] * 10, "change": [0.5] * 10})
+    # every pair won, by less than the parent's IQR of 4.5
+    narrow = _runs({"parent": parent, "change": [v + 1.0 for v in parent]},
+                   {"parent": [0.5] * 10, "change": [0.5] * 10})
+    assert bench_pairs.verdicts(eight, SPEC).splitlines()[0] == (
+        "verdict scaled_work_per_s: median +17.2%; gain rule fails (wins 8/10, "
+        "gap 18 > parent IQR 4.5); within bound 25% (worse by 0.0%)")
+    assert bench_pairs.verdicts(narrow, SPEC).splitlines()[0] == (
+        "verdict scaled_work_per_s: median +1.0%; gain rule fails (wins 10/10, "
+        "gap 1 <= parent IQR 4.5); within bound 25% (worse by 0.0%)")
+
+
+def test_verdicts_skip_metrics_without_direction_and_loss_within_bound_passes():
+    pairs = [{"parent": _run(1, 100.0, 0.5), "change": _run(1, 80.0, 0.5)}]
+    assert bench_pairs.verdicts(pairs, {}) == ""
+    assert bench_pairs.verdicts(pairs, SPEC).splitlines() == [
+        "verdict scaled_work_per_s: median -20.0%; gain rule fails (wins 0/1, "
+        "gap -20 <= parent IQR 0); within bound 25% (worse by 20.0%)",
+        "verdict setup_s: median +0.0%; gain rule fails (wins 0/1, "
+        "gap 0 <= parent IQR 0); within bound 25% (worse by 0.0%)",
+    ]

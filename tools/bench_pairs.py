@@ -9,7 +9,12 @@ the benchmark sets, the parent first on even pairs and the change first on odd
 ones, so drift in the machine's speed falls on both sides alike.  The summary
 gives, per metric the runs report, each side's median and quartiles and the
 change's wins (ties count for neither side), then every run that exited
-non-zero, failed operations or read ``correct: false``.  Both checkouts must
+non-zero, failed operations or read ``correct: false``, then a verdict per
+metric with a direction: the change of the median in percent, whether the
+gain rule holds (the change wins at least 9 in 10 pairs and its median beats
+the parent's by more than the parent's interquartile range), and whether the
+change's median stays within the metric's ``BENCHMARK.json`` bound, the
+fraction by which an end-to-end metric may get worse.  Both checkouts must
 hold the same ``BENCHMARK.json`` and the same files under ``bench/``: if they
 differ, nothing runs, the differing files are named and the exit code is 2.
 Standard library only, so it runs wherever the benchmark does.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -58,26 +64,37 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _paired(pairs: list[dict], name: str) -> tuple[dict[str, list], list[tuple]]:
+    """Each side's values of metric ``name``, and (parent, change) for the
+    pairs where both runs report it."""
+    values, both = {side: [] for side in SIDES}, []
+    for pair in pairs:
+        got = {side: pair[side]["result"] and pair[side]["result"]["metrics"].get(name)
+               for side in SIDES}
+        for side in SIDES:
+            if got[side]:
+                values[side].append(got[side]["value"])
+        if got["parent"] and got["change"]:
+            both.append((got["parent"]["value"], got["change"]["value"]))
+    return values, both
+
+
+def _wins(both: list[tuple], better: str) -> int:
+    return sum((b > a) if better == "higher" else (b < a) for a, b in both)
+
+
+def _names(pairs: list[dict]) -> list[str]:
+    return sorted({name for pair in pairs for run in pair.values()
+                   if run["result"] for name in run["result"]["metrics"]})
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> str:
     """The summary of ``pairs``, each {"parent": run, "change": run} as
     ``run_once`` returns them; ``better`` maps a metric name to "higher" or
     "lower" (a metric missing from it is listed without wins)."""
     out = []
-    names = sorted({name for pair in pairs for run in pair.values()
-                    if run["result"] for name in run["result"]["metrics"]})
-    for name in names:
-        values = {side: [] for side in SIDES}
-        wins = count = 0
-        for pair in pairs:
-            got = {side: pair[side]["result"] and pair[side]["result"]["metrics"].get(name)
-                   for side in SIDES}
-            for side in SIDES:
-                if got[side]:
-                    values[side].append(got[side]["value"])
-            if got["parent"] and got["change"] and name in better:
-                count += 1
-                a, b = got["parent"]["value"], got["change"]["value"]
-                wins += (b > a) if better[name] == "higher" else (b < a)
+    for name in _names(pairs):
+        values, both = _paired(pairs, name)
         cols = []
         for side in SIDES:
             if values[side]:
@@ -85,7 +102,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> str:
                 cols.append(f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}]")
             else:
                 cols.append(f"{side} -")
-        won = f"change wins {wins}/{count}" if name in better else "no direction"
+        won = (f"change wins {_wins(both, better[name])}/{len(both)}" if name in better
+               else "no direction")
         out.append(f"{name}: {'; '.join(cols)}; {won}")
     for pair in pairs:
         for side in SIDES:
@@ -95,6 +113,33 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> str:
                          f"correct={result['correct']} failed={result['failed']}"
                          f"/{result['attempted']}")
                 out.append(f"BAD {side} seed {run['seed']}: exit {run['exit']}, {state}")
+    return "\n".join(out)
+
+
+def verdicts(pairs: list[dict], metrics: dict[str, dict]) -> str:
+    """A verdict line per metric of ``pairs`` that ``metrics`` (name to its
+    ``BENCHMARK.json`` entry) gives a direction, and both sides report."""
+    out = []
+    for name in _names(pairs):
+        values, both = _paired(pairs, name)
+        if name not in metrics or not values["parent"] or not values["change"]:
+            continue
+        better, bound = metrics[name]["better"], metrics[name].get("bound")
+        p1, parent, p3 = _quartiles(values["parent"])
+        change = _quartiles(values["change"])[1]
+        gain = change - parent if better == "higher" else parent - change   # > 0: better
+        pct = f"{100.0 * (change - parent) / abs(parent):+.1f}%" if parent else "n/a"
+        wins = _wins(both, better)
+        holds = bool(both) and wins >= 0.9 * len(both) and gain > p3 - p1
+        rule = (f"gain rule {'holds' if holds else 'fails'} (wins {wins}/{len(both)}, "
+                f"gap {gain:.4g} {'>' if gain > p3 - p1 else '<='} parent IQR {p3 - p1:.4g})")
+        if bound is None:
+            within = "no bound"
+        else:
+            worse = -gain / abs(parent) if parent else (math.inf if gain < 0 else 0.0)
+            within = (f"{'within' if worse <= bound else 'OUTSIDE'} bound {100.0 * bound:g}%"
+                      f" (worse by {100.0 * max(0.0, worse):.1f}%)")
+        out.append(f"verdict {name}: median {pct}; {rule}; {within}")
     return "\n".join(out)
 
 
@@ -122,10 +167,10 @@ def differing_bench_files(parent: str, change: str) -> list[str]:
     return sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
 
 
-def _directions(checkout: str) -> dict[str, str]:
+def _metrics(checkout: str) -> dict[str, dict]:
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
+    return {m["name"]: m for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
 def main(argv=None) -> int:
@@ -149,7 +194,9 @@ def main(argv=None) -> int:
             pair[side] = run_once(checkouts[side], args.workload, seed, args.trace)
             print(f"pair {i} seed {seed} {side}: exit {pair[side]['exit']}", file=sys.stderr)
         pairs.append(pair)
-    print(summarize(pairs, _directions(args.change)))
+    metrics = _metrics(args.change)
+    print(summarize(pairs, {name: m["better"] for name, m in metrics.items()}))
+    print(verdicts(pairs, metrics))
     return 0
 
 
