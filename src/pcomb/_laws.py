@@ -34,12 +34,14 @@ from scipy import special
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Cells:
     """Probability cells (lo, hi) of mass p = hi - lo, carrying 1 - lo and
     1 - hi, so a reflected cell never recomputes 1 - (1 - hi).  The cells
     hold partitions of (0, 1) laid end to end, in the order of their atoms
-    even when reflected; iterating gives the five cell arrays."""
+    even when reflected; iterating gives the five cell arrays.  Not frozen:
+    a frozen dataclass takes about 2 us to build, a slotted one 0.3 us, and
+    every cell pass builds one or two."""
 
     lo: np.ndarray
     hi: np.ndarray

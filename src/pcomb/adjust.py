@@ -114,9 +114,12 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
     takes before them, and precede 7 - n % 8 zeros, which come after its
     last share.  Every share is >= +0.0, which adding +0.0 leaves bit for
     bit.  A distribution of 128 atoms or more, whose sum numpy splits, and
-    a lone one keep a reduce of their own.  With the law's one evaluation
-    per cell edge, the pass makes the same numpy calls for any number of
-    distributions.
+    a lone one keep a reduce of their own.  This order is numpy's, not a
+    promise of it: the equality was checked on numpy 2.4.6, and on a
+    version whose reduce starts a row from its first element rather than
+    from 0.0, the padding would move the last bits of the variances.  With
+    the law's one evaluation per cell edge, the pass makes the same numpy
+    calls for any number of distributions.
     """
     atoms = [d.atoms for d in dists]
     sizes = np.array([a.size for a in atoms])
@@ -148,11 +151,13 @@ _RUN_ROWS = _run_rows()
 def _run_sums(shares: np.ndarray, sizes: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The sum of each run of ``sizes`` consecutive ``shares`` that begins
     at ``starts``, bit for bit the ``np.add.reduce`` of the run alone, by
-    the padded reduce ``cell_pass`` describes.  This rests on numpy's
-    pairwise order, which the tests pin.  The matrix takes 8 W <= 1,016
-    bytes per run and its mask W more.
+    the padded reduce ``cell_pass`` describes, on a numpy whose reduce
+    starts each row from 0.0 (2.4.6 does; the tests pin the installed
+    one).  The matrix takes 8 W <= 1,016 bytes per run and its mask W more.
     """
     if sizes.size == 1:
+        # adjust's one run: the matrix would add 6-15 us a call, and the
+        # diagnose bench, on its large supports, ran 4% slower without this
         return np.add.reduce(shares, keepdims=True)
     long = (sizes >= _BLOCK).nonzero()[0]
     rows, padded = sizes, shares

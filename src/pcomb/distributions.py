@@ -435,10 +435,11 @@ def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sizes[-1] = p.size - starts[-1]
     sums = np.add.reduceat(p, starts)
     # reduceat starts a group from its first element and adds the pairwise
-    # sum of the rest; np.sum (np.add.reduce) adds the pairwise sum of the
-    # whole group, left to right below 8 elements, onto 0.0.  A group of one
-    # or two members has the same sum both ways, so only larger groups are
-    # re-summed
+    # sum of the rest (numpy 2.4.6); np.sum (np.add.reduce) starts from 0.0
+    # and, by numpy version, either adds pairwise after the first element or
+    # sums the whole group pairwise, left to right below 8 elements.  Under
+    # either, a group of one or two members has the same sum both ways, so
+    # only larger groups are re-summed
     for k in (sizes > 2).nonzero()[0].tolist():
         sums[k] = p[starts[k]:starts[k] + sizes[k]].sum()
     outcome_map[order] = group
@@ -465,14 +466,9 @@ def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
     # leaves them valid as built
     tied = atoms[1:] == atoms[:-1]
     if tied.any():
-        top = int(atoms.searchsorted(1.0))   # the first atom capped at 1
-        if top + int(np.count_nonzero(tied)) == atoms.size - 1:
-            # the only run is the capped 1.0s: the outcomes past its first fall on it
-            atoms, outcome_map = atoms[:top + 1], np.minimum(outcome_map, top)
-        else:
-            first = np.concatenate(([True], ~tied))
-            atoms = atoms[first]
-            outcome_map = (first.cumsum() - 1)[outcome_map]
+        first = np.concatenate(([True], ~tied))
+        atoms = atoms[first]
+        outcome_map = (first.cumsum() - 1)[outcome_map]
     atoms.flags.writeable = outcome_map.flags.writeable = False
     return _built(DiscretePValueDist, atoms=atoms, side=side, model=model,
                   outcome_map=outcome_map)

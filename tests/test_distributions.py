@@ -715,48 +715,3 @@ def test_atoms_merged_near_one_equal_the_unique_reference(family, params):
     # sums at 1.0 for several outcomes, which share one atom
     assert any(len(pvalue_distribution(model, side)) < model.pmf.size for side in SIDES)
     _assert_matches_unique(model)
-
-
-def _raw_atoms(model, side):
-    """A side's closed running sums and outcome map before tied atoms merge."""
-    m = model.pmf.size
-    if side == "left":
-        return model.cdf(), np.arange(m)
-    if side == "right":
-        return distributions._closed(model.pmf[::-1].cumsum()), np.arange(m - 1, -1, -1)
-    return distributions._two_sided_grouping(model.pmf)
-
-
-def _general_merge(atoms, outcome_map):
-    """Each run of tied atoms kept as its first, wherever the runs lie."""
-    first = np.concatenate(([True], atoms[1:] != atoms[:-1]))
-    return atoms[first], (first.cumsum() - 1)[outcome_map]
-
-
-def _assert_merge_is_general(model):
-    for side in SIDES:
-        d = pvalue_distribution(model, side)
-        atoms, outcome_map = _general_merge(*_raw_atoms(model, side))
-        assert _same(d.atoms, atoms) and _same(d.outcome_map, outcome_map), side
-
-
-@pytest.mark.parametrize("family,params,side,top_only", [
-    ("binomial", {"trials": 300, "prob": 0.5}, "left", True),
-    ("binomial", {"trials": 300, "prob": 0.5}, "right", True),
-    ("poisson", {"rate": 1635.4}, "right", False),
-])
-def test_merging_the_capped_top_alone_equals_the_general_merge(family, params, side, top_only):
-    # when the only repeats are the run of atoms capped at 1.0, the merge
-    # slices the atoms and caps the map instead; both give the same bytes
-    model = make_statistic_model(family, params)
-    raw, _ = _raw_atoms(model, side)
-    tied = raw[1:] == raw[:-1]
-    assert tied.any()
-    assert (tied.nonzero()[0] >= raw.searchsorted(1.0)).all() == top_only
-    _assert_merge_is_general(model)
-
-
-@settings(max_examples=150, deadline=None)
-@given(named=_NAMED)
-def test_named_merges_equal_the_general_merge(named):
-    _assert_merge_is_general(make_statistic_model(*named))
