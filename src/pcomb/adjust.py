@@ -24,7 +24,7 @@ import numpy as np
 
 from ._inputs import _instance, number
 from ._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw
-from .distributions import DiscretePValueDist
+from .distributions import DiscretePValueDist, _run_sums
 
 #: Fixed method order; also the deterministic tie-break order in reports.
 METHODS = ("fisher", "pearson", "george", "stouffer", "edgington")
@@ -101,25 +101,8 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
     """Cell means of several distributions in one call of ``law``.
 
     Returns the cells laid end to end, their means z, the index of each
-    distribution's first cell, and an array of each one's variance, the sum
-    of its cells' shares of Var(Z).  Each variance has the bits of
-    ``np.add.reduce`` (the pairwise sum of ``ndarray.sum`` without its
-    wrapper) on its shares alone, though one reduce over the rows of a
-    zero-padded matrix gives them all (``_run_sums``).  numpy sums a row of
-    8 to 128 float64s in eight accumulators, element j to accumulator j % 8,
-    then adds the eight pairwise and the last n % 8 elements one by one onto
-    0.0; a shorter row it adds one by one onto 0.0.  The matrix is W =
-    8 max(n // 8) + 7 <= 127 wide, and a distribution's n shares follow
-    8 (max(n // 8) - n // 8) zeros, whole rounds that every accumulator
-    takes before them, and precede 7 - n % 8 zeros, which come after its
-    last share.  Every share is >= +0.0, which adding +0.0 leaves bit for
-    bit.  A distribution of 128 atoms or more, whose sum numpy splits, and
-    a lone one keep a reduce of their own.  This order is numpy's, not a
-    promise of it: the equality was checked on numpy 2.4.6, and on a
-    version whose reduce starts a row from its first element rather than
-    from 0.0, the padding would move the last bits of the variances.  With
-    the law's one evaluation per cell edge, the pass makes the same numpy
-    calls for any number of distributions.
+    distribution's first cell, and each one's variance, the sum of its
+    cells' shares of Var(Z) by ``distributions._run_sums``.
     """
     atoms = [d.atoms for d in dists]
     sizes = np.array([a.size for a in atoms])
@@ -129,49 +112,7 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()
     z, shares = law.cell_means(cells)
-    return cells, z, starts, _run_sums(shares, sizes, starts)
-
-
-#: numpy sums up to this many float64s in eight accumulators and splits longer sums
-_BLOCK = 128
-
-
-def _run_rows() -> np.ndarray:
-    """Row n marks where a run of n values sits in a row of the widest
-    padded matrix, 127 wide: after 8 (15 - n // 8) zeros."""
-    n = np.arange(_BLOCK)[:, None]
-    lead = 8 * ((_BLOCK - 1) // 8 - n // 8)
-    cols = np.arange(_BLOCK - 1)
-    return (cols >= lead) & (cols < lead + n)
-
-
-_RUN_ROWS = _run_rows()
-
-
-def _run_sums(shares: np.ndarray, sizes: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The sum of each run of ``sizes`` consecutive ``shares`` that begins
-    at ``starts``, bit for bit the ``np.add.reduce`` of the run alone, by
-    the padded reduce ``cell_pass`` describes, on a numpy whose reduce
-    starts each row from 0.0 (2.4.6 does; the tests pin the installed
-    one).  The matrix takes 8 W <= 1,016 bytes per run and its mask W more.
-    """
-    if sizes.size == 1:
-        # adjust's one run: the matrix would add 6-15 us a call, and the
-        # diagnose bench, on its large supports, ran 4% slower without this
-        return np.add.reduce(shares, keepdims=True)
-    long = (sizes >= _BLOCK).nonzero()[0]
-    rows, padded = sizes, shares
-    if long.size:   # their rows stay empty
-        rows = sizes.copy()
-        rows[long] = 0
-        padded = shares[np.repeat(rows > 0, sizes)]
-    runs = _RUN_ROWS[rows, 8 * ((_BLOCK - 1) // 8 - int(rows.max()) // 8):]
-    matrix = np.zeros(runs.shape)
-    matrix[runs] = padded
-    sums = np.add.reduce(matrix, axis=1)
-    for i in long.tolist():
-        sums[i] = np.add.reduce(shares[starts[i]:starts[i] + sizes[i]])
-    return sums
+    return cells, z, starts, _run_sums(shares, starts)
 
 
 def _adjusted(name: str, law, orientation: str,

@@ -11,10 +11,9 @@ replaced by the sum of the per-test variances.
 pass (``adjust.cell_pass``) and build no per-test ``AdjustedStatistic``;
 S is the left-to-right sum of the observed cells' adjusted values.  The
 pass makes the same numpy calls for any n: the law evaluates its
-antiderivative once per cell edge, and one reduce over the rows of a
-zero-padded matrix gives every test's variance.  The padding adds +0.0 only
-where numpy's pairwise sum already holds a zero or has finished a test's
-shares, so each variance has the bits of that test's shares summed alone.
+antiderivative once per cell edge, and one zero-led ``reduceat``
+(``distributions._run_sums``) gives every test's variance with the bits
+of its shares summed alone.
 """
 
 from __future__ import annotations

@@ -217,6 +217,26 @@ def _closed(cum: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``values`` from ``starts[k]`` (ascending from 0)
+    to the next start, bit for bit the ``np.add.reduce`` of that run alone.
+
+    A +0.0 goes in front of each run and one ``np.add.reduceat`` sums the
+    runs: it starts a group from its first element, here the zero, and adds
+    the pairwise sum of the rest, the order in which reduce sums a run from
+    0.0 (checked on numpy 2.4.6; the tests pin the installed numpy)."""
+    n = starts.size
+    if n == 1:   # a lone run: reduce takes 2.5 us against 9.5 us at 5,031
+        # values, and the diagnose bench ran 4% slower without this
+        return np.add.reduce(values, keepdims=True)
+    led = starts + np.arange(n)
+    slots = np.ones(values.size + n, dtype=bool)
+    slots[led] = False
+    padded = np.zeros(slots.size)
+    padded[slots] = values
+    return np.add.reduceat(padded, led)
+
+
 def _dist_entries(dists: list, name: str) -> list[DiscretePValueDist]:
     """``dists``, a list, once every entry is found to be a p-value distribution."""
     for i, d in enumerate(dists):
@@ -430,18 +450,7 @@ def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 i = j
         starts = start.nonzero()[0]
         group = start.cumsum() - 1
-    sizes = np.empty_like(starts)
-    sizes[:-1] = starts[1:] - starts[:-1]
-    sizes[-1] = p.size - starts[-1]
-    sums = np.add.reduceat(p, starts)
-    # reduceat starts a group from its first element and adds the pairwise
-    # sum of the rest (numpy 2.4.6); np.sum (np.add.reduce) starts from 0.0
-    # and, by numpy version, either adds pairwise after the first element or
-    # sums the whole group pairwise, left to right below 8 elements.  Under
-    # either, a group of one or two members has the same sum both ways, so
-    # only larger groups are re-summed
-    for k in (sizes > 2).nonzero()[0].tolist():
-        sums[k] = p[starts[k]:starts[k] + sizes[k]].sum()
+    sums = _run_sums(p, starts)
     outcome_map[order] = group
     return _closed(sums.cumsum()), outcome_map
 

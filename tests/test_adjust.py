@@ -13,7 +13,8 @@ from pcomb import (METHODS, DiscretePValueDist, StatisticModel, adjust, adjust_g
                    custom_pvalue_distribution, make_statistic_model, method_spec,
                    pvalue_distribution, synthetic_scenario, w2_discrete_continuous)
 from pcomb._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, _norm_pdf, _xlogx
-from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P, _run_sums
+from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P
+from pcomb.distributions import _run_sums
 
 from conftest import make_random_dists
 
@@ -394,7 +395,7 @@ def test_arrays_the_caller_passed_stay_writable():
 
 
 # ---------------------------------------------------------------------------
-# the cell pass: one padded reduce for every variance, one law call per edge
+# the cell pass: one zero-led reduceat for every variance, one law call per edge
 # ---------------------------------------------------------------------------
 
 #: values mixed into the shares: +0.0, subnormals, near 1e-300 and 1e300, +inf
@@ -408,17 +409,19 @@ _SPECIAL_SHARES = {
 
 
 @settings(max_examples=300, deadline=None)
-@given(sizes=st.lists(st.integers(1, 16) | st.integers(120, 136) | st.integers(1, 300),
-                      min_size=1, max_size=60),
+@given(sizes=st.lists(st.integers(1, 16) | st.integers(120, 136) | st.integers(248, 264)
+                      | st.integers(1, 3000), min_size=1, max_size=60),
        special=st.sampled_from(sorted(_SPECIAL_SHARES)), share=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(sizes=[127, 128], special="zero", share=0.5, seed=1)
 @example(sizes=[7, 8, 1, 127, 2, 300], special="subnormal", share=0.3, seed=2)
+@example(sizes=[255, 256, 257, 1, 3000, 2047], special="huge", share=0.2, seed=3)
 def test_run_sums_equal_each_runs_own_reduce_bit_for_bit(sizes, special, share, seed):
-    # This pins the installed numpy's pairwise order of np.add.reduce, which
-    # the output pins already assume: every variance of a combination must be
-    # the bits its shares sum to alone, with runs from 1 to 300 long across
-    # numpy's block of 128 and shares from +0.0 and subnormals to +inf.
+    # This pins the installed numpy's pairwise order of np.add.reduce and
+    # np.add.reduceat, which the output pins already assume: every variance
+    # of a combination must be the bits its shares sum to alone, with runs
+    # from 1 to 3,000 long, past numpy's recursion at 128 and 256, and shares
+    # from +0.0 and subnormals to +inf.
     rng = np.random.default_rng(seed)
     sizes = np.array(sizes)
     shares = rng.random(sizes.sum()) * 10.0 ** rng.integers(-20, 20, sizes.sum())
@@ -426,23 +429,24 @@ def test_run_sums_equal_each_runs_own_reduce_bit_for_bit(sizes, special, share, 
     shares[mixed] = _SPECIAL_SHARES[special](rng, int(mixed.sum()))
     starts = sizes.cumsum() - sizes
     alone = [np.add.reduce(shares[a:a + n]) for a, n in zip(starts, sizes)]
-    assert _run_sums(shares, sizes, starts).tobytes() == np.array(alone).tobytes()
+    assert _run_sums(shares, starts).tobytes() == np.array(alone).tobytes()
 
 
-def test_run_sums_matrix_holds_at_most_127_columns_per_run():
-    # many 2-atom tests beside one of 127 atoms make every row as wide as the
-    # widest, 127 columns: 1,016 bytes of matrix per test, 127 of mask, and
-    # 9 of sums and the long-run flags
-    sizes = np.array([2] * 4000 + [127])
+@pytest.mark.parametrize("scale", [1, 10])
+def test_run_sums_peak_memory_is_proportional_to_the_values(scale):
+    # many 2-value runs beside one of 127: the zero-led copy and its mask take
+    # 9 bytes per value and per run, the shifted starts and the sums 16 bytes
+    # per run, about 21.5 bytes per value here, whatever the longest run
+    sizes = np.array([2] * (4000 * scale) + [127])
     starts = sizes.cumsum() - sizes
     shares = np.random.default_rng(3).random(sizes.sum())
     tracemalloc.start()
     try:
-        _run_sums(shares, sizes, starts)
+        _run_sums(shares, starts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 1016 * sizes.size <= peak <= 1152 * sizes.size + 16384
+    assert peak <= 22 * shares.size
 
 
 def _two_ended(law, cells):

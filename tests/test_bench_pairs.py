@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py on fixed runs; no benchmark is started."""
 
 import importlib.util
+import json
 import os
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -144,3 +145,23 @@ def test_verdicts_skip_metrics_without_direction_and_loss_within_bound_passes():
         "verdict setup_s: median +0.0%; gain rule fails (wins 0/1, "
         "gap 0 <= parent IQR 0); within bound 25% (worse by 0.0%)",
     ]
+
+
+def test_a_bad_run_still_prints_the_summary_and_exits_1(tmp_path, capsys, monkeypatch):
+    files = {**BENCH, "BENCHMARK.json": json.dumps({"end_to_end": []})}
+    parent, change = _tree(tmp_path / "parent", files), _tree(tmp_path / "change", files)
+    args = [parent, change, "--workload", "analyze", "--seeds", "1-2"]
+    runs = {(side, seed): _run(seed, work, 0.5)
+            for side, work in ((parent, 100.0), (change, 110.0)) for seed in (1, 2)}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed, trace: runs[checkout, seed])
+    assert bench_pairs.main(args) == 0
+    for bad in (_run(2, 110.0, 0.5, correct=False), _run(2, 110.0, 0.5, failed=1),
+                _run(2, 110.0, 0.5, exit_code=1), {"seed": 2, "exit": 0, "result": None}):
+        runs[change, 2] = bad
+        capsys.readouterr()
+        assert bench_pairs.main(args) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("scaled_work_per_s: parent 100 [100, 100]")
+        flagged = [line for line in out if line.startswith("BAD")]
+        assert len(flagged) == 1 and flagged[0].startswith("BAD change seed 2: exit ")

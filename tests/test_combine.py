@@ -340,6 +340,23 @@ def test_two_sided_grouping_equals_the_loop_bit_for_bit():
         sizes.update(np.bincount(want_map).tolist())
     assert {1, 2, 3, 4} <= sizes
 
+    # groups of 5 to 300 masses tied within 0.4 TIE_RTOL, past numpy's
+    # pairwise blocks of 8 and 128, and pmfs that are one group
+    sizes = set()
+    for count in range(40):
+        base = rng.uniform(0.01, 1.0, 1 if count % 8 == 0 else int(rng.integers(2, 6)))
+        pmf = np.repeat(base, rng.integers(5, 301, base.size))
+        pmf *= 1.0 + rng.uniform(0.0, 0.4 * TIE_RTOL, pmf.size)
+        rng.shuffle(pmf)
+        pmf /= pmf.sum()
+        atoms, outcome_map = _two_sided_grouping(pmf)
+        want_atoms, want_map = _loop_grouping(pmf)
+        np.testing.assert_array_equal(atoms, want_atoms)
+        np.testing.assert_array_equal(outcome_map, want_map)
+        sizes.update(np.bincount(want_map).tolist())
+    assert min(sizes) >= 5 and max(sizes) >= 256
+    assert _two_sided_grouping(np.full(300, 1.0 / 300))[1].tolist() == [0] * 300
+
     # tie-free pmfs, which skip the group passes: every group is one outcome
     for _ in range(200):
         pmf = rng.uniform(0.01, 1.0, int(rng.integers(1, 60)))

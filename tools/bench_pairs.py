@@ -14,9 +14,10 @@ metric with a direction: the change of the median in percent, whether the
 gain rule holds (the change wins at least 9 in 10 pairs and its median beats
 the parent's by more than the parent's interquartile range), and whether the
 change's median stays within the metric's ``BENCHMARK.json`` bound, the
-fraction by which an end-to-end metric may get worse.  Both checkouts must
-hold the same ``BENCHMARK.json`` and the same files under ``bench/``: if they
-differ, nothing runs, the differing files are named and the exit code is 2.
+fraction by which an end-to-end metric may get worse.  The exit code is 1
+when any run was bad that way, else 0.  Both checkouts must hold the same
+``BENCHMARK.json`` and the same files under ``bench/``: if they differ,
+nothing runs, the differing files are named and the exit code is 2.
 Standard library only, so it runs wherever the benchmark does.
 """
 
@@ -88,6 +89,13 @@ def _names(pairs: list[dict]) -> list[str]:
                    if run["result"] for name in run["result"]["metrics"]})
 
 
+def _bad(run: dict) -> bool:
+    """Whether ``run`` exited non-zero, printed no result, failed
+    operations or read ``correct: false``."""
+    result = run["result"]
+    return run["exit"] != 0 or not result or bool(result["failed"]) or not result["correct"]
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> str:
     """The summary of ``pairs``, each {"parent": run, "change": run} as
     ``run_once`` returns them; ``better`` maps a metric name to "higher" or
@@ -108,7 +116,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> str:
     for pair in pairs:
         for side in SIDES:
             run, result = pair[side], pair[side]["result"]
-            if run["exit"] != 0 or not result or result["failed"] or not result["correct"]:
+            if _bad(run):
                 state = ("no result" if not result else
                          f"correct={result['correct']} failed={result['failed']}"
                          f"/{result['attempted']}")
@@ -197,7 +205,7 @@ def main(argv=None) -> int:
     metrics = _metrics(args.change)
     print(summarize(pairs, {name: m["better"] for name, m in metrics.items()}))
     print(verdicts(pairs, metrics))
-    return 0
+    return int(any(_bad(pair[side]) for pair in pairs for side in SIDES))
 
 
 if __name__ == "__main__":
