@@ -14,8 +14,9 @@ probability cells (c0, c1):
 
 Both work through exact partial moments on (Q(c0), Q(c1)), with the
 limits x log x -> 0 and phi(Phi^-1(F)) -> 0 at F in {0, 1}, so cells in
-the far tails need no quadrature.  ``cell_means`` takes those terms once
-per cell edge (``Cells.ends``), since neighbouring cells share an edge.
+the far tails need no quadrature.  Both take those terms once per cell
+edge, since neighbouring cells share one (``Cells.ends``; ``_at_edges``
+for ``cell_sq_moment``, m + 1 points for a partition of m cells).
 ``QuantileLaw`` is the fallback for arbitrary quantile callables:
 ``_cells_quad`` integrates all cells of a call at once by tanh-sinh
 quadrature, one call of the quantile for steps 1/16 and 1/32 together, then
@@ -54,10 +55,10 @@ class Cells:
         return iter((self.lo, self.hi, self.p, self.one_minus_lo, self.one_minus_hi))
 
     @classmethod
-    def of_atoms(cls, hi: np.ndarray, starts: Sequence[int]) -> "Cells":
+    def of_atoms(cls, hi: np.ndarray, starts: int | Sequence[int]) -> "Cells":
         """The cells (F_{i-1}, F_i) of p-value distributions whose atoms are
-        laid end to end in ``hi``; ``starts`` holds the index of each one's
-        first atom, 0 included, whose cell takes F_0 = 0."""
+        laid end to end in ``hi``; ``starts`` (0 for one) holds the index of
+        each one's first atom, whose cell takes F_0 = 0."""
         lo = np.empty_like(hi)
         lo[1:] = hi[:-1]
         lo[starts] = 0.0
@@ -84,6 +85,23 @@ class Cells:
         at_shared = np.empty_like(at_own)
         at_shared[0], at_shared[1:] = 0.0, at_own[:-1]
         return (at_own, at_shared) if self.is_reflected else (at_shared, at_own)
+
+
+def _at_edges(k: Callable[[np.ndarray], tuple], c0: np.ndarray, c1: np.ndarray
+              ) -> tuple[tuple, tuple]:
+    """(k(c0), k(c1)) for a k that maps edges to a tuple of arrays, from one
+    call of k.  Cells that tile end to end share their interior edges, bit
+    for bit as ``Cells.of_atoms`` builds them, so k runs on the m + 1 edges,
+    the start edge included (unlike ``Cells.ends``, k need not vanish at 0
+    and 1); other cells take it on all 2m ends."""
+    if (c0[1:] == c1[:-1]).all():   # (F_{i-1}, F_i)
+        at = k(np.concatenate((c0[:1], c1)))
+        return tuple(t[:-1] for t in at), tuple(t[1:] for t in at)
+    if (c1[1:] == c0[:-1]).all():   # reflected: (1 - F_i, 1 - F_{i-1})
+        at = k(np.concatenate((c1[:1], c0)))
+        return tuple(t[1:] for t in at), tuple(t[:-1] for t in at)
+    at, m = k(np.concatenate((c0, c1))), c0.size
+    return tuple(t[:m] for t in at), tuple(t[m:] for t in at)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -157,8 +175,8 @@ class NormalLaw(_CellLaw):
     def _cells(self, z, c0, c1):
         # Standardized bounds (ndtri is -inf/+inf at 0/1); c0/c1 are exact
         # probabilities, so the mass term is c1 - c0 with no cdf round trip.
-        phi0, tphi0 = _norm_pdf_terms(special.ndtri(c0))
-        phi1, tphi1 = _norm_pdf_terms(special.ndtri(c1))
+        (phi0, tphi0), (phi1, tphi1) = _at_edges(lambda w: _norm_pdf_terms(special.ndtri(w)),
+                                                 c0, c1)
         a = z - self.mean
         dphi = phi0 - phi1
         mass = c1 - c0
@@ -203,15 +221,17 @@ class GammaLaw(_CellLaw):
         # the scale goes on the finished share: inside the product it moves the rounding
         return s - s * b / cells.p, b * b / cells.p * (s * s)
 
-    def _cells(self, z, c0, c1):
+    def _edge_terms(self, w):
         # Regularized lower incomplete gamma at shape shifted by m turns
         # partial moments of order m into plain cdf differences; the
         # quantile is 0/inf at 0/1, where gammainc is 0/1.
+        y = self.quantile(w) / self.scale
+        return special.gammainc(self.shape + 1.0, y), special.gammainc(self.shape + 2.0, y)
+
+    def _cells(self, z, c0, c1):
         k, s = self.shape, self.scale
-        y0, y1 = self.quantile(c0) / s, self.quantile(c1) / s
-        d1 = special.gammainc(k + 1.0, y1) - special.gammainc(k + 1.0, y0)
-        d2 = special.gammainc(k + 2.0, y1) - special.gammainc(k + 2.0, y0)
-        return z * z * (c1 - c0) - 2.0 * z * k * s * d1 + k * (k + 1.0) * s * s * d2
+        (g0, h0), (g1, h1) = _at_edges(self._edge_terms, c0, c1)
+        return z * z * (c1 - c0) - 2.0 * z * k * s * (g1 - g0) + k * (k + 1.0) * s * s * (h1 - h0)
 
 
 @dataclass(frozen=True)
@@ -269,8 +289,7 @@ class LogisticLaw(_CellLaw):
         return z, dh * dh / cells.p
 
     def _cells(self, z, c0, c1):
-        a0, b0 = _logit_antiderivs(c0)
-        a1, b1 = _logit_antiderivs(c1)
+        (a0, b0), (a1, b1) = _at_edges(_logit_antiderivs, c0, c1)
         return z * z * (c1 - c0) - 2.0 * z * (a1 - a0) + (b1 - b0)
 
 

@@ -12,7 +12,7 @@ wraps an arbitrary quantile function in a quadrature law.
 
 ``cell_pass`` does this once for any number of distributions, their
 cells laid end to end, so a combination of n tests makes one call into
-the law; ``adjust`` is its one-distribution case.
+the law; ``adjust`` does it for one distribution, with no layout.
 """
 
 from __future__ import annotations
@@ -67,12 +67,11 @@ class AdjustedStatistic:
 
     ``z[i]`` is the adjusted value taken when the p-value equals
     ``atoms[i]``: the mean of the transform's quantile over ``cells[i]``.
-    The cells are those ``cell_pass`` built, (F_{i-1}, F_i), reflected to
-    (1 - F_i, 1 - F_{i-1}) for "1-p" methods, so z[i] and cells[i] are
-    already paired in quantile-coupling order.  ``variance`` is the
-    per-term variance used to build the surrogate null.  A single-atom
-    source is allowed here (variance 0, ``is_degenerate``); ``surrogate``
-    refuses it.
+    The cells are (F_{i-1}, F_i), reflected to (1 - F_i, 1 - F_{i-1}) for
+    "1-p" methods, so z[i] and cells[i] are already paired in
+    quantile-coupling order.  ``variance`` is the per-term variance used
+    to build the surrogate null.  A single-atom source is allowed here
+    (variance 0, ``is_degenerate``); ``surrogate`` refuses it.
     """
 
     method: str
@@ -118,11 +117,15 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
 def _adjusted(name: str, law, orientation: str,
               dist: DiscretePValueDist) -> AdjustedStatistic:
     _instance(dist, DiscretePValueDist, "dist", "a p-value distribution")
-    cells, z, _, variances = cell_pass(law, orientation, [dist])
+    # ``cell_pass`` without the layout: one partition, summed as one run
+    cells = Cells.of_atoms(dist.atoms, 0)
+    if orientation == ORIENT_ONE_MINUS_P:
+        cells = cells.reflected()
+    z, shares = law.cell_means(cells)
     for a in (z, *cells):
         a.setflags(write=False)
     return AdjustedStatistic(method=name, z=z, atoms=dist.atoms, cells=cells,
-                             mean=float((cells.p * z).sum()), variance=float(variances[0]))
+                             mean=float((cells.p * z).sum()), variance=float(shares.sum()))
 
 
 def adjust(method: str, dist: DiscretePValueDist) -> AdjustedStatistic:

@@ -74,7 +74,8 @@ def _surrogate(spec: MethodSpec, nus: np.ndarray) -> SurrogateDist:
     valid = (nus > 0.0) & (nus < math.inf)   # NaN fails both
     if not valid.all():
         bad = float(nus[~valid][0])
-        hint = " (a single-atom p-value distribution has zero variance)" if bad == 0.0 else ""
+        hint = (" (a p-value distribution with one atom, or with all its mass on one atom, "
+                "has zero variance)" if bad == 0.0 else "")
         raise _refuse("every per-test variance", "positive and finite", f"{bad!r}{hint}", str)
     n = int(nus.size)
     nu_bar = float(nus.mean())

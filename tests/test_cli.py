@@ -138,6 +138,18 @@ class TestPipeline:
         assert float(first[2]) == pytest.approx(0.6, abs=1e-4)
         assert float(first[3]) == pytest.approx(0.4699, abs=1e-4)
 
+    @pytest.mark.parametrize("atoms", [[1.0], [1e-320, 1.0]])
+    def test_metrics_of_zero_variance_names_both_causes(self, capsys, tmp_path, atoms):
+        # two atoms whose first holds 1e-320 of the mass: every share of
+        # Var(Z) but Edgington's underflows to zero, as for a single atom
+        pd = tmp_path / "d.json"
+        pd.write_text(json.dumps({"side": "left", "F": atoms}))
+        code, out, err = invoke(capsys, "metrics", "--pdist", str(pd))
+        assert (code, out) == (1, "")
+        assert err == ("pcomb: error: every per-test variance must be positive and finite, "
+                       "got 0.0 (a p-value distribution with one atom, or with all its mass "
+                       "on one atom, has zero variance)\n")
+
     def test_combine_tests_input(self, capsys, tmp_path):
         spec = {"tests": [
             {"model": {"family": "binomial", "params": {"trials": 5, "prob": 0.5}},

@@ -70,12 +70,12 @@ class TestSurrogate:
                 with pytest.raises(ValueError, match=message):
                     surrogate(method, [1.0, bad])
 
-    def test_zero_variance_is_named_a_single_atom(self):
+    def test_zero_variance_names_both_causes(self):
         with pytest.raises(ValueError) as zero:
             surrogate("fisher", [1.0, 0.0])
         assert str(zero.value) == ("every per-test variance must be positive and finite, "
-                                   "got 0.0 (a single-atom p-value distribution has zero "
-                                   "variance)")
+                                   "got 0.0 (a p-value distribution with one atom, or "
+                                   "with all its mass on one atom, has zero variance)")
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError) as other:
                 surrogate("fisher", [1.0, bad])
@@ -290,7 +290,7 @@ def test_one_cell_pass_equals_the_per_test_path_bit_for_bit(seed):
 def test_single_atom_distribution_still_refused():
     single = custom_pvalue_distribution([1.0], "left")
     model = make_statistic_model("custom", {"support": [3], "pmf": [1.0]})
-    message = "single-atom p-value distribution has zero variance"
+    message = "with one atom, or with all its mass on one atom, has zero variance"
     for method in METHODS:
         with pytest.raises(ValueError, match=message):
             combine(method, [0.5, 1.0, 1.0], [TWO_ATOM, single, TWO_ATOM])

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from pcomb import (METHODS, FAMILIES, adjust, custom_pvalue_distribution,
@@ -199,6 +200,76 @@ def test_quadrature_refuses_a_cell_with_no_double_inside(lo, hi):
     with pytest.raises(ValueError, match=r"^the cell \(.*\) is too narrow to integrate over: "
                                           r"no double lies strictly inside it$"):
         _cells_quad(lambda w, i: w, np.array([0.0, lo]), np.array([0.1, hi]), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the coupling cells of one partition take their edge terms once per edge;
+# every bit must be that of each cell evaluated alone
+# ---------------------------------------------------------------------------
+
+#: the laws whose coupling cells take terms at the edges: gamma at shape 1
+#: and at a surrogate's shape, normal and logistic
+EDGE_LAWS = [GammaLaw(1.0, 2.0), GammaLaw(40.6845, 1.9218121), NormalLaw(0.0, 1.0),
+             NormalLaw(3.0, 2.0), LogisticLaw()]
+
+_ATOM = (st.floats(1e-300, 1e-12) | st.floats(0.0, 1.0, exclude_min=True)
+         | st.floats(1.0 - 1e-12, 1.0, exclude_max=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(atoms=st.lists(_ATOM, max_size=16), ties=st.lists(st.integers(0, 3), max_size=16),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(atoms=[1e-300, 2e-300, 1e-17, 0.5], ties=[0, 0, 2, 0], seed=1)
+@example(atoms=[1.0 - 1e-12, 1.0 - 1e-16], ties=[3, 1], seed=2)
+def test_shared_edge_coupling_equals_each_cell_alone_bit_for_bit(atoms, ties, seed):
+    # near-tied atoms: each atom is followed by its next ``ties`` doubles;
+    # near 0 the reflected cells (1 - F_i, 1 - F_{i-1}) have zero width
+    tied = []
+    for a, t in zip(atoms, ties):
+        for _ in range(t):
+            a = np.nextafter(a, 2.0)
+            tied.append(a)
+    hi = np.unique(np.minimum([*atoms, *tied, 1.0], 1.0))
+    rng = np.random.default_rng(seed)
+    for law in EDGE_LAWS:
+        z = np.asarray(law.quantile(rng.uniform(0.001, 0.999, hi.size)), dtype=float)
+        for cells in (Cells.of_atoms(hi, 0), Cells.of_atoms(hi, 0).reflected()):
+            got = law.cell_sq_moment(z, cells.lo, cells.hi)
+            alone = [law.cell_sq_moment(z[i:i + 1], cells.lo[i:i + 1], cells.hi[i:i + 1])
+                     for i in range(hi.size)]
+            assert got.tobytes() == np.concatenate(alone).tobytes(), (law, cells.is_reflected)
+
+
+class _SpecialSpy:
+    """Stands in for ``scipy.special`` and records how many points each
+    function is called on."""
+
+    def __init__(self):
+        self.points = {}
+
+    def __getattr__(self, name):
+        f = getattr(special, name)
+
+        def counted(*args):
+            self.points.setdefault(name, []).append(np.size(args[-1]))
+            return f(*args)
+        return counted
+
+
+@pytest.mark.parametrize("law,calls", [
+    (GammaLaw(1.0, 2.0), {"gammaincinv": 1, "gammainc": 2}),
+    (GammaLaw(40.6845, 1.9218121), {"gammaincinv": 1, "gammainc": 2}),
+    (NormalLaw(0.0, 1.0), {"ndtri": 1}),
+    (LogisticLaw(), {"spence": 1}),
+])
+def test_one_partition_evaluates_each_special_function_once_per_edge(monkeypatch, law, calls):
+    m = 40
+    cells = Cells.of_atoms(np.linspace(0.0, 1.0, m + 1)[1:], 0)
+    for oriented in (cells, cells.reflected()):
+        spy = _SpecialSpy()
+        monkeypatch.setattr(_laws, "special", spy)
+        law.cell_sq_moment(np.linspace(-1.0, 1.0, m), oriented.lo, oriented.hi)
+        assert spy.points == {name: [m + 1] * n for name, n in calls.items()}
 
 
 # ---------------------------------------------------------------------------

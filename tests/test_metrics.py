@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from pcomb import (METHODS, adjust, adjust_generic, custom_pvalue_distribution,
                    w2_lower_bound)
 from pcomb._laws import GammaLaw, NormalLaw, UniformLaw
 
-from conftest import midpoint_w2
+from conftest import make_random_dists, midpoint_w2
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
 PL = synthetic_scenario("PL").null_dists()[0]
@@ -88,7 +90,8 @@ class TestScaledW2:
 
     def test_single_atom_rejected(self):
         # by the surrogate, in its words
-        with pytest.raises(ValueError, match="single-atom p-value distribution has zero variance"):
+        with pytest.raises(ValueError, match="with one atom, or with all its mass on one atom, "
+                                             "has zero variance"):
             scaled_w2("fisher", custom_pvalue_distribution([1.0], "left"))
 
 
@@ -250,3 +253,63 @@ class TestRankMethods:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rank_methods([])
+
+
+# ---------------------------------------------------------------------------
+# every diagnostic at full precision: the coupling cells were reworked to
+# evaluate each cell edge once; every bit must stay the same
+# ---------------------------------------------------------------------------
+
+def _diagnostic_inputs():
+    """The diagnose bench's inputs with its drawn parameters fixed: Poisson(2000)
+    left and right, the two-sided binomial and hypergeometric ladders, and
+    40 random distributions."""
+    poisson = make_statistic_model("poisson", {"rate": 2000})
+    binomial = [make_statistic_model("binomial", {"trials": t, "prob": 0.3 if i % 2 else 0.7})
+                for i, t in enumerate((50, 120, 190, 260, 330, 400))]
+    hypergeometric = [make_statistic_model("hypergeometric", {
+        "population": 2000, "successes": 600 + draws, "draws": draws})
+        for draws in (20, 76, 132, 188, 244, 300)]
+    return {
+        "poisson left": [pvalue_distribution(poisson, "left")],
+        "poisson right": [pvalue_distribution(poisson, "right")],
+        "binomial two": [pvalue_distribution(m, "two") for m in binomial],
+        "hypergeometric two": [pvalue_distribution(m, "two") for m in hypergeometric],
+        "random": make_random_dists(40, seed=20261020),
+    }
+
+
+def _report_bytes(report):
+    rows = b"".join(r.method.encode() + struct.pack("<5d", r.variance, r.ratio, r.scaled_w2,
+                                                    r.w2_to_y, r.lower_bound)
+                    for r in report.rows)
+    return rows + f"{report.recommended_by_ratio} {report.recommended_by_distance}".encode()
+
+
+def _diagnostic_digests():
+    out = {}
+    for name, dists in _diagnostic_inputs().items():
+        h = hashlib.sha256()
+        for d in dists:
+            h.update(_report_bytes(rank_methods(d)))
+            for method in METHODS:
+                h.update(struct.pack("<3d", scaled_w2(method, d), w2_lower_bound(method, d),
+                                     w2_discrete_continuous(adjust(method, d),
+                                                            method_spec(method).law)))
+        if len(dists) > 1:   # the across-distribution averages
+            h.update(_report_bytes(rank_methods(dists)))
+        out[name] = h.hexdigest()
+    return out
+
+
+DIAGNOSTICS_PIN_SHA256 = {
+    "binomial two": "0df156c21162da11fe7d6f5da7f094efe96cdc2913979c9d6100b25992f58e9e",
+    "hypergeometric two": "60b7e42820c2965d629d69f9cf6fd9242bf0c6fcba714c7a05d2e04bd70f0bcc",
+    "poisson left": "d794862067d8a903499f91b0f759135fab06ca3aef8fee4dcf116193fed590ee",
+    "poisson right": "4b6fd8eaedd14b2ff6c6ae73a0dfbc9e8bdf9171417b6b5252c40d01f71ea35a",
+    "random": "d82d00b9cf00da259000aac7edc0f6e5bfe531d80cd86828aa3d86450ab2fff7",
+}
+
+
+def test_diagnostics_are_pinned_bit_for_bit():
+    assert _diagnostic_digests() == DIAGNOSTICS_PIN_SHA256
