@@ -77,7 +77,9 @@ class Cells:
         Within a partition a cell's lo is the hi of the cell before it, bit
         for bit, as ``of_atoms`` copies it; reflected, its hi is the lo of
         the cell before.  Where a partition starts, at 0 or 1, the cell
-        before ends the partition before at 1 or 0: k is 0 at both."""
+        before ends the partition before at 1 or 0: k is 0 at both.  (It
+        serves combine's many partitions laid end to end, which
+        ``_at_edges`` would take on all 2m ends, as they do not tile.)"""
         own = self.one_minus_lo if tail else self.lo
         if not self.is_reflected:
             own = self.one_minus_hi if tail else self.hi
@@ -93,7 +95,10 @@ def _at_edges(k: Callable[[np.ndarray], tuple], c0: np.ndarray, c1: np.ndarray
     call of k.  Cells that tile end to end share their interior edges, bit
     for bit as ``Cells.of_atoms`` builds them, so k runs on the m + 1 edges,
     the start edge included (unlike ``Cells.ends``, k need not vanish at 0
-    and 1); other cells take it on all 2m ends."""
+    and 1); other cells take it on all 2m ends.  Its callers get bare
+    (c0, c1) arrays, with the zero-width cells dropped, not ``Cells``, so
+    the run-time check stands in for ``Cells.ends``' rule; both rest on
+    ``of_atoms`` copying each hi into the next lo."""
     if (c0[1:] == c1[:-1]).all():   # (F_{i-1}, F_i)
         at = k(np.concatenate((c0[:1], c1)))
         return tuple(t[:-1] for t in at), tuple(t[1:] for t in at)

@@ -106,8 +106,7 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
     atoms = [d.atoms for d in dists]
     sizes = np.array([a.size for a in atoms])
     starts = sizes.cumsum() - sizes
-    # one distribution's atoms are its cells' upper ends as they are, not a copy
-    cells = Cells.of_atoms(np.concatenate(atoms) if len(atoms) > 1 else atoms[0], starts)
+    cells = Cells.of_atoms(np.concatenate(atoms), starts)
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()
     z, shares = law.cell_means(cells)
@@ -117,7 +116,8 @@ def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
 def _adjusted(name: str, law, orientation: str,
               dist: DiscretePValueDist) -> AdjustedStatistic:
     _instance(dist, DiscretePValueDist, "dist", "a p-value distribution")
-    # ``cell_pass`` without the layout: one partition, summed as one run
+    # ``cell_pass`` without the layout: one partition, its shares summed as
+    # one run (the bits ``_run_sums`` gives a run)
     cells = Cells.of_atoms(dist.atoms, 0)
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()

@@ -226,9 +226,6 @@ def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     the pairwise sum of the rest, the order in which reduce sums a run from
     0.0 (checked on numpy 2.4.6; the tests pin the installed numpy)."""
     n = starts.size
-    if n == 1:   # a lone run: reduce takes 2.5 us against 9.5 us at 5,031
-        # values, and the diagnose bench ran 4% slower without this
-        return np.add.reduce(values, keepdims=True)
     led = starts + np.arange(n)
     slots = np.ones(values.size + n, dtype=bool)
     slots[led] = False

@@ -144,9 +144,7 @@ def rank_methods(dists) -> MetricsReport:
             columns.append((adjusted.variance, _scaled(method, np.sum(cells)),
                             w2_discrete_continuous(adjusted, spec.law),
                             _scaled(method, np.max(cells))))
-        # one distribution's own values, or the mean of each column
-        variance, sw2, w2y, lb = (columns[0] if len(columns) == 1
-                                  else (float(np.mean(c)) for c in zip(*columns)))
+        variance, sw2, w2y, lb = (float(np.mean(c)) for c in zip(*columns))
         rows.append(MethodMetrics(method=method, variance=variance,
                                   ratio=variance / spec.law.variance, scaled_w2=sw2,
                                   w2_to_y=w2y, lower_bound=lb))
