@@ -42,7 +42,7 @@ class Cells:
     hold partitions of (0, 1) laid end to end, in the order of their atoms
     even when reflected; iterating gives the five cell arrays.  Not frozen:
     a frozen dataclass takes about 2 us to build, a slotted one 0.3 us, and
-    every cell pass builds one or two."""
+    every adjust builds one or two."""
 
     lo: np.ndarray
     hi: np.ndarray

@@ -10,21 +10,21 @@ The five classical methods differ only in their ``MethodSpec``; their
 laws (``pcomb._laws``) hold the closed forms, and ``adjust_generic``
 wraps an arbitrary quantile function in a quadrature law.
 
-``cell_pass`` does this once for any number of distributions, their
-cells laid end to end, so a combination of n tests makes one call into
-the law; ``adjust`` does it for one distribution, with no layout.
+``adjust`` does this for one distribution; ``pcomb.combine`` does it for
+the n tests of a combination at once, their cells laid end to end, in one
+call into the law per method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._inputs import _instance, number
 from ._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw
-from .distributions import DiscretePValueDist, _run_sums
+from .distributions import DiscretePValueDist
 
 #: Fixed method order; also the deterministic tie-break order in reports.
 METHODS = ("fisher", "pearson", "george", "stouffer", "edgington")
@@ -95,29 +95,11 @@ class AdjustedStatistic:
                 "variance": self.variance}
 
 
-def cell_pass(law, orientation: str, dists: Sequence[DiscretePValueDist]
-              ) -> tuple[Cells, np.ndarray, np.ndarray, np.ndarray]:
-    """Cell means of several distributions in one call of ``law``.
-
-    Returns the cells laid end to end, their means z, the index of each
-    distribution's first cell, and each one's variance, the sum of its
-    cells' shares of Var(Z) by ``distributions._run_sums``.
-    """
-    atoms = [d.atoms for d in dists]
-    sizes = np.array([a.size for a in atoms])
-    starts = sizes.cumsum() - sizes
-    cells = Cells.of_atoms(np.concatenate(atoms), starts)
-    if orientation == ORIENT_ONE_MINUS_P:
-        cells = cells.reflected()
-    z, shares = law.cell_means(cells)
-    return cells, z, starts, _run_sums(shares, starts)
-
-
 def _adjusted(name: str, law, orientation: str,
               dist: DiscretePValueDist) -> AdjustedStatistic:
     _instance(dist, DiscretePValueDist, "dist", "a p-value distribution")
-    # ``cell_pass`` without the layout: one partition, its shares summed as
-    # one run (the bits ``_run_sums`` gives a run)
+    # one partition, its shares summed as one run (the bits
+    # ``distributions._run_sums`` gives a run in a combination)
     cells = Cells.of_atoms(dist.atoms, 0)
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()

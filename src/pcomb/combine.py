@@ -7,17 +7,21 @@ a Gamma for the chi-square based transforms (mean 2n preserved by shape
 non-identically distributed tests use the same families with the variance
 replaced by the sum of the per-test variances.
 
-``combine`` and ``combine_observations`` adjust all n tests in one cell
-pass (``adjust.cell_pass``) and build no per-test ``AdjustedStatistic``;
-S is the left-to-right sum of the observed cells' adjusted values.  The
-pass makes the same numpy calls for any n: the law evaluates its
-antiderivative once per cell edge, and one zero-led ``reduceat``
-(``distributions._run_sums``) gives every test's variance with the bits
-of its shares summed alone.
+``combine`` and ``combine_observations`` adjust all n tests at once and
+build no per-test ``AdjustedStatistic``; S is the left-to-right sum of the
+observed cells' adjusted values.  What does not depend on the method, each
+test's atom, the cells of every distribution laid end to end and the
+layout of their variance runs, is built once per gene side: ``_layout``
+keeps it for the last (distributions, values, lookup) it saw, so the five
+methods of one gene side share it.  Each method then makes the same numpy
+calls for any n: the law evaluates its antiderivative once per cell edge,
+and one zero-led ``reduceat`` (``distributions._run_sums``) gives every
+test's variance with the bits of its shares summed alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -26,8 +30,8 @@ import numpy as np
 
 from . import _laws
 from ._inputs import _refuse, _require, numbers, probability, sequence
-from .adjust import MethodSpec, cell_pass, method_spec
-from .distributions import DiscretePValueDist, _dist_entries
+from .adjust import ORIENT_ONE_MINUS_P, ORIENT_P, MethodSpec, method_spec
+from .distributions import DiscretePValueDist, _dist_entries, _laid_sums, _run_layout
 
 #: relative tolerance for matching a supplied p-value to an atom
 ATOM_MATCH_RTOL = 1e-9
@@ -110,6 +114,28 @@ def _match_atom(dist: DiscretePValueDist, value: float) -> int:
     return i
 
 
+@functools.lru_cache(maxsize=1)
+def _layout(dists: tuple, values: tuple, atom) -> tuple:
+    """The part of a combination no method changes: each test's atom index,
+    its cell among the cells of ``dists`` laid end to end, those cells in
+    each orientation, and the layout of their variance runs.
+
+    One entry: it holds the last call's distributions (by identity) and
+    arrays until a call on other inputs.  The lookup ``atom`` is part of
+    the key, since an observation 1 and a p-value 1.0 are equal keys.  A
+    lookup that raises stores nothing; the stored arrays are read-only."""
+    indices = tuple(atom(d, v) for v, d in zip(values, dists))
+    atoms = [d.atoms for d in dists]
+    sizes = np.array([a.size for a in atoms])
+    starts = sizes.cumsum() - sizes
+    cells = _laws.Cells.of_atoms(np.concatenate(atoms), starts)
+    picked = np.add(starts, indices)
+    runs = _run_layout(cells.p.size, starts)
+    for a in (*cells, picked, *runs):
+        a.setflags(write=False)
+    return indices, picked, {ORIENT_P: cells, ORIENT_ONE_MINUS_P: cells.reflected()}, runs
+
+
 def _combined(method: str, values: list, dists: Sequence[DiscretePValueDist], noun: str,
               atom) -> CombinedResult:
     """Combination of the tests whose atom indices ``atom(dist, value)`` finds."""
@@ -118,16 +144,17 @@ def _combined(method: str, values: list, dists: Sequence[DiscretePValueDist], no
         raise ValueError(f"got {len(values)} {noun} for {len(dists)} distributions")
     if len(dists) == 0:
         raise ValueError("nothing to combine")
-    indices = [atom(d, v) for v, d in zip(values, _dist_entries(dists, "dists"))]
+    dists = tuple(_dist_entries(dists, "dists"))
     spec = method_spec(method)
-    _, z, starts, variances = cell_pass(spec.law, spec.orientation, dists)
+    indices, picked, oriented, runs = _layout(dists, tuple(values), atom)
+    z, shares = spec.law.cell_means(oriented[spec.orientation])
     statistic = 0.0
-    for v in z[np.add(starts, indices)].tolist():
+    for v in z[picked].tolist():
         statistic += v   # plain left to right: sum() compensates on 3.12+
-    surr = _surrogate(spec, variances)
+    surr = _surrogate(spec, _laid_sums(shares, *runs))
     return CombinedResult(method=method, n=len(dists), statistic=statistic,
                           surrogate=surr, global_p=surr.p_value(statistic),
-                          atom_indices=tuple(indices))
+                          atom_indices=indices)
 
 
 def combine(method: str, observed_pvalues: Sequence[float],

@@ -225,10 +225,20 @@ def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     runs: it starts a group from its first element, here the zero, and adds
     the pairwise sum of the rest, the order in which reduce sums a run from
     0.0 (checked on numpy 2.4.6; the tests pin the installed numpy)."""
-    n = starts.size
-    led = starts + np.arange(n)
-    slots = np.ones(values.size + n, dtype=bool)
+    return _laid_sums(values, *_run_layout(values.size, starts))
+
+
+def _run_layout(size: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_run_sums``' layout of ``size`` values in runs from ``starts``: each
+    run's zero slot in the padded copy, and the mask of the value slots."""
+    led = starts + np.arange(starts.size)
+    slots = np.ones(size + starts.size, dtype=bool)
     slots[led] = False
+    return led, slots
+
+
+def _laid_sums(values: np.ndarray, led: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``_run_sums`` over a layout from ``_run_layout``."""
     padded = np.zeros(slots.size)
     padded[slots] = values
     return np.add.reduceat(padded, led)

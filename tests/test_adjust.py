@@ -395,7 +395,7 @@ def test_arrays_the_caller_passed_stay_writable():
 
 
 # ---------------------------------------------------------------------------
-# the cell pass: one zero-led reduceat for every variance, one law call per edge
+# combine's variances: one zero-led reduceat for every test, one law call per edge
 # ---------------------------------------------------------------------------
 
 #: values mixed into the shares: +0.0, subnormals, near 1e-300 and 1e300, +inf

@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -585,3 +587,17 @@ def test_requests_load_neither_scipy_stats_nor_integrate(tmp_path):
     assert got["codes"] == [0] * len(got["codes"])
     assert got["loaded"] == []
     assert not got["integrate_after_generic"]
+
+
+#: sha256 of the CLI transcript (tests/cli_transcript.py); every output the
+#: CLI writes to stdout for its fixed inputs
+CLI_TRANSCRIPT_SHA256 = "a9df3661cf3a239d43a788bb21bb4087772e2c8a84693a47aeb2c3047c6d92d5"
+
+
+def test_cli_transcript_is_pinned():
+    from cli_transcript import transcript
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        transcript()
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CLI_TRANSCRIPT_SHA256

@@ -1,6 +1,10 @@
+import gc
 import hashlib
 import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from pcomb import (METHODS, SurrogateDist, adjust, combine, combine_observations
                    custom_pvalue_distribution, gene_example, make_statistic_model,
                    pvalue_distribution, surrogate)
 from pcomb._laws import GammaLaw
-from pcomb.distributions import TIE_RTOL, _two_sided_grouping
+from pcomb.combine import _layout, _match_atom
+from pcomb.distributions import TIE_RTOL, DiscretePValueDist, _two_sided_grouping
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
 BINOMIAL_LEFT = pvalue_distribution(make_statistic_model("binomial", {"trials": 5, "prob": 0.5}),
@@ -225,7 +230,7 @@ def test_surrogate_variance_equals_adjusted_variance():
 
 
 # ---------------------------------------------------------------------------
-# the one cell pass of combine against the per-test path it replaced
+# combine, all n tests at once, against the per-test path it replaced
 # ---------------------------------------------------------------------------
 
 COHORTS = ((1000, 1000), (500, 500), (600, 1400), (1400, 600), (300, 1700))
@@ -274,17 +279,216 @@ def test_one_cell_pass_equals_the_per_test_path_bit_for_bit(seed):
         for side in ("left", "right", "two"):
             dists = [pvalue_distribution(m, side) for m in models]
             indices = [d.atom_of(x)[1] for d, x in zip(dists, xs)]
+            pvalues = [d.atoms[i] for d, i in zip(dists, indices)]
+            want = {}
             for method in METHODS:
                 # adjust must not share the batched segment sums: pin each
                 # variance to the closed form summed with np.sum on its own
                 for d in dists:
                     assert adjust(method, d).variance == reference_adjust(method, d.atoms)[2]
-                statistic, p, surr = _per_test(method, indices, dists)
-                for res in (combine_observations(method, xs, dists),
-                            combine(method, [d.atoms[i] for d, i in zip(dists, indices)], dists)):
+                want[method] = _per_test(method, indices, dists)
+            # each path runs the five methods in a row, as a gene study
+            # does: the first builds the gene side's layout, the rest reuse it
+            for call, values in ((combine_observations, xs), (combine, pvalues)):
+                for method in METHODS:
+                    res = call(method, values, dists)
+                    statistic, p, surr = want[method]
                     assert res.statistic == statistic and res.global_p == p
                     assert res.surrogate.to_json() == surr
                     assert res.atom_indices == tuple(indices)
+
+
+# ---------------------------------------------------------------------------
+# the one-entry layout memo of combine
+# ---------------------------------------------------------------------------
+
+def _bits(res):
+    """Everything a combination returns, as bytes-exact values."""
+    return (res.method, res.n, res.statistic.hex(), res.global_p.hex(), res.atom_indices,
+            json.dumps(res.surrogate.to_json(), sort_keys=True))
+
+
+def _fresh(call, method, values, dists):
+    """``call`` on an empty memo, so it builds its layout itself."""
+    _layout.cache_clear()
+    return _bits(call(method, values, dists))
+
+
+def _gene_sides(seed, count):
+    """(observations, p-values, dists) of every side of ``count`` seeded genes."""
+    out = []
+    for gene in _genes(seed, count):
+        models = [make_statistic_model(f, p) for f, p, _ in gene]
+        xs = [x for _, _, x in gene]
+        for side in ("left", "right", "two"):
+            dists = [pvalue_distribution(m, side) for m in models]
+            out.append((xs, [d.atom_of(x)[0] for d, x in zip(dists, xs)], dists))
+    return out
+
+
+def test_memo_hits_equal_fresh_calls_bit_for_bit():
+    sides = _gene_sides(21, 4)
+    calls = [(call, method, i) for i in range(len(sides)) for call in (combine_observations,
+                                                                       combine)
+             for method in METHODS]
+
+    def args(call, i):
+        xs, pvalues, dists = sides[i]
+        return (xs if call is combine_observations else pvalues), dists
+
+    want = {(call, method, i): _fresh(call, method, *args(call, i))
+            for call, method, i in calls}
+    _layout.cache_clear()
+    # in a row (each gene side's first method misses, the next four hit),
+    # then interleaved gene A, gene B, gene A, with gene_example between calls
+    for call, method, i in calls:
+        assert _bits(call(method, *args(call, i))) == want[call, method, i]
+    hits = _layout.cache_info().hits
+    assert hits == 4 * len(sides) * 2
+    example = gene_example().to_csv()
+    for call, method, i in calls:
+        for j in (i, (i + 1) % len(sides), i):
+            assert _bits(call(method, *args(call, j))) == want[call, method, j]
+        if method == METHODS[-1]:
+            assert gene_example().to_csv() == example
+
+
+def test_memo_key_is_distribution_identity_values_and_lookup():
+    model = make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
+    dists = [pvalue_distribution(model, "left"), pvalue_distribution(model, "right")]
+    xs = [1, 4]
+    want = _fresh(combine_observations, "fisher", xs, dists)
+    # equal but distinct distributions miss
+    twins = [pvalue_distribution(model, "left"), pvalue_distribution(model, "right")]
+    misses = _layout.cache_info().misses
+    assert _bits(combine_observations("fisher", xs, twins)) == want
+    assert _layout.cache_info().misses == misses + 1
+    # the same list changed between calls misses
+    combine_observations("fisher", xs, dists)
+    dists[1] = dists[0]
+    assert _bits(combine_observations("fisher", xs, dists)) == _fresh(
+        combine_observations, "fisher", xs, dists)
+    # 1 == 1.0 and they hash alike: the observation 1 is atom 1, the p-value 1.0 atom 5
+    d = dists[0]
+    assert combine_observations("fisher", [1], [d]).atom_indices == (1,)
+    assert combine("fisher", [1.0], [d]).atom_indices == (5,)
+    assert _bits(combine("fisher", [1.0], [d])) == _fresh(combine, "fisher", [1.0], [d])
+
+
+@pytest.mark.parametrize("call,values,dists,message", [
+    (combine_observations, [99], [BINOMIAL_LEFT], "observation 99 is not in the model support"),
+    (combine_observations, [1], [TWO_ATOM], "this distribution has no statistic model"),
+    (combine, [0.123], [BINOMIAL_LEFT], "p-value 0.123 matches no atom"),
+    (combine, [0.5, 0.5], [TWO_ATOM, None], r"dists\[1\] must be a p-value distribution"),
+    (combine, [0.5], [TWO_ATOM], "unknown method"),
+])
+def test_a_refused_call_leaves_the_stored_entry(call, values, dists, message):
+    kept = (combine_observations, "george", [2, 3], [BINOMIAL_LEFT, BINOMIAL_LEFT])
+    want = _fresh(*kept)
+    method = "no-such-method" if message == "unknown method" else "george"
+    with pytest.raises(ValueError, match=message):
+        call(method, values, dists)
+    info = _layout.cache_info()
+    assert info.currsize == 1
+    assert _bits(kept[0](*kept[1:])) == want
+    assert _layout.cache_info().hits == info.hits + 1
+
+
+def test_memo_arrays_are_read_only():
+    dists = [BINOMIAL_LEFT, TWO_ATOM]
+    combine("stouffer", [0.5, 0.5], dists)
+    hits = _layout.cache_info().hits
+    _, picked, oriented, runs = _layout(tuple(dists), (0.5, 0.5), _match_atom)
+    assert _layout.cache_info().hits == hits + 1
+    for a in (picked, *runs, *oriented["p"], *oriented["1-p"]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+def _uniform_gene(tests, atoms):
+    """``tests`` custom uniform models of ``atoms`` outcomes, left-sided, and
+    observations whose atom indices stay among Python's cached small ints."""
+    model = make_statistic_model("custom", {"support": list(range(atoms)),
+                                            "pmf": [1.0 / atoms] * atoms})
+    dists = [pvalue_distribution(model, "left") for _ in range(tests)]
+    return [i % min(atoms, 200) for i in range(tests)], dists
+
+
+def _held_and_accounted(xs, dists):
+    """Bytes a call leaves held (tracemalloc), the bytes of its entry's arrays
+    and of the key's and the indices' tuples, and its cells and tests."""
+    _layout.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        combine_observations("pearson", xs, dists)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    indices, picked, oriented, runs = _layout(tuple(dists), tuple(xs),
+                                              DiscretePValueDist._atom_index)
+    arrays = sum(a.nbytes for a in (picked, *runs, *oriented["p"]))
+    tuples = 3 * sys.getsizeof(indices)   # the indices, and the key's dists and values
+    return np.array([held, arrays + tuples]), oriented["p"].p.size, len(dists)
+
+
+def test_memo_holds_one_entry_of_the_size_of_its_arrays():
+    # what stays held after a call is its entry: per cell five float64 cell
+    # arrays and a mask byte; per test its picked cell, zero slot, mask byte
+    # and three tuple slots (the observations' and indices' ints are cached)
+    base, cells0, tests0 = _held_and_accounted(*_uniform_gene(20, 50))
+    more, cells1, _ = _held_and_accounted(*_uniform_gene(20, 500))
+    per_cell = (more - base) / (cells1 - cells0)
+    wider, cells2, tests2 = _held_and_accounted(*_uniform_gene(200, 50))
+    per_test = (wider - base - per_cell * (cells2 - cells0)) / (tests2 - tests0)
+    assert per_cell[1] == 41.0 and per_test[1] == pytest.approx(41.0)
+    assert per_cell[0] == pytest.approx(per_cell[1], rel=0.01)
+    assert per_test[0] == pytest.approx(per_test[1], rel=0.05)
+    assert 0 < base[0] - base[1] < 4096   # the objects around the arrays
+    info = _layout.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    # the next call on other inputs frees the entry
+    big = _uniform_gene(200, 500)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        combine_observations("pearson", *big)
+        assert tracemalloc.get_traced_memory()[0] - before > 41 * 200 * 450
+        combine("pearson", [1.0], [TWO_ATOM])
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before < 4096
+    finally:
+        tracemalloc.stop()
+    assert _layout.cache_info().currsize == 1
+
+
+def test_two_threads_alternating_genes_get_the_single_threaded_results():
+    sides = _gene_sides(23, 2)
+    genes = [(xs, dists) for xs, _, dists in (sides[0], sides[3])]
+    want = {(g, m): _fresh(combine_observations, m, *genes[g]) for g in (0, 1) for m in METHODS}
+    wrong = []
+
+    def worker(first):
+        for i in range(200):
+            g = (first + i) % 2
+            method = METHODS[i % len(METHODS)]
+            if _bits(combine_observations(method, *genes[g])) != want[g, method]:
+                wrong.append((first, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(first,)) for first in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_single_atom_distribution_still_refused():
