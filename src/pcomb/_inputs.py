@@ -14,8 +14,9 @@ refusal is a one-line ValueError: ``<name> must be <what>, got <repr>``.
 An **object** is an instance of its pcomb class.  A **size** (a support, a
 convolution, a test count) past ``SUPPORT_CAP`` is refused unallocated.
 A plain ``int`` or ``float`` passes at once, a 1-D int or float ndarray on
-its dtype (and one ``isfinite`` where entries must be finite), and any other
-list entry by entry.  pcomb's own named-family models and p-value
+its dtype (and one ``isfinite`` where entries must be finite), a list of
+plain 64-bit ints that ``integers`` reads as it is, and any other list entry
+by entry.  pcomb's own named-family models and p-value
 distributions skip all this: valid as built, read-only.
 """
 
@@ -29,6 +30,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 INT64_MAX = 2 ** 63 - 1
+_INT64_MIN = -2 ** 63
 _FLOAT_MAX = int(sys.float_info.max)
 # the most points a support or a test count may hold (Poisson at rate 1e9
 # would need 7.45 GiB; a replicate holds about 64 B per test)
@@ -145,3 +147,12 @@ def numbers(value, name: str, *, integral: bool = False, finite: bool = True) ->
             what = "64-bit integers" if integral else "finite numbers" if finite else "numbers"
             raise _refuse(f"{name} entries", what, v) from None
     return out
+
+
+def integers(value, name: str) -> list[int]:
+    """``numbers(value, name, integral=True).tolist()``: a list of plain ints
+    in the int64 range, with no bools, is returned as it is."""
+    if type(value) is list and all(type(v) is int and _INT64_MIN <= v <= INT64_MAX
+                                   for v in value):
+        return value
+    return numbers(value, name, integral=True).tolist()

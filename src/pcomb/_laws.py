@@ -136,7 +136,10 @@ class _CellLaw:
 
     def cell_sq_moment(self, z, c0, c1) -> np.ndarray:
         z, c0, c1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, c0, c1)))
-        out, live = np.zeros(z.shape), c1 > c0
+        live = c1 > c0
+        if z.ndim == 1 and live.all():   # a left-sided partition: nothing to mask
+            return self._cells(z, c0, c1)
+        out = np.zeros(z.shape)
         out[live] = self._cells(z[live], c0[live], c1[live])
         return out
 

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _laws
-from ._inputs import _refuse, _require, numbers, probability, sequence
+from ._inputs import _refuse, _require, integers, numbers, probability, sequence
 from .adjust import ORIENT_ONE_MINUS_P, ORIENT_P, MethodSpec, method_spec
 from .distributions import DiscretePValueDist, _dist_entries, _laid_sums, _run_layout
 
@@ -172,5 +172,5 @@ def combine_observations(method: str, observations: Sequence[int],
                          dists: Sequence[DiscretePValueDist]) -> CombinedResult:
     """Combine raw statistic observations against model-backed
     distributions; avoids the atom-matching tolerance entirely."""
-    xs = numbers(observations, "observations", integral=True).tolist()
+    xs = integers(observations, "observations")
     return _combined(method, xs, dists, "observations", DiscretePValueDist._atom_index)

@@ -33,12 +33,25 @@ Poisson, geometric and binomial masses are bit-identical to
 ``scipy.stats``.  The unbounded laws are cut where the upper tail drops
 below TAIL_EPS, found by bisection from the law's mean, and a support
 over SUPPORT_CAP points is refused before anything is allocated.
+
+A rare-variant study builds the same few nulls again and again, so
+``make_statistic_model`` keeps the last 256 named-family models of at most
+1,024 points in an LRU memo keyed by the family and the parameter values
+as the input policy reads them.  Such a model is one shared, read-only
+object (its ``params`` a ``MappingProxyType``), and it keeps the sided
+distributions built from it; at about 64 B a point for its three sides,
+the memo holds at most 16 MiB of arrays, under 17 MiB in all.  No output
+depends on it: a model or a distribution found there has the bits of one
+built afresh.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -74,6 +87,14 @@ TIE_RTOL = 1e-12
 ATOM_TOL = 1e-12
 CUSTOM_PMF_TOL = 1e-9
 
+# make_statistic_model's memo: the last _MEMO_MODELS named-family models of
+# at most _MEMO_POINTS points, keyed by (family, coerced values), each held
+# as (model, points before zero masses were dropped) for the cap's recheck
+_MEMO_MODELS = 256
+_MEMO_POINTS = 1024
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
 
 @dataclass(frozen=True, eq=False)
 class StatisticModel:
@@ -84,11 +105,15 @@ class StatisticModel:
     family : str
         One of ``FAMILIES``.
     params : dict
-        The named parameters the model was built from (empty for custom).
+        The named parameters the model was built from (empty for custom);
+        a read-only mapping on a named-family model, which may be shared.
     support : ndarray of int
         Strictly increasing outcomes; read-only, as is ``pmf``.
     pmf : ndarray of float
         Matching masses; positive, summing to one within 1e-12.
+
+    A model of at most ``_MEMO_POINTS`` points keeps the sided
+    distributions ``pvalue_distribution`` builds from it, one per side.
     """
 
     family: str
@@ -100,7 +125,7 @@ class StatisticModel:
         support = numbers(self.support, "support", integral=True).copy()
         pmf = numbers(self.pmf, "pmf", finite=False).copy()
         support.flags.writeable = pmf.flags.writeable = False   # copies: never the caller's
-        self.__dict__.update(support=support, pmf=pmf)   # past the frozen __setattr__
+        self.__dict__.update(support=support, pmf=pmf, _sided={})   # past the frozen __setattr__
         if pmf.shape != support.shape or support.size == 0:
             raise ValueError("support and pmf must be 1-D arrays of equal, nonzero length")
         _require((support[1:] > support[:-1]).all(), "support must be strictly increasing")
@@ -112,6 +137,11 @@ class StatisticModel:
             raise ValueError("pmf masses must be positive (zero-mass outcomes are dropped at build time)")
         if abs(total - 1.0) > ATOM_TOL:
             raise ValueError(f"pmf must sum to 1 within {ATOM_TOL}, got {total!r}")
+
+    def __reduce__(self):
+        # a copy or an unpickled model goes through the validating constructor:
+        # a read-only params view does not pickle, and kept sides are no part of it
+        return StatisticModel, (self.family, dict(self.params), self.support, self.pmf)
 
     def cdf(self) -> np.ndarray:
         """Cumulative masses, capped at 1 and ending at exactly 1."""
@@ -345,13 +375,84 @@ def _truncated_counts(sf: Callable, masses: Callable, lo: int,
     return ks, pmf
 
 
+def _coerced(family: str, params: Mapping) -> tuple:
+    """A named family's parameter values in ``FAMILY_PARAMS`` order, each
+    read through the input policy, so every refusal of a value comes here."""
+    if family == "binomial":
+        return integer(params["trials"], "trials", 1), probability(params["prob"], "prob")
+    if family == "poisson":
+        return (number(params["rate"], "rate", positive=True),)
+    if family == "geometric":
+        return (probability(params["prob"], "prob"),)
+    if family == "negative-binomial":
+        return (integer(params["successes"], "successes", 1, INT64_MAX),
+                probability(params["prob"], "prob"))
+    N = integer(params["population"], "population", 1)
+    K = integer(params["successes"], "successes", 0)
+    m = integer(params["draws"], "draws", 1)
+    for name, count in (("successes", K), ("draws", m)):
+        if count > N:
+            raise _refuse(name, "<= population", f"{count} > {N}", str)
+    if family == "hypergeometric":
+        return N, K, m
+    return N, K, m, number(params["odds"], "odds", positive=True)
+
+
+def _named_masses(family: str, values: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Support and unnormalized pmf of a named family at coerced ``values``."""
+    if family == "binomial":
+        n, theta = values
+        support = _support(0, n)
+        return support, _binom_pmf(support, n, theta)
+    if family == "poisson":
+        rate, = values
+        return _truncated_counts(lambda k: special.pdtrc(k, rate),
+                                 lambda ks: _poisson_pmf(ks, rate), 0, rate)
+    if family == "geometric":
+        p, = values
+        return _truncated_counts(lambda k: _geom_sf(k, p), lambda ks: _geom_pmf(ks, p),
+                                 1, 1.0 / p)
+    if family == "negative-binomial":
+        r, p = values
+        fail, pmf = _truncated_counts(
+            lambda k: _nbinom_sf(k, r, p),
+            lambda ks: _mode_anchored((ks[:-1] + r) / (ks[:-1] + 1.0) * (1.0 - p)),
+            0, r * (1.0 - p) / p)
+        return _support(r, r + int(fail[-1])), pmf  # trials until the r-th success
+    N, K, m, *odds = values
+    lo, hi = max(0, m + K - N), min(m, K)
+    return _support(lo, hi), _hypergeom_masses(N, K, m, odds[0] if odds else 1.0, lo, hi)
+
+
+def _normalized(family: str, support: np.ndarray, pmf: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``support`` and ``pmf`` renormalized, without zero-mass outcomes."""
+    # named pmfs drift from one by rounding, and the folded tail adds up to
+    # TAIL_EPS; a pmf further off than CUSTOM_PMF_TOL is broken, not rounded
+    total = float(pmf.sum())
+    _require(abs(total - 1.0) <= CUSTOM_PMF_TOL,
+             f"{family} pmf must sum to 1 within {CUSTOM_PMF_TOL}, got {total!r}")
+    pmf = pmf / total  # renormalize so the atom invariants hold exactly
+    # drop outcomes whose probability underflowed to exactly zero
+    keep = pmf > 0.0
+    if not keep.all():
+        support, pmf = support[keep], pmf[keep]
+    return support, pmf
+
+
 def make_statistic_model(family: str, params: Mapping | None = None) -> StatisticModel:
     """Build a normalized, truncated StatisticModel for a named family.
 
     Each family takes exactly the parameters ``FAMILY_PARAMS`` lists, and
     each value goes through the input policy of ``pcomb._inputs``.  The
     negative-binomial support counts trials, as the geometric's (1, 2, ...)
-    does."""
+    does.
+
+    A named-family model is read-only and may be shared: equal parameter
+    values (5 and 5.0 alike) return one object from the bounded memo the
+    module docstring describes.  Every refusal comes before the memo is
+    read, a stored model is checked against ``SUPPORT_CAP`` again, and a
+    custom model is never stored."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     params = dict(params or {})
@@ -360,66 +461,34 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
         _require(key in takes, f"the {family} model takes no parameter {key!r}")
     for key in takes:
         _require(key in params, f"the {family} model needs the parameter {key!r}")
-    if family == "binomial":
-        n = integer(params["trials"], "trials", 1)
-        theta = probability(params["prob"], "prob")
-        support = _support(0, n)
-        pmf = _binom_pmf(support, n, theta)
-        params = {"trials": n, "prob": theta}
-    elif family == "poisson":
-        rate = number(params["rate"], "rate", positive=True)
-        support, pmf = _truncated_counts(lambda k: special.pdtrc(k, rate),
-                                         lambda ks: _poisson_pmf(ks, rate), 0, rate)
-        params = {"rate": rate}
-    elif family == "geometric":
-        p = probability(params["prob"], "prob")
-        support, pmf = _truncated_counts(lambda k: _geom_sf(k, p),
-                                         lambda ks: _geom_pmf(ks, p), 1, 1.0 / p)
-        params = {"prob": p}
-    elif family == "negative-binomial":
-        r = integer(params["successes"], "successes", 1, INT64_MAX)
-        p = probability(params["prob"], "prob")
-        fail, pmf = _truncated_counts(
-            lambda k: _nbinom_sf(k, r, p),
-            lambda ks: _mode_anchored((ks[:-1] + r) / (ks[:-1] + 1.0) * (1.0 - p)),
-            0, r * (1.0 - p) / p)
-        support = _support(r, r + int(fail[-1]))  # trials until the r-th success
-        params = {"successes": r, "prob": p}
-    elif family in ("hypergeometric", "noncentral-hypergeometric"):
-        N = integer(params["population"], "population", 1)
-        K = integer(params["successes"], "successes", 0)
-        m = integer(params["draws"], "draws", 1)
-        for name, count in (("successes", K), ("draws", m)):
-            if count > N:
-                raise _refuse(name, "<= population", f"{count} > {N}", str)
-        odds = number(params["odds"], "odds", positive=True) if "odds" in takes else 1.0
-        lo, hi = max(0, m + K - N), min(m, K)
-        support = _support(lo, hi)
-        pmf = _hypergeom_masses(N, K, m, odds, lo, hi)
-        params = dict(zip(takes, (N, K, m, odds)))
-    else:
+    if family == "custom":
         support = numbers(params["support"], "support", integral=True)
         pmf = numbers(params["pmf"], "pmf")
         _require(support.shape == pmf.shape,
                  "support and pmf must be 1-D arrays of equal length")
         _require(bool(np.all(pmf >= 0.0)), "custom pmf masses must be nonnegative")
-        params = {}
-
-    # named pmfs drift from one by rounding, and the folded tail adds up to
-    # TAIL_EPS; a pmf further off than CUSTOM_PMF_TOL is broken, not rounded
-    total = float(pmf.sum())
-    _require(abs(total - 1.0) <= CUSTOM_PMF_TOL,
-             f"{family} pmf must sum to 1 within {CUSTOM_PMF_TOL}, got {total!r}")
-    pmf = pmf / total  # renormalize so the atom invariants hold exactly
-
-    # drop outcomes whose probability underflowed to exactly zero
-    keep = pmf > 0.0
-    if not keep.all():
-        support, pmf = support[keep], pmf[keep]
-    if family == "custom":   # only a custom support is the caller's to check
-        return StatisticModel(family=family, params=params, support=support, pmf=pmf)
+        # only a custom support is the caller's to check
+        return StatisticModel(family, {}, *_normalized(family, support, pmf))
+    key = (family, _coerced(family, params))
+    with _memo_lock:
+        hit = _memo.get(key)
+        if hit is not None:
+            cap_support(hit[1])   # a lowered cap refuses a stored model too
+            _memo.move_to_end(key)
+            return hit[0]
+    support, pmf = _named_masses(*key)
+    points = support.size
+    support, pmf = _normalized(family, support, pmf)
     support.flags.writeable = pmf.flags.writeable = False
-    return _built(StatisticModel, family=family, params=params, support=support, pmf=pmf)
+    model = _built(StatisticModel, family=family,
+                   params=MappingProxyType(dict(zip(takes, key[1]))),
+                   support=support, pmf=pmf, _sided={})
+    if points <= _MEMO_POINTS:
+        with _memo_lock:
+            _memo[key] = model, points
+            if len(_memo) > _MEMO_MODELS:
+                _memo.popitem(last=False)
+    return model
 
 
 def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,10 +532,14 @@ def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
-    """Sided discrete p-value distribution of a statistic model."""
+    """Sided discrete p-value distribution of a statistic model; a model of
+    at most ``_MEMO_POINTS`` points builds each side once and keeps it."""
     _instance(model, StatisticModel, "model", "a statistic model")
     if side not in SIDES:
         raise _refuse("side", f"one of {SIDES}", side, repr)
+    kept = model._sided.get(side)
+    if kept is not None:
+        return kept
     m = model.pmf.size
     if side == "left":
         atoms = model.cdf()
@@ -486,8 +559,11 @@ def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
         atoms = atoms[first]
         outcome_map = (first.cumsum() - 1)[outcome_map]
     atoms.flags.writeable = outcome_map.flags.writeable = False
-    return _built(DiscretePValueDist, atoms=atoms, side=side, model=model,
+    dist = _built(DiscretePValueDist, atoms=atoms, side=side, model=model,
                   outcome_map=outcome_map)
+    # a kept side ties model and distribution in a cycle, which only the
+    # collector frees: a large model keeps none, so it is freed at once
+    return model._sided.setdefault(side, dist) if m <= _MEMO_POINTS else dist
 
 
 def custom_pvalue_distribution(atom_sequence: Sequence[float], side: str) -> DiscretePValueDist:

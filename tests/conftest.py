@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from pcomb import custom_pvalue_distribution
+from pcomb import custom_pvalue_distribution, distributions
+
+
+@pytest.fixture(autouse=True)
+def fresh_model_memo():
+    """Each test builds its named-family models afresh, so a test that
+    patches a kernel or a bound sees that build, not a stored model."""
+    distributions._memo.clear()
 
 
 def make_random_dists(count, seed, min_atoms=2, max_atoms=12, min_gap=1e-3):

@@ -358,8 +358,9 @@ def test_memo_key_is_distribution_identity_values_and_lookup():
     dists = [pvalue_distribution(model, "left"), pvalue_distribution(model, "right")]
     xs = [1, 4]
     want = _fresh(combine_observations, "fisher", xs, dists)
-    # equal but distinct distributions miss
-    twins = [pvalue_distribution(model, "left"), pvalue_distribution(model, "right")]
+    # equal but distinct distributions miss (the constructor builds them:
+    # pvalue_distribution hands out the model's own again)
+    twins = [DiscretePValueDist(d.atoms, d.side, d.model, d.outcome_map) for d in dists]
     misses = _layout.cache_info().misses
     assert _bits(combine_observations("fisher", xs, twins)) == want
     assert _layout.cache_info().misses == misses + 1

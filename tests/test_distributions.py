@@ -1,9 +1,13 @@
+import copy
+import gc
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -715,3 +719,217 @@ def test_atoms_merged_near_one_equal_the_unique_reference(family, params):
     # sums at 1.0 for several outcomes, which share one atom
     assert any(len(pvalue_distribution(model, side)) < model.pmf.size for side in SIDES)
     _assert_matches_unique(model)
+
+
+# ---------------------------------------------------------------------------
+# make_statistic_model's memo and the sides a model keeps
+# ---------------------------------------------------------------------------
+
+SNP = {"population": 2000, "successes": 1400, "draws": 7}
+
+
+def _model_bits(model):
+    return (model.family, dict(model.params), model.support.tobytes(), model.pmf.tobytes(),
+            *(pvalue_distribution(model, side).atoms.tobytes() for side in SIDES),
+            *(pvalue_distribution(model, side).outcome_map.tobytes() for side in SIDES))
+
+
+def test_equal_validated_parameters_return_one_model():
+    model = make_statistic_model("hypergeometric", SNP)
+    for same in ({"population": 2000.0, "successes": np.int64(1400), "draws": 7},
+                 {"draws": np.float64(7.0), "successes": 1400, "population": 2000}):
+        assert make_statistic_model("hypergeometric", same) is model
+    rate = make_statistic_model("poisson", {"rate": 5})
+    assert make_statistic_model("poisson", {"rate": 5.0}) is rate
+    # the noncentral law at odds 1 has the same masses but is another family
+    central = make_statistic_model("noncentral-hypergeometric", {**SNP, "odds": 1})
+    assert central is not model and central.pmf.tobytes() == model.pmf.tobytes()
+    assert make_statistic_model("noncentral-hypergeometric", {**SNP, "odds": 1.0}) is central
+    assert make_statistic_model("hypergeometric", {**SNP, "draws": 8}) is not model
+
+
+def test_a_stored_model_has_the_bits_of_a_fresh_one():
+    stored = [make_statistic_model("binomial", {"trials": 40, "prob": 0.5}),
+              make_statistic_model("poisson", {"rate": 1635.4}),
+              make_statistic_model("noncentral-hypergeometric", {**SNP, "odds": 2.5})]
+    kept = [_model_bits(m) for m in stored]
+    distributions._memo.clear()
+    assert [_model_bits(make_statistic_model(m.family, m.params)) for m in stored] == kept
+
+
+def test_a_side_is_built_once_per_model():
+    model = make_statistic_model("hypergeometric", SNP)
+    dists = {side: pvalue_distribution(model, side) for side in SIDES}
+    assert len({id(d) for d in dists.values()}) == 3
+    for side in SIDES:
+        assert pvalue_distribution(model, side) is dists[side]
+        assert pvalue_distribution(make_statistic_model("hypergeometric", SNP), side) is dists[side]
+    custom = make_statistic_model("custom", {"support": [0, 1], "pmf": [0.5, 0.5]})
+    assert pvalue_distribution(custom, "left") is pvalue_distribution(custom, "left")
+
+
+@pytest.mark.parametrize("family,params", [
+    ("binomial", {"trials": True, "prob": 0.5}),
+    ("binomial", {"trials": 5, "prob": np.True_}),
+    ("binomial", {"trials": 5, "prob": 0.5, "rate": 1.0}),
+    ("binomial", {"trials": 5}),
+    ("binomial", {"trials": 0, "prob": 0.5}),
+    ("binomial", {"trials": 5.5, "prob": 0.5}),
+    ("binomial", {"trials": 5, "prob": 1.0}),
+    ("hypergeometric", {**SNP, "draws": 2001}),
+    ("hypergeometric", {**SNP, "successes": -1}),
+    ("hypergeometric", {**SNP, "odds": 1.0}),
+    ("noncentral-hypergeometric", {**SNP, "odds": 0.0}),
+    ("noncentral-hypergeometric", {**SNP, "odds": True}),
+    ("poisson", {"rate": math.nan}),
+    ("no-such-family", {"rate": 5.0}),
+])
+def test_refusals_are_unchanged_when_the_model_is_stored(family, params):
+    with pytest.raises(ValueError) as cold:
+        make_statistic_model(family, params)
+    for valid in (("binomial", {"trials": 5, "prob": 0.5}), ("hypergeometric", SNP),
+                  ("noncentral-hypergeometric", {**SNP, "odds": 1.0}), ("poisson", {"rate": 5.0})):
+        make_statistic_model(*valid)
+    stored = len(distributions._memo)
+    with pytest.raises(ValueError) as warm:
+        make_statistic_model(family, params)
+    assert str(warm.value) == str(cold.value)
+    assert len(distributions._memo) == stored
+
+
+def test_a_lowered_cap_refuses_a_stored_model(monkeypatch):
+    # binomial(1000, 0.01) drops its underflowed masses: the cap counts the
+    # 1,001 points the build would allocate, stored or not
+    params = {"trials": 1000, "prob": 0.01}
+    monkeypatch.setattr(_inputs, "SUPPORT_CAP", 1000)
+    with pytest.raises(ValueError) as cold:
+        make_statistic_model("binomial", params)
+    monkeypatch.setattr(_inputs, "SUPPORT_CAP", 10_000_000)
+    model = make_statistic_model("binomial", params)
+    assert model.support.size < 1001 and make_statistic_model("binomial", params) is model
+    monkeypatch.setattr(_inputs, "SUPPORT_CAP", 1000)
+    with pytest.raises(ValueError) as warm:
+        make_statistic_model("binomial", params)
+    assert str(warm.value) == str(cold.value) == (
+        "the support would have 1001 points, more than the cap of 1000")
+    monkeypatch.setattr(_inputs, "SUPPORT_CAP", 1001)
+    assert make_statistic_model("binomial", params) is model
+
+
+def test_a_large_support_is_built_but_not_stored():
+    at_bound = make_statistic_model("binomial", {"trials": distributions._MEMO_POINTS - 1,
+                                                 "prob": 0.5})
+    assert at_bound.support.size == distributions._MEMO_POINTS
+    assert make_statistic_model("binomial", at_bound.params) is at_bound
+    params = {"trials": distributions._MEMO_POINTS, "prob": 0.5}
+    over = make_statistic_model("binomial", params)
+    again = make_statistic_model("binomial", params)
+    assert again is not over and _model_bits(again) == _model_bits(over)
+    assert len(distributions._memo) == 1
+    # nor does it keep its sides, which would tie it to them in a cycle
+    assert pvalue_distribution(over, "two") is not pvalue_distribution(over, "two")
+
+
+def test_custom_models_are_never_stored():
+    params = {"support": [0, 1, 2], "pmf": [0.25, 0.5, 0.25]}
+    assert make_statistic_model("custom", params) is not make_statistic_model("custom", params)
+    assert not distributions._memo
+
+
+def test_the_memo_keeps_the_most_recent_models_up_to_its_bound():
+    rates = [1.0 + i for i in range(distributions._MEMO_MODELS + 10)]
+    first = make_statistic_model("poisson", {"rate": rates[0]})
+    for rate in rates[1:distributions._MEMO_MODELS]:
+        make_statistic_model("poisson", {"rate": rate})
+    assert make_statistic_model("poisson", {"rate": rates[0]}) is first   # now the newest
+    second = distributions._memo[("poisson", (rates[1],))][0]
+    for rate in rates[distributions._MEMO_MODELS:]:
+        make_statistic_model("poisson", {"rate": rate})
+    assert len(distributions._memo) == distributions._MEMO_MODELS
+    assert make_statistic_model("poisson", {"rate": rates[0]}) is first
+    assert make_statistic_model("poisson", {"rate": rates[1]}) is not second
+
+
+def test_the_full_memo_holds_its_arrays_and_little_else():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(distributions._MEMO_MODELS + 20):
+            model = make_statistic_model("binomial", {"trials": distributions._MEMO_POINTS - 1,
+                                                      "prob": 0.3 + i * 1e-4})
+            for side in SIDES:
+                pvalue_distribution(model, side)
+        del model
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stored = [m for m, _ in distributions._memo.values()]
+    assert len(stored) == distributions._MEMO_MODELS
+    # support and pmf, then each side's atoms and outcome map: 8 B a point each
+    arrays = sum(m.support.nbytes + m.pmf.nbytes
+                 + sum(d.atoms.nbytes + d.outcome_map.nbytes for d in m._sided.values())
+                 for m in stored)
+    points = sum(m.support.size for m in stored)
+    assert arrays <= 64 * points <= 64 * distributions._MEMO_MODELS * distributions._MEMO_POINTS
+    # the objects around them take a few KB a model; under 17 MiB in all
+    assert arrays < held < arrays + 4096 * len(stored) < 17 << 20
+
+
+def test_params_of_a_named_model_are_read_only():
+    model = make_statistic_model("binomial", {"trials": 5, "prob": 0.5})
+    with pytest.raises(TypeError):
+        model.params["trials"] = 6
+    assert model.params == {"trials": 5, "prob": 0.5}
+    assert model.to_json() == {"family": "binomial", "params": {"trials": 5, "prob": 0.5}}
+    assert StatisticModel.from_json(json.loads(json.dumps(model.to_json()))) is model
+
+
+def test_models_and_distributions_pickle_and_copy_with_their_bits():
+    model = make_statistic_model("noncentral-hypergeometric", {**SNP, "odds": 2.5})
+    for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model), copy.copy(model)):
+        assert copied is not model and copied.params == model.params
+        assert _model_bits(copied) == _model_bits(model)
+    dist = pvalue_distribution(model, "two")
+    again = pickle.loads(pickle.dumps(dist))
+    assert again.atoms.tobytes() == dist.atoms.tobytes() and again.side == "two"
+    assert again.outcome_map.tobytes() == dist.outcome_map.tobytes()
+    assert _model_bits(again.model) == _model_bits(model)
+
+
+def test_threads_building_the_same_models_get_equal_ones():
+    # more threads than cores and more models than the memo holds, so
+    # lookups, stores and evictions interleave
+    named = [("hypergeometric", {**SNP, "draws": d}) for d in range(1, 40)]
+    named += [("poisson", {"rate": 0.5 + r}) for r in range(distributions._MEMO_MODELS)]
+    want = [_model_bits(make_statistic_model(*n)) for n in named]
+    distributions._memo.clear()
+    done, wrong = [], []
+
+    def worker(t):
+        try:
+            for rep in range(2):
+                for i in range(len(named))[::1 if (t + rep) % 2 else -1]:
+                    if _model_bits(make_statistic_model(*named[i])) != want[i]:
+                        wrong.append((t, i))
+            done.append(t)
+        except Exception as exc:   # a race that raises fails the test, not only the thread
+            wrong.append((t, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not wrong and sorted(done) == [0, 1, 2, 3]
+    assert len(distributions._memo) == distributions._MEMO_MODELS
+    for (family, values), (model, points) in distributions._memo.items():
+        assert model.family == family and tuple(model.params.values()) == values
+        assert points == model.support.size

@@ -18,6 +18,7 @@ import dataclasses
 import math
 import re
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from pcomb import (DiscretePValueDist, StatisticModel, adjust, adjust_generic,
                    pvalue_distribution, rank_methods, sample_pvalues, scaled_w2,
                    scenario_from_json, surrogate, synthetic_scenario, type1_experiment,
                    variance_ratio, w2_discrete_continuous, w2_lower_bound)
-from pcomb._inputs import numbers
+from pcomb._inputs import integers, numbers
 
 TWO_ATOM = custom_pvalue_distribution([0.5, 1.0], "left")
 BINOMIAL_LEFT = pvalue_distribution(make_statistic_model("binomial", {"trials": 5, "prob": 0.5}),
@@ -193,7 +194,7 @@ def _canon(x):
         return x
     if isinstance(x, (list, tuple)):
         return tuple(_canon(v) for v in x)
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):   # a named model's params are a read-only view
         return tuple(sorted((k, _canon(v)) for k, v in x.items()))
     if dataclasses.is_dataclass(x):
         return (type(x).__name__,) + tuple(_canon(getattr(x, f.name))
@@ -587,3 +588,25 @@ def test_input_policy_has_one_owner():
     # the owner itself is found by the same scan
     assert ({what for _, what, _ in _policy_sites(SRC / POLICY_MODULE)}
             >= {"bool", "isfinite", "helper", "bound", "refusal"})
+
+
+@pytest.mark.parametrize("value", [
+    [3, 1, 4], [], [2 ** 63 - 1, -2 ** 63], [2 ** 63], [-2 ** 63 - 1], [1, True], [False],
+    [1, 2.0], [1.5], [np.int64(5)], (1, 2), np.array([1, 2]), np.array([1.0, 2.0]),
+    [1, None], "12", 5, [[1]],
+])
+def test_integers_reads_a_list_as_numbers_does(value):
+    try:
+        want = ("ok", numbers(value, "xs", integral=True).tolist())
+    except ValueError as exc:
+        want = ("refused", str(exc))
+    try:
+        got = integers(value, "xs")
+        assert type(got) is list and all(type(v) is int for v in got)
+        got = ("ok", got)
+    except ValueError as exc:
+        got = ("refused", str(exc))
+    assert got == want
+    # a list of plain 64-bit ints is taken as it is, without a copy
+    if type(value) is list and want[0] == "ok" and all(type(v) is int for v in value):
+        assert integers(value, "xs") is value
