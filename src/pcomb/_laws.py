@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -35,14 +35,12 @@ from scipy import special
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(eq=False, slots=True)
-class Cells:
+class Cells(NamedTuple):
     """Probability cells (lo, hi) of mass p = hi - lo, carrying 1 - lo and
     1 - hi, so a reflected cell never recomputes 1 - (1 - hi).  The cells
     hold partitions of (0, 1) laid end to end, in the order of their atoms
-    even when reflected; iterating gives the five cell arrays.  Not frozen:
-    a frozen dataclass takes about 2 us to build, a slotted one 0.3 us, and
-    every adjust builds one or two."""
+    even when reflected.  A tuple, so no field can be assigned, and its
+    arrays are read-only; a copy or an unpickled one keeps them so."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -51,8 +49,8 @@ class Cells:
     one_minus_hi: np.ndarray
     is_reflected: bool = False
 
-    def __iter__(self):
-        return iter((self.lo, self.hi, self.p, self.one_minus_lo, self.one_minus_hi))
+    def __reduce__(self):
+        return _read_only, (Cells, *self)
 
     @classmethod
     def of_atoms(cls, hi: np.ndarray, starts: int | Sequence[int]) -> "Cells":
@@ -62,7 +60,10 @@ class Cells:
         lo = np.empty_like(hi)
         lo[1:] = hi[:-1]
         lo[starts] = 0.0
-        return cls(lo, hi, hi - lo, 1.0 - lo, 1.0 - hi)
+        cells = cls(lo, hi, hi - lo, 1.0 - lo, 1.0 - hi)
+        for a in cells[:5]:   # hi too: the cells keep it, read-only as built
+            a.setflags(write=False)
+        return cells
 
     def reflected(self) -> "Cells":
         """(1 - hi, 1 - lo): the mean of Q(1 - W) on a cell is that of Q on these."""
@@ -87,6 +88,13 @@ class Cells:
         at_shared = np.empty_like(at_own)
         at_shared[0], at_shared[1:] = 0.0, at_own[:-1]
         return (at_own, at_shared) if self.is_reflected else (at_shared, at_own)
+
+
+def _read_only(cls, *fields):
+    """``cls(*fields)``, each 1-D array field copied into immutable bytes: how
+    a ``Cells`` or an ``AdjustedStatistic`` copies and unpickles."""
+    return cls(*(np.frombuffer(f.tobytes(), f.dtype) if isinstance(f, np.ndarray) else f
+                 for f in fields))
 
 
 def _at_edges(k: Callable[[np.ndarray], tuple], c0: np.ndarray, c1: np.ndarray

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._inputs import _instance, number
-from ._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw
+from ._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw, _read_only
 from .distributions import DiscretePValueDist
 
 #: Fixed method order; also the deterministic tie-break order in reports.
@@ -71,7 +71,8 @@ class AdjustedStatistic:
     "1-p" methods, so z[i] and cells[i] are already paired in
     quantile-coupling order.  ``variance`` is the per-term variance used
     to build the surrogate null.  A single-atom source is allowed here
-    (variance 0, ``is_degenerate``); ``surrogate`` refuses it.
+    (variance 0, ``is_degenerate``); ``surrogate`` refuses it.  Its arrays
+    are read-only, in a copy or an unpickled one too.
     """
 
     method: str
@@ -80,6 +81,10 @@ class AdjustedStatistic:
     cells: Cells
     mean: float
     variance: float
+
+    def __reduce__(self):
+        return _read_only, (AdjustedStatistic, self.method, self.z, self.atoms, self.cells,
+                            self.mean, self.variance)
 
     @property
     def masses(self) -> np.ndarray:
@@ -104,8 +109,7 @@ def _adjusted(name: str, law, orientation: str,
     if orientation == ORIENT_ONE_MINUS_P:
         cells = cells.reflected()
     z, shares = law.cell_means(cells)
-    for a in (z, *cells):
-        a.setflags(write=False)
+    z.setflags(write=False)
     return AdjustedStatistic(method=name, z=z, atoms=dist.atoms, cells=cells,
                              mean=float((cells.p * z).sum()), variance=float(shares.sum()))
 

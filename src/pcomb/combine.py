@@ -131,7 +131,7 @@ def _layout(dists: tuple, values: tuple, atom) -> tuple:
     cells = _laws.Cells.of_atoms(np.concatenate(atoms), starts)
     picked = np.add(starts, indices)
     runs = _run_layout(cells.p.size, starts)
-    for a in (*cells, picked, *runs):
+    for a in (picked, *runs):
         a.setflags(write=False)
     return indices, picked, {ORIENT_P: cells, ORIENT_ONE_MINUS_P: cells.reflected()}, runs
 

@@ -38,9 +38,10 @@ A rare-variant study builds the same few nulls again and again, so
 ``make_statistic_model`` keeps the last 256 named-family models of at most
 1,024 points in an LRU memo keyed by the family and the parameter values
 as the input policy reads them.  Such a model is one shared, read-only
-object (its ``params`` a ``MappingProxyType``), and it keeps the sided
-distributions built from it; at about 64 B a point for its three sides,
-the memo holds at most 16 MiB of arrays, under 17 MiB in all.  No output
+object (its ``params`` a ``MappingProxyType``); its memo entry, not the
+model, keeps the sided distributions built from it, so an evicted model is
+freed at once.  At about 64 B a point for a model and its three sides, the
+memo holds at most 16 MiB of arrays, under 17 MiB in all.  No output
 depends on it: a model or a distribution found there has the bits of one
 built afresh.
 """
@@ -88,8 +89,8 @@ ATOM_TOL = 1e-12
 CUSTOM_PMF_TOL = 1e-9
 
 # make_statistic_model's memo: the last _MEMO_MODELS named-family models of
-# at most _MEMO_POINTS points, keyed by (family, coerced values), each held
-# as (model, points before zero masses were dropped) for the cap's recheck
+# at most _MEMO_POINTS points by (family, coerced values), each held as (model,
+# points before zero masses were dropped, to recheck the cap; its sides by name)
 _MEMO_MODELS = 256
 _MEMO_POINTS = 1024
 _memo: OrderedDict = OrderedDict()
@@ -111,21 +112,19 @@ class StatisticModel:
         Strictly increasing outcomes; read-only, as is ``pmf``.
     pmf : ndarray of float
         Matching masses; positive, summing to one within 1e-12.
-
-    A model of at most ``_MEMO_POINTS`` points keeps the sided
-    distributions ``pvalue_distribution`` builds from it, one per side.
     """
 
     family: str
     params: Mapping[str, float]
     support: np.ndarray
     pmf: np.ndarray
+    _key = None   # not a field: the memo key a named model is built under, else None
 
     def __post_init__(self):
         support = numbers(self.support, "support", integral=True).copy()
         pmf = numbers(self.pmf, "pmf", finite=False).copy()
         support.flags.writeable = pmf.flags.writeable = False   # copies: never the caller's
-        self.__dict__.update(support=support, pmf=pmf, _sided={})   # past the frozen __setattr__
+        self.__dict__.update(support=support, pmf=pmf)   # past the frozen __setattr__
         if pmf.shape != support.shape or support.size == 0:
             raise ValueError("support and pmf must be 1-D arrays of equal, nonzero length")
         _require((support[1:] > support[:-1]).all(), "support must be strictly increasing")
@@ -139,8 +138,7 @@ class StatisticModel:
             raise ValueError(f"pmf must sum to 1 within {ATOM_TOL}, got {total!r}")
 
     def __reduce__(self):
-        # a copy or an unpickled model goes through the validating constructor:
-        # a read-only params view does not pickle, and kept sides are no part of it
+        # through the validating constructor, as a params view does not pickle
         return StatisticModel, (self.family, dict(self.params), self.support, self.pmf)
 
     def cdf(self) -> np.ndarray:
@@ -169,7 +167,8 @@ class DiscretePValueDist:
 
     ``outcome_map`` maps a support index of the generating model to the
     atom index the outcome's p-value falls on; it is None for custom
-    distributions, which carry no statistic model.  Both are read-only.
+    distributions, which carry no statistic model.  Both are read-only, in
+    a copy or an unpickled one too.
     """
 
     atoms: np.ndarray
@@ -194,6 +193,9 @@ class DiscretePValueDist:
         if self.outcome_map is not None:   # a copy, so the caller's stays writable
             object.__setattr__(self, "outcome_map", np.array(self.outcome_map))
             self.outcome_map.flags.writeable = False
+
+    def __reduce__(self):   # through the validating constructor, as the model
+        return DiscretePValueDist, (self.atoms, self.side, self.model, self.outcome_map)
 
     @property
     def masses(self) -> np.ndarray:
@@ -482,10 +484,10 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
     support.flags.writeable = pmf.flags.writeable = False
     model = _built(StatisticModel, family=family,
                    params=MappingProxyType(dict(zip(takes, key[1]))),
-                   support=support, pmf=pmf, _sided={})
+                   support=support, pmf=pmf, _key=key)
     if points <= _MEMO_POINTS:
         with _memo_lock:
-            _memo[key] = model, points
+            _memo[key] = model, points, {}
             if len(_memo) > _MEMO_MODELS:
                 _memo.popitem(last=False)
     return model
@@ -532,12 +534,15 @@ def _two_sided_grouping(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
-    """Sided discrete p-value distribution of a statistic model; a model of
-    at most ``_MEMO_POINTS`` points builds each side once and keeps it."""
+    """Sided discrete p-value distribution of a statistic model; the memo
+    entry of a stored model builds each side once and keeps it."""
     _instance(model, StatisticModel, "model", "a statistic model")
     if side not in SIDES:
         raise _refuse("side", f"one of {SIDES}", side, repr)
-    kept = model._sided.get(side)
+    # only this very model's memo entry keeps sides (a dict read needs no lock)
+    entry = _memo.get(model._key)
+    sides = entry[2] if entry is not None and entry[0] is model else {}
+    kept = sides.get(side)
     if kept is not None:
         return kept
     m = model.pmf.size
@@ -561,9 +566,7 @@ def pvalue_distribution(model: StatisticModel, side: str) -> DiscretePValueDist:
     atoms.flags.writeable = outcome_map.flags.writeable = False
     dist = _built(DiscretePValueDist, atoms=atoms, side=side, model=model,
                   outcome_map=outcome_map)
-    # a kept side ties model and distribution in a cycle, which only the
-    # collector frees: a large model keeps none, so it is freed at once
-    return model._sided.setdefault(side, dist) if m <= _MEMO_POINTS else dist
+    return sides.setdefault(side, dist)
 
 
 def custom_pvalue_distribution(atom_sequence: Sequence[float], side: str) -> DiscretePValueDist:

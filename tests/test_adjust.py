@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import math
+import pickle
 import re
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from pcomb import (METHODS, DiscretePValueDist, StatisticModel, adjust, adjust_g
                    custom_pvalue_distribution, make_statistic_model, method_spec,
                    pvalue_distribution, synthetic_scenario, w2_discrete_continuous)
 from pcomb._laws import Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, _norm_pdf, _xlogx
-from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P
+from pcomb.adjust import ORIENT_ONE_MINUS_P, ORIENT_P, AdjustedStatistic
 from pcomb.distributions import _run_sums
 
 from conftest import make_random_dists
@@ -370,9 +373,9 @@ def test_arrays_handed_out_are_read_only():
     arrays = [model.support, model.pmf, named.atoms, named.outcome_map]
     for method in ("fisher", "stouffer"):   # both orientations of the cells
         adjusted = adjust(method, named)
-        arrays += [adjusted.z, adjusted.atoms, *adjusted.cells]
+        arrays += [adjusted.z, adjusted.atoms, *adjusted.cells[:5]]
     adjusted = adjust_generic(*GENERIC["pearson"], named)
-    arrays += [adjusted.z, *adjusted.cells]
+    arrays += [adjusted.z, *adjusted.cells[:5]]   # the arrays, not is_reflected
     for array in arrays:
         assert not array.flags.writeable
 
@@ -392,6 +395,52 @@ def test_arrays_the_caller_passed_stay_writable():
     support[0], pmf[0], atoms[0], outcome_map[0] = 9, 0.0, 0.5, 1
     assert model.support[0] == direct.support[0] == 0 and direct.pmf[0] == 0.25
     assert dist.atoms[0] == mapped.atoms[0] == 0.25 and mapped.outcome_map[0] == 0
+
+
+COPIES = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+          "deepcopy": copy.deepcopy, "copy": copy.copy}
+
+
+def _flat(obj):
+    """Every value a record holds, the records it holds opened in turn."""
+    if isinstance(obj, Cells):
+        return [v for f in obj for v in _flat(f)]
+    if isinstance(obj, (StatisticModel, DiscretePValueDist, AdjustedStatistic)):
+        return [type(obj), *(v for f in fields(obj) for v in _flat(getattr(obj, f.name)))]
+    return [obj]
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_copies_and_pickles_keep_every_bit_and_read_only_arrays(how):
+    # a writable array in a copy would let the layout memo, keyed by the
+    # distributions' identity, hand back a result of the old values
+    model = make_statistic_model("binomial", {"trials": 6, "prob": 0.5})
+    named = pvalue_distribution(model, "two")
+    records = [model, named, custom_pvalue_distribution([0.25, 1.0], "left"),
+               StatisticModel("custom", {}, [0, 1], [0.5, 0.5]),
+               adjust("fisher", named), adjust("stouffer", named),
+               adjust_generic(*GENERIC["pearson"], named)]
+    records += [r.cells for r in records[-3:]]
+    for record in records:
+        flat, again = _flat(record), _flat(COPIES[how](record))
+        assert len(again) == len(flat) and any(isinstance(v, np.ndarray) for v in flat)
+        for want, got in zip(flat, again):
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            else:   # a read-only params view equals the dict a copy holds
+                assert got == want
+
+
+def test_a_cells_field_cannot_be_assigned():
+    cells = adjust("fisher", pvalue_distribution(
+        make_statistic_model("binomial", {"trials": 6, "prob": 0.5}), "two")).cells
+    for name in Cells._fields:
+        with pytest.raises(AttributeError):
+            setattr(cells, name, np.zeros(3))
+    for array in cells[:5]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,29 @@ def test_verdicts_skip_metrics_without_direction_and_loss_within_bound_passes():
     ]
 
 
+def test_each_run_prints_its_exit_and_end_to_end_values_as_it_ends(tmp_path, capsys,
+                                                                   monkeypatch):
+    spec = {"end_to_end": [{"name": "scaled_work_per_s", "better": "higher", "bound": 0.25},
+                           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}],
+            "per_layer": [{"name": "setup_s", "better": "lower"}]}
+    files = {**BENCH, "BENCHMARK.json": json.dumps(spec)}
+    parent, change = _tree(tmp_path / "parent", files), _tree(tmp_path / "change", files)
+    runs = {(parent, 41): _run(41, 132203.5, 0.5), (change, 41): _run(41, 98.25, 0.5),
+            (parent, 42): _run(42, 120000.0, 0.5, exit_code=1),
+            (change, 42): {"seed": 42, "exit": 1, "result": None}}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed, trace: runs[checkout, seed])
+    assert bench_pairs.main([parent, change, "--workload", "analyze", "--seeds", "41-42"]) == 1
+    # the parent runs first on even pairs and the change on odd ones; only
+    # end-to-end metrics are listed, and only those a run reports
+    assert capsys.readouterr().err.splitlines() == [
+        "pair 0 seed 41 parent: exit 0, scaled_work_per_s 132204",
+        "pair 0 seed 41 change: exit 0, scaled_work_per_s 98.25",
+        "pair 1 seed 42 change: exit 1",
+        "pair 1 seed 42 parent: exit 1, scaled_work_per_s 120000",
+    ]
+
+
 def test_a_bad_run_still_prints_the_summary_and_exits_1(tmp_path, capsys, monkeypatch):
     files = {**BENCH, "BENCHMARK.json": json.dumps({"end_to_end": []})}
     parent, change = _tree(tmp_path / "parent", files), _tree(tmp_path / "change", files)

@@ -764,8 +764,11 @@ def test_a_side_is_built_once_per_model():
     for side in SIDES:
         assert pvalue_distribution(model, side) is dists[side]
         assert pvalue_distribution(make_statistic_model("hypergeometric", SNP), side) is dists[side]
+    # the memo entry keeps the sides, so a model the memo does not hold keeps none
     custom = make_statistic_model("custom", {"support": [0, 1], "pmf": [0.5, 0.5]})
-    assert pvalue_distribution(custom, "left") is pvalue_distribution(custom, "left")
+    assert pvalue_distribution(custom, "left") is not pvalue_distribution(custom, "left")
+    copied = copy.deepcopy(model)
+    assert pvalue_distribution(copied, "two") is not pvalue_distribution(copied, "two")
 
 
 @pytest.mark.parametrize("family,params", [
@@ -865,16 +868,33 @@ def test_the_full_memo_holds_its_arrays_and_little_else():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    stored = [m for m, _ in distributions._memo.values()]
+    stored = list(distributions._memo.values())
     assert len(stored) == distributions._MEMO_MODELS
     # support and pmf, then each side's atoms and outcome map: 8 B a point each
     arrays = sum(m.support.nbytes + m.pmf.nbytes
-                 + sum(d.atoms.nbytes + d.outcome_map.nbytes for d in m._sided.values())
-                 for m in stored)
-    points = sum(m.support.size for m in stored)
+                 + sum(d.atoms.nbytes + d.outcome_map.nbytes for d in sides.values())
+                 for m, _, sides in stored)
+    points = sum(m.support.size for m, _, _ in stored)
     assert arrays <= 64 * points <= 64 * distributions._MEMO_MODELS * distributions._MEMO_POINTS
     # the objects around them take a few KB a model; under 17 MiB in all
     assert arrays < held < arrays + 4096 * len(stored) < 17 << 20
+
+
+def test_dropped_models_and_their_sides_leave_no_cycles():
+    # the memo entry, not the model, keeps the sides: a model kept them once,
+    # and each side points back at its model, a cycle only the collector freed
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(distributions._MEMO_MODELS + 20):
+            model = make_statistic_model("binomial", {"trials": 40, "prob": 0.3 + i * 1e-4})
+            for side in SIDES:
+                pvalue_distribution(model, side)
+        del model
+        distributions._memo.clear()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_params_of_a_named_model_are_read_only():
@@ -930,6 +950,7 @@ def test_threads_building_the_same_models_get_equal_ones():
     assert not any(th.is_alive() for th in threads)
     assert not wrong and sorted(done) == [0, 1, 2, 3]
     assert len(distributions._memo) == distributions._MEMO_MODELS
-    for (family, values), (model, points) in distributions._memo.items():
+    for (family, values), (model, points, sides) in distributions._memo.items():
         assert model.family == family and tuple(model.params.values()) == values
         assert points == model.support.size
+        assert all(s in SIDES and d.side == s and d.model is model for s, d in sides.items())

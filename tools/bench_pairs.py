@@ -6,7 +6,9 @@
 Each seed is one pair: ``python3 bench/run.py --workload W --seed S
 --trace X`` runs in the parent checkout and in the change's, for the length
 the benchmark sets, the parent first on even pairs and the change first on odd
-ones, so drift in the machine's speed falls on both sides alike.  The summary
+ones, so drift in the machine's speed falls on both sides alike.  Each run
+prints a line on stderr as it ends, ``pair N seed S side: exit E`` and its
+end-to-end values, so a lost pair can be named and rerun.  The summary
 gives, per metric the runs report, each side's median and quartiles and the
 change's wins (ties count for neither side), then every run that exited
 non-zero, failed operations or read ``correct: false``, then a verdict per
@@ -175,10 +177,12 @@ def differing_bench_files(parent: str, change: str) -> list[str]:
     return sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
 
 
-def _metrics(checkout: str) -> dict[str, dict]:
-    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
-    return {m["name"]: m for m in spec["end_to_end"] + spec.get("per_layer", [])}
+def run_line(i: int, side: str, run: dict, names: list[str]) -> str:
+    """The line that reports run ``run``, the ``side`` of pair ``i``: its
+    exit code, then its value of each metric of ``names`` it reports."""
+    got = run["result"]["metrics"] if run["result"] else {}
+    values = "".join(f", {name} {got[name]['value']:g}" for name in names if name in got)
+    return f"pair {i} seed {run['seed']} {side}: exit {run['exit']}{values}"
 
 
 def main(argv=None) -> int:
@@ -195,14 +199,17 @@ def main(argv=None) -> int:
         print("the checkouts run different benchmarks; these files differ: "
               + ", ".join(differ), file=sys.stderr)
         return 2
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    metrics = {m["name"]: m for m in spec["end_to_end"] + spec.get("per_layer", [])}
+    end_to_end = [m["name"] for m in spec["end_to_end"]]
     pairs = []
     for i, seed in enumerate(args.seeds):
         pair = {}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             pair[side] = run_once(checkouts[side], args.workload, seed, args.trace)
-            print(f"pair {i} seed {seed} {side}: exit {pair[side]['exit']}", file=sys.stderr)
+            print(run_line(i, side, pair[side], end_to_end), file=sys.stderr)
         pairs.append(pair)
-    metrics = _metrics(args.change)
     print(summarize(pairs, {name: m["better"] for name, m in metrics.items()}))
     print(verdicts(pairs, metrics))
     return int(any(_bad(pair[side]) for pair in pairs for side in SIDES))
