@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _laws
-from ._inputs import _refuse, _require, integers, numbers, probability, sequence
+from ._inputs import _refuse, _require, integers, number, numbers, probability, sequence
 from .adjust import ORIENT_ONE_MINUS_P, ORIENT_P, MethodSpec, method_spec
 from .distributions import DiscretePValueDist, _dist_entries, _laid_sums, _run_layout
 
@@ -49,6 +49,7 @@ class SurrogateDist:
 
     def p_value(self, s: float) -> float:
         """Global p-value of an observed sum under the rejection tail."""
+        s = number(s, "s", finite=False)
         return float(self.law.sf(s) if self.tail == "upper" else self.law.cdf(s))
 
     def quantile(self, p: float) -> float:

@@ -34,16 +34,18 @@ Poisson, geometric and binomial masses are bit-identical to
 below TAIL_EPS, found by bisection from the law's mean, and a support
 over SUPPORT_CAP points is refused before anything is allocated.
 
-A rare-variant study builds the same few nulls again and again, so
-``make_statistic_model`` keeps the last 256 named-family models of at most
-1,024 points in an LRU memo keyed by the family and the parameter values
-as the input policy reads them.  Such a model is one shared, read-only
-object (its ``params`` a ``MappingProxyType``); its memo entry, not the
-model, keeps the sided distributions built from it, so an evicted model is
-freed at once.  At about 64 B a point for a model and its three sides, the
-memo holds at most 16 MiB of arrays, under 17 MiB in all.  No output
-depends on it: a model or a distribution found there has the bits of one
-built afresh.
+A rare-variant study builds the same few hundred nulls again and again,
+so ``make_statistic_model`` keeps its most recent named-family models of at
+most 1,024 points in an LRU memo keyed by the family and the parameter
+values as the input policy reads them.  Such a model is one shared,
+read-only object (its ``params`` a ``MappingProxyType``); its memo entry,
+not the model, keeps the sided distributions built from it, so an evicted
+model is freed at once.  The memo is bounded by bytes, not by models: an
+entry is charged 64 B a point, the arrays of a model and its three sides,
+plus 4 KiB for their objects, and the least recently used entries go once
+the charges pass 16 MiB.  That holds 240 models of 1,024 points or about
+4,000 of one point, under 17 MiB in all.  No output depends on it: a model
+or a distribution found there has the bits of one built afresh.
 """
 
 from __future__ import annotations
@@ -88,12 +90,25 @@ TIE_RTOL = 1e-12
 ATOM_TOL = 1e-12
 CUSTOM_PMF_TOL = 1e-9
 
-# make_statistic_model's memo: the last _MEMO_MODELS named-family models of
-# at most _MEMO_POINTS points by (family, coerced values), each held as (model,
-# points before zero masses were dropped, to recheck the cap; its sides by name)
-_MEMO_MODELS = 256
+# make_statistic_model's memo: the most recent named-family models of at most
+# _MEMO_POINTS points by (family, coerced values), each held as (model, points
+# before zero masses were dropped, to recheck the cap; its sides by name) and
+# charged 64 B a point plus _MEMO_ENTRY for its objects, up to _MEMO_BYTES
+_MEMO_BYTES = 16 << 20
+_MEMO_ENTRY = 4096
 _MEMO_POINTS = 1024
-_memo: OrderedDict = OrderedDict()
+
+
+class _Memo(OrderedDict):
+    """An LRU dict with ``charged``, the bytes its entries are charged."""
+    charged = 0
+
+    def clear(self):
+        super().clear()
+        self.charged = 0
+
+
+_memo = _Memo()
 _memo_lock = threading.Lock()
 
 
@@ -457,7 +472,8 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
     custom model is never stored."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    params = dict(params or {})
+    params = dict(_instance({} if params is None else params, Mapping, "params",
+                            "a mapping of parameter names to values"))
     takes = FAMILY_PARAMS[family]
     for key in params:
         _require(key in takes, f"the {family} model takes no parameter {key!r}")
@@ -487,9 +503,12 @@ def make_statistic_model(family: str, params: Mapping | None = None) -> Statisti
                    support=support, pmf=pmf, _key=key)
     if points <= _MEMO_POINTS:
         with _memo_lock:
-            _memo[key] = model, points, {}
-            if len(_memo) > _MEMO_MODELS:
-                _memo.popitem(last=False)
+            entry = _memo.setdefault(key, (model, points, {}))   # another thread's, if stored
+            if entry[0] is model:
+                _memo.charged += 64 * points + _MEMO_ENTRY
+                while _memo.charged > _MEMO_BYTES:
+                    _memo.charged -= 64 * _memo.popitem(last=False)[1][1] + _MEMO_ENTRY
+        model = entry[0]
     return model
 
 

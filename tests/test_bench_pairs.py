@@ -188,3 +188,65 @@ def test_a_bad_run_still_prints_the_summary_and_exits_1(tmp_path, capsys, monkey
         assert out[0].startswith("scaled_work_per_s: parent 100 [100, 100]")
         flagged = [line for line in out if line.startswith("BAD")]
         assert len(flagged) == 1 and flagged[0].startswith("BAD change seed 2: exit ")
+
+
+PROV = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
+        "commit": "b3c0b13", "src_sha256": "ab12", "generator": None}
+
+
+def test_a_run_reads_its_result_and_provenance_from_the_benchmark(tmp_path):
+    line = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}})
+    script = (f"print('provenance: ' + {json.dumps({**PROV, 'seed': 7})!r})\n"
+              f"print({line!r})\nraise SystemExit(1)\n")
+    checkout = _tree(tmp_path / "c", {"bench/run.py": script})
+    assert bench_pairs.run_once(checkout, "analyze", 7, 0) == {
+        "seed": 7, "exit": 1, "result": json.loads(line), "provenance": {**PROV, "seed": 7}}
+    empty = _tree(tmp_path / "e", {"bench/run.py": "print('not json')\n"})
+    assert bench_pairs.run_once(empty, "analyze", 7, 0) == {
+        "seed": 7, "exit": 0, "result": None, "provenance": None}
+
+
+def test_out_writes_each_pair_and_values_that_give_the_printed_medians(tmp_path, capsys,
+                                                                        monkeypatch):
+    spec = {"end_to_end": [{"name": "scaled_work_per_s", "better": "higher", "bound": 0.25},
+                           {"name": "setup_s", "better": "lower", "bound": 0.25}]}
+    files = {**BENCH, "BENCHMARK.json": json.dumps(spec)}
+    parent, change = _tree(tmp_path / "parent", files), _tree(tmp_path / "change", files)
+    work = {parent: [100.0, 104.0, 98.5, 101.0], change: [130.0, 128.5, 99.0, 135.0]}
+    runs = {}
+    for side, commit in ((parent, "aaa"), (change, "bbb")):
+        for i, seed in enumerate(range(41, 45)):
+            runs[side, seed] = {**_run(seed, work[side][i], 0.5 + 0.01 * i),
+                                "provenance": {**PROV, "commit": commit, "seed": seed}}
+    runs[change, 43] = {**_run(43, 99.0, 0.52, correct=False), "provenance": None}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed, trace: runs[checkout, seed])
+    out = tmp_path / "BENCH.json"
+    args = [parent, change, "--workload", "analyze", "--seeds", "41-44"]
+    assert bench_pairs.main(args) == 1
+    printed = capsys.readouterr().out
+    assert bench_pairs.main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().out == printed   # the file changes nothing printed
+    got = json.loads(out.read_text())
+    assert set(got) == {"workload", "trace", "provenance", "pairs", "metrics"}
+    assert (got["workload"], got["trace"]) == ("analyze", 0)
+    assert got["provenance"] == {"parent": {**PROV, "commit": "aaa"},
+                                 "change": {**PROV, "commit": "bbb"}}
+    assert [(p["pair"], p["seed"], p["order"]) for p in got["pairs"]] == [
+        (0, 41, ["parent", "change"]), (1, 42, ["change", "parent"]),
+        (2, 43, ["parent", "change"]), (3, 44, ["change", "parent"])]
+    assert got["pairs"][2]["change"] == {
+        "exit": 0, "bad": True, "correct": False, "attempted": 10, "failed": 0,
+        "metrics": {"scaled_work_per_s": 99.0, "setup_s": 0.52}}
+    verdicts = dict(line.split(": ", 1) for line in printed.splitlines()
+                    if line.startswith("verdict "))
+    for name, entry in got["metrics"].items():
+        assert entry["paired"] == 4
+        assert entry["verdict"] == f"verdict {name}: {verdicts[f'verdict {name}']}"
+        for side in bench_pairs.SIDES:
+            values = [p[side]["metrics"][name] for p in got["pairs"]]
+            q1, q2, q3 = bench_pairs._quartiles(values)
+            assert entry[side] == {"q1": q1, "median": q2, "q3": q3}
+            assert f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}]" in printed
+    assert got["metrics"]["scaled_work_per_s"]["wins"] == 4 and "change wins 4/4" in printed
+    assert got["metrics"]["scaled_work_per_s"]["change"]["median"] == 129.25

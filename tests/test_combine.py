@@ -96,6 +96,20 @@ class TestSurrogate:
         lower = surrogate("stouffer", [1.0, 0.5])
         assert lower.p_value(-1.0) == float(lower.law.cdf(-1.0))
 
+    def test_p_value_reads_the_sum_through_the_input_policy(self):
+        # a string once raised numpy's conversion error, and True was read as 1.0
+        for s in (surrogate("fisher", [1.0]), surrogate("stouffer", [1.0, 0.5])):
+            for bad in ("x", True, None, [1.0]):
+                with pytest.raises(ValueError) as info:
+                    s.p_value(bad)
+                assert str(info.value) == f"s must be a number, got {bad!r}"
+            tail = s.law.sf if s.tail == "upper" else s.law.cdf
+            for v in (-1.0, 0.0, 0.7, 4.0, 31.25, math.inf, -math.inf, math.nan):
+                want = np.float64(tail(v)).tobytes()
+                assert np.float64(s.p_value(v)).tobytes() == want
+                assert np.float64(s.p_value(np.float64(v))).tobytes() == want
+            assert s.p_value(4) == s.p_value(4.0) and type(s.p_value(4)) is float
+
 
 class TestTailAndQuantile:
     def test_normal_lower_at_mean(self):

@@ -839,28 +839,55 @@ def test_custom_models_are_never_stored():
     assert not distributions._memo
 
 
+def _charged():
+    """The charges of the memo's entries: 64 B a point and one allowance each."""
+    return sum(64 * points + distributions._MEMO_ENTRY
+               for _, points, _ in distributions._memo.values())
+
+
+def _large(i):
+    return {"trials": distributions._MEMO_POINTS - 1, "prob": 0.3 + i * 1e-4}
+
+
+def _one_point(i):
+    return {"population": 1 + i, "successes": 0, "draws": 1}
+
+
 def test_the_memo_keeps_the_most_recent_models_up_to_its_bound():
-    rates = [1.0 + i for i in range(distributions._MEMO_MODELS + 10)]
-    first = make_statistic_model("poisson", {"rate": rates[0]})
-    for rate in rates[1:distributions._MEMO_MODELS]:
-        make_statistic_model("poisson", {"rate": rate})
-    assert make_statistic_model("poisson", {"rate": rates[0]}) is first   # now the newest
-    second = distributions._memo[("poisson", (rates[1],))][0]
-    for rate in rates[distributions._MEMO_MODELS:]:
-        make_statistic_model("poisson", {"rate": rate})
-    assert len(distributions._memo) == distributions._MEMO_MODELS
-    assert make_statistic_model("poisson", {"rate": rates[0]}) is first
-    assert make_statistic_model("poisson", {"rate": rates[1]}) is not second
+    fits = distributions._MEMO_BYTES // (64 * distributions._MEMO_POINTS
+                                         + distributions._MEMO_ENTRY)
+    assert fits == 240
+    first = make_statistic_model("binomial", _large(0))
+    for i in range(1, fits):
+        make_statistic_model("binomial", _large(i))
+    assert len(distributions._memo) == fits
+    assert make_statistic_model("binomial", _large(0)) is first   # now the newest
+    second = distributions._memo[("binomial", tuple(_large(1).values()))][0]
+    for i in range(fits, fits + 10):
+        make_statistic_model("binomial", _large(i))
+    assert len(distributions._memo) == fits
+    assert make_statistic_model("binomial", _large(0)) is first
+    assert make_statistic_model("binomial", _large(1)) is not second
+    # the bound is in bytes: the 64 KiB one large model frees take 16 one-point models
+    assert make_statistic_model("hypergeometric", _one_point(0)).support.size == 1
+    for i in range(1, 17):
+        make_statistic_model("hypergeometric", _one_point(i))
+    assert len(distributions._memo) == fits - 1 + 17
+    assert make_statistic_model("binomial", _large(0)) is first
+    assert distributions._memo.charged == _charged() <= distributions._MEMO_BYTES
+    distributions._memo.clear()
+    assert distributions._memo.charged == 0
 
 
-def test_the_full_memo_holds_its_arrays_and_little_else():
+def _held_by_a_full_memo(params):
+    """Bytes that filling the memo past its budget with the models of
+    ``params`` and their sides leaves traced, and the arrays it holds."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for i in range(distributions._MEMO_MODELS + 20):
-            model = make_statistic_model("binomial", {"trials": distributions._MEMO_POINTS - 1,
-                                                      "prob": 0.3 + i * 1e-4})
+        for family, p in params:
+            model = make_statistic_model(family, p)
             for side in SIDES:
                 pvalue_distribution(model, side)
         del model
@@ -869,28 +896,44 @@ def test_the_full_memo_holds_its_arrays_and_little_else():
     finally:
         tracemalloc.stop()
     stored = list(distributions._memo.values())
-    assert len(stored) == distributions._MEMO_MODELS
+    assert len(stored) < len(params) and distributions._memo.charged == _charged()
     # support and pmf, then each side's atoms and outcome map: 8 B a point each
     arrays = sum(m.support.nbytes + m.pmf.nbytes
                  + sum(d.atoms.nbytes + d.outcome_map.nbytes for d in sides.values())
                  for m, _, sides in stored)
-    points = sum(m.support.size for m, _, _ in stored)
-    assert arrays <= 64 * points <= 64 * distributions._MEMO_MODELS * distributions._MEMO_POINTS
+    assert arrays <= 64 * sum(points for _, points, _ in stored)
+    return held, arrays, len(stored)
+
+
+def test_the_full_memo_holds_its_arrays_and_little_else():
+    held, arrays, stored = _held_by_a_full_memo([("binomial", _large(i)) for i in range(260)])
+    assert stored == 240
     # the objects around them take a few KB a model; under 17 MiB in all
-    assert arrays < held < arrays + 4096 * len(stored) < 17 << 20
+    assert arrays < held < arrays + distributions._MEMO_ENTRY * stored < 17 << 20
 
 
-def test_dropped_models_and_their_sides_leave_no_cycles():
+def test_a_memo_full_of_the_smallest_models_holds_their_objects_within_budget():
+    # one-point models: the objects, not the arrays, take nearly all the bytes
+    fits = distributions._MEMO_BYTES // (64 + distributions._MEMO_ENTRY)
+    held, arrays, stored = _held_by_a_full_memo(
+        [("hypergeometric", _one_point(i)) for i in range(fits + 20)])
+    assert stored == fits and arrays == 64 * stored
+    assert arrays < held < arrays + distributions._MEMO_ENTRY * stored < 17 << 20
+
+
+def test_dropped_models_and_their_sides_leave_no_cycles(monkeypatch):
     # the memo entry, not the model, keeps the sides: a model kept them once,
     # and each side points back at its model, a cycle only the collector freed
+    monkeypatch.setattr(distributions, "_MEMO_BYTES", 100 * (64 * 41 + distributions._MEMO_ENTRY))
     gc.collect()
     gc.disable()
     try:
-        for i in range(distributions._MEMO_MODELS + 20):
+        for i in range(120):   # 20 evicted, then the rest cleared
             model = make_statistic_model("binomial", {"trials": 40, "prob": 0.3 + i * 1e-4})
             for side in SIDES:
                 pvalue_distribution(model, side)
         del model
+        assert len(distributions._memo) == 100
         distributions._memo.clear()
         assert gc.collect() == 0
     finally:
@@ -902,6 +945,7 @@ def test_params_of_a_named_model_are_read_only():
     with pytest.raises(TypeError):
         model.params["trials"] = 6
     assert model.params == {"trials": 5, "prob": 0.5}
+    assert make_statistic_model(model.family, model.params) is model   # a read-only view is a mapping
     assert model.to_json() == {"family": "binomial", "params": {"trials": 5, "prob": 0.5}}
     assert StatisticModel.from_json(json.loads(json.dumps(model.to_json()))) is model
 
@@ -918,13 +962,16 @@ def test_models_and_distributions_pickle_and_copy_with_their_bits():
     assert _model_bits(again.model) == _model_bits(model)
 
 
-def test_threads_building_the_same_models_get_equal_ones():
+def test_threads_building_the_same_models_get_equal_ones(monkeypatch):
     # more threads than cores and more models than the memo holds, so
     # lookups, stores and evictions interleave
     named = [("hypergeometric", {**SNP, "draws": d}) for d in range(1, 40)]
-    named += [("poisson", {"rate": 0.5 + r}) for r in range(distributions._MEMO_MODELS)]
+    named += [("poisson", {"rate": 0.5 + r}) for r in range(256)]
     want = [_model_bits(make_statistic_model(*n)) for n in named]
+    budget = _charged() // 2
     distributions._memo.clear()
+    assert distributions._memo.charged == 0
+    monkeypatch.setattr(distributions, "_MEMO_BYTES", budget)
     done, wrong = [], []
 
     def worker(t):
@@ -949,8 +996,12 @@ def test_threads_building_the_same_models_get_equal_ones():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not wrong and sorted(done) == [0, 1, 2, 3]
-    assert len(distributions._memo) == distributions._MEMO_MODELS
+    # a model two threads stored is charged once
+    assert 0 < len(distributions._memo) < len(named)
+    assert distributions._memo.charged == _charged() <= budget
     for (family, values), (model, points, sides) in distributions._memo.items():
         assert model.family == family and tuple(model.params.values()) == values
         assert points == model.support.size
         assert all(s in SIDES and d.side == s and d.model is model for s, d in sides.items())
+    distributions._memo.clear()
+    assert distributions._memo.charged == 0 and not distributions._memo

@@ -405,6 +405,16 @@ def _type1(**kw):
                  "the binomial model takes no parameter 'rate'", id="model-unknown-key"),
     pytest.param(lambda: make_statistic_model("poisson", {}),
                  "the poisson model needs the parameter 'rate'", id="model-missing-key"),
+    # params that are no mapping once raised dict()'s own errors
+    pytest.param(lambda: make_statistic_model("binomial", "ab"),
+                 "params must be a mapping of parameter names to values, got 'ab'",
+                 id="model-params-str"),
+    pytest.param(lambda: make_statistic_model("binomial", 5),
+                 "params must be a mapping of parameter names to values, got 5",
+                 id="model-params-int"),
+    pytest.param(lambda: make_statistic_model("binomial", [("trials", 5), ("prob", 0.5)]),
+                 "params must be a mapping of parameter names to values, "
+                 "got [('trials', 5), ('prob', 0.5)]", id="model-params-pairs"),
     # a string is not a list: "fisher" once ran as the methods "f", "i", ...
     pytest.param(lambda: type1_experiment(synthetic_scenario("PC"), "fisher", [3], 0.05, 10, 1),
                  "methods must be a list of method names, got 'fisher'", id="methods-str"),

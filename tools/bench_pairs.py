@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload analyze --seeds 41-50
     python3 tools/bench_pairs.py PARENT CHANGE --workload cli --seeds 41,43 --trace 1
+    python3 tools/bench_pairs.py PARENT CHANGE --workload analyze --seeds 41-50 --out BENCH.json
 
 Each seed is one pair: ``python3 bench/run.py --workload W --seed S
 --trace X`` runs in the parent checkout and in the change's, for the length
@@ -16,8 +17,12 @@ metric with a direction: the change of the median in percent, whether the
 gain rule holds (the change wins at least 9 in 10 pairs and its median beats
 the parent's by more than the parent's interquartile range), and whether the
 change's median stays within the metric's ``BENCHMARK.json`` bound, the
-fraction by which an end-to-end metric may get worse.  The exit code is 1
-when any run was bad that way, else 0.  Both checkouts must hold the same
+fraction by which an end-to-end metric may get worse.  With ``--out FILE``
+the same pairs are also written to FILE as one JSON object: each pair's
+seed, order, exit and metric values, each metric's quartiles, wins and
+verdict, and each side's provenance as ``bench/run.py`` prints it (commit,
+``src`` SHA-256, Python, numpy, scipy, nproc).  The exit code is 1 when any
+run was bad that way, else 0.  Both checkouts must hold the same
 ``BENCHMARK.json`` and the same files under ``bench/``: if they differ,
 nothing runs, the differing files are named and the exit code is 2.
 Standard library only, so it runs wherever the benchmark does.
@@ -34,6 +39,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+PROVENANCE = "provenance: "   # bench/run.py's line before its JSON result
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -45,18 +51,25 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _json_line(line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        return None
+
+
 def run_once(checkout: str, workload: str, seed: int, trace: int) -> dict:
-    """One benchmark run in ``checkout``: its exit code and its JSON result
-    (None when the run printed none)."""
+    """One benchmark run in ``checkout``: its exit code, its JSON result and
+    its provenance (each None when the run printed none)."""
     proc = subprocess.run([sys.executable, os.path.join("bench", "run.py"),
                            "--workload", workload, "--seed", str(seed), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1]) if lines else None
-    except json.JSONDecodeError:
-        result = None
-    return {"seed": seed, "exit": proc.returncode, "result": result}
+    provenance = [_json_line(line[len(PROVENANCE):]) for line in lines
+                  if line.startswith(PROVENANCE)]
+    return {"seed": seed, "exit": proc.returncode,
+            "result": _json_line(lines[-1]) if lines else None,
+            "provenance": provenance[-1] if provenance else None}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -129,28 +142,60 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> str:
 def verdicts(pairs: list[dict], metrics: dict[str, dict]) -> str:
     """A verdict line per metric of ``pairs`` that ``metrics`` (name to its
     ``BENCHMARK.json`` entry) gives a direction, and both sides report."""
-    out = []
+    lines = (_verdict(name, *_paired(pairs, name), metrics.get(name)) for name in _names(pairs))
+    return "\n".join(line for line in lines if line)
+
+
+def _verdict(name: str, values: dict[str, list], both: list[tuple], metric: dict | None):
+    """``verdicts``' line for one metric, or None when it gets none."""
+    if metric is None or not values["parent"] or not values["change"]:
+        return None
+    better, bound = metric["better"], metric.get("bound")
+    p1, parent, p3 = _quartiles(values["parent"])
+    change = _quartiles(values["change"])[1]
+    gain = change - parent if better == "higher" else parent - change   # > 0: better
+    pct = f"{100.0 * (change - parent) / abs(parent):+.1f}%" if parent else "n/a"
+    wins = _wins(both, better)
+    holds = bool(both) and wins >= 0.9 * len(both) and gain > p3 - p1
+    rule = (f"gain rule {'holds' if holds else 'fails'} (wins {wins}/{len(both)}, "
+            f"gap {gain:.4g} {'>' if gain > p3 - p1 else '<='} parent IQR {p3 - p1:.4g})")
+    if bound is None:
+        within = "no bound"
+    else:
+        worse = -gain / abs(parent) if parent else (math.inf if gain < 0 else 0.0)
+        within = (f"{'within' if worse <= bound else 'OUTSIDE'} bound {100.0 * bound:g}%"
+                  f" (worse by {100.0 * max(0.0, worse):.1f}%)")
+    return f"verdict {name}: median {pct}; {rule}; {within}"
+
+
+def record(pairs: list[dict], metrics: dict[str, dict], workload: str, trace: int) -> dict:
+    """``pairs`` as the JSON object ``--out`` writes: each pair's runs, each
+    metric's quartiles, wins and verdict, and each side's provenance (that of
+    its first run that printed one, less the seed)."""
+    out = {"workload": workload, "trace": trace, "provenance": {}, "pairs": [], "metrics": {}}
+    for side in SIDES:
+        given = [pair[side]["provenance"] for pair in pairs if pair[side].get("provenance")]
+        out["provenance"][side] = ({k: v for k, v in given[0].items() if k != "seed"}
+                                   if given else None)
+    for i, pair in enumerate(pairs):
+        entry = {"pair": i, "seed": pair[SIDES[0]]["seed"], "order": list(pair)}
+        for side in SIDES:
+            run, result = pair[side], pair[side]["result"] or {}
+            entry[side] = {"exit": run["exit"], "bad": _bad(run),
+                           **{k: result[k] for k in ("correct", "attempted", "failed")
+                              if k in result},
+                           "metrics": {name: m["value"]
+                                       for name, m in result.get("metrics", {}).items()}}
+        out["pairs"].append(entry)
     for name in _names(pairs):
         values, both = _paired(pairs, name)
-        if name not in metrics or not values["parent"] or not values["change"]:
-            continue
-        better, bound = metrics[name]["better"], metrics[name].get("bound")
-        p1, parent, p3 = _quartiles(values["parent"])
-        change = _quartiles(values["change"])[1]
-        gain = change - parent if better == "higher" else parent - change   # > 0: better
-        pct = f"{100.0 * (change - parent) / abs(parent):+.1f}%" if parent else "n/a"
-        wins = _wins(both, better)
-        holds = bool(both) and wins >= 0.9 * len(both) and gain > p3 - p1
-        rule = (f"gain rule {'holds' if holds else 'fails'} (wins {wins}/{len(both)}, "
-                f"gap {gain:.4g} {'>' if gain > p3 - p1 else '<='} parent IQR {p3 - p1:.4g})")
-        if bound is None:
-            within = "no bound"
-        else:
-            worse = -gain / abs(parent) if parent else (math.inf if gain < 0 else 0.0)
-            within = (f"{'within' if worse <= bound else 'OUTSIDE'} bound {100.0 * bound:g}%"
-                      f" (worse by {100.0 * max(0.0, worse):.1f}%)")
-        out.append(f"verdict {name}: median {pct}; {rule}; {within}")
-    return "\n".join(out)
+        entry = {side: dict(zip(("q1", "median", "q3"), _quartiles(values[side])))
+                 for side in SIDES if values[side]}
+        if name in metrics:
+            entry["wins"] = _wins(both, metrics[name]["better"])
+        entry.update(paired=len(both), verdict=_verdict(name, values, both, metrics.get(name)))
+        out["metrics"][name] = entry
+    return out
 
 
 def _bench_files(checkout: str) -> dict[str, bytes]:
@@ -192,6 +237,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=parse_seeds, help='e.g. "41-50"')
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--out", help="also write the pairs, quartiles, verdicts and "
+                                  "provenance to this JSON file")
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
     differ = differing_bench_files(args.parent, args.change)
@@ -212,6 +259,10 @@ def main(argv=None) -> int:
         pairs.append(pair)
     print(summarize(pairs, {name: m["better"] for name, m in metrics.items()}))
     print(verdicts(pairs, metrics))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(record(pairs, metrics, args.workload, args.trace), fh, indent=1)
+            fh.write("\n")
     return int(any(_bad(pair[side]) for pair in pairs for side in SIDES))
 
 
