@@ -16,7 +16,8 @@ Both work through exact partial moments on (Q(c0), Q(c1)), with the
 limits x log x -> 0 and phi(Phi^-1(F)) -> 0 at F in {0, 1}, so cells in
 the far tails need no quadrature.  Both take those terms once per cell
 edge, since neighbouring cells share one (``Cells.ends``; ``_at_edges``
-for ``cell_sq_moment``, m + 1 points for a partition of m cells).
+for ``cell_sq_moment``, m + 1 points for a partition of m cells); cells
+that do not tile, such as combine's observed cells, take them at both ends.
 ``QuantileLaw`` is the fallback for arbitrary quantile callables:
 ``_cells_quad`` integrates all cells of a call at once by tanh-sinh
 quadrature, one call of the quantile for steps 1/16 and 1/32 together, then
@@ -39,7 +40,8 @@ class Cells(NamedTuple):
     """Probability cells (lo, hi) of mass p = hi - lo, carrying 1 - lo and
     1 - hi, so a reflected cell never recomputes 1 - (1 - hi).  The cells
     hold partitions of (0, 1) laid end to end, in the order of their atoms
-    even when reflected.  A tuple, so no field can be assigned, and its
+    even when reflected, or, if not ``tiled``, cells taken from such
+    partitions one by one.  A tuple, so no field can be assigned, and its
     arrays are read-only; a copy or an unpickled one keeps them so."""
 
     lo: np.ndarray
@@ -48,6 +50,7 @@ class Cells(NamedTuple):
     one_minus_lo: np.ndarray
     one_minus_hi: np.ndarray
     is_reflected: bool = False
+    tiled: bool = True
 
     def __reduce__(self):
         return _read_only, (Cells, *self)
@@ -60,7 +63,13 @@ class Cells(NamedTuple):
         lo = np.empty_like(hi)
         lo[1:] = hi[:-1]
         lo[starts] = 0.0
-        cells = cls(lo, hi, hi - lo, 1.0 - lo, 1.0 - hi)
+        return cls.of_edges(lo, hi, tiled=True)
+
+    @classmethod
+    def of_edges(cls, lo: np.ndarray, hi: np.ndarray, tiled: bool = False) -> "Cells":
+        """The cells (lo, hi), which unless ``tiled`` need not meet end to end,
+        such as the one observed cell of each test of a combination."""
+        cells = cls(lo, hi, hi - lo, 1.0 - lo, 1.0 - hi, tiled=tiled)
         for a in cells[:5]:   # hi too: the cells keep it, read-only as built
             a.setflags(write=False)
         return cells
@@ -68,7 +77,7 @@ class Cells(NamedTuple):
     def reflected(self) -> "Cells":
         """(1 - hi, 1 - lo): the mean of Q(1 - W) on a cell is that of Q on these."""
         return Cells(self.one_minus_hi, self.one_minus_lo, self.p, self.hi, self.lo,
-                     not self.is_reflected)
+                     not self.is_reflected, self.tiled)
 
     def ends(self, k: Callable[[np.ndarray], np.ndarray], tail: bool = False
              ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +89,15 @@ class Cells(NamedTuple):
         the cell before.  Where a partition starts, at 0 or 1, the cell
         before ends the partition before at 1 or 0: k is 0 at both.  (It
         serves combine's many partitions laid end to end, which
-        ``_at_edges`` would take on all 2m ends, as they do not tile.)"""
+        ``_at_edges`` would take on all 2m ends, as they do not tile.)
+
+        Cells not ``tiled`` take k at both ends of each, in one call: a
+        cell's terms are then the bits it has in its partition, as k of an
+        edge depends on that double alone."""
+        if not self.tiled:
+            lo, hi = (self.one_minus_lo, self.one_minus_hi) if tail else (self.lo, self.hi)
+            at = k(np.concatenate((lo, hi)))
+            return at[:lo.size], at[lo.size:]
         own = self.one_minus_lo if tail else self.lo
         if not self.is_reflected:
             own = self.one_minus_hi if tail else self.hi

@@ -9,14 +9,22 @@ replaced by the sum of the per-test variances.
 
 ``combine`` and ``combine_observations`` adjust all n tests at once and
 build no per-test ``AdjustedStatistic``; S is the left-to-right sum of the
-observed cells' adjusted values.  What does not depend on the method, each
-test's atom, the cells of every distribution laid end to end and the
-layout of their variance runs, is built once per gene side: ``_layout``
-keeps it for the last (distributions, values, lookup) it saw, so the five
-methods of one gene side share it.  Each method then makes the same numpy
-calls for any n: the law evaluates its antiderivative once per cell edge,
-and one zero-led ``reduceat`` (``distributions._run_sums``) gives every
-test's variance with the bits of its shares summed alone.
+observed cells' adjusted values.  A test's variance depends only on its
+distribution and the method, so a combination keeps it on the
+distribution (``DiscretePValueDist._variances``).  A call whose every test
+keeps its variance evaluates the law on the n observed cells only.  They
+do not tile, so each takes its edge terms at both ends; a cell's z
+depends on its two edge doubles alone, so it has the bits it has in its
+partition.  Any other call takes the full pass and keeps every test's
+variance: the law evaluates its antiderivative once per edge of the cells
+of every distribution laid end to end, and one zero-led ``reduceat``
+(``distributions._run_sums``) gives every variance with the bits of its
+shares summed alone.  What does not depend on the method, each test's
+atom, its observed cell and, for a full pass, the cells laid end to end
+and the layout of their variance runs, is built once per gene side, the
+first time a call needs it: ``_layout`` keeps it for the last
+(distributions, values, lookup) it saw, so the five methods of one gene
+side share it.
 """
 
 from __future__ import annotations
@@ -83,7 +91,7 @@ def _surrogate(spec: MethodSpec, nus: np.ndarray) -> SurrogateDist:
                 "has zero variance)" if bad == 0.0 else "")
         raise _refuse("every per-test variance", "positive and finite", f"{bad!r}{hint}", str)
     n = int(nus.size)
-    nu_bar = float(nus.mean())
+    nu_bar = float(np.add.reduce(nus)) / n   # the bits of nus.mean(), without its wrapper
     mu = spec.law.mean
     if isinstance(spec.law, _laws.GammaLaw):
         law = _laws.GammaLaw(shape=mu * mu * n / nu_bar, scale=nu_bar / mu)
@@ -115,26 +123,46 @@ def _match_atom(dist: DiscretePValueDist, value: float) -> int:
     return i
 
 
-@functools.lru_cache(maxsize=1)
-def _layout(dists: tuple, values: tuple, atom) -> tuple:
-    """The part of a combination no method changes: each test's atom index,
-    its cell among the cells of ``dists`` laid end to end, those cells in
-    each orientation, and the layout of their variance runs.
+class _Layout:
+    """The part of a combination no method changes, each piece built the
+    first time a call needs it: the tests' atom ``indices``; their
+    ``observed`` cells in each orientation; and for a ``full`` pass, each
+    test's cell among the cells of every distribution laid end to end,
+    those cells in each orientation and the layout of their variance runs.
+    Its arrays are read-only."""
 
-    One entry: it holds the last call's distributions (by identity) and
-    arrays until a call on other inputs.  The lookup ``atom`` is part of
-    the key, since an observation 1 and a p-value 1.0 are equal keys.  A
-    lookup that raises stores nothing; the stored arrays are read-only."""
-    indices = tuple(atom(d, v) for v, d in zip(values, dists))
-    atoms = [d.atoms for d in dists]
-    sizes = np.array([a.size for a in atoms])
-    starts = sizes.cumsum() - sizes
-    cells = _laws.Cells.of_atoms(np.concatenate(atoms), starts)
-    picked = np.add(starts, indices)
-    runs = _run_layout(cells.p.size, starts)
-    for a in (picked, *runs):
-        a.setflags(write=False)
-    return indices, picked, {ORIENT_P: cells, ORIENT_ONE_MINUS_P: cells.reflected()}, runs
+    def __init__(self, dists: tuple, indices: tuple):
+        self.dists, self.indices = dists, indices
+
+    @functools.cached_property
+    def observed(self) -> dict:
+        picks = list(zip(self.dists, self.indices))
+        hi = np.array([d.atoms.item(j) for d, j in picks])
+        lo = np.array([d.atoms.item(j - 1) if j else 0.0 for d, j in picks])
+        cells = _laws.Cells.of_edges(lo, hi)
+        return {ORIENT_P: cells, ORIENT_ONE_MINUS_P: cells.reflected()}
+
+    @functools.cached_property
+    def full(self) -> tuple:
+        atoms = [d.atoms for d in self.dists]
+        sizes = np.array([a.size for a in atoms])
+        starts = sizes.cumsum() - sizes
+        cells = _laws.Cells.of_atoms(np.concatenate(atoms), starts)
+        picked = np.add(starts, self.indices)
+        runs = _run_layout(cells.p.size, starts)
+        for a in (picked, *runs):
+            a.setflags(write=False)
+        return picked, {ORIENT_P: cells, ORIENT_ONE_MINUS_P: cells.reflected()}, runs
+
+
+@functools.lru_cache(maxsize=1)
+def _layout(dists: tuple, values: tuple, atom) -> _Layout:
+    """The ``_Layout`` of ``dists`` at ``values``.  One entry: it holds the
+    last call's distributions (by identity) and arrays until a call on
+    other inputs.  The lookup ``atom`` is part of the key, since an
+    observation 1 and a p-value 1.0 are equal keys.  A lookup that raises
+    stores nothing."""
+    return _Layout(dists, tuple(atom(d, v) for v, d in zip(values, dists)))
 
 
 def _combined(method: str, values: list, dists: Sequence[DiscretePValueDist], noun: str,
@@ -147,15 +175,28 @@ def _combined(method: str, values: list, dists: Sequence[DiscretePValueDist], no
         raise ValueError("nothing to combine")
     dists = tuple(_dist_entries(dists, "dists"))
     spec = method_spec(method)
-    indices, picked, oriented, runs = _layout(dists, tuple(values), atom)
-    z, shares = spec.law.cell_means(oriented[spec.orientation])
+    layout = _layout(dists, tuple(values), atom)
+    name, nus = spec.name, None
+    if name in dists[0]._variances:   # a cold call looks no further than its first test
+        try:
+            nus = np.array([d._variances[name] for d in dists])
+        except KeyError:
+            pass
+    if nus is None:   # the full pass, which keeps every test's variance
+        picked, oriented, runs = layout.full
+        z, shares = spec.law.cell_means(oriented[spec.orientation])
+        z, nus = z[picked], _laid_sums(shares, *runs)
+        for d, nu in zip(dists, nus.tolist()):
+            d._variances[name] = nu
+    else:
+        z = spec.law.cell_means(layout.observed[spec.orientation])[0]
     statistic = 0.0
-    for v in z[picked].tolist():
+    for v in z.tolist():
         statistic += v   # plain left to right: sum() compensates on 3.12+
-    surr = _surrogate(spec, _laid_sums(shares, *runs))
+    surr = _surrogate(spec, nus)
     return CombinedResult(method=method, n=len(dists), statistic=statistic,
                           surrogate=surr, global_p=surr.p_value(statistic),
-                          atom_indices=indices)
+                          atom_indices=layout.indices)
 
 
 def combine(method: str, observed_pvalues: Sequence[float],

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import gc
 import hashlib
 import json
@@ -9,12 +11,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from pcomb import (METHODS, SurrogateDist, adjust, combine, combine_observations,
                    custom_pvalue_distribution, gene_example, make_statistic_model,
                    pvalue_distribution, surrogate)
 from pcomb._laws import GammaLaw
+from pcomb.adjust import METHOD_SPECS
 from pcomb.combine import _layout, _match_atom
 from pcomb.distributions import TIE_RTOL, DiscretePValueDist, _two_sided_grouping
 
@@ -75,6 +79,18 @@ class TestSurrogate:
             for method in ("fisher", "stouffer"):
                 with pytest.raises(ValueError, match=message):
                     surrogate(method, [1.0, bad])
+
+    @settings(max_examples=100, deadline=None)
+    @given(nus=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=600))
+    def test_the_mean_variance_has_the_bits_of_numpys_mean(self, nus):
+        nus = np.array(nus)
+        nu_bar, n = float(nus.mean()), nus.size
+        for method in METHODS:
+            law = surrogate(method, nus).law
+            if law.family == "gamma":
+                assert law.scale.hex() == (nu_bar / METHOD_SPECS[method].law.mean).hex()
+            else:
+                assert law.sd.hex() == math.sqrt(n * nu_bar).hex()
 
     def test_zero_variance_names_both_causes(self):
         with pytest.raises(ValueError) as zero:
@@ -324,9 +340,10 @@ def _bits(res):
 
 
 def _fresh(call, method, values, dists):
-    """``call`` on an empty memo, so it builds its layout itself."""
+    """``call`` on an empty memo and on copies of ``dists``, which keep no
+    variances, so it builds its layout itself and takes the full pass."""
     _layout.cache_clear()
-    return _bits(call(method, values, dists))
+    return _bits(call(method, values, [copy.copy(d) for d in dists]))
 
 
 def _gene_sides(seed, count):
@@ -401,6 +418,7 @@ def test_memo_key_is_distribution_identity_values_and_lookup():
 def test_a_refused_call_leaves_the_stored_entry(call, values, dists, message):
     kept = (combine_observations, "george", [2, 3], [BINOMIAL_LEFT, BINOMIAL_LEFT])
     want = _fresh(*kept)
+    assert _bits(kept[0](*kept[1:])) == want   # the entry the refused call must leave
     method = "no-such-method" if message == "unknown method" else "george"
     with pytest.raises(ValueError, match=message):
         call(method, values, dists)
@@ -411,12 +429,15 @@ def test_a_refused_call_leaves_the_stored_entry(call, values, dists, message):
 
 
 def test_memo_arrays_are_read_only():
-    dists = [BINOMIAL_LEFT, TWO_ATOM]
-    combine("stouffer", [0.5, 0.5], dists)
+    dists = [copy.copy(BINOMIAL_LEFT), copy.copy(TWO_ATOM)]
+    combine("stouffer", [0.5, 0.5], dists)   # the full pass
+    combine("stouffer", [0.5, 0.5], dists)   # the observed cells
     hits = _layout.cache_info().hits
-    _, picked, oriented, runs = _layout(tuple(dists), (0.5, 0.5), _match_atom)
+    layout = _layout(tuple(dists), (0.5, 0.5), _match_atom)
     assert _layout.cache_info().hits == hits + 1
-    for a in (picked, *runs, *oriented["p"][:5], *oriented["1-p"][:5]):   # not is_reflected
+    picked, oriented, runs = layout.full
+    cells = [*oriented.values(), *layout.observed.values()]
+    for a in (picked, *runs, *(a for c in cells for a in c[:5])):   # not the flags
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
 
@@ -435,44 +456,48 @@ def test_an_unpickled_distribution_cannot_leave_the_memo_stale():
 
 
 def _uniform_gene(tests, atoms):
-    """``tests`` custom uniform models of ``atoms`` outcomes, left-sided, and
-    observations whose atom indices stay among Python's cached small ints."""
+    """``tests`` tests of one custom uniform model of ``atoms`` outcomes,
+    left-sided, and observations whose atom indices stay among Python's
+    cached small ints.  One distribution object, so the call keeps one
+    variance on it, not one a test."""
     model = make_statistic_model("custom", {"support": list(range(atoms)),
                                             "pmf": [1.0 / atoms] * atoms})
-    dists = [pvalue_distribution(model, "left") for _ in range(tests)]
-    return [i % min(atoms, 200) for i in range(tests)], dists
+    return [i % min(atoms, 200) for i in range(tests)], [pvalue_distribution(model, "left")] * tests
 
 
 def _held_and_accounted(xs, dists):
-    """Bytes a call leaves held (tracemalloc), the bytes of its entry's arrays
-    and of the key's and the indices' tuples, and its cells and tests."""
+    """Bytes two calls leave held (tracemalloc), the full pass and then the
+    observed cells, the bytes of their entry's arrays and of the key's and
+    the indices' tuples, and its cells and tests."""
     _layout.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        combine_observations("pearson", xs, dists)
+        for _ in range(2):
+            combine_observations("pearson", xs, dists)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    indices, picked, oriented, runs = _layout(tuple(dists), tuple(xs),
-                                              DiscretePValueDist._atom_index)
-    arrays = sum(a.nbytes for a in (picked, *runs, *oriented["p"][:5]))
-    tuples = 3 * sys.getsizeof(indices)   # the indices, and the key's dists and values
+    layout = _layout(tuple(dists), tuple(xs), DiscretePValueDist._atom_index)
+    picked, oriented, runs = layout.full
+    arrays = sum(a.nbytes for a in (picked, *runs, *oriented["p"][:5], *layout.observed["p"][:5]))
+    tuples = 3 * sys.getsizeof(layout.indices)   # the indices, and the key's dists and values
     return np.array([held, arrays + tuples]), oriented["p"].p.size, len(dists)
 
 
 def test_memo_holds_one_entry_of_the_size_of_its_arrays():
     # what stays held after a call is its entry: per cell five float64 cell
-    # arrays and a mask byte; per test its picked cell, zero slot, mask byte
-    # and three tuple slots (the observations' and indices' ints are cached)
+    # arrays and a mask byte; per test its picked cell, zero slot, mask byte,
+    # five float64 observed-cell values and three tuple slots (the
+    # observations' and indices' ints are cached)
     base, cells0, tests0 = _held_and_accounted(*_uniform_gene(20, 50))
     more, cells1, _ = _held_and_accounted(*_uniform_gene(20, 500))
     per_cell = (more - base) / (cells1 - cells0)
     wider, cells2, tests2 = _held_and_accounted(*_uniform_gene(200, 50))
     per_test = (wider - base - per_cell * (cells2 - cells0)) / (tests2 - tests0)
-    assert per_cell[1] == 41.0 and per_test[1] == pytest.approx(41.0)
+    assert per_cell[1] == 41.0 and per_test[1] == pytest.approx(81.0)
     assert per_cell[0] == pytest.approx(per_cell[1], rel=0.01)
     assert per_test[0] == pytest.approx(per_test[1], rel=0.05)
     assert 0 < base[0] - base[1] < 4096   # the objects around the arrays
@@ -491,6 +516,54 @@ def test_memo_holds_one_entry_of_the_size_of_its_arrays():
     finally:
         tracemalloc.stop()
     assert _layout.cache_info().currsize == 1
+
+
+# ---------------------------------------------------------------------------
+# the variances a combination keeps on each distribution
+# ---------------------------------------------------------------------------
+
+def test_a_kept_variance_is_adjusts_and_a_warm_call_has_the_bits_of_a_full_pass():
+    lookups = {combine: _match_atom, combine_observations: DiscretePValueDist._atom_index}
+
+    def runs(call, values, dists):
+        """Each method's bits in a fresh full pass, then in ``call``'s own
+        calls, and the layout entry those calls leave."""
+        want = {m: _fresh(call, m, values, dists) for m in METHODS}
+        _layout.cache_clear()
+        for method in METHODS:
+            assert _bits(call(method, values, dists)) == want[method]
+        return _layout(tuple(dists), tuple(values), lookups[call])
+
+    for xs, pvalues, dists in _gene_sides(31, 3):
+        # the first call of each method takes the full pass and keeps the variances
+        layout = runs(combine_observations, xs, dists)
+        assert "full" in vars(layout) and "observed" not in vars(layout)
+        for d in dists:
+            for method in METHODS:
+                assert d._variances[method].hex() == adjust(method, d).variance.hex()
+        # a warm call evaluates the law on the observed cells only, on any layout
+        for call, values in ((combine_observations, xs), (combine, pvalues)):
+            layout = runs(call, values[::-1], dists[::-1])
+            assert "full" not in vars(layout) and "observed" in vars(layout)
+        # one test without its variance sends the call down the full pass
+        layout = runs(combine_observations, xs, [copy.copy(dists[0]), *dists[1:]])
+        assert "full" in vars(layout) and "observed" not in vars(layout)
+
+
+def test_copies_of_a_distribution_keep_no_variances():
+    d = pvalue_distribution(make_statistic_model("binomial", {"trials": 5, "prob": 0.5}), "two")
+    for method in METHODS:
+        combine_observations(method, [1, 3], [d, d])
+    assert sorted(d._variances) == sorted(METHODS)
+    assert "_variances" not in {f.name for f in dataclasses.fields(d)}
+    assert "_variances" not in repr(d)
+    for copied in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert copied._variances == {}
+        combine_observations("fisher", [1], [copied])
+        assert list(copied._variances) == ["fisher"] and len(d._variances) == len(METHODS)
+    custom = custom_pvalue_distribution([0.25, 0.5, 1.0], "left")
+    combine("george", [0.5], [custom])
+    assert list(custom._variances) == ["george"] and copy.copy(custom)._variances == {}
 
 
 def test_two_threads_alternating_genes_get_the_single_threaded_results():

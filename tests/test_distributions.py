@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import json
@@ -19,9 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pcomb import (DiscretePValueDist, StatisticModel, custom_pvalue_distribution,
-                   make_statistic_model, pvalue_distribution)
+from pcomb import (METHODS, DiscretePValueDist, StatisticModel, combine_observations,
+                   custom_pvalue_distribution, make_statistic_model, pvalue_distribution)
 from pcomb import _inputs, distributions
+from pcomb.combine import _layout
 from pcomb.distributions import SIDES
 
 
@@ -879,9 +881,22 @@ def test_the_memo_keeps_the_most_recent_models_up_to_its_bound():
     assert distributions._memo.charged == 0
 
 
+def _fill_variances(sides):
+    """Each side's five variances, kept as combinations keep them: 30 sides
+    a call, so a call's arrays stay small."""
+    for i in range(0, len(sides), 30):
+        chunk = sides[i:i + 30]
+        xs = [d.model.support.item(0) for d in chunk]
+        for method in METHODS:
+            with contextlib.suppress(ValueError):   # a one-point side's variance is 0
+                combine_observations(method, xs, chunk)
+    assert all(len(d._variances) == len(METHODS) for d in sides)
+
+
 def _held_by_a_full_memo(params):
     """Bytes that filling the memo past its budget with the models of
-    ``params`` and their sides leaves traced, and the arrays it holds."""
+    ``params`` and their sides, each side with its five variances, leaves
+    traced, and the arrays it holds."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -891,6 +906,9 @@ def _held_by_a_full_memo(params):
             for side in SIDES:
                 pvalue_distribution(model, side)
         del model
+        _fill_variances([d for _, _, sides in distributions._memo.values()
+                         for d in sides.values()])
+        _layout.cache_clear()
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -15,6 +15,7 @@ from scipy import special
 from pcomb import (METHODS, FAMILIES, adjust, custom_pvalue_distribution,
                    make_statistic_model, pvalue_distribution, surrogate)
 from pcomb import _laws
+from pcomb.adjust import METHOD_SPECS
 from pcomb._laws import (Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw,
                          _cells_quad)
 from pcomb.cli import run
@@ -252,6 +253,34 @@ def test_shared_edge_coupling_equals_each_cell_alone_bit_for_bit(atoms, ties, se
             alone = [law.cell_sq_moment(z[i:i + 1], cells.lo[i:i + 1], cells.hi[i:i + 1])
                      for i in range(hi.size)]
             assert got.tobytes() == np.concatenate(alone).tobytes(), (law, cells.is_reflected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(atoms=st.lists(_ATOM, max_size=16), ties=st.lists(st.integers(0, 3), max_size=16),
+       cut=st.integers(0, 16))
+@example(atoms=[1e-300, 2e-300, 1e-17, 0.5], ties=[0, 0, 2, 0], cut=2)
+@example(atoms=[1.0 - 1e-12, 1.0 - 1e-16], ties=[3, 1], cut=1)
+def test_an_observed_cell_alone_has_the_bits_of_its_partition(atoms, ties, cut):
+    # two partitions laid end to end, as combine lays its tests, one of
+    # near-tied atoms and atoms near 0 and 1; the cells not tiled take their
+    # edge terms at both ends, each alone and all together
+    tied = []
+    for a, t in zip(atoms, ties):
+        for _ in range(t):
+            a = np.nextafter(a, 2.0)
+            tied.append(a)
+    first = np.unique(np.minimum([*atoms, *tied, 1.0], 1.0))
+    second = np.unique([*first[:cut], 1.0])
+    laid = Cells.of_atoms(np.concatenate((first, second)), [0, first.size])
+    apart = Cells.of_edges(laid.lo, laid.hi)
+    alone = [Cells.of_edges(laid.lo[i:i + 1], laid.hi[i:i + 1]) for i in range(laid.p.size)]
+    for method in METHODS:
+        law = METHOD_SPECS[method].law
+        for flip in (lambda c: c, Cells.reflected):
+            want = law.cell_means(flip(laid))[0].tobytes()
+            assert law.cell_means(flip(apart))[0].tobytes() == want, (method, flip)
+            got = b"".join(law.cell_means(flip(c))[0].tobytes() for c in alone)
+            assert got == want, (method, flip)
 
 
 class _SpecialSpy:
