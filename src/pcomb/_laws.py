@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
+
+from . import _special as special
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 

@@ -9,8 +9,10 @@ two-sided ones group outcomes from least likely upward, summing the masses
 of probability ties into a single atom.
 
 The named families are evaluated here on numpy and ``scipy.special``
-alone; importing pcomb loads neither ``scipy.stats`` nor
-``scipy.integrate``:
+alone, and pcomb never loads ``scipy.stats`` or ``scipy.integrate``.
+``import pcomb`` loads numpy only: scipy.special is imported by the first
+call that needs a special function (see ``_special``), and the
+hypergeometric, noncentral-hypergeometric and geometric laws need none:
 
 - hypergeometric and Fisher's noncentral hypergeometric: the ratios
   f(k+1)/f(k) multiplied outward from the mode and normalised (Liao &
@@ -60,16 +62,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
-try:
-    from scipy.special._ufuncs import _binom_cdf, _binom_pmf
-except ImportError:
-    import scipy
-    raise ImportError(
-        "pcomb needs scipy's private binomial kernels _binom_pmf and _binom_cdf "
-        f"(checked on scipy 1.17.1), which the installed scipy {scipy.__version__} "
-        "does not have") from None
 
+from . import _special as special
 from ._inputs import (INT64_MAX, _instance, _json, _refuse, _refuse_support, _require,
                       cap_support, integer, number, numbers, probability)
 
@@ -317,6 +311,14 @@ def _support(lo: int, hi: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # pmf and tail kernels of the named families (also used by simulate)
 # ---------------------------------------------------------------------------
+
+def _binom_pmf(k, n: int, p: float):
+    return special._binom_pmf(k, n, p)
+
+
+def _binom_cdf(k, n: int, p: float):
+    return special._binom_cdf(k, n, p)
+
 
 def _poisson_pmf(k, rate: float):
     return np.exp(special.xlogy(k, rate) - special.gammaln(k + 1) - rate)

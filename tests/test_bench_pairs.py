@@ -141,10 +141,19 @@ def test_verdicts_skip_metrics_without_direction_and_loss_within_bound_passes():
     assert bench_pairs.verdicts(pairs, {}) == ""
     assert bench_pairs.verdicts(pairs, SPEC).splitlines() == [
         "verdict scaled_work_per_s: median -20.0%; gain rule fails (wins 0/1, "
-        "gap -20 <= parent IQR 0); within bound 25% (worse by 20.0%)",
+        "under 10 pairs, gap -20 <= parent IQR 0); within bound 25% (worse by 20.0%)",
         "verdict setup_s: median +0.0%; gain rule fails (wins 0/1, "
-        "gap 0 <= parent IQR 0); within bound 25% (worse by 0.0%)",
+        "under 10 pairs, gap 0 <= parent IQR 0); within bound 25% (worse by 0.0%)",
     ]
+
+
+def test_gain_rule_fails_on_fewer_than_ten_pairs_however_they_read():
+    # three pairs, each won by far more than the parent's IQR of 1
+    pairs = _runs({"parent": [100.0, 101.0, 102.0], "change": [130.0, 131.0, 132.0]},
+                  {"parent": [0.5] * 3, "change": [0.5] * 3})
+    assert bench_pairs.verdicts(pairs, SPEC).splitlines()[0] == (
+        "verdict scaled_work_per_s: median +29.7%; gain rule fails (wins 3/3, "
+        "under 10 pairs, gap 30 > parent IQR 1); within bound 25% (worse by 0.0%)")
 
 
 def test_each_run_prints_its_exit_and_end_to_end_values_as_it_ends(tmp_path, capsys,

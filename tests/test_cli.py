@@ -577,16 +577,72 @@ def test_requests_load_neither_scipy_stats_nor_integrate(tmp_path):
         json.dumps({"kind": "geometric", "p0": 0.5, "side": "right"}))
     (tmp_path / "binomial.json").write_text(
         json.dumps({"kind": "binomial", "theta0": 0.3, "trials": 5, "side": "two"}))
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    got = _fresh_interpreter(_IMPORT_GUARD, tmp_path)
     assert got["codes"] == [0] * len(got["codes"])
     assert got["loaded"] == []
     assert not got["integrate_after_generic"]
+
+
+def _fresh_interpreter(code, tmp_path):
+    """What ``code`` prints on its last line as JSON, run in a fresh
+    interpreter on this checkout's source with ``tmp_path`` as its argument."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# scipy.special is loaded at the first special-function call, not at import:
+# its package init is most of a call of the console script that needs none.
+_SPECIAL_GUARD = r"""
+import contextlib, io, json, os, sys
+import pcomb, pcomb.cli
+from pcomb import cli
+
+tmp = sys.argv[1]
+out = os.path.join(tmp, "out")
+families = [
+    ("hypergeometric", ["--population", "2000", "--successes", "1000", "--draws", "19"]),
+    ("noncentral-hypergeometric", ["--population", "2000", "--successes", "1000",
+                                   "--draws", "19", "--odds", "2.0"]),
+    ("geometric", ["--prob", "0.3"]),
+]
+requests = [["--help"], ["pdist", "--side", "sideways"]]
+requests += [["pdist", "--family", family, *flags, "--side", side, "--out", out]
+             for family, flags in families for side in ("left", "right", "two")]
+requests += [["adjust", "--method", method, "--pdist", os.path.join(tmp, "d.json"),
+              "--out", out] for method in ("fisher", "pearson", "george", "edgington")]
+
+
+def code(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+codes = [code(argv) for argv in requests]
+before = "scipy.special" in sys.modules
+codes.append(code(["combine", "--method", "fisher", "--input", os.path.join(tmp, "tests.json"),
+                   "--out", out]))
+print(json.dumps({"codes": codes, "before": before, "after": "scipy.special" in sys.modules}))
+"""
+
+
+def test_requests_that_need_no_special_function_leave_scipy_special_unloaded(tmp_path):
+    (tmp_path / "d.json").write_text(json.dumps({"side": "left", "F": [0.2, 0.5, 1.0]}))
+    model = {"family": "hypergeometric",
+             "params": {"population": 2000, "successes": 1000, "draws": 19}}
+    (tmp_path / "tests.json").write_text(json.dumps(
+        {"tests": [{"model": model, "side": "two", "x": x} for x in (7, 9, 13)]}))
+    got = _fresh_interpreter(_SPECIAL_GUARD, tmp_path)
+    assert got["codes"] == [0, 2] + [0] * 14
+    assert not got["before"]
+    assert got["after"]
 
 
 #: sha256 of the CLI transcript (tests/cli_transcript.py); every output the

@@ -220,15 +220,19 @@ class TestMakeStatisticModel:
             make_statistic_model(family, params)
 
 
-def test_missing_private_binomial_kernels_named_at_import():
+def test_missing_private_binomial_kernels_named_at_first_use():
+    # pcomb loads scipy.special at its first special-function call, not at import
     code = ("import scipy.special._ufuncs as u\n"
             "del u._binom_pmf\n"
-            "import pcomb\n")
+            "import pcomb\n"
+            "print('imported', flush=True)\n"
+            "pcomb.make_statistic_model('binomial', {'trials': 5, 'prob': 0.5})\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
+    assert proc.stdout == "imported\n"
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError: pcomb needs scipy's private binomial kernels")

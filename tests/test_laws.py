@@ -4,17 +4,21 @@ formulas they replaced, the laws' cell means against the closed forms
 serialised form against output recorded before the surrogate became a
 law plus a tail."""
 
+import importlib.util
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special
+from scipy.special import _ufuncs
 
 from pcomb import (METHODS, FAMILIES, adjust, custom_pvalue_distribution,
                    make_statistic_model, pvalue_distribution, surrogate)
-from pcomb import _laws
+from pcomb import _laws, distributions
 from pcomb.adjust import METHOD_SPECS
 from pcomb._laws import (Cells, GammaLaw, LogisticLaw, NormalLaw, QuantileLaw, UniformLaw,
                          _cells_quad)
@@ -313,6 +317,53 @@ def test_one_partition_evaluates_each_special_function_once_per_edge(monkeypatch
         monkeypatch.setattr(_laws, "special", spy)
         law.cell_sq_moment(np.linspace(-1.0, 1.0, m), oriented.lo, oriented.hi)
         assert spy.points == {name: [m + 1] * n for name, n in calls.items()}
+
+
+def _unread_special_handle():
+    """A new instance of the module ``_laws`` and ``distributions`` read
+    scipy.special through, no name read from it yet."""
+    spec = importlib.util.find_spec("pcomb._special")
+    handle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(handle)
+    return handle
+
+
+def test_the_special_handle_gives_scipys_own_objects_fetched_once():
+    assert _laws.special is distributions.special
+    handle = _unread_special_handle()
+    assert not hasattr(handle, "__wrapped__")
+    fetch, fetched = handle.__getattr__, []
+    handle.__getattr__ = lambda name: fetched.append(name) or fetch(name)
+    names = ("ndtri", "gammainc", "spence", "pdtrc", "_binom_pmf", "_binom_cdf")
+    got = [[getattr(handle, name) for name in names] for _ in range(3)]
+    # the first read keeps every name; later reads are plain module attributes
+    assert fetched == ["ndtri"] and "__getattr__" not in vars(handle)
+    want = [getattr(_ufuncs if name in ("_binom_pmf", "_binom_cdf") else special, name)
+            for name in names]
+    assert all(a is b for row in got for a, b in zip(row, want))
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        handle.nosuch
+
+
+def test_threads_reading_an_unread_special_handle_at_once_get_one_object():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name in ("ndtri", "gammaincc", "betainc", "_binom_pmf"):
+            handle, barrier, got = _unread_special_handle(), threading.Barrier(8), []
+
+            def read():
+                barrier.wait(timeout=30)
+                got.append(getattr(handle, name))
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(got) == 8 and all(f is getattr(handle, name) for f in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

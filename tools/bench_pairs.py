@@ -14,8 +14,9 @@ gives, per metric the runs report, each side's median and quartiles and the
 change's wins (ties count for neither side), then every run that exited
 non-zero, failed operations or read ``correct: false``, then a verdict per
 metric with a direction: the change of the median in percent, whether the
-gain rule holds (the change wins at least 9 in 10 pairs and its median beats
-the parent's by more than the parent's interquartile range), and whether the
+gain rule holds (at least 10 pairs, the change wins at least 9 in 10 of them
+and its median beats the parent's by more than the parent's interquartile
+range; on fewer pairs it fails, whatever they read), and whether the
 change's median stays within the metric's ``BENCHMARK.json`` bound, the
 fraction by which an end-to-end metric may get worse.  With ``--out FILE``
 the same pairs are also written to FILE as one JSON object: each pair's
@@ -39,6 +40,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+MIN_PAIRS = 10   # the fewest pairs on which the gain rule can hold
 PROVENANCE = "provenance: "   # bench/run.py's line before its JSON result
 
 
@@ -156,9 +158,11 @@ def _verdict(name: str, values: dict[str, list], both: list[tuple], metric: dict
     gain = change - parent if better == "higher" else parent - change   # > 0: better
     pct = f"{100.0 * (change - parent) / abs(parent):+.1f}%" if parent else "n/a"
     wins = _wins(both, better)
-    holds = bool(both) and wins >= 0.9 * len(both) and gain > p3 - p1
+    few = len(both) < MIN_PAIRS
+    holds = not few and wins >= 0.9 * len(both) and gain > p3 - p1
     rule = (f"gain rule {'holds' if holds else 'fails'} (wins {wins}/{len(both)}, "
-            f"gap {gain:.4g} {'>' if gain > p3 - p1 else '<='} parent IQR {p3 - p1:.4g})")
+            + (f"under {MIN_PAIRS} pairs, " if few else "")
+            + f"gap {gain:.4g} {'>' if gain > p3 - p1 else '<='} parent IQR {p3 - p1:.4g})")
     if bound is None:
         within = "no bound"
     else:
