@@ -1,27 +1,31 @@
 """Continuous reference laws with closed-form probability-cell integrals.
 
-A law with quantile function Q owns two elementwise operations on
-probability cells (c0, c1):
+A law with quantile function Q owns two elementwise operations on the
+probability cells of a ``Cells``:
 
 - ``cell_means(cells)``: the means of Q over the cells, which are the
   adjusted statistic z, and each cell's share of Var(Z), scaled by the
   law, so the shares of one partition of (0, 1) sum to its Var(Z).  The
   cells may hold several partitions laid end to end, so one call serves
   every test of a combination;
-- ``cell_sq_moment(z, c0, c1)``: the integral over (c0, c1) of
-  (z - Q(w))^2 dw, the quantile-coupling cell of the W2 diagnostics,
-  exactly 0 on a cell of zero width.
+- ``cell_sq_moment(z, cells)``: the integral over each cell of
+  (z - Q(w))^2 dw, the quantile-coupling cell of the W2 diagnostics, on
+  one partition or on cells that do not tile.
 
-Both work through exact partial moments on (Q(c0), Q(c1)), with the
+Both work through exact partial moments on (Q(lo), Q(hi)), with the
 limits x log x -> 0 and phi(Phi^-1(F)) -> 0 at F in {0, 1}, so cells in
 the far tails need no quadrature.  Both take those terms once per cell
-edge, since neighbouring cells share one (``Cells.ends``; ``_at_edges``
-for ``cell_sq_moment``, m + 1 points for a partition of m cells); cells
+edge, and only ``Cells`` knows how its cells tile (``Cells.ends``, and
+``Cells.edge_terms`` for terms that need not vanish at 0 and 1); cells
 that do not tile, such as combine's observed cells, take them at both ends.
+W2's mass term is hi - lo, not p: a reflected cell whose 1 - F rounds to
+1 has positive mass but zero width, and on any zero-width cell every
+difference of edge terms is +0.0, so the closed forms give exactly 0.0.
 ``QuantileLaw`` is the fallback for arbitrary quantile callables:
 ``_cells_quad`` integrates all cells of a call at once by tanh-sinh
 quadrature, one call of the quantile for steps 1/16 and 1/32 together, then
-one more for each later step on the cells still going.
+one more for each later step on the cells still going; zero-width cells,
+which hold no double to integrate over, never reach it.
 """
 
 from __future__ import annotations
@@ -88,9 +92,8 @@ class Cells(NamedTuple):
         Within a partition a cell's lo is the hi of the cell before it, bit
         for bit, as ``of_atoms`` copies it; reflected, its hi is the lo of
         the cell before.  Where a partition starts, at 0 or 1, the cell
-        before ends the partition before at 1 or 0: k is 0 at both.  (It
-        serves combine's many partitions laid end to end, which
-        ``_at_edges`` would take on all 2m ends, as they do not tile.)
+        before ends the partition before at 1 or 0: k is 0 at both, so it
+        serves combine's many partitions laid end to end.
 
         Cells not ``tiled`` take k at both ends of each, in one call: a
         cell's terms are then the bits it has in its partition, as k of an
@@ -107,32 +110,25 @@ class Cells(NamedTuple):
         at_shared[0], at_shared[1:] = 0.0, at_own[:-1]
         return (at_own, at_shared) if self.is_reflected else (at_shared, at_own)
 
+    def edge_terms(self, k: Callable[[np.ndarray], tuple]) -> tuple[tuple, tuple]:
+        """(k(lo), k(hi)) as ``ends`` gives them, for a k that maps edges to
+        a tuple of arrays and need not vanish at 0 and 1: ``tiled`` cells
+        must then hold one partition, and k runs on its m + 1 edges, the
+        one it starts at (0, or 1 reflected) first."""
+        if not self.tiled:
+            at, m = k(np.concatenate((self.lo, self.hi))), self.lo.size
+            return tuple(t[:m] for t in at), tuple(t[m:] for t in at)
+        start, own = (self.hi, self.lo) if self.is_reflected else (self.lo, self.hi)
+        at = k(np.concatenate((start[:1], own)))
+        shared, own = tuple(t[:-1] for t in at), tuple(t[1:] for t in at)
+        return (own, shared) if self.is_reflected else (shared, own)
+
 
 def _read_only(cls, *fields):
     """``cls(*fields)``, each 1-D array field copied into immutable bytes: how
     a ``Cells`` or an ``AdjustedStatistic`` copies and unpickles."""
     return cls(*(np.frombuffer(f.tobytes(), f.dtype) if isinstance(f, np.ndarray) else f
                  for f in fields))
-
-
-def _at_edges(k: Callable[[np.ndarray], tuple], c0: np.ndarray, c1: np.ndarray
-              ) -> tuple[tuple, tuple]:
-    """(k(c0), k(c1)) for a k that maps edges to a tuple of arrays, from one
-    call of k.  Cells that tile end to end share their interior edges, bit
-    for bit as ``Cells.of_atoms`` builds them, so k runs on the m + 1 edges,
-    the start edge included (unlike ``Cells.ends``, k need not vanish at 0
-    and 1); other cells take it on all 2m ends.  Its callers get bare
-    (c0, c1) arrays, with the zero-width cells dropped, not ``Cells``, so
-    the run-time check stands in for ``Cells.ends``' rule; both rest on
-    ``of_atoms`` copying each hi into the next lo."""
-    if (c0[1:] == c1[:-1]).all():   # (F_{i-1}, F_i)
-        at = k(np.concatenate((c0[:1], c1)))
-        return tuple(t[:-1] for t in at), tuple(t[1:] for t in at)
-    if (c1[1:] == c0[:-1]).all():   # reflected: (1 - F_i, 1 - F_{i-1})
-        at = k(np.concatenate((c1[:1], c0)))
-        return tuple(t[1:] for t in at), tuple(t[:-1] for t in at)
-    at, m = k(np.concatenate((c0, c1))), c0.size
-    return tuple(t[:m] for t in at), tuple(t[m:] for t in at)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -153,21 +149,11 @@ def _tail_entropy_increment(cells: Cells) -> np.ndarray:
 
 
 class _CellLaw:
-    """``sd``, and ``cell_sq_moment`` from a law's ``_cells`` formula, run
-    on the cells of positive width; zero-width cells stay exactly zero."""
+    """``sd`` from a law's ``variance``."""
 
     @property
     def sd(self) -> float:
         return math.sqrt(self.variance)
-
-    def cell_sq_moment(self, z, c0, c1) -> np.ndarray:
-        z, c0, c1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, c0, c1)))
-        live = c1 > c0
-        if z.ndim == 1 and live.all():   # a left-sided partition: nothing to mask
-            return self._cells(z, c0, c1)
-        out = np.zeros(z.shape)
-        out[live] = self._cells(z[live], c0[live], c1[live])
-        return out
 
 
 def _norm_pdf(t: np.ndarray) -> np.ndarray:
@@ -206,14 +192,14 @@ class NormalLaw(_CellLaw):
         dk = at_lo - at_hi
         return self.mean + self.sd * dk / cells.p, dk * dk / cells.p * self.sd ** 2
 
-    def _cells(self, z, c0, c1):
-        # Standardized bounds (ndtri is -inf/+inf at 0/1); c0/c1 are exact
-        # probabilities, so the mass term is c1 - c0 with no cdf round trip.
-        (phi0, tphi0), (phi1, tphi1) = _at_edges(lambda w: _norm_pdf_terms(special.ndtri(w)),
-                                                 c0, c1)
+    def cell_sq_moment(self, z: np.ndarray, cells: Cells) -> np.ndarray:
+        # standardized bounds (ndtri is -inf/+inf at 0/1); the edges are exact
+        # probabilities, so the mass term takes no cdf round trip
+        (phi0, tphi0), (phi1, tphi1) = cells.edge_terms(
+            lambda w: _norm_pdf_terms(special.ndtri(w)))
         a = z - self.mean
         dphi = phi0 - phi1
-        mass = c1 - c0
+        mass = cells.hi - cells.lo
         second = mass + tphi0 - tphi1
         return a * a * mass - 2.0 * a * self.sd * dphi + self.sd ** 2 * second
 
@@ -262,10 +248,11 @@ class GammaLaw(_CellLaw):
         y = self.quantile(w) / self.scale
         return special.gammainc(self.shape + 1.0, y), special.gammainc(self.shape + 2.0, y)
 
-    def _cells(self, z, c0, c1):
+    def cell_sq_moment(self, z: np.ndarray, cells: Cells) -> np.ndarray:
         k, s = self.shape, self.scale
-        (g0, h0), (g1, h1) = _at_edges(self._edge_terms, c0, c1)
-        return z * z * (c1 - c0) - 2.0 * z * k * s * (g1 - g0) + k * (k + 1.0) * s * s * (h1 - h0)
+        (g0, h0), (g1, h1) = cells.edge_terms(self._edge_terms)
+        return (z * z * (cells.hi - cells.lo) - 2.0 * z * k * s * (g1 - g0)
+                + k * (k + 1.0) * s * s * (h1 - h0))
 
 
 @dataclass(frozen=True)
@@ -282,8 +269,8 @@ class UniformLaw(_CellLaw):
         # Var(Z) = sum (hi + lo)^2 p / 4 - 1/4 telescopes to sum hi lo p / 4
         return (cells.hi + cells.lo) / 2.0, cells.hi * cells.lo * cells.p / 4.0
 
-    def _cells(self, z, c0, c1):
-        return ((z - c0) ** 3 - (z - c1) ** 3) / 3.0
+    def cell_sq_moment(self, z: np.ndarray, cells: Cells) -> np.ndarray:
+        return ((z - cells.lo) ** 3 - (z - cells.hi) ** 3) / 3.0
 
 
 def _logit_antiderivs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,9 +309,9 @@ class LogisticLaw(_CellLaw):
         dh = a - b
         return z, dh * dh / cells.p
 
-    def _cells(self, z, c0, c1):
-        (a0, b0), (a1, b1) = _at_edges(_logit_antiderivs, c0, c1)
-        return z * z * (c1 - c0) - 2.0 * z * (a1 - a0) + (b1 - b0)
+    def cell_sq_moment(self, z: np.ndarray, cells: Cells) -> np.ndarray:
+        (a0, b0), (a1, b1) = cells.edge_terms(_logit_antiderivs)
+        return z * z * (cells.hi - cells.lo) - 2.0 * z * (a1 - a0) + (b1 - b0)
 
 
 def _tanh_sinh_level(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +403,7 @@ def _cells_quad(f, lo: np.ndarray, hi: np.ndarray, tol) -> np.ndarray:
                        f"error {err[going][0]:.1e} in the mean at step 1/128")
 
 
-class QuantileLaw(_CellLaw):
+class QuantileLaw:
     """Adapter for an arbitrary quantile callable, whose cell integrals go
     through ``_cells_quad``: each cell mean to an estimated error of ``tol``
     * max(1, |mean|), and each ``cell_sq_moment`` integral to ``tol`` *
@@ -445,6 +432,10 @@ class QuantileLaw(_CellLaw):
         z = _cells_quad(lambda w, _: self._values(w), cells.lo, cells.hi, self._tol)
         return z, cells.p * (z - (cells.p * z).sum()) ** 2
 
-    def _cells(self, z, lo, hi):
-        return (hi - lo) * _cells_quad(lambda w, i: (z[i, None] - self._values(w)) ** 2,
-                                       lo, hi, self._tol / (hi - lo))
+    def cell_sq_moment(self, z: np.ndarray, cells: Cells) -> np.ndarray:
+        live = cells.hi > cells.lo
+        z, lo, hi = z[live], cells.lo[live], cells.hi[live]
+        out = np.zeros(live.shape)
+        out[live] = (hi - lo) * _cells_quad(lambda w, i: (z[i, None] - self._values(w)) ** 2,
+                                            lo, hi, self._tol / (hi - lo))
+        return out

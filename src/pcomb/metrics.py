@@ -5,11 +5,13 @@ All distances are order-2 Wasserstein by quantile coupling on the cells
 an ``AdjustedStatistic`` carries: z_i is the mean of the transform over
 cell i, and z runs monotone along the cells, so z_i is paired with the
 same probability cell of any continuous law Q.  The squared distance is
-the sum of the cell integrals int (z_i - Q(w))^2 dw, in closed form for
-normal, gamma, uniform and logistic laws, which evaluate each cell edge
-once since the cells tile (0, 1) end to end.  Distances are reported
-scaled by the standard deviation of the continuous transform Y (not of
-the surrogate), following the variance-ratio convention Var(Z)/Var(Y).
+the sum of the cell integrals int (z_i - Q(w))^2 dw, which the law's
+``cell_sq_moment`` gives on the adjusted statistic's ``Cells``, in closed
+form for normal, gamma, uniform and logistic laws.  Distances are
+reported scaled by the standard deviation of the continuous transform Y
+(not of the surrogate), following the variance-ratio convention
+Var(Z)/Var(Y).  One (method, distribution) gives one ``MethodMetrics``
+row, which ``rank_methods``, ``scaled_w2`` and ``w2_lower_bound`` read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import _laws
 from ._inputs import _instance, _require, sequence
 from .adjust import METHODS, AdjustedStatistic, adjust, method_spec
-from .combine import surrogate
+from .combine import _surrogate
 from .distributions import DiscretePValueDist, _dist_entries
 
 
@@ -45,25 +47,45 @@ def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> 
     law = continuous_quantile
     if not hasattr(law, "cell_sq_moment"):
         law = _laws.QuantileLaw(continuous_quantile)
-    return _root(np.sum(law.cell_sq_moment(adjusted.z, adjusted.cells.lo, adjusted.cells.hi)))
+    return _root(np.sum(law.cell_sq_moment(adjusted.z, adjusted.cells)))
 
 
-def _surrogate_cells(method: str, adjusted: AdjustedStatistic) -> np.ndarray:
-    """Coupling cells of an adjusted statistic against its per-term
-    surrogate, which ``surrogate`` refuses for a distribution of zero
+@dataclass(frozen=True)
+class MethodMetrics:
+    method: str
+    variance: float
+    ratio: float
+    scaled_w2: float
+    w2_to_y: float
+    lower_bound: float
+
+
+def _row(method: str, dist: DiscretePValueDist) -> MethodMetrics:
+    """The diagnostics of one method on one distribution.  ``adjust``
+    checks both; the per-term surrogate refuses a distribution of zero
     variance: one with one atom, or with all its mass on one atom."""
-    law = surrogate(method, [adjusted.variance]).law
-    return law.cell_sq_moment(adjusted.z, adjusted.cells.lo, adjusted.cells.hi)
+    adjusted = adjust(method, dist)
+    spec = method_spec(method)
+    z, cells, variance, law = adjusted.z, adjusted.cells, adjusted.variance, spec.law
+    to_surrogate = _surrogate(spec, np.array([variance])).law.cell_sq_moment(z, cells)
+    return MethodMetrics(method=method, variance=variance, ratio=variance / law.variance,
+                         scaled_w2=_root(np.sum(to_surrogate)) / law.sd,
+                         w2_to_y=_root(np.sum(law.cell_sq_moment(z, cells))),
+                         lower_bound=_root(np.max(to_surrogate)) / law.sd)
 
 
-def _scaled(method: str, x: float) -> float:
-    """sqrt(x) / SD(Y): a squared distance on the scale of the transform."""
-    return _root(x) / method_spec(method).law.sd
+def _mean_row(method: str, rows: list[MethodMetrics]) -> MethodMetrics:
+    """The mean of each column of ``rows``; the ratio is that of the mean variance."""
+    variance, sw2, w2y, lb = (float(np.mean(c)) for c in zip(
+        *((r.variance, r.scaled_w2, r.w2_to_y, r.lower_bound) for r in rows)))
+    return MethodMetrics(method=method, variance=variance,
+                         ratio=variance / method_spec(method).law.variance, scaled_w2=sw2,
+                         w2_to_y=w2y, lower_bound=lb)
 
 
 def scaled_w2(method: str, dist: DiscretePValueDist) -> float:
     """W2(Z, per-term surrogate) / SD(Y)."""
-    return _scaled(method, np.sum(_surrogate_cells(method, adjust(method, dist))))
+    return _row(method, dist).scaled_w2
 
 
 def _dist_list(dists, name: str) -> list[DiscretePValueDist]:
@@ -85,17 +107,7 @@ def w2_lower_bound(method: str, dist: DiscretePValueDist) -> float:
 
     A lower bound for ``scaled_w2`` since the squared distance is the sum
     of the nonnegative cell integrals."""
-    return _scaled(method, np.max(_surrogate_cells(method, adjust(method, dist))))
-
-
-@dataclass(frozen=True)
-class MethodMetrics:
-    method: str
-    variance: float
-    ratio: float
-    scaled_w2: float
-    w2_to_y: float
-    lower_bound: float
+    return _row(method, dist).lower_bound
 
 
 @dataclass(frozen=True)
@@ -136,18 +148,8 @@ def rank_methods(dists) -> MetricsReport:
     dists = _dist_list(dists, "dists")
     rows = []
     for method in METHODS:
-        spec = method_spec(method)
-        columns = []
-        for d in dists:
-            adjusted = adjust(method, d)
-            cells = _surrogate_cells(method, adjusted)
-            columns.append((adjusted.variance, _scaled(method, np.sum(cells)),
-                            w2_discrete_continuous(adjusted, spec.law),
-                            _scaled(method, np.max(cells))))
-        variance, sw2, w2y, lb = (float(np.mean(c)) for c in zip(*columns))
-        rows.append(MethodMetrics(method=method, variance=variance,
-                                  ratio=variance / spec.law.variance, scaled_w2=sw2,
-                                  w2_to_y=w2y, lower_bound=lb))
+        per_dist = [_row(method, d) for d in dists]
+        rows.append(per_dist[0] if len(per_dist) == 1 else _mean_row(method, per_dist))
 
     by_ratio = max(rows, key=lambda r: r.ratio).ratio
     by_dist = min(rows, key=lambda r: r.scaled_w2).scaled_w2
@@ -155,3 +157,4 @@ def rank_methods(dists) -> MetricsReport:
     rec_dist = next(r.method for r in rows if r.scaled_w2 == by_dist)
     return MetricsReport(rows=tuple(rows), recommended_by_ratio=rec_ratio,
                          recommended_by_distance=rec_dist)
+

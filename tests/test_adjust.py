@@ -260,8 +260,8 @@ def test_generic_matches_closed_forms_across_the_atom_range(first, top, middle):
         assert abs(gen.variance - ref.variance) <= 1e-9
         cells = ref.cells
         np.testing.assert_allclose(
-            QuantileLaw(qfun).cell_sq_moment(ref.z, cells.lo, cells.hi),
-            method_spec(method).law.cell_sq_moment(ref.z, cells.lo, cells.hi),
+            QuantileLaw(qfun).cell_sq_moment(ref.z, cells),
+            method_spec(method).law.cell_sq_moment(ref.z, cells),
             rtol=1e-9, atol=1e-12)
 
 

@@ -156,6 +156,27 @@ def test_gain_rule_fails_on_fewer_than_ten_pairs_however_they_read():
         "under 10 pairs, gap 30 > parent IQR 1); within bound 25% (worse by 0.0%)")
 
 
+def test_a_bound_narrower_than_the_parents_own_spread_leaves_the_metric_unresolved():
+    # setup_s: the parent's quartiles 0.425 and 0.575 are 30% of its median
+    # 0.5, past the 25% bound, so a change read +4% (or -4%) cannot be told
+    parent = [0.3, 0.4, 0.4, 0.5, 0.5, 0.5, 0.5, 0.6, 0.6, 0.8]
+    work = {"parent": [100.0] * 10, "change": [100.0] * 10}
+    for change in ([v + 0.02 for v in parent], [v - 0.02 for v in parent]):
+        worse = "4.0" if change[0] > parent[0] else "0.0"
+        line = bench_pairs.verdicts(_runs(work, {"parent": parent, "change": change}),
+                                    SPEC).splitlines()[1]
+        assert line.endswith(f"; unresolved: parent IQR 30.0% of its median > bound 25% "
+                             f"(worse by {worse}%)")
+    # unless every run of the change beats every run of the parent
+    apart = _runs(work, {"parent": parent, "change": [0.1 + 0.01 * i for i in range(10)]})
+    assert bench_pairs.verdicts(apart, SPEC).splitlines()[1].endswith(
+        "; within bound 25% (worse by 0.0%)")
+    # a parent spread within the bound leaves the verdict as it was
+    narrow = _runs(work, {"parent": [0.5] * 9 + [0.8], "change": [0.52] * 10})
+    assert bench_pairs.verdicts(narrow, SPEC).splitlines()[1].endswith(
+        "; within bound 25% (worse by 4.0%)")
+
+
 def test_each_run_prints_its_exit_and_end_to_end_values_as_it_ends(tmp_path, capsys,
                                                                    monkeypatch):
     spec = {"end_to_end": [{"name": "scaled_work_per_s", "better": "higher", "bound": 0.25},

@@ -133,21 +133,14 @@ def test_cell_kernel_matches_scalar_formulas(law, ref):
     c0, c1 = _cells(2024)
     rng = np.random.default_rng(7)
     z = np.asarray(law.quantile(rng.uniform(0.001, 0.999, c0.size)), dtype=float)
-    got = law.cell_sq_moment(z, c0, c1)
+    got = law.cell_sq_moment(z, Cells.of_edges(c0, c1))
     want = np.array([ref(law, float(a), float(b), float(c)) for a, b, c in zip(z, c0, c1)])
     assert got.shape == z.shape
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
-    # zero-width cells are exactly zero, and no cell is negative beyond roundoff
-    assert np.all(got[c1 <= c0] == 0.0)
+    # zero-width cells are exactly +0.0, and no cell is negative beyond roundoff
+    zero_width = got[c1 <= c0]
+    assert zero_width.size == 22 and zero_width.tobytes() == np.zeros(22).tobytes()
     assert np.all(got >= -ATOL)
-
-
-@pytest.mark.parametrize("law,ref", LAWS, ids=LAW_IDS)
-def test_cell_kernel_broadcasts_a_scalar_z(law, ref):
-    c0, c1 = _cells(99)
-    z = float(law.quantile(0.3))
-    want = np.array([ref(law, z, float(b), float(c)) for b, c in zip(c0, c1)])
-    np.testing.assert_allclose(law.cell_sq_moment(z, c0, c1), want, rtol=RTOL, atol=ATOL)
 
 
 def test_quantile_law_cells_match_the_closed_form():
@@ -155,9 +148,9 @@ def test_quantile_law_cells_match_the_closed_form():
     keep = slice(0, 40)
     law = NormalLaw(0.0, 1.0)
     z = np.linspace(-2.0, 2.0, 40)
-    got = QuantileLaw(special.ndtri).cell_sq_moment(z, c0[keep], c1[keep])
-    np.testing.assert_allclose(got, law.cell_sq_moment(z, c0[keep], c1[keep]),
-                               rtol=1e-9, atol=1e-11)
+    cells = Cells.of_edges(c0[keep], c1[keep])
+    got = QuantileLaw(special.ndtri).cell_sq_moment(z, cells)
+    np.testing.assert_allclose(got, law.cell_sq_moment(z, cells), rtol=1e-9, atol=1e-11)
 
 
 def test_quadrature_calls_f_once_when_every_cell_finishes_at_step_1_32():
@@ -198,20 +191,30 @@ def test_quadrature_calls_f_once_a_later_step_on_the_cells_still_going():
 @pytest.mark.parametrize("law", [law for law, _ in LAWS] + [QuantileLaw(special.ndtri)],
                          ids=LAW_IDS + ["quantile-ndtri"])
 def test_a_partition_of_live_cells_equals_the_masked_path_bit_for_bit(law):
-    # every cell of a left-sided partition has positive width, so no mask is
-    # taken; a zero-width cell put after it sends the call through the mask
+    # the cells of a left-sided partition, every one of positive width, take
+    # their edges once each; the same cells with a zero-width cell put after
+    # them no longer tile, take both ends of each, and the quantile law masks
     hi = np.array([1e-300, 1e-12, 0.1, 0.35, 0.5, 0.9, 1.0 - 1e-12, 1.0])
     cells = Cells.of_atoms(hi, 0)
     z = np.linspace(-1.0, 3.0, hi.size)
-    got = law.cell_sq_moment(z, cells.lo, cells.hi)
-    masked = law.cell_sq_moment(np.append(z, z[3]), np.append(cells.lo, 0.5),
-                                np.append(cells.hi, 0.5))
-    assert got.tobytes() == masked[:-1].tobytes() and masked[-1] == 0.0
+    got = law.cell_sq_moment(z, cells)
+    masked = law.cell_sq_moment(np.append(z, z[3]), Cells.of_edges(np.append(cells.lo, 0.5),
+                                                                   np.append(cells.hi, 0.5)))
+    assert got.tobytes() == masked[:-1].tobytes()
+    assert masked[-1:].tobytes() == np.zeros(1).tobytes()
 
 
-def test_quantile_law_zero_width_cells_are_zero():
-    got = QuantileLaw(special.ndtri).cell_sq_moment(0.0, [0.3, 1.0], [0.3, 1.0])
-    assert got.tolist() == [0.0, 0.0]
+@pytest.mark.parametrize("law", [law for law, _ in LAWS] + [QuantileLaw(special.ndtri)],
+                         ids=LAW_IDS + ["quantile-ndtri"])
+def test_zero_width_cells_are_exactly_zero(law):
+    # (0.3, 0.3) and (1, 1) alone, and a reflected partition whose first
+    # cell, (1 - 1e-20, 1), rounds to (1, 1) though its mass is 1e-20
+    apart = Cells.of_edges(np.array([0.3, 1.0]), np.array([0.3, 1.0]))
+    assert law.cell_sq_moment(np.zeros(2), apart).tobytes() == np.zeros(2).tobytes()
+    reflected = Cells.of_atoms(np.array([1e-20, 0.3, 1.0]), 0).reflected()
+    assert (reflected.lo[0], reflected.hi[0], reflected.p[0]) == (1.0, 1.0, 1e-20)
+    got = law.cell_sq_moment(np.array([0.5, 1.0, -1.0]), reflected)
+    assert got[:1].tobytes() == np.zeros(1).tobytes() and np.all(got[1:] > 0.0)
 
 
 @pytest.mark.parametrize("lo,hi", [(0.3, 0.3), (0.5, np.nextafter(0.5, 1.0))])
@@ -253,8 +256,9 @@ def test_shared_edge_coupling_equals_each_cell_alone_bit_for_bit(atoms, ties, se
     for law in EDGE_LAWS:
         z = np.asarray(law.quantile(rng.uniform(0.001, 0.999, hi.size)), dtype=float)
         for cells in (Cells.of_atoms(hi, 0), Cells.of_atoms(hi, 0).reflected()):
-            got = law.cell_sq_moment(z, cells.lo, cells.hi)
-            alone = [law.cell_sq_moment(z[i:i + 1], cells.lo[i:i + 1], cells.hi[i:i + 1])
+            got = law.cell_sq_moment(z, cells)
+            alone = [law.cell_sq_moment(z[i:i + 1], Cells.of_edges(cells.lo[i:i + 1],
+                                                                   cells.hi[i:i + 1]))
                      for i in range(hi.size)]
             assert got.tobytes() == np.concatenate(alone).tobytes(), (law, cells.is_reflected)
 
@@ -315,7 +319,7 @@ def test_one_partition_evaluates_each_special_function_once_per_edge(monkeypatch
     for oriented in (cells, cells.reflected()):
         spy = _SpecialSpy()
         monkeypatch.setattr(_laws, "special", spy)
-        law.cell_sq_moment(np.linspace(-1.0, 1.0, m), oriented.lo, oriented.hi)
+        law.cell_sq_moment(np.linspace(-1.0, 1.0, m), oriented)
         assert spy.points == {name: [m + 1] * n for name, n in calls.items()}
 
 

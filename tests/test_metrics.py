@@ -244,6 +244,30 @@ class TestRankMethods:
         # the CLI passes its list of one file's distribution as it is
         assert rank_methods([PL]).to_json() == rank_methods(PL).to_json()
 
+    @pytest.mark.parametrize("dist", [
+        pvalue_distribution(make_statistic_model("binomial", {"trials": 20, "prob": 0.3}), "two"),
+        custom_pvalue_distribution([1e-20, 0.3, 1.0], "left"),
+    ], ids=["binomial-two-sided", "custom-reflected-zero-width"])
+    def test_a_row_has_the_bits_of_the_public_functions(self, dist):
+        def bits(x):
+            return struct.pack("<d", x)
+        for r in rank_methods(dist).rows:
+            adjusted = adjust(r.method, dist)
+            assert bits(r.variance) == bits(adjusted.variance)
+            assert bits(r.ratio) == bits(variance_ratio(r.method, dist))
+            assert bits(r.scaled_w2) == bits(scaled_w2(r.method, dist))
+            assert bits(r.lower_bound) == bits(w2_lower_bound(r.method, dist))
+            assert bits(r.w2_to_y) == bits(
+                w2_discrete_continuous(adjusted, method_spec(r.method).law))
+        if len(dist) == 3:
+            # fisher's reflected first cell (1 - 1e-20, 1) rounds to (1, 1):
+            # zero width, though its mass is 1e-20, so it couples with 0.0
+            adjusted = adjust("fisher", dist)
+            cells = adjusted.cells
+            assert (cells.lo[0], cells.hi[0], cells.p[0]) == (1.0, 1.0, 1e-20)
+            law = surrogate("fisher", [adjusted.variance]).law
+            assert bits(law.cell_sq_moment(adjusted.z, cells)[0]) == bits(0.0)
+
     def test_sequence_averages(self):
         dists = [geometric_scenario(p0, "right").null_dists()[0] for p0 in (0.2, 0.5, 0.8)]
         rep = rank_methods(dists)

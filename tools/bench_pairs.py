@@ -18,7 +18,10 @@ gain rule holds (at least 10 pairs, the change wins at least 9 in 10 of them
 and its median beats the parent's by more than the parent's interquartile
 range; on fewer pairs it fails, whatever they read), and whether the
 change's median stays within the metric's ``BENCHMARK.json`` bound, the
-fraction by which an end-to-end metric may get worse.  With ``--out FILE``
+fraction by which an end-to-end metric may get worse.  When the parent's
+own interquartile range, as a fraction of its median, is wider than that
+bound, the runs cannot tell, and the verdict reads "unresolved" unless
+every run of the change beats every run of the parent.  With ``--out FILE``
 the same pairs are also written to FILE as one JSON object: each pair's
 seed, order, exit and metric values, each metric's quartiles, wins and
 verdict, and each side's provenance as ``bench/run.py`` prints it (commit,
@@ -167,8 +170,16 @@ def _verdict(name: str, values: dict[str, list], both: list[tuple], metric: dict
         within = "no bound"
     else:
         worse = -gain / abs(parent) if parent else (math.inf if gain < 0 else 0.0)
-        within = (f"{'within' if worse <= bound else 'OUTSIDE'} bound {100.0 * bound:g}%"
-                  f" (worse by {100.0 * max(0.0, worse):.1f}%)")
+        spread = (p3 - p1) / abs(parent) if parent else (math.inf if p3 > p1 else 0.0)
+        if better == "higher":
+            apart = min(values["change"]) > max(values["parent"])
+        else:
+            apart = max(values["change"]) < min(values["parent"])
+        if spread > bound and not apart:   # the parent's own runs spread past the bound
+            within = f"unresolved: parent IQR {100.0 * spread:.1f}% of its median > bound"
+        else:
+            within = f"{'within' if worse <= bound else 'OUTSIDE'} bound"
+        within += f" {100.0 * bound:g}% (worse by {100.0 * max(0.0, worse):.1f}%)"
     return f"verdict {name}: median {pct}; {rule}; {within}"
 
 
