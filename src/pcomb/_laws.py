@@ -14,13 +14,23 @@ probability cells of a ``Cells``:
 
 Both work through exact partial moments on (Q(lo), Q(hi)), with the
 limits x log x -> 0 and phi(Phi^-1(F)) -> 0 at F in {0, 1}, so cells in
-the far tails need no quadrature.  Both take those terms once per cell
-edge, and only ``Cells`` knows how its cells tile (``Cells.ends``, and
-``Cells.edge_terms`` for terms that need not vanish at 0 and 1); cells
-that do not tile, such as combine's observed cells, take them at both ends.
-W2's mass term is hi - lo, not p: a reflected cell whose 1 - F rounds to
-1 has positive mass but zero width, and on any zero-width cell every
-difference of edge terms is +0.0, so the closed forms give exactly 0.0.
+the far tails need no quadrature.  W2's mass term is hi - lo, not p: a
+reflected cell whose 1 - F rounds to 1 has positive mass but zero width,
+and on any zero-width cell every difference of edge terms is +0.0, so the
+closed forms give exactly 0.0.
+
+Only ``Cells.terms`` knows how cells tile, and it takes each term k once
+per edge.  Within a partition a cell's lo is the hi of the cell before it,
+bit for bit, as ``Cells.of_atoms`` copies it (reflected, its hi is the lo
+of the cell before), so tiled cells take k on their start edge, 0 or 1,
+then on each cell's own edge.  Where a later partition starts, the cell
+before ends the partition before at the other end of (0, 1), so a k with
+k(0) = k(1) serves many partitions laid end to end; one that differs, as
+``cell_sq_moment``'s do, needs one partition.  Cells that do not tile,
+such as combine's observed cells, take k at both ends of each: a cell's
+terms are then the bits it has in its partition, as k of an edge depends
+on that double alone.
+
 ``QuantileLaw`` is the fallback for arbitrary quantile callables:
 ``_cells_quad`` integrates all cells of a call at once by tanh-sinh
 quadrature, one call of the quantile for steps 1/16 and 1/32 together, then
@@ -84,43 +94,23 @@ class Cells(NamedTuple):
         return Cells(self.one_minus_hi, self.one_minus_lo, self.p, self.hi, self.lo,
                      not self.is_reflected, self.tiled)
 
-    def ends(self, k: Callable[[np.ndarray], np.ndarray], tail: bool = False
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """(k(lo), k(hi)), or (k(1 - lo), k(1 - hi)) if ``tail``, from one
-        call of k on one edge per cell, for a k with k(0) = k(1) = 0.
-
-        Within a partition a cell's lo is the hi of the cell before it, bit
-        for bit, as ``of_atoms`` copies it; reflected, its hi is the lo of
-        the cell before.  Where a partition starts, at 0 or 1, the cell
-        before ends the partition before at 1 or 0: k is 0 at both, so it
-        serves combine's many partitions laid end to end.
-
-        Cells not ``tiled`` take k at both ends of each, in one call: a
-        cell's terms are then the bits it has in its partition, as k of an
-        edge depends on that double alone."""
+    def terms(self, k: Callable[[np.ndarray], np.ndarray | tuple], tail: bool = False
+              ) -> tuple:
+        """(k(lo), k(hi)), or (k(1 - lo), k(1 - hi)) if ``tail``, from one call
+        of k on the edges named above; k gives one array or a tuple of them."""
+        if tail:   # two plain assignments: warm combinations call this most
+            lo, hi = self.one_minus_lo, self.one_minus_hi
+        else:
+            lo, hi = self.lo, self.hi
         if not self.tiled:
-            lo, hi = (self.one_minus_lo, self.one_minus_hi) if tail else (self.lo, self.hi)
-            at = k(np.concatenate((lo, hi)))
-            return at[:lo.size], at[lo.size:]
-        own = self.one_minus_lo if tail else self.lo
-        if not self.is_reflected:
-            own = self.one_minus_hi if tail else self.hi
-        at_own = k(own)
-        at_shared = np.empty_like(at_own)
-        at_shared[0], at_shared[1:] = 0.0, at_own[:-1]
-        return (at_own, at_shared) if self.is_reflected else (at_shared, at_own)
-
-    def edge_terms(self, k: Callable[[np.ndarray], tuple]) -> tuple[tuple, tuple]:
-        """(k(lo), k(hi)) as ``ends`` gives them, for a k that maps edges to
-        a tuple of arrays and need not vanish at 0 and 1: ``tiled`` cells
-        must then hold one partition, and k runs on its m + 1 edges, the
-        one it starts at (0, or 1 reflected) first."""
-        if not self.tiled:
-            at, m = k(np.concatenate((self.lo, self.hi))), self.lo.size
-            return tuple(t[:m] for t in at), tuple(t[m:] for t in at)
-        start, own = (self.hi, self.lo) if self.is_reflected else (self.lo, self.hi)
+            at, m = k(np.concatenate((lo, hi))), lo.size
+            if type(at) is tuple:
+                return tuple(t[:m] for t in at), tuple(t[m:] for t in at)
+            return at[:m], at[m:]
+        start, own = (hi, lo) if self.is_reflected else (lo, hi)
         at = k(np.concatenate((start[:1], own)))
-        shared, own = tuple(t[:-1] for t in at), tuple(t[1:] for t in at)
+        shared, own = ((tuple(t[:-1] for t in at), tuple(t[1:] for t in at))
+                       if type(at) is tuple else (at[:-1], at[1:]))
         return (own, shared) if self.is_reflected else (shared, own)
 
 
@@ -136,16 +126,10 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
-def _entropy_increment(cells: Cells) -> np.ndarray:
-    """Cell increments of F log F."""
-    at_lo, at_hi = cells.ends(_xlogx)
-    return at_hi - at_lo
-
-
-def _tail_entropy_increment(cells: Cells) -> np.ndarray:
-    """Cell increments of -(1-F) log(1-F)."""
-    at_lo, at_hi = cells.ends(_xlogx, tail=True)
-    return at_lo - at_hi
+def _entropy_increment(cells: Cells, tail: bool = False) -> np.ndarray:
+    """Cell increments of F log F, or of -(1-F) log(1-F) if ``tail``."""
+    at_lo, at_hi = cells.terms(_xlogx, tail)
+    return at_lo - at_hi if tail else at_hi - at_lo
 
 
 class _CellLaw:
@@ -188,14 +172,14 @@ class NormalLaw(_CellLaw):
 
     def cell_means(self, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
         # integral of Phi^-1 over a cell is phi(Phi^-1(lo)) - phi(Phi^-1(hi))
-        at_lo, at_hi = cells.ends(lambda w: _norm_pdf(special.ndtri(w)))
+        at_lo, at_hi = cells.terms(lambda w: _norm_pdf(special.ndtri(w)))
         dk = at_lo - at_hi
         return self.mean + self.sd * dk / cells.p, dk * dk / cells.p * self.sd ** 2
 
     def cell_sq_moment(self, z: np.ndarray, cells: Cells) -> np.ndarray:
         # standardized bounds (ndtri is -inf/+inf at 0/1); the edges are exact
         # probabilities, so the mass term takes no cdf round trip
-        (phi0, tphi0), (phi1, tphi1) = cells.edge_terms(
+        (phi0, tphi0), (phi1, tphi1) = cells.terms(
             lambda w: _norm_pdf_terms(special.ndtri(w)))
         a = z - self.mean
         dphi = phi0 - phi1
@@ -237,7 +221,7 @@ class GammaLaw(_CellLaw):
         if self.shape != 1.0:
             raise ValueError(f"closed-form cell means need gamma shape 1, got {self.shape}")
         s = self.scale
-        b = _tail_entropy_increment(cells)
+        b = _entropy_increment(cells, tail=True)
         # the scale goes on the finished share: inside the product it moves the rounding
         return s - s * b / cells.p, b * b / cells.p * (s * s)
 
@@ -250,7 +234,7 @@ class GammaLaw(_CellLaw):
 
     def cell_sq_moment(self, z: np.ndarray, cells: Cells) -> np.ndarray:
         k, s = self.shape, self.scale
-        (g0, h0), (g1, h1) = cells.edge_terms(self._edge_terms)
+        (g0, h0), (g1, h1) = cells.terms(self._edge_terms)
         return (z * z * (cells.hi - cells.lo) - 2.0 * z * k * s * (g1 - g0)
                 + k * (k + 1.0) * s * s * (h1 - h0))
 
@@ -304,13 +288,13 @@ class LogisticLaw(_CellLaw):
         # the half difference of the two chi-square(2) cell means, kept in that
         # form ((a - b) / p moves the last bits); the variance uses the cell
         # increments of h(F) = F log F + (1-F) log(1-F), stable at F = 1
-        a, b = _entropy_increment(cells), _tail_entropy_increment(cells)
+        a, b = _entropy_increment(cells), _entropy_increment(cells, tail=True)
         z = ((2.0 - 2.0 * b / cells.p) - (2.0 - 2.0 * a / cells.p)) / 2.0
         dh = a - b
         return z, dh * dh / cells.p
 
     def cell_sq_moment(self, z: np.ndarray, cells: Cells) -> np.ndarray:
-        (a0, b0), (a1, b1) = cells.edge_terms(_logit_antiderivs)
+        (a0, b0), (a1, b1) = cells.terms(_logit_antiderivs)
         return z * z * (cells.hi - cells.lo) - 2.0 * z * (a1 - a0) + (b1 - b0)
 
 

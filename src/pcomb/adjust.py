@@ -140,7 +140,8 @@ def adjust_generic(quantile_fn: Callable[[float], float], orientation: str,
     """
     if orientation not in (ORIENT_P, ORIENT_ONE_MINUS_P):
         raise ValueError(f"orientation must be {ORIENT_P!r} or {ORIENT_ONE_MINUS_P!r}")
-    law = QuantileLaw(quantile_fn, number(tol, "tol", positive=True))
+    law = QuantileLaw(_instance(quantile_fn, Callable, "quantile_fn", "a callable"),
+                      number(tol, "tol", positive=True))
     adjusted = _adjusted("generic", law, orientation, dist)
     # cell means of a strictly increasing quantile must be strictly
     # monotone; the cells of "1-p" methods run from right to left

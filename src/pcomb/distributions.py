@@ -312,14 +312,6 @@ def _support(lo: int, hi: int) -> np.ndarray:
 # pmf and tail kernels of the named families (also used by simulate)
 # ---------------------------------------------------------------------------
 
-def _binom_pmf(k, n: int, p: float):
-    return special._binom_pmf(k, n, p)
-
-
-def _binom_cdf(k, n: int, p: float):
-    return special._binom_cdf(k, n, p)
-
-
 def _poisson_pmf(k, rate: float):
     return np.exp(special.xlogy(k, rate) - special.gammaln(k + 1) - rate)
 
@@ -429,7 +421,7 @@ def _named_masses(family: str, values: tuple) -> tuple[np.ndarray, np.ndarray]:
     if family == "binomial":
         n, theta = values
         support = _support(0, n)
-        return support, _binom_pmf(support, n, theta)
+        return support, special._binom_pmf(support, n, theta)
     if family == "poisson":
         rate, = values
         return _truncated_counts(lambda k: special.pdtrc(k, rate),

@@ -16,9 +16,10 @@ gather and one sum per group, from its (methods, outcomes) score table, give
 a block's scores; each replicate sums its tests strictly left to right,
 whatever other methods run beside it, and the kernel reports aggregate
 integer rejection counts, so neither the block size, the method set nor the
-chunking of blocks over ``workers`` threads can change a single byte of the
-output.  Threads overlap only inside numpy calls, the uniform fill among
-them; README gives the speed-ups ``workers`` has measured.
+chunking of blocks over ``workers`` threads (no more than blocks or usable
+CPUs) can change a single byte of the output.  Threads overlap only inside
+numpy calls, the uniform fill among them; README gives the speed-ups
+``workers`` has measured.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import inspect
 import io
 import math
+import os
 import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,12 +35,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _genedata
+from . import _genedata, _special as special
 from ._inputs import (INT64_MAX, SUPPORT_CAP, _instance, _json, _refuse, _require,
                       cap_support, integer, number, numbers, probability, sequence)
 from .adjust import METHODS, AdjustedStatistic, adjust
 from .combine import CombinedResult, combine_observations, surrogate
-from .distributions import (DiscretePValueDist, _binom_cdf, _closed, _first, _geom_cdf,
+from .distributions import (DiscretePValueDist, _closed, _first, _geom_cdf,
                             _nbinom_cdf, _nbinom_sf, _support, custom_pvalue_distribution,
                             make_statistic_model, pvalue_distribution)
 
@@ -140,7 +142,7 @@ def binomial_scenario(theta0: float, trials: int = 5, side: str = "left") -> Sce
     def alt_cdf(theta, _support=model.support, _trials=trials):
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"alternative parameter gives theta={theta}, outside [0, 1]")
-        return _binom_cdf(_support, _trials, theta)
+        return special._binom_cdf(_support, _trials, theta)
 
     return Scenario("binomial", f"binomial-theta{theta0:g}-{side}", side,
                     {"theta0": theta0, "trials": trials}, theta0,
@@ -451,6 +453,13 @@ def _replicate_stream(seed: int, config_index: int, replicate: int,
     return np.random.Generator(bits)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
                 workers: int) -> np.ndarray:
     nm = prep.thresholds.size
@@ -468,9 +477,9 @@ def _run_config(prep: _ConfigPrep, reps: int, seed: int, config_index: int,
         return counts
 
     # chunks start on block boundaries, so a run never has more threads
-    # than blocks; the calling thread runs the first chunk itself
+    # than blocks or usable CPUs; the calling thread runs the first chunk itself
     blocks = -(-reps // block)
-    step = -(-blocks // workers) * block
+    step = -(-blocks // min(workers, _usable_cpus())) * block
     bounds = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
     if len(bounds) == 1:
         return chunk(0, reps)

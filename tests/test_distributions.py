@@ -22,7 +22,7 @@ from scipy import stats
 
 from pcomb import (METHODS, DiscretePValueDist, StatisticModel, combine_observations,
                    custom_pvalue_distribution, make_statistic_model, pvalue_distribution)
-from pcomb import _inputs, distributions
+from pcomb import _inputs, _special, distributions
 from pcomb.combine import _layout
 from pcomb.distributions import SIDES
 
@@ -87,8 +87,8 @@ class TestMakeStatisticModel:
 
     def test_named_pmf_far_from_one_rejected(self, monkeypatch):
         # renormalization absorbs rounding only; a pmf off by 1e-6 is broken
-        kernel = distributions._binom_pmf
-        monkeypatch.setattr(distributions, "_binom_pmf",
+        kernel = _special._binom_pmf
+        monkeypatch.setattr(_special, "_binom_pmf",
                             lambda k, n, p: (1.0 + 1e-6) * kernel(k, n, p))
         with pytest.raises(ValueError, match="binomial pmf must sum to 1"):
             make_statistic_model("binomial", {"trials": 5, "prob": 0.5})

@@ -460,6 +460,12 @@ def _type1(**kw):
     pytest.param(lambda: w2_discrete_continuous(1, lambda w: w),
                  "adjusted must be an adjusted statistic, got 1",
                  id="w2-discrete-continuous-adjusted-int"),
+    # a quantile that is not callable once raised numpy's "function must be callable"
+    pytest.param(lambda: adjust_generic("x", "p", TWO_ATOM),
+                 "quantile_fn must be a callable, got 'x'", id="adjust-generic-quantile-str"),
+    pytest.param(lambda: w2_discrete_continuous(adjust("fisher", TWO_ATOM), None),
+                 "continuous_quantile must be a law or a quantile callable, got None",
+                 id="w2-discrete-continuous-quantile-none"),
     pytest.param(lambda: exact_convolution(1, 2),
                  "adjusted must be an adjusted statistic, got 1",
                  id="exact-convolution-adjusted-int"),

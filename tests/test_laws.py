@@ -293,34 +293,46 @@ def test_an_observed_cell_alone_has_the_bits_of_its_partition(atoms, ties, cut):
 
 class _SpecialSpy:
     """Stands in for ``scipy.special`` and records how many points each
-    function is called on."""
+    function is called on; ``counted`` records another function so."""
 
     def __init__(self):
         self.points = {}
 
     def __getattr__(self, name):
-        f = getattr(special, name)
+        return self.counted(name, getattr(special, name))
 
-        def counted(*args):
+    def counted(self, name, f):
+        def counting(*args):
             self.points.setdefault(name, []).append(np.size(args[-1]))
             return f(*args)
-        return counted
+        return counting
 
 
-@pytest.mark.parametrize("law,calls", [
-    (GammaLaw(1.0, 2.0), {"gammaincinv": 1, "gammainc": 2}),
-    (GammaLaw(40.6845, 1.9218121), {"gammaincinv": 1, "gammainc": 2}),
-    (NormalLaw(0.0, 1.0), {"ndtri": 1}),
-    (LogisticLaw(), {"spence": 1}),
+@pytest.mark.parametrize("law,method,calls", [
+    (GammaLaw(1.0, 2.0), "cell_sq_moment", {"gammaincinv": 1, "gammainc": 2}),
+    (GammaLaw(40.6845, 1.9218121), "cell_sq_moment", {"gammaincinv": 1, "gammainc": 2}),
+    (NormalLaw(0.0, 1.0), "cell_sq_moment", {"ndtri": 1}),
+    (LogisticLaw(), "cell_sq_moment", {"spence": 1}),
+    (NormalLaw(0.3, 1.7), "cell_means", {"ndtri": 1}),
+    (GammaLaw(1.0, 2.0), "cell_means", {"_xlogx": 1}),
+    (LogisticLaw(), "cell_means", {"_xlogx": 2}),
 ])
-def test_one_partition_evaluates_each_special_function_once_per_edge(monkeypatch, law, calls):
-    m = 40
+@pytest.mark.parametrize("tiled", [True, False], ids=["tiled", "apart"])
+def test_one_partition_evaluates_each_special_function_once_per_edge(monkeypatch, law, method,
+                                                                     calls, tiled):
+    # a partition's m cells have m + 1 edges; the same cells not tiled take 2m
+    m, xlogx = 40, _laws._xlogx
     cells = Cells.of_atoms(np.linspace(0.0, 1.0, m + 1)[1:], 0)
+    if not tiled:
+        cells = Cells.of_edges(cells.lo, cells.hi)
+    args = (np.linspace(-1.0, 1.0, m),) if method == "cell_sq_moment" else ()
     for oriented in (cells, cells.reflected()):
         spy = _SpecialSpy()
         monkeypatch.setattr(_laws, "special", spy)
-        law.cell_sq_moment(np.linspace(-1.0, 1.0, m), oriented)
-        assert spy.points == {name: [m + 1] * n for name, n in calls.items()}
+        monkeypatch.setattr(_laws, "_xlogx", spy.counted("_xlogx", xlogx))
+        getattr(law, method)(*args, oriented)
+        points = m + 1 if tiled else 2 * m
+        assert spy.points == {name: [points] * n for name, n in calls.items()}
 
 
 def _unread_special_handle():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 
@@ -1007,6 +1008,7 @@ class TestWorkers:
     def test_threads_bounded_by_blocks(self, monkeypatch):
         monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 10 ** 4)
         sc = circular_scenario(199)
         one = power_experiment(sc, ["fisher"], [0.01], 100, 0.05, 2000, seed=5, workers=1)
         many = power_experiment(sc, ["fisher"], [0.01], 100, 0.05, 2000, seed=5,
@@ -1033,6 +1035,7 @@ class TestWorkers:
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(simulate, "_replicate_stream", Recording)
         monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 30)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 10 ** 4)
         monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
         type1_experiment(synthetic_scenario("PC"), ["fisher"], [10], 0.05, 10, seed=1,
                          workers=3)
@@ -1041,6 +1044,27 @@ class TestWorkers:
         # from a stream that starts at its first replicate
         assert draws == [[6, (3, 10), (1, 10)], [0, (3, 10), (3, 10)]]
         assert _RecordingExecutor.max_workers == [1]
+
+    def test_threads_bounded_by_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", _RecordingExecutor)
+        sc, cpus = circular_scenario(199), simulate._usable_cpus()
+        # one block more than there are usable CPUs, so only the CPUs bound the chunks
+        reps = (BLOCK_ELEMENTS // 100) * (cpus + 1)
+        one = power_experiment(sc, ["fisher"], [0.01], 100, 0.05, reps, seed=5, workers=1)
+        many = power_experiment(sc, ["fisher"], [0.01], 100, 0.05, reps, seed=5,
+                                workers=10 ** 6)
+        assert many.to_csv() == one.to_csv()
+        assert _RecordingExecutor.max_workers == ([cpus - 1] if cpus > 1 else [])
+
+    def test_usable_cpus_read_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert simulate._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert simulate._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)   # undeterminable
+        assert simulate._usable_cpus() == 1
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
