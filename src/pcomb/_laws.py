@@ -97,7 +97,7 @@ class Cells(NamedTuple):
     def terms(self, k: Callable[[np.ndarray], np.ndarray | tuple], tail: bool = False
               ) -> tuple:
         """(k(lo), k(hi)), or (k(1 - lo), k(1 - hi)) if ``tail``, from one call
-        of k on the edges named above; k gives one array or a tuple of them."""
+        of k on the edges the module docstring names; k gives an array or a tuple."""
         if tail:   # two plain assignments: warm combinations call this most
             lo, hi = self.one_minus_lo, self.one_minus_hi
         else:

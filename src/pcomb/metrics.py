@@ -19,11 +19,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import _laws
-from ._inputs import _instance, _refuse, _require, sequence
+from ._inputs import _instance, _require, sequence
 from .adjust import METHODS, AdjustedStatistic, adjust, method_spec
 from .combine import _surrogate
 from .distributions import DiscretePValueDist, _dist_entries
@@ -46,9 +47,8 @@ def w2_discrete_continuous(adjusted: AdjustedStatistic, continuous_quantile) -> 
     _instance(adjusted, AdjustedStatistic, "adjusted", "an adjusted statistic")
     law = continuous_quantile
     if not hasattr(law, "cell_sq_moment"):
-        if not callable(law):
-            raise _refuse("continuous_quantile", "a law or a quantile callable", law)
-        law = _laws.QuantileLaw(law)
+        law = _laws.QuantileLaw(_instance(law, Callable, "continuous_quantile",
+                                          "a law or a quantile callable"))
     return _root(np.sum(law.cell_sq_moment(adjusted.z, adjusted.cells)))
 
 
