@@ -1048,14 +1048,16 @@ class TestWorkers:
     def test_threads_bounded_by_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", _RecordingExecutor)
-        sc, cpus = circular_scenario(199), simulate._usable_cpus()
-        # one block more than there are usable CPUs, so only the CPUs bound the chunks
-        reps = (BLOCK_ELEMENTS // 100) * (cpus + 1)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        sc = circular_scenario(199)
+        # six blocks on three CPUs: chunks of two blocks, so the CPUs, not the
+        # blocks, bound the pool, which takes the two chunks the caller does not
+        reps = (BLOCK_ELEMENTS // 100) * 6
         one = power_experiment(sc, ["fisher"], [0.01], 100, 0.05, reps, seed=5, workers=1)
         many = power_experiment(sc, ["fisher"], [0.01], 100, 0.05, reps, seed=5,
                                 workers=10 ** 6)
         assert many.to_csv() == one.to_csv()
-        assert _RecordingExecutor.max_workers == ([cpus - 1] if cpus > 1 else [])
+        assert _RecordingExecutor.max_workers == [2]
 
     def test_usable_cpus_read_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
