@@ -94,23 +94,24 @@ class Cells(NamedTuple):
         return Cells(self.one_minus_hi, self.one_minus_lo, self.p, self.hi, self.lo,
                      not self.is_reflected, self.tiled)
 
-    def terms(self, k: Callable[[np.ndarray], np.ndarray], tail: bool = False
-              ) -> tuple[np.ndarray, np.ndarray]:
+    def terms(self, k: Callable[[np.ndarray], np.ndarray | tuple], tail: bool = False
+              ) -> tuple:
         """(k(lo), k(hi)), or (k(1 - lo), k(1 - hi)) if ``tail``, from one call
-        of k on the edges the module docstring names; k gives one array whose
-        last axis runs over the edges, with a row per term if it has several."""
+        of k on the edges the module docstring names; k gives an array or a tuple."""
         if tail:   # two plain assignments: warm combinations call this most
             lo, hi = self.one_minus_lo, self.one_minus_hi
         else:
             lo, hi = self.lo, self.hi
         if not self.tiled:
             at, m = k(np.concatenate((lo, hi))), lo.size
-            return at[..., :m], at[..., m:]
-        start, own = (hi, lo) if self.is_reflected else (lo, hi)
-        edges = np.empty(own.size + 1)
-        edges[0], edges[1:] = start[0], own
+            if type(at) is tuple:
+                return tuple(t[:m] for t in at), tuple(t[m:] for t in at)
+            return at[:m], at[m:]
+        edges = np.empty(lo.size + 1)   # filling one buffer beats np.concatenate here
+        edges[0], edges[1:] = (hi[0], lo) if self.is_reflected else (lo[0], hi)
         at = k(edges)
-        shared, own = at[..., :-1], at[..., 1:]
+        shared, own = ((tuple(t[:-1] for t in at), tuple(t[1:] for t in at))
+                       if type(at) is tuple else (at[:-1], at[1:]))
         return (own, shared) if self.is_reflected else (shared, own)
 
 
@@ -145,10 +146,10 @@ def _norm_pdf(t: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * t * t) / _SQRT_2PI
 
 
-def _norm_pdf_terms(t: np.ndarray) -> np.ndarray:
-    """phi(t) and t * phi(t) as two rows, both with the zero limit at +-inf."""
+def _norm_pdf_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi(t) and t * phi(t), both with the zero limit at +-inf."""
     phi = _norm_pdf(t)
-    return np.array((phi, np.where(np.isfinite(t), t, 0.0) * phi))
+    return phi, np.where(np.isfinite(t), t, 0.0) * phi
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,7 @@ class GammaLaw(_CellLaw):
         # partial moments of order m into plain cdf differences; the
         # quantile is 0/inf at 0/1, where gammainc is 0/1.
         y = self.quantile(w) / self.scale
-        return np.array((special.gammainc(self.shape + 1.0, y),
-                         special.gammainc(self.shape + 2.0, y)))
+        return special.gammainc(self.shape + 1.0, y), special.gammainc(self.shape + 2.0, y)
 
     def cell_sq_moment(self, z: np.ndarray, cells: Cells) -> np.ndarray:
         k, s = self.shape, self.scale
@@ -258,8 +258,8 @@ class UniformLaw(_CellLaw):
         return ((z - cells.lo) ** 3 - (z - cells.hi) ** 3) / 3.0
 
 
-def _logit_antiderivs(w: np.ndarray) -> np.ndarray:
-    """Antiderivatives of log(w/(1-w)) and of its square on (0, 1), as two rows.
+def _logit_antiderivs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Antiderivatives of log(w/(1-w)) and of its square on (0, 1).
 
     A(w) = w log w + (1-w) log(1-w), with A(0) = A(1) = 0;
     B(w) = w log^2 w - 2 w log w log(1-w) + (w-1) log^2(1-w) - 2 Li2(1-w),
@@ -270,8 +270,8 @@ def _logit_antiderivs(w: np.ndarray) -> np.ndarray:
     lw, l1w = np.log(v), np.log1p(-v)
     a = v * lw + (1.0 - v) * l1w
     b = v * lw * lw - 2.0 * v * lw * l1w + (v - 1.0) * l1w * l1w - 2.0 * special.spence(v)
-    return np.array((np.where(inside, a, 0.0),
-                     np.where(inside, b, np.where(w <= 0.0, -math.pi ** 2 / 3.0, 0.0))))
+    return (np.where(inside, a, 0.0),
+            np.where(inside, b, np.where(w <= 0.0, -math.pi ** 2 / 3.0, 0.0)))
 
 
 @dataclass(frozen=True)

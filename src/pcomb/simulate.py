@@ -16,10 +16,9 @@ gather and one sum per group, from its (methods, outcomes) score table, give
 a block's scores; each replicate sums its tests strictly left to right,
 whatever other methods run beside it, and the kernel reports aggregate
 integer rejection counts, so neither the block size, the method set nor the
-chunking of blocks over ``workers`` threads (no more than blocks or usable
-CPUs) can change a single byte of the output.  Threads overlap only inside
-numpy calls, the uniform fill among them; README gives the speed-ups
-``workers`` has measured.
+chunking of blocks over ``workers`` threads can change a single byte of the
+output.  Threads overlap only inside numpy calls, the uniform fill among
+them; README gives the speed-ups ``workers`` has measured.
 """
 
 from __future__ import annotations
